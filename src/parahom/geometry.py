@@ -313,6 +313,8 @@ class LipschitzCylinder:
 
     def __post_init__(self):
         box = tuple((float(lo), float(hi)) for lo, hi in self.base_box)
+        if not np.all(np.isfinite(box)):
+            raise ValueError("base box bounds must be finite")
         if any(hi <= lo for lo, hi in box):
             raise ValueError("base box intervals must be nonempty")
         if self.T <= 0:
@@ -335,26 +337,6 @@ class LipschitzCylinder:
             for side in ("lo", "hi"):
                 out.append({"axis": axis, "side": side, "m": 0.0, "r0": self.r0})
         return out
-
-    def validate_charts(self, samples: int = 64) -> bool:
-        """Check the local-graph representation of each chart on grid samples.
-
-        For a box base every chart is exact (phi = 0, any m >= 0 works), so
-        this validates the bookkeeping: the face really is the graph
-        {lam_axis = const} over the tangential box.
-        """
-        for ch in self.charts():
-            axis, side = ch["axis"], ch["side"]
-            face_val = self.base_box[axis][0 if side == "lo" else 1]
-            for ax2, (lo, hi) in enumerate(self.base_box):
-                if ax2 == axis:
-                    continue
-                pts = np.linspace(lo, hi, samples)
-                if not np.all((pts >= lo) & (pts <= hi)):
-                    return False
-            if not np.isfinite(face_val):
-                return False
-        return True
 
     @classmethod
     def from_json(cls, spec) -> "LipschitzCylinder":

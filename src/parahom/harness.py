@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,15 +22,12 @@ from .cell import effective_matrix
 from .coeffs import (CoefficientField, constant_matrix_field, field_from_json,
                      preset, scale_field)
 from .geometry import GraphDomain, LipschitzCylinder, ParabolicCube, ParabolicPoint
-from .maximal import (lateral_norm_cylinder, lp_boundary_norm,
-                      nontangential_max, nontangential_max_cylinder)
+from .maximal import lateral_norm_cylinder, nontangential_max_cylinder
 from .oracles import halfspace_kernel_cell_average, halfspace_measure
-from .pde import BoundaryData, ScalarField, SpaceTimeGrid, solve_dirichlet
+from .pde import BoundaryData, SpaceTimeGrid, solve_dirichlet
 from .potential import (PotentialConfig, caloric_measure, caloric_measure_field,
-                        doubling_ratio, green_symmetry_check,
-                        green_measure_equivalence, harnack_ratio,
-                        kernel_estimate, local_solvability_ratio,
-                        reverse_holder_ratio)
+                        doubling_ratio, kernel_estimate,
+                        local_solvability_ratio, reverse_holder_ratio)
 
 __all__ = [
     "ExperimentConfig",
@@ -128,7 +125,7 @@ def data_from_json(spec, d: int = 2) -> BoundaryData:
             gt = 1.0 - np.exp(-(max(t, 0.0) / ramp) ** 2)
             return gt * np.exp(-r2 / width ** 2)
 
-        return BoundaryData(ev, classical=True, label="bump")
+        return BoundaryData(ev, label="bump")
     if kind == "expr":
         from .coeffs import compile_expression
 
@@ -142,7 +139,7 @@ def data_from_json(spec, d: int = 2) -> BoundaryData:
             gt = 1.0 - np.exp(-(max(t, 0.0) / ramp) ** 2)
             return gt * fn(pad)
 
-        return BoundaryData(ev2, classical=True, label=f"expr({spec['expr']})")
+        return BoundaryData(ev2, label=f"expr({spec['expr']})")
     raise ValueError(f"unknown data kind {kind!r}")
 
 
@@ -240,11 +237,7 @@ def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     sel_t = times >= K_t
 
     def restrict(u):
-        v = u.values
-        v = np.compress(sel_t, v, axis=0)
-        for k in range(d):
-            v = np.compress(sel[k], v, axis=1 + k)
-        return v
+        return u.window(sel, sel_t)[0]
 
     ubar_K = restrict(ubar)
     p = cfg.p_list[0]
@@ -433,12 +426,11 @@ def q_decay_constant(A: CoefficientField, R_cells: int, period: float = 1.0,
     xc = grid.axis_centers(0)
     sel_t4 = (times > 0) & (times <= 4 * R * R)
     sel_sup = (lamc[:qu.grid.shape[-1]] >= R) & (lamc[:qu.grid.shape[-1]] < 2 * R)
-    sup_q = float(np.abs(np.compress(sel_t4, qu.values, axis=0)
-                         [:, :, sel_sup]).max())
+    sup_q = float(np.abs(qu.window([None, sel_sup], sel_t4)[0]).max())
 
     sel_t8 = (times > 0) & (times <= 8 * R * R)
     sel_m = lamc < 3 * R
-    v = np.compress(sel_t8, u.values, axis=0)[:, :, sel_m]
+    v, _ = u.window([None, sel_m], sel_t8)
     mass = float(np.sum(v * v) * grid.cell_volume * grid.dt)
     n = grid.d - 1
     denom = np.sqrt(mass / R ** (n + 3))

@@ -127,13 +127,9 @@ def nontangential_max(u: ScalarField, eta: float, dom: GraphDomain,
     grid = u.grid
     if not grid.is_uniform:
         raise ValueError("the cone scan needs a uniform grid")
-    n = grid.d - 1
     vals, fallback = _cone_sup(np.abs(u.values), grid.h[:-1], grid.dt,
                                grid.h[-1], eta, truncation)
-    axes = [grid.axis_centers(k) for k in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
-    g = dom.grad_phi(pts)
+    g = dom.grad_phi(grid.tangential_centers())
     area = np.sqrt(1.0 + np.sum(g * g, axis=1)).reshape(vals.shape[1:])
     weights = area * float(np.prod(grid.h[:-1]))
     return BoundaryField(vals, weights, grid.dt, fallback,
@@ -203,10 +199,7 @@ def lateral_norm_cylinder(fields: Dict[tuple, BoundaryField], p: float) -> float
 
 def _data_norm_graph(f: BoundaryData, grid: SpaceTimeGrid,
                      dom: GraphDomain, p: float) -> float:
-    n = grid.d - 1
-    axes = [grid.axis_centers(k) for k in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
+    pts = grid.tangential_centers()
     g = dom.grad_phi(pts)
     w = np.sqrt(1.0 + np.sum(g * g, axis=1)) * float(np.prod(grid.h[:-1]))
     total = 0.0

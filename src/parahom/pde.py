@@ -6,9 +6,13 @@ margins).  Graph domains are flattened through the shear pullback before
 discretization, so the computational domain is always a box: the geometry
 moves into the coefficients.  Lateral Dirichlet values enter through
 boundary-face fluxes; artificial truncation faces of half-space runs carry
-homogeneous data.  Each implicit step solves one sparse system; the system
-matrix is constant in time and factorized once per solve (well below the
-1e-10 relative-residual contract).
+homogeneous data.
+
+Every solve runs through one stepper, `_march`: backward-Euler steps of a
+fixed size, one sparse LU factorization per call (well below the 1e-10
+relative-residual contract), with any number of data columns at once.
+Boundary data enters as per-face-group callables, checked once for a
+shared column count and for vanishing at the initial time.
 
 The scheme uses distance-weighted harmonic face averaging for the diagonal
 part of A (exact for laminates aligned with faces) and centered tangential
@@ -20,7 +24,7 @@ exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,9 +158,8 @@ class SpaceTimeGrid:
     """Cell-centered tensor grid on a box, uniform time step.
 
     Either uniform (lo/hi/shape) or built from explicit per-axis face
-    arrays.  nt time steps cover (t0, t1].  The domain mask is all-inside
-    by construction (graph and chart domains are flattened to exact boxes
-    before gridding).
+    arrays.  nt time steps cover (t0, t1].  Graph and chart domains are
+    flattened to exact boxes before gridding, so every cell is inside.
     """
 
     lo: tuple
@@ -257,17 +260,21 @@ class SpaceTimeGrid:
             raise ValueError("grid is graded; use cell_volumes")
         return float(np.prod(self.h))
 
+    def _mesh(self, naxes: int) -> np.ndarray:
+        mesh = np.meshgrid(*[self.axis_centers(k) for k in range(naxes)],
+                           indexing="ij")
+        return np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
+
     def centers(self) -> np.ndarray:
         """All cell centers, shape (ncells, d), C-order."""
-        axes = [self.axis_centers(k) for k in range(self.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
+        return self._mesh(self.d)
+
+    def tangential_centers(self) -> np.ndarray:
+        """Cell centers of the first d-1 axes, shape (cells, d-1), C-order."""
+        return self._mesh(self.d - 1)
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.nt + 1) * self.dt
-
-    def mask(self) -> np.ndarray:
-        return np.ones(self.shape, dtype=bool)
 
     def refined(self, factor: int = 2) -> "SpaceTimeGrid":
         if self.faces is None:
@@ -298,16 +305,12 @@ class BoundaryData:
 
     evaluator(points, t) takes boundary-point coordinates -- tangential
     (x) coordinates for graph/half-space domains, full spatial coordinates
-    for cylinders -- and returns values.  classical flags continuous data
-    of compact support; p is the reporting integrability exponent.
-    feature_size, when given, lets solves check that the grid resolves the
-    data with at least 8 cells per feature.
+    for cylinders -- and returns values.  feature_size, when given, lets
+    solves check that the grid resolves the data with at least 8 cells per
+    feature.
     """
 
     evaluator: Callable
-    support_box: Optional[tuple] = None
-    classical: bool = True
-    p: float = 2.0
     label: str = "data"
     feature_size: Optional[float] = None
 
@@ -352,6 +355,21 @@ class ScalarField:
 
     def scaled(self, c: float) -> "ScalarField":
         return ScalarField(self.grid, c * self.values, dict(self.meta))
+
+    def window(self, masks, t_mask):
+        """Values and cell volumes on a box window.
+
+        masks holds one boolean mask over the cell centers per spatial axis
+        (None keeps the whole axis); t_mask selects time levels.  Returns
+        (values, volume_weights) with shapes (mt, *m) and (*m).
+        """
+        g = self.grid
+        masks = [np.ones(g.shape[k], dtype=bool) if m is None else m
+                 for k, m in enumerate(masks)]
+        w = g.axis_spacings(0)[masks[0]]
+        for k in range(1, g.d):
+            w = np.multiply.outer(w, g.axis_spacings(k)[masks[k]])
+        return self.values[np.ix_(t_mask, *masks)], w
 
 
 # ----------------------------------------------------------------------
@@ -472,103 +490,80 @@ def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
     return _Operator(grid, S, groups, volumes)
 
 
-def _bind_data(op: _Operator, dom, f: BoundaryData):
-    """Per-face-group data callables g(t) -> values at the group's faces."""
-    d = op.grid.d
-    binds = {}
-    for g in op.groups:
-        key = (g.axis, g.side)
-        if dom is None:
-            binds[key] = None
-        elif isinstance(dom, GraphDomain):
-            if g.axis == d - 1 and g.side == 0:
-                binds[key] = (lambda gg: lambda t: f(gg.tangential, t))(g)
-            else:
-                binds[key] = None      # artificial truncation face
-        elif isinstance(dom, LipschitzCylinder):
-            binds[key] = (lambda gg: lambda t: f(gg.points, t))(g)
-        else:
-            raise TypeError(f"unsupported domain {type(dom).__name__}")
-    return binds
-
-
 def _field_for(dom, A: CoefficientField) -> CoefficientField:
     if isinstance(dom, GraphDomain):
         return flatten_pullback(dom, A)
     return A
 
 
-def _check_compat(op, binds, t0, scale=1.0):
-    for g in op.groups:
-        fn = binds[(g.axis, g.side)]
-        if fn is None:
-            continue
+def _data_columns(op: _Operator, dom, data) -> dict:
+    """Per-face-group data callables t -> values, keyed by (axis, side).
+
+    `data` is either a {(axis, side): fn} dict, taken as given, or a
+    BoundaryData bound to the lateral faces of `dom`: the bottom face of a
+    flattened graph domain (the other faces are artificial truncation faces
+    with zero data) or every face of a cylinder.
+    """
+    if isinstance(data, dict):
+        return data
+    if dom is None:
+        return {}
+    if isinstance(dom, GraphDomain):
+        key = (op.grid.d - 1, 0)
+        g = next(g for g in op.groups if (g.axis, g.side) == key)
+        return {key: lambda t: data(g.tangential, t)}
+    if isinstance(dom, LipschitzCylinder):
+        return {(g.axis, g.side): (lambda gg: lambda t: data(gg.points, t))(g)
+                for g in op.groups}
+    raise TypeError(f"unsupported domain {type(dom).__name__}")
+
+
+def _check_columns(columns: dict, t0: float) -> int:
+    """Shared column count of the data groups; each must vanish at t0."""
+    ncols = None
+    for key, fn in columns.items():
         v = np.asarray(fn(t0), dtype=float)
-        if v.size and np.abs(v).max() > _COMPAT_TOL * max(1.0, scale):
+        cols = 1 if v.ndim == 1 else v.shape[1]
+        if ncols is not None and cols != ncols:
+            raise ValueError("all data groups must share the column count")
+        ncols = cols
+        if v.size and np.abs(v).max() > _COMPAT_TOL:
             raise IncompatibleDataError(
                 f"data must vanish at the initial time t0={t0}; "
-                f"max |f| = {np.abs(v).max():.3e} on face {(g.axis, g.side)}")
+                f"max |f| = {np.abs(v).max():.3e} on face {key}")
+    return ncols or 1
 
 
-def _march(op: _Operator, binds, nrhs: int = 1, u0=None,
-           collect: str = "full", probes=None, data_columns=None):
-    """Backward-Euler time marching with a shared factorization.
+def _march(op: _Operator, u, dt: float, nsteps: int, t0: float,
+           columns: Optional[dict] = None, record=None) -> np.ndarray:
+    """Backward-Euler steps of size dt from state u at time t0.
 
-    data_columns: optional per-group callable t -> (m, nrhs) array for
-    multi-RHS batches; otherwise `binds` callables are used (nrhs = 1).
-    collect = "full" stores every level; "probes" keeps interpolated values
-    at the given spatial points only.
+    u has shape (ncells, ncols).  The step matrix is factorized once per
+    call.  columns maps face-group keys to callables t -> (faces,) or
+    (faces, ncols); groups without an entry carry zero data.  After each
+    step, record(step, u, gvals) sees the new level and the data values
+    applied, keyed like columns.  Returns the last state.
     """
-    grid = op.grid
-    nc = grid.ncells
-    dt = grid.dt
     mass = op.volumes / dt
-    M = (sp.diags(mass) + op.S).tocsc()
-    lu = spla.splu(M)
-
-    if u0 is None:
-        u = np.zeros((nc, nrhs))
-    else:
-        u = np.array(u0, dtype=float).reshape(nc, -1)
-        if u.shape[1] != nrhs:
-            u = np.repeat(u, nrhs, axis=1)
-
-    probe_w = None
-    if collect == "probes":
-        probe_w = _probe_weights(grid, probes)
-        out = np.empty((grid.nt + 1, len(probes), nrhs))
-        out[0] = probe_w @ u
-    else:
-        out = np.empty((grid.nt + 1, nc, nrhs))
-        out[0] = u
-
-    times = grid.times()
-    bottom_trace = {}
-    for g in op.groups:
-        key = (g.axis, g.side)
-        if (data_columns and data_columns.get(key) is not None) or \
-                (binds and binds.get(key) is not None):
-            bottom_trace[key] = np.zeros((grid.nt + 1, g.cells.size, nrhs))
-
-    for step in range(1, grid.nt + 1):
-        t_new = times[step]
+    lu = spla.splu((sp.diags(mass) + op.S).tocsc())
+    for step in range(1, nsteps + 1):
+        t = t0 + step * dt
         rhs = mass[:, None] * u
+        gvals = {}
         for g in op.groups:
             key = (g.axis, g.side)
-            gv = None
-            if data_columns is not None and data_columns.get(key) is not None:
-                gv = np.asarray(data_columns[key](t_new), dtype=float)
-                if gv.ndim == 1:
-                    gv = gv[:, None]
-            elif binds is not None and binds.get(key) is not None:
-                gv = np.asarray(binds[key](t_new), dtype=float)[:, None]
-            if gv is None:
+            fn = columns.get(key) if columns else None
+            if fn is None:
                 continue
+            gv = np.asarray(fn(t), dtype=float)
+            if gv.ndim == 1:
+                gv = gv[:, None]
             rhs[g.cells] += g.weights[:, None] * gv
-            bottom_trace[key][step] = gv
+            gvals[key] = gv
         u = lu.solve(rhs)
-        out[step] = (probe_w @ u) if probe_w is not None else u
-    return out, bottom_trace
+        if record is not None:
+            record(step, u, gvals)
+    return u
 
 
 def _probe_weights(grid: SpaceTimeGrid, probes) -> sp.csr_matrix:
@@ -614,6 +609,33 @@ def _meta_for(dom, A, f, grid, extra=None):
     return meta
 
 
+def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
+                 u0: np.ndarray, extra=None) -> ScalarField:
+    """Full-field march from the flat state u0; f = None is zero data.
+
+    The data applied on the bottom face is recorded as meta["bottom_data"].
+    """
+    op = _assemble(_field_for(dom, A), grid)
+    columns = _data_columns(op, dom, f if f is not None else BoundaryData.zero())
+    _check_columns(columns, grid.t0)
+    out = np.empty((grid.nt + 1, grid.ncells))
+    out[0] = u0
+    key = (grid.d - 1, 0)
+    bottom = np.zeros((grid.nt + 1, grid.ncells // grid.shape[-1])) \
+        if key in columns else None
+
+    def record(step, u, gvals):
+        out[step] = u[:, 0]
+        if bottom is not None:
+            bottom[step] = gvals[key][:, 0]
+
+    _march(op, u0[:, None], grid.dt, grid.nt, grid.t0, columns, record)
+    meta = _meta_for(dom, A, f, grid, extra)
+    if bottom is not None:
+        meta["bottom_data"] = bottom
+    return ScalarField(grid, out.reshape((grid.nt + 1,) + grid.shape), meta)
+
+
 def solve_dirichlet(A: CoefficientField, dom, f: BoundaryData,
                     grid: SpaceTimeGrid) -> ScalarField:
     """March the Dirichlet problem with zero initial data.
@@ -629,17 +651,7 @@ def solve_dirichlet(A: CoefficientField, dom, f: BoundaryData,
             raise ValueError(
                 f"grid spacing {coarsest:.4g} does not resolve the data "
                 f"feature size {f.feature_size:.4g} with 8 cells")
-    field_c = _field_for(dom, A)
-    op = _assemble(field_c, grid)
-    binds = _bind_data(op, dom, f)
-    _check_compat(op, binds, grid.t0)
-    out, trace = _march(op, binds)
-    meta = _meta_for(dom, A, f, grid)
-    key = (grid.d - 1, 0)
-    if key in trace:
-        meta["bottom_data"] = trace[key][:, :, 0]
-    return ScalarField(grid, out[:, :, 0].reshape((grid.nt + 1,) + grid.shape),
-                       meta)
+    return _solve_field(A, dom, f, grid, np.zeros(grid.ncells))
 
 
 def solve_dirichlet_multi(A: CoefficientField, dom, data_columns,
@@ -651,21 +663,18 @@ def solve_dirichlet_multi(A: CoefficientField, dom, data_columns,
     given, only interpolated probe histories are returned, shape
     (nt+1, nprobes, nrhs); otherwise full fields, shape (nt+1, ncells, nrhs).
     """
-    field_c = _field_for(dom, A)
-    op = _assemble(field_c, grid)
-    nrhs = None
-    for key, fn in data_columns.items():
-        v = np.asarray(fn(grid.t0), dtype=float)
-        cols = 1 if v.ndim == 1 else v.shape[1]
-        nrhs = cols if nrhs is None else nrhs
-        if cols != nrhs:
-            raise ValueError("all data groups must share the column count")
-        if v.size and np.abs(v).max() > _COMPAT_TOL:
-            raise IncompatibleDataError("data must vanish at the initial time")
-    nrhs = nrhs or 1
-    collect = "probes" if probes is not None else "full"
-    out, _ = _march(op, None, nrhs=nrhs, collect=collect, probes=probes,
-                    data_columns=data_columns)
+    op = _assemble(_field_for(dom, A), grid)
+    columns = _data_columns(op, dom, data_columns)
+    u0 = np.zeros((grid.ncells, _check_columns(columns, grid.t0)))
+    P = _probe_weights(grid, probes) if probes is not None else None
+    first = u0 if P is None else P @ u0
+    out = np.empty((grid.nt + 1,) + first.shape)
+    out[0] = first
+
+    def record(step, u, gvals):
+        out[step] = u if P is None else P @ u
+
+    _march(op, u0, grid.dt, grid.nt, grid.t0, columns, record)
     return out
 
 
@@ -676,51 +685,23 @@ def solve_probe_final(A: CoefficientField, dom, data_columns,
 
     Fine steps (grid.dt) run until the data has switched off (t_data_end);
     the remaining pure-decay stretch is covered with steps up to `coarsen`
-    times larger (one extra factorization).  Only the final probe values
-    are returned, shape (nprobes, nrhs).
+    times larger, at two step sizes whose O(dt) Euler errors cancel
+    (Richardson extrapolation).  Only the final probe values are returned,
+    shape (nprobes, nrhs).
     """
-    field_c = _field_for(dom, A)
-    op = _assemble(field_c, grid)
-    nrhs = None
-    for key, fn in data_columns.items():
-        v = np.asarray(fn(grid.t0), dtype=float)
-        cols = 1 if v.ndim == 1 else v.shape[1]
-        nrhs = cols if nrhs is None else nrhs
-        if v.size and np.abs(v).max() > _COMPAT_TOL:
-            raise IncompatibleDataError("data must vanish at the initial time")
-    nrhs = nrhs or 1
+    op = _assemble(_field_for(dom, A), grid)
+    columns = _data_columns(op, dom, data_columns)
+    u = np.zeros((grid.ncells, _check_columns(columns, grid.t0)))
     dt = grid.dt
     n1 = int(np.clip(np.ceil((t_data_end - grid.t0) / dt), 1, grid.nt))
+    u = _march(op, u, dt, n1, grid.t0, columns)
     t_switch = grid.t0 + n1 * dt
-    mass1 = op.volumes / dt
-    lu1 = spla.splu((sp.diags(mass1) + op.S).tocsc())
-    u = np.zeros((grid.ncells, nrhs))
-    for step in range(1, n1 + 1):
-        t_new = grid.t0 + step * dt
-        rhs = mass1[:, None] * u
-        for g in op.groups:
-            fn = data_columns.get((g.axis, g.side))
-            if fn is None:
-                continue
-            gv = np.asarray(fn(t_new), dtype=float)
-            if gv.ndim == 1:
-                gv = gv[:, None]
-            rhs[g.cells] += g.weights[:, None] * gv
-        u = lu1.solve(rhs)
     span = grid.t1 - t_switch
     if span > 1e-12 * max(1.0, abs(grid.t1)):
-        # pure decay: coarse steps with Richardson extrapolation in time
-        # (runs at dt2 and dt2/2; the O(dt) Euler error cancels)
-        def decay(u0, dt2, n2):
-            mass2 = op.volumes / dt2
-            lu2 = spla.splu((sp.diags(mass2) + op.S).tocsc())
-            w = u0
-            for _ in range(n2):
-                w = lu2.solve(mass2[:, None] * w)
-            return w
         n2 = max(1, int(np.ceil(span / (coarsen * dt))))
         dt2 = span / n2
-        u = 2.0 * decay(u, 0.5 * dt2, 2 * n2) - decay(u, dt2, n2)
+        u = 2.0 * _march(op, u, 0.5 * dt2, 2 * n2, t_switch) \
+            - _march(op, u, dt2, n2, t_switch)
     return _probe_weights(grid, probes) @ u
 
 
@@ -731,7 +712,8 @@ def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,
 
     The impulse is a discrete delta: total mass one spread over a block of
     mollify_cells^d cells around the pole (1 by default), normalized by its
-    volume.  Lateral data defaults to zero; grid.t0 must equal pole_t.
+    volume.  Lateral data defaults to zero and, like any Dirichlet data,
+    must vanish at grid.t0, which must equal pole_t.
     """
     if abs(grid.t0 - pole_t) > 1e-12 * max(1.0, abs(pole_t)):
         raise ValueError("grid must start at the pole time")
@@ -751,19 +733,9 @@ def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,
     vols = grid.cell_volumes().reshape(grid.shape)
     total = float((u0 * vols).sum())
     u0 /= total
-
-    field_c = _field_for(dom, A)
-    op = _assemble(field_c, grid)
-    binds = _bind_data(op, dom, f if f is not None else BoundaryData.zero())
-    out, trace = _march(op, binds, u0=u0.reshape(-1, 1))
-    meta = _meta_for(dom, A, f, grid,
-                     {"pole_X": pole_X.tolist(), "pole_t": pole_t,
-                      "impulse_cells": mollify_cells})
-    key = (grid.d - 1, 0)
-    if key in trace:
-        meta["bottom_data"] = trace[key][:, :, 0]
-    return ScalarField(grid, out[:, :, 0].reshape((grid.nt + 1,) + grid.shape),
-                       meta)
+    return _solve_field(A, dom, f, grid, u0.reshape(-1),
+                        {"pole_X": pole_X.tolist(), "pole_t": pole_t,
+                         "impulse_cells": mollify_cells})
 
 
 def rescale_solution(u: ScalarField, eps: float,
@@ -830,39 +802,25 @@ def nt_trace_ratio(u: ScalarField, cube: ParabolicCube,
     bd = u.meta["bottom_data"]          # (nt+1, m_bottom)
     big = cube.scaled(4.0)
     n = grid.d - 1
-    axes = [grid.axis_centers(k) for k in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    tang0 = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
-    inside = big.contains_xt(tang0, grid.times()[:, None])
+    tang0 = grid.tangential_centers()
+    times = grid.times()
+    inside = big.contains_xt(tang0, times[:, None])
     if bd.shape == inside.shape and np.abs(bd[inside]).max(initial=0.0) > zero_tol:
         raise ValueError("boundary data does not vanish on the 4x cube")
 
-    sel_x = [np.abs(axes[k] - cube.center_x[k]) < cube.side for k in range(n)]
-    times = grid.times()
+    sel_x = [np.abs(grid.axis_centers(k) - cube.center_x[k]) < cube.side
+             for k in range(n)]
     sel_t = np.abs(times - cube.center_t) < cube.side ** 2
     lamc = grid.axis_centers(grid.d - 1)
     lam1, lam2 = float(lamc[0]), float(lamc[1])
-    v = u.values
-    for k, sx in enumerate(sel_x):
-        v = np.compress(sx, v, axis=1 + k)
-    v = np.compress(sel_t, v, axis=0)
+    v, _ = u.window(sel_x + [None], sel_t)
     r1 = v[..., 0] / lam1
     r2 = v[..., 1] / lam2
     rich = r1 - lam1 * (r2 - r1) / (lam2 - lam1)
-    xs = [axes[k][sel_x[k]] for k in range(n)]
-    mesh = np.meshgrid(*xs, indexing="ij")
-    x = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
+    x = tang0.reshape(grid.shape[:-1] + (n,))[np.ix_(*sel_x)].reshape(-1, n)
     return NTTrace(x, times[sel_t],
                    r1.reshape(r1.shape[0], -1),
                    rich.reshape(rich.shape[0], -1), lam1, lam2)
-
-
-def _box_weights(grid: SpaceTimeGrid, masks) -> np.ndarray:
-    """Volume weights restricted to per-axis boolean masks."""
-    w = grid.axis_spacings(0)[masks[0]]
-    for k in range(1, grid.d):
-        w = np.multiply.outer(w, grid.axis_spacings(k)[masks[k]])
-    return w
 
 
 def moser_ratio(u: ScalarField, center_X, center_t, r: float) -> float:
@@ -881,11 +839,7 @@ def moser_ratio(u: ScalarField, center_X, center_t, r: float) -> float:
     def restrict(factor):
         masks = [np.abs(grid.axis_centers(k) - center_X[k]) < factor * r
                  for k in range(grid.d)]
-        v = u.values
-        for k in range(grid.d):
-            v = np.compress(masks[k], v, axis=1 + k)
-        v = np.compress(np.abs(times - center_t) < (factor * r) ** 2, v, axis=0)
-        return v, _box_weights(grid, masks)
+        return u.window(masks, np.abs(times - center_t) < (factor * r) ** 2)
 
     inner, _ = restrict(1.0)
     outer, w = restrict(2.0)
@@ -960,11 +914,7 @@ def caccioppoli_ratio(u: ScalarField, R: float, x_center=None,
             masks.append(np.abs(grid.axis_centers(k) - x_center[k]) < 2 * R)
         masks.append((lamc > 0) & (lamc < gamma * R))
         keep_t = (times > t_base) & (times <= t_base + t_span)
-        w = field_v
-        w = np.compress(keep_t, w, axis=0)
-        for k in range(d):
-            w = np.compress(masks[k], w, axis=1 + k)
-        wt = _box_weights(grid, masks)
+        w, wt = ScalarField(grid, field_v).window(masks, keep_t)
         return float(np.sum(w * wt[None]) * grid.dt)
 
     grads = np.gradient(v, *[grid.axis_centers(k) for k in range(d)],
@@ -1042,18 +992,22 @@ def load_field(path: str) -> ScalarField:
     import struct
 
     with open(path, "rb") as fh:
+        def read(n):
+            buf = fh.read(n)
+            if len(buf) != n:
+                raise ValueError(f"field file {path} is truncated: expected "
+                                 f"{n} more bytes, found {len(buf)}")
+            return buf
+
         if fh.read(8) != _FIELD_MAGIC:
             raise ValueError("not a parahom field file")
-        d, = struct.unpack("<I", fh.read(4))
-        nt, = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{d}I", fh.read(4 * d))
-        faces = []
-        for k in range(d):
-            faces.append(np.frombuffer(fh.read(8 * (shape[k] + 1)),
-                                       dtype="<f8"))
-        t0, t1 = struct.unpack("<2d", fh.read(16))
+        d, nt = struct.unpack("<2I", read(8))
+        shape = struct.unpack(f"<{d}I", read(4 * d))
+        faces = [np.frombuffer(read(8 * (shape[k] + 1)), dtype="<f8")
+                 for k in range(d)]
+        t0, t1 = struct.unpack("<2d", read(16))
         count = (nt + 1) * int(np.prod(shape))
-        vals = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(
+        vals = np.frombuffer(read(count * 8), dtype="<f8").reshape(
             (nt + 1,) + shape)
     grid = SpaceTimeGrid.from_faces(faces, t0, t1, nt)
     return ScalarField(grid, vals.copy(), {"loaded_from": path})

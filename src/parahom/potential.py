@@ -3,11 +3,12 @@ diagnostic battery: doubling, reverse Holder, local solvability, Harnack,
 comparison, Green-measure equivalence, positivity floors.
 
 Conventions.  The Green field is propagated forward from a discrete unit
-impulse at the pole time; the adjoint field is obtained by reversing time
-in the inputs (the coefficients are time-independent and symmetric, so one
-solver serves both).  Measures are computed by solving with a mollified
-indicator (width one grid cell) as lateral data and reading the solution
-at the pole; halving the mollification bounds the smoothing error.
+impulse at the pole time.  Measures are computed by solving with a
+mollified indicator (width one grid cell) as lateral data and reading the
+solution at the pole; halving the mollification bounds the smoothing
+error.  Kernel densities are sub-cube measure ratios from the same forward
+solve; no route relies on time reversal, which would need a symmetric
+discrete operator (flattened graph domains do not give one).
 Admissibility windows are enforced as preconditions with explicit margins;
 inadmissible exploratory runs are allowed but watermarked in the results.
 
@@ -28,9 +29,8 @@ import numpy as np
 
 from .coeffs import CoefficientField
 from .geometry import GraphDomain, ParabolicCube, ParabolicPoint, parabolic_norm
-from .pde import (BoundaryData, ScalarField, SpaceTimeGrid, graded_axis,
-                  nt_trace_ratio, solve_dirichlet_multi, solve_impulse,
-                  solve_probe_final)
+from .pde import (ScalarField, SpaceTimeGrid, graded_axis, nt_trace_ratio,
+                  solve_dirichlet_multi, solve_impulse, solve_probe_final)
 
 __all__ = [
     "PotentialConfig",
@@ -205,12 +205,6 @@ def _bottom_key(grid: SpaceTimeGrid):
     return (grid.d - 1, 0)
 
 
-def _bottom_points(grid: SpaceTimeGrid) -> np.ndarray:
-    axes = [grid.axis_centers(k) for k in range(grid.d - 1)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
-
-
 def caloric_measure(A: CoefficientField, dom: GraphDomain,
                     pole: ParabolicPoint, cube: ParabolicCube,
                     cfg: PotentialConfig = DEFAULT_CONFIG) -> MeasureEstimate:
@@ -227,7 +221,6 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
     grid = _measure_grid(pole, cube, cfg)
     _require_pole_clearance(grid, pole)
     value, smooth = _measure_values(A, dom, grid, cube, [pole], cfg)
-    flags = []
     trunc = None
     if cfg.truncation_check:
         big = PotentialConfig(**{**cfg.__dict__, "margin_mult": 2 * cfg.margin_mult,
@@ -237,7 +230,7 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
         trunc = abs(value[0] - v2[0])
     return MeasureEstimate(float(value[0]), pole, cube,
                            float(smooth[0]) if smooth is not None else None,
-                           trunc, tuple(flags))
+                           trunc)
 
 
 def _fine_spacing(grid: SpaceTimeGrid) -> float:
@@ -246,7 +239,7 @@ def _fine_spacing(grid: SpaceTimeGrid) -> float:
 
 def _measure_values(A, dom, grid, cube, probes, cfg):
     """Pole values of the measure solve; returns (values, smoothing_errs)."""
-    pts = _bottom_points(grid)
+    pts = grid.tangential_centers()
     w_x = _fine_spacing(grid)
     w_t = grid.dt
     col = _cube_column(cube, w_x, w_t)
@@ -270,7 +263,7 @@ def caloric_measure_field(A: CoefficientField, dom: GraphDomain,
                           cube: ParabolicCube, grid: SpaceTimeGrid,
                           mollify: float = 1.0) -> ScalarField:
     """Full space-time field u(X, t) = omega^{(X, t)}(cube) on a given grid."""
-    pts = _bottom_points(grid)
+    pts = grid.tangential_centers()
     col = _cube_column(cube, mollify * _fine_spacing(grid), mollify * grid.dt)
 
     def data(t):
@@ -306,7 +299,6 @@ class KernelEstimate:
     error_bar: np.ndarray          # coarse-fine gap per cell
     omega_total: float
     mass_consistency: float        # |sum omega_i - omega(cube)|
-    method: str = "measure-ratio"
 
     def mean(self, q: float = 1.0) -> float:
         return float(np.mean(np.abs(self.K) ** q) ** (1.0 / q))
@@ -314,32 +306,23 @@ class KernelEstimate:
 
 def kernel_estimate(A: CoefficientField, dom: GraphDomain,
                     pole: ParabolicPoint, cube: ParabolicCube,
-                    depth: int = 2, method: str = "measure-ratio",
+                    depth: int = 2,
                     cfg: PotentialConfig = DEFAULT_CONFIG) -> KernelEstimate:
     """Partitioned estimate of the boundary kernel density on a cube.
 
-    method "measure-ratio" (the defining limit): the cube is split into
-    2^depth parabolic sub-cubes per tangential axis and 4^depth time slabs;
-    all sub-cube measures come from one batched march (shared
-    factorization), their tent-mollified indicators summing exactly to the
-    mollified indicator of the whole cube.  The coarse (depth-1) densities
-    aggregated from the same solve give per-cell error bars; the fine
-    densities are the estimate.
-
-    method "trace": one forward Green solve with the pole at time zero;
-    time reversal and symmetry turn its boundary-layer trace G/lam (with
-    the second-layer Richardson correction) into the kernel at each
-    sub-cell center.  Independent route, useful as a cross-check.
+    Densities are measure ratios (the defining limit): the cube is split
+    into 2^depth parabolic sub-cubes per tangential axis and 4^depth time
+    slabs; all sub-cube measures come from one batched forward march
+    (shared factorization), their tent-mollified indicators summing exactly
+    to the mollified indicator of the whole cube.  The coarse (depth-1)
+    densities aggregated from the same solve give per-cell error bars; the
+    fine densities are the estimate.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     n = cube.center_x.size
     if n != 1:
         raise NotImplementedError("kernel partitions are implemented for n = 1")
-    if method == "trace":
-        return _kernel_by_trace(A, dom, pole, cube, depth, cfg)
-    if method != "measure-ratio":
-        raise ValueError(f"unknown kernel method {method!r}")
     r = cube.side
     grid = _measure_grid(pole, cube, cfg)
     _require_pole_clearance(grid, pole)
@@ -349,7 +332,7 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
     et = _partition_edges(cube.center_t - r * r, cube.center_t + r * r, mt)
     w_x = _fine_spacing(grid)
     w_t = grid.dt
-    pts = _bottom_points(grid)
+    pts = grid.tangential_centers()
     px = _partition_profiles(pts[:, 0], ex, w_x)      # (mpts, mx)
 
     full_col = _cube_column(cube, w_x, w_t)
@@ -378,45 +361,6 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
     consistency = abs(float(masses.sum()) - omega_total)
     return KernelEstimate(pole, cube, depth, centers_x, centers_t, K, masses,
                           sub_vol, err, omega_total, consistency)
-
-
-def _kernel_by_trace(A, dom, pole, cube, depth, cfg):
-    """Kernel from the boundary trace of one time-reversed Green field.
-
-    With time-independent symmetric coefficients, G(Z, tau; x, t, lam)
-    equals the forward Green field from pole Z at elapsed time tau - t, so
-    a single impulse solve gives K over the whole cube partition.
-    """
-    r = cube.side
-    mx, mt = 2 ** depth, 4 ** depth
-    ex = _partition_edges(cube.center_x[0] - r, cube.center_x[0] + r, mx)
-    et = _partition_edges(cube.center_t - r * r, cube.center_t + r * r, mt)
-    cx = 0.5 * (ex[:-1] + ex[1:])
-    ct = 0.5 * (et[:-1] + et[1:])
-    horizon = pole.t - (cube.center_t - r * r)
-    zero_pole = ParabolicPoint(pole.X, 0.0)
-    corners = [np.append(x, 0.0) for x in
-               (cube.center_x - r, cube.center_x + r)]
-    G = greens_function(A, dom, zero_pole, horizon * 1.02,
-                        extra_pts=corners, cfg=cfg)
-    lamc = G.field.grid.axis_centers(G.field.grid.d - 1)
-    lam1, lam2 = float(lamc[0]), float(lamc[1])
-    interp = G.field.interpolator()
-    K = np.empty((mt, mx))
-    for i, tc in enumerate(ct):
-        s = pole.t - tc            # elapsed time in the reversed frame
-        pts1 = np.column_stack([np.full(mx, s), cx, np.full(mx, lam1)])
-        pts2 = np.column_stack([np.full(mx, s), cx, np.full(mx, lam2)])
-        r1 = interp(pts1) / lam1
-        r2 = interp(pts2) / lam2
-        K[i] = r1 - lam1 * (r2 - r1) / (lam2 - lam1)
-    K = np.maximum(K, 0.0)
-    sub_vol = (2 * r / mx) * 2 * (r ** 2 / mt)
-    masses = K * sub_vol
-    omega_total = float(masses.sum())
-    return KernelEstimate(pole, cube, depth, cx[:, None], ct, K, masses,
-                          sub_vol, np.zeros_like(K), omega_total, 0.0,
-                          method="trace")
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +478,7 @@ def doubling_ratio(A: CoefficientField, dom: GraphDomain,
     cube2 = cube.scaled(2.0)
     grid = _measure_grid(pole, cube2, cfg)
     _require_pole_clearance(grid, pole)
-    pts = _bottom_points(grid)
+    pts = grid.tangential_centers()
     w_x = _fine_spacing(grid)
     w_t = grid.dt
     c1 = _cube_column(cube, w_x, w_t)
@@ -586,6 +530,17 @@ def reverse_holder_ratio(K: KernelEstimate, q: float = 2.0
     return ReverseHolderResult(mean_q / mean_1, q, admissible, not admissible)
 
 
+def _t_window(u: ScalarField, x0, t0: float, r: float):
+    """Values and volume weights of u on the open window
+    T_r = {|x - x0| < r, 0 < lam < r, |t - t0| < r^2}."""
+    grid = u.grid
+    masks = [np.abs(grid.axis_centers(k) - x0[k]) < r
+             for k in range(grid.d - 1)]
+    lamc = grid.axis_centers(grid.d - 1)
+    masks.append((lamc > 0) & (lamc < r))
+    return u.window(masks, np.abs(grid.times() - t0) < r ** 2)
+
+
 @dataclass(frozen=True)
 class LocalSolvabilityResult:
     ratio: float
@@ -615,20 +570,7 @@ def local_solvability_ratio(u: ScalarField, cube: ParabolicCube
         wx = np.multiply.outer(wx, grid.axis_spacings(k)[sel])
     wx = wx.reshape(-1)
     lhs = float(np.sum(tr.richardson ** 2 * wx[None, :]) * grid.dt)
-
-    v = u.values
-    times = grid.times()
-    v = np.compress(np.abs(times - cube.center_t) < (2 * r) ** 2, v, axis=0)
-    masks = []
-    for k in range(n):
-        masks.append(np.abs(grid.axis_centers(k) - cube.center_x[k]) < 2 * r)
-    lamc = grid.axis_centers(grid.d - 1)
-    masks.append((lamc > 0) & (lamc < 2 * r))
-    for k in range(grid.d):
-        v = np.compress(masks[k], v, axis=1 + k)
-    w = grid.axis_spacings(0)[masks[0]]
-    for k in range(1, grid.d):
-        w = np.multiply.outer(w, grid.axis_spacings(k)[masks[k]])
+    v, w = _t_window(u, cube.center_x, cube.center_t, 2 * r)
     mass = float(np.sum(v * v * w[None]) * grid.dt)
     if mass == 0.0:
         return LocalSolvabilityResult(0.0, lhs, 0.0, r)
@@ -661,17 +603,7 @@ def harnack_ratio(u: ScalarField, x0, t0: float, r: float,
     if vmin < -1e-12 * max(1.0, float(np.abs(u.values).max())):
         raise ValueError(f"field is not nonnegative (min {vmin:.3e})")
 
-    def box_values(factor):
-        v = u.values
-        v = np.compress(np.abs(times - t0) < (factor * r) ** 2, v, axis=0)
-        for k in range(n):
-            c = grid.axis_centers(k)
-            v = np.compress(np.abs(c - x0[k]) < factor * r, v, axis=1 + k)
-        lamc = grid.axis_centers(grid.d - 1)
-        v = np.compress((lamc > 0) & (lamc < factor * r), v, axis=grid.d)
-        return v
-
-    sup_val = float(box_values(1.0).max())
+    sup_val = float(_t_window(u, x0, t0, r)[0].max())
     base = u.value_at(np.append(x0, r), t0 + 2 * r * r)
     if base <= 0:
         raise ValueError("base value is not positive")
@@ -747,26 +679,13 @@ def comparison_ratio(u: ScalarField, v: ScalarField, x0, t0: float, r: float,
         if bd is None:
             raise ValueError(f"{name} has no recorded boundary trace")
         grid = w.grid
-        tang = _bottom_points(grid)
+        tang = grid.tangential_centers()
         inside = cube2.contains_xt(tang, grid.times()[:, None])
         if np.abs(bd[inside]).max(initial=0.0) > zero_tol:
             raise ValueError(f"{name} does not vanish on the 2r cube")
 
-    grid = u.grid
-    n = grid.d - 1
-    times = grid.times()
-
-    def restrict(w):
-        z = w.values
-        z = np.compress(np.abs(times - t0) < r * r, z, axis=0)
-        for k in range(n):
-            c = grid.axis_centers(k)
-            z = np.compress(np.abs(c - x0[k]) < r, z, axis=1 + k)
-        lamc = grid.axis_centers(grid.d - 1)
-        z = np.compress((lamc > 0) & (lamc < r), z, axis=grid.d)
-        return z
-
-    uu, vv = restrict(u), restrict(v)
+    uu, _ = _t_window(u, x0, t0, r)
+    vv, _ = _t_window(v, x0, t0, r)
     floor = 10.0 * 1e-10 * max(1.0, float(np.abs(v.values).max()))
     if float(vv.min()) < floor:
         raise MeasureBelowNoiseError(

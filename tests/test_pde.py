@@ -7,7 +7,8 @@ from parahom.pde import (BoundaryData, IncompatibleDataError, ScalarField,
                          SpaceTimeGrid, caccioppoli_ratio, graded_axis,
                          halfspace, load_field, moser_ratio, nt_trace_ratio,
                          q_difference, rescale_solution, save_field,
-                         solve_dirichlet, solve_impulse)
+                         solve_dirichlet, solve_dirichlet_multi,
+                         solve_impulse, solve_probe_final)
 
 HALF = GraphDomain(m=0.0, box=((-4.0, 4.0),))
 
@@ -33,7 +34,14 @@ class TestGrid:
         assert g.d == 2
         assert g.ncells == 64 * 24
         assert g.cell_volume == pytest.approx((8 / 64) * (2 / 24))
-        assert g.mask().all()
+
+    def test_tangential_centers(self):
+        g = small_grid(nx=8, nlam=4)
+        tc = g.tangential_centers()
+        assert tc.shape == (8, 1)
+        assert np.array_equal(tc[:, 0], g.axis_centers(0))
+        assert np.array_equal(
+            tc, g.centers().reshape(8, 4, 2)[:, 0, :1])
 
     def test_graded_axis(self):
         f = graded_axis(-1.0, 1.0, 0.125, -5.0, 7.0)
@@ -167,6 +175,48 @@ class TestSolveDirichlet:
         assert u.values.max() <= 1.0 + 1e-12
         assert u.values[0].max() == 0.0
 
+    def test_impulse_data_must_vanish(self):
+        f = BoundaryData(lambda p, t: np.ones(len(p)))
+        with pytest.raises(IncompatibleDataError):
+            solve_impulse(preset("constant", d=2), HALF,
+                          np.array([0.0, 1.0]), 0.0, small_grid(), f=f)
+
+    def test_probe_final_column_counts_must_match(self):
+        grid = small_grid(nx=16, nlam=8, nt=8)
+        tang = grid.axis_centers(0)[:, None]
+        f = bump_data()
+        columns = {(1, 0): lambda t: np.stack([f(tang, t)] * 2, axis=1),
+                   (0, 0): lambda t: np.zeros(8)}
+        with pytest.raises(ValueError, match="column count"):
+            solve_probe_final(preset("constant", d=2), HALF, columns, grid,
+                              [[0.0, 0.5]], 0.5)
+
+    def test_batch_paths_agree(self):
+        # one datum through every public solve path; no decay phase
+        # (t_data_end >= t1), so all of them march the same steps
+        dom = GraphDomain(m=0.5, box=((-4.0, 4.0),),
+                          phi=lambda x: 0.5 * np.sin(np.asarray(x)[..., 0]))
+        A = preset("trig", d=2)
+        grid = small_grid(nx=32, nlam=12, nt=16)
+        f = bump_data()
+        tang = grid.axis_centers(0)[:, None]
+        columns = {(1, 0): lambda t: np.stack([f(tang, t), -3.0 * f(tang, t)],
+                                              axis=1)}
+        probes = np.array([[0.1, 0.4], [-0.7, 1.1], [1.3, 0.2]])
+        u = solve_dirichlet(A, dom, f, grid)
+        full = solve_dirichlet_multi(A, dom, columns, grid)
+        hist = solve_dirichlet_multi(A, dom, columns, grid, probes=probes)
+        final = solve_probe_final(A, dom, columns, grid, probes, grid.t1)
+        flat = u.values.reshape(grid.nt + 1, -1)
+        scale = np.abs(flat).max()
+        assert np.abs(full[..., 0] - flat).max() <= 1e-12 * scale
+        assert np.abs(full[..., 1] + 3.0 * flat).max() <= 3e-12 * scale
+        pts = np.column_stack([np.repeat(grid.times(), len(probes)),
+                               np.tile(probes, (grid.nt + 1, 1))])
+        ref = u.interpolator()(pts).reshape(grid.nt + 1, len(probes))
+        assert np.abs(hist[..., 0] - ref).max() <= 1e-12 * scale
+        assert np.abs(final - hist[-1]).max() <= 1e-12 * scale
+
     def test_flattened_graph_solve(self):
         dom = GraphDomain(m=0.5, box=((-4.0, 4.0),),
                           phi=lambda x: 0.5 * np.sin(np.asarray(x)[..., 0]))
@@ -239,6 +289,22 @@ class TestNTTrace:
                             small_grid())
         with pytest.raises(ValueError, match="vanish"):
             nt_trace_ratio(u, ParabolicCube(np.zeros(1), 0.5, 0.5))
+
+
+class TestWindow:
+    def test_values_and_weights(self):
+        grid = halfspace([-1.0], [1.0], 2.0, 0.0, 1.0, (8, 4), 4)
+        vals = np.arange(5 * 8 * 4, dtype=float).reshape(5, 8, 4)
+        u = ScalarField(grid, vals, {})
+        mx = grid.axis_centers(0) > 0
+        ml = np.array([True, False, True, False])
+        mt = np.array([False, True, True, False, True])
+        v, w = u.window([mx, ml], mt)
+        assert np.array_equal(v, vals[mt][:, mx][:, :, ml])
+        assert w.shape == (4, 2)
+        assert w.sum() == pytest.approx(4 * 0.25 * 2 * 0.5)
+        v_all, _ = u.window([None, ml], mt)
+        assert v_all.shape == (3, 8, 2)
 
 
 class TestMoser:
@@ -365,6 +431,20 @@ class TestFieldIO:
         assert np.array_equal(u.values, v.values)
         assert v.grid.shape == u.grid.shape
         assert v.grid.t1 == u.grid.t1
+
+    @pytest.mark.parametrize("keep", [14, 60, -8])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        # cut inside the header (d/nt words, face arrays) and the payload
+        u = solve_dirichlet(preset("constant", d=2), HALF, bump_data(),
+                            small_grid(nx=16, nlam=8, nt=8))
+        path = str(tmp_path / "field.bin")
+        save_field(u, path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:keep])
+        with pytest.raises(ValueError, match="truncated"):
+            load_field(path)
 
     def test_impulse_mass(self):
         grid = halfspace(-2.0, 2.0, 2.0, 0.0, 0.5, (32, 16), 16)
