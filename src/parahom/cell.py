@@ -178,7 +178,20 @@ def _unit_periodize(A: CoefficientField) -> CoefficientField:
     return scale_field(A, 1.0 / s)
 
 
-def _solve_one(S, b, N, d, tol, itmax):
+def _prepared(A: CoefficientField, N: int, periodicity_tol: float):
+    """Checked unit-periodic field and the CG iteration cap at resolution N."""
+    if N < 8:
+        raise ValueError("resolution must be at least 8")
+    if A.period != "lattice":
+        raise ValueError("cell problems need a lattice-periodic field")
+    A = _unit_periodize(A)
+    dev = check_periodicity(A, sample_count=256)
+    if dev > periodicity_tol:
+        raise ValueError(f"field is not periodic (deviation {dev:.3e})")
+    return A, 50 * N * max(1, A.d - 1)
+
+
+def _solve_one(S, b, tol, itmax):
     diag = S.diagonal()
     diag[diag <= 0] = 1.0
     inv = 1.0 / diag
@@ -192,44 +205,27 @@ def _solve_one(S, b, N, d, tol, itmax):
 def solve_corrector(A: CoefficientField, alpha, N: int, tol: float = 1e-10,
                     periodicity_tol: float = 1e-8) -> CorrectorField:
     """Solve the periodic cell problem for direction alpha at resolution N."""
-    if N < 8:
-        raise ValueError("resolution must be at least 8")
-    if A.period != "lattice":
-        raise ValueError("cell problems need a lattice-periodic field")
-    A = _unit_periodize(A)
-    dev = check_periodicity(A, sample_count=256)
-    if dev > periodicity_tol:
-        raise ValueError(f"field is not periodic (deviation {dev:.3e})")
+    A, itmax = _prepared(A, N, periodicity_tol)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (A.d,):
         raise ValueError(f"alpha must be a vector in R^{A.d}")
     S, loads, corner_nodes, _ = _assemble(A, N)
     b = alpha @ loads
-    itmax = 50 * N * max(1, A.d - 1)
-    x, relres = _solve_one(S, b, N, A.d, tol, itmax)
+    x, relres = _solve_one(S, b, tol, itmax)
     return CorrectorField(alpha, x.reshape((N,) * A.d), N, relres)
 
 
 def effective_matrix(A: CoefficientField, N: int, tol: float = 1e-10,
                      periodicity_tol: float = 1e-8) -> EffectiveMatrix:
     """Assemble Abar column by column from the d coordinate correctors."""
-    if N < 8:
-        raise ValueError("resolution must be at least 8")
-    if A.period != "lattice":
-        raise ValueError("effective matrix needs a lattice-periodic field")
-    A = _unit_periodize(A)
-    dev = check_periodicity(A, sample_count=256)
-    if dev > periodicity_tol:
-        raise ValueError(f"field is not periodic (deviation {dev:.3e})")
+    A, itmax = _prepared(A, N, periodicity_tol)
     d = A.d
     S, loads, corner_nodes, Avals = _assemble(A, N)
     AT = np.swapaxes(Avals, -1, -2)
-    itmax = 50 * N * max(1, d - 1)
     Abar_T = np.zeros((d, d))
     residuals = np.zeros(d)
-    ne = Avals.shape[0]
     for j in range(d):
-        chi, relres = _solve_one(S, loads[j], N, d, tol, itmax)
+        chi, relres = _solve_one(S, loads[j], tol, itmax)
         residuals[j] = relres
         grad = _element_avg_gradient(chi, corner_nodes, d, N)
         grad[:, j] += 1.0

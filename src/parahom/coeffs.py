@@ -76,10 +76,6 @@ class CoefficientField:
         if self.period_scale <= 0:
             raise ValueError("period_scale must be positive")
 
-    @property
-    def _eval(self):
-        return self.evaluator
-
     def __call__(self, X) -> np.ndarray:
         """Evaluate at points X of shape (..., d); returns (..., d, d)."""
         X = np.asarray(X, dtype=float)

@@ -387,7 +387,7 @@ def flatten_pullback(dom: GraphDomain, A):
     growth = 1.0 + m * m + m * np.sqrt(2.0 + m * m)
     identity_map = dom.phi is None
     return CoefficientField(
-        evaluator=pulled if not identity_map else A._eval,
+        evaluator=pulled if not identity_map else A.evaluator,
         d=d,
         lam=A.lam * growth if not identity_map else A.lam,
         period="none" if not identity_map else A.period,

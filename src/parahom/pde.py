@@ -1,18 +1,21 @@
 """Implicit-Euler finite-volume solver for  du/dt - div(A grad u) = 0.
 
 Grids are tensor-product and cell-centered, uniform or graded per axis
-(fine cells near the active region, geometric coarsening into truncation
-margins).  Graph domains are flattened through the shear pullback before
-discretization, so the computational domain is always a box: the geometry
-moves into the coefficients.  Lateral Dirichlet values enter through
-boundary-face fluxes; artificial truncation faces of half-space runs carry
-homogeneous data.
+(fine cells near the active region, geometrically growing cells in the
+truncation margins).  Graph domains are flattened through the shear
+pullback before discretization, so the computational domain is always a
+box: the geometry moves into the coefficients.  Lateral Dirichlet values
+enter through boundary-face fluxes; artificial truncation faces of
+half-space runs carry homogeneous data.
 
-Every solve runs through one stepper, `_march`: backward-Euler steps of a
-fixed size, one sparse LU factorization per call (well below the 1e-10
-relative-residual contract), with any number of data columns at once.
-Boundary data enters as per-face-group callables, checked once for a
-shared column count and for vanishing at the initial time.
+Every field solve runs through one forward stepper, `_march`: backward-Euler
+steps of a fixed size, one sparse LU factorization per call (well below the
+1e-10 relative-residual contract), with any number of data columns at once.
+Probe values at the final time (`solve_probe_final`) come from the transposed
+march of the same step matrix, the exact discrete adjoint: it needs one
+solve per step for each probe, however many data columns there are, and no
+symmetry of the operator.  Boundary data enters as per-face-group callables,
+checked once for a shared column count and for vanishing at the initial time.
 
 The scheme uses distance-weighted harmonic face averaging for the diagonal
 part of A (exact for laminates aligned with faces) and centered tangential
@@ -41,7 +44,6 @@ __all__ = [
     "graded_axis",
     "composite_axis",
     "solve_dirichlet",
-    "solve_dirichlet_multi",
     "solve_impulse",
     "solve_probe_final",
     "rescale_solution",
@@ -66,7 +68,7 @@ class IncompatibleDataError(ValueError):
 def graded_axis(core_lo: float, core_hi: float, h_core: float,
                 lo: float, hi: float, growth: float = 1.3,
                 h_max: Optional[float] = None) -> np.ndarray:
-    """Face positions: uniform core, geometric coarsening to the box ends."""
+    """Face positions: uniform core, geometrically growing to the box ends."""
     if not (lo <= core_lo < core_hi <= hi):
         raise ValueError("core must sit inside the outer interval")
     ncore = max(1, int(round((core_hi - core_lo) / h_core)))
@@ -91,7 +93,7 @@ def composite_axis(segments, lo: float, hi: float, growth: float = 1.3,
                    h_max: Optional[float] = None) -> np.ndarray:
     """Graded axis with several uniform fine segments (lo_i, hi_i, h_i).
 
-    Gaps between segments and the outer margins coarsen geometrically from
+    Gaps between segments and the outer margins grow geometrically from
     both ends; overlapping segments merge at the finer spacing.
     """
     segs = sorted((float(a), float(b), float(h)) for a, b, h in segments)
@@ -115,7 +117,7 @@ def composite_axis(segments, lo: float, hi: float, growth: float = 1.3,
         return np.linspace(a, b, n + 1)
 
     def gap(a, b, ha, hb):
-        """Interior faces between a and b, coarsening from both ends."""
+        """Interior faces between a and b, growing from both ends."""
         L, R = [a], [b]
         hl, hr = ha, hb
         while R[-1] - L[-1] > 0.75 * (min(hl * growth, h_max)
@@ -534,6 +536,21 @@ def _check_columns(columns: dict, t0: float) -> int:
     return ncols or 1
 
 
+def _factor(op: _Operator, dt: float):
+    """Mass diagonal volumes/dt and the LU factors of the step matrix."""
+    mass = op.volumes / dt
+    return mass, spla.splu((sp.diags(mass) + op.S).tocsc())
+
+
+def _face_data(op: _Operator, columns: Optional[dict], t: float):
+    """(group, values (faces, ncols)) for each face group with data at t."""
+    for g in op.groups:
+        fn = columns.get((g.axis, g.side)) if columns else None
+        if fn is not None:
+            gv = np.asarray(fn(t), dtype=float)
+            yield g, gv[:, None] if gv.ndim == 1 else gv
+
+
 def _march(op: _Operator, u, dt: float, nsteps: int, t0: float,
            columns: Optional[dict] = None, record=None) -> np.ndarray:
     """Backward-Euler steps of size dt from state u at time t0.
@@ -544,22 +561,13 @@ def _march(op: _Operator, u, dt: float, nsteps: int, t0: float,
     step, record(step, u, gvals) sees the new level and the data values
     applied, keyed like columns.  Returns the last state.
     """
-    mass = op.volumes / dt
-    lu = spla.splu((sp.diags(mass) + op.S).tocsc())
+    mass, lu = _factor(op, dt)
     for step in range(1, nsteps + 1):
-        t = t0 + step * dt
         rhs = mass[:, None] * u
         gvals = {}
-        for g in op.groups:
-            key = (g.axis, g.side)
-            fn = columns.get(key) if columns else None
-            if fn is None:
-                continue
-            gv = np.asarray(fn(t), dtype=float)
-            if gv.ndim == 1:
-                gv = gv[:, None]
+        for g, gv in _face_data(op, columns, t0 + step * dt):
             rhs[g.cells] += g.weights[:, None] * gv
-            gvals[key] = gv
+            gvals[(g.axis, g.side)] = gv
         u = lu.solve(rhs)
         if record is not None:
             record(step, u, gvals)
@@ -654,55 +662,29 @@ def solve_dirichlet(A: CoefficientField, dom, f: BoundaryData,
     return _solve_field(A, dom, f, grid, np.zeros(grid.ncells))
 
 
-def solve_dirichlet_multi(A: CoefficientField, dom, data_columns,
-                          grid: SpaceTimeGrid, probes=None):
-    """Batched solve: one factorization, many boundary-data columns.
-
-    data_columns maps face-group keys (axis, side) to callables
-    t -> (faces, nrhs); missing groups carry zero data.  When `probes` is
-    given, only interpolated probe histories are returned, shape
-    (nt+1, nprobes, nrhs); otherwise full fields, shape (nt+1, ncells, nrhs).
-    """
-    op = _assemble(_field_for(dom, A), grid)
-    columns = _data_columns(op, dom, data_columns)
-    u0 = np.zeros((grid.ncells, _check_columns(columns, grid.t0)))
-    P = _probe_weights(grid, probes) if probes is not None else None
-    first = u0 if P is None else P @ u0
-    out = np.empty((grid.nt + 1,) + first.shape)
-    out[0] = first
-
-    def record(step, u, gvals):
-        out[step] = u if P is None else P @ u
-
-    _march(op, u0, grid.dt, grid.nt, grid.t0, columns, record)
-    return out
-
-
 def solve_probe_final(A: CoefficientField, dom, data_columns,
-                      grid: SpaceTimeGrid, probes, t_data_end: float,
-                      coarsen: int = 8) -> np.ndarray:
-    """Probe values at t1 for a batch of data columns, two-phase in time.
+                      grid: SpaceTimeGrid, probes) -> np.ndarray:
+    """Probe values at t1 for a batch of data columns, by the adjoint march.
 
-    Fine steps (grid.dt) run until the data has switched off (t_data_end);
-    the remaining pure-decay stretch is covered with steps up to `coarsen`
-    times larger, at two step sizes whose O(dt) Euler errors cancel
-    (Richardson extrapolation).  Only the final probe values are returned,
-    shape (nprobes, nrhs).
+    From zero initial data the forward march M u_k = D u_{k-1} + B g_k
+    (D the mass diagonal, B the boundary-face transmissibilities) read at
+    t1 through the interpolation weights P is  P u_N = sum_k w_k^T B g_k,
+    with w_N = M^-T P^T and w_{k-1} = M^-T D w_k.  Marching w backward takes
+    one transposed solve per step with one column per probe, however many
+    data columns there are, and gives the forward values up to roundoff on
+    any step matrix, symmetric or not.  Returns shape (nprobes, ncols).
     """
     op = _assemble(_field_for(dom, A), grid)
     columns = _data_columns(op, dom, data_columns)
-    u = np.zeros((grid.ncells, _check_columns(columns, grid.t0)))
-    dt = grid.dt
-    n1 = int(np.clip(np.ceil((t_data_end - grid.t0) / dt), 1, grid.nt))
-    u = _march(op, u, dt, n1, grid.t0, columns)
-    t_switch = grid.t0 + n1 * dt
-    span = grid.t1 - t_switch
-    if span > 1e-12 * max(1.0, abs(grid.t1)):
-        n2 = max(1, int(np.ceil(span / (coarsen * dt))))
-        dt2 = span / n2
-        u = 2.0 * _march(op, u, 0.5 * dt2, 2 * n2, t_switch) \
-            - _march(op, u, dt2, n2, t_switch)
-    return _probe_weights(grid, probes) @ u
+    z = _probe_weights(grid, probes).T.toarray()
+    out = np.zeros((z.shape[1], _check_columns(columns, grid.t0)))
+    mass, lu = _factor(op, grid.dt)
+    for step in range(grid.nt, 0, -1):
+        w = lu.solve(z, trans="T")
+        for g, gv in _face_data(op, columns, grid.t0 + step * grid.dt):
+            out += (g.weights[:, None] * w[g.cells]).T @ gv
+        z = mass[:, None] * w
+    return out
 
 
 def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,

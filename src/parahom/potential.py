@@ -3,12 +3,12 @@ diagnostic battery: doubling, reverse Holder, local solvability, Harnack,
 comparison, Green-measure equivalence, positivity floors.
 
 Conventions.  The Green field is propagated forward from a discrete unit
-impulse at the pole time.  Measures are computed by solving with a
-mollified indicator (width one grid cell) as lateral data and reading the
-solution at the pole; halving the mollification bounds the smoothing
-error.  Kernel densities are sub-cube measure ratios from the same forward
-solve; no route relies on time reversal, which would need a symmetric
-discrete operator (flattened graph domains do not give one).
+impulse at the pole time.  Measures are the pole values of the solve with
+a mollified indicator (width one grid cell) as lateral data; halving the
+mollification bounds the smoothing error.  Kernel densities are sub-cube
+measure ratios.  Pole values come from the transposed step matrix, the
+exact discrete adjoint of the forward march, which needs no symmetry of
+the operator (flattened graph domains do not give one).
 Admissibility windows are enforced as preconditions with explicit margins;
 inadmissible exploratory runs are allowed but watermarked in the results.
 
@@ -29,8 +29,9 @@ import numpy as np
 
 from .coeffs import CoefficientField
 from .geometry import GraphDomain, ParabolicCube, ParabolicPoint, parabolic_norm
-from .pde import (ScalarField, SpaceTimeGrid, graded_axis, nt_trace_ratio,
-                  solve_dirichlet_multi, solve_impulse, solve_probe_final)
+from .pde import (BoundaryData, ScalarField, SpaceTimeGrid, graded_axis,
+                  nt_trace_ratio, solve_dirichlet, solve_impulse,
+                  solve_probe_final)
 
 __all__ = [
     "PotentialConfig",
@@ -70,7 +71,6 @@ class PotentialConfig:
     cells_per_r: float = 16.0
     steps_per_r2: float = 24.0
     margin_mult: float = 4.0
-    mollify_halving: bool = True
     truncation_check: bool = False
     region_A: float = 1.0
     noise_floor: float = 1e-8
@@ -150,7 +150,7 @@ def _config_diameter(cube: ParabolicCube, pole: ParabolicPoint,
 def _measure_grid(pole: ParabolicPoint, cube: ParabolicCube,
                   cfg: PotentialConfig) -> SpaceTimeGrid:
     """Graded half-space grid: fine cells over the cube and around the pole,
-    geometric coarsening across gaps and the truncation margin."""
+    geometrically growing cells across gaps and the truncation margin."""
     from .pde import composite_axis
 
     r = cube.side
@@ -169,7 +169,7 @@ def _measure_grid(pole: ParabolicPoint, cube: ParabolicCube,
     lam_segs = [(0.0, 2.0 * r, h), (max(0.0, pole.X[-1] - r),
                                     pole.X[-1] + r, h)]
     faces.append(composite_axis(lam_segs, 0.0, pole.X[-1] + r + margin))
-    nt = max(8, min(1024, int(np.ceil((pole.t - t_start) / dt))))
+    nt = max(8, int(np.ceil((pole.t - t_start) / dt)))
     return SpaceTimeGrid.from_faces(faces, t_start, pole.t, nt)
 
 
@@ -196,13 +196,29 @@ class MeasureEstimate:
     value: float
     pole: ParabolicPoint
     cube: ParabolicCube
-    smoothing_error: Optional[float] = None
+    smoothing_error: float
     truncation_error: Optional[float] = None
     flags: tuple = ()
 
 
-def _bottom_key(grid: SpaceTimeGrid):
-    return (grid.d - 1, 0)
+def _fine_spacing(grid: SpaceTimeGrid) -> float:
+    return float(min(grid.axis_spacings(k).min() for k in range(grid.d - 1)))
+
+
+def _pole_values(A, dom, pole: ParabolicPoint, cube: ParabolicCube,
+                 cfg: PotentialConfig, make_data) -> np.ndarray:
+    """Pole values of the solves whose bottom-face data make_data builds.
+
+    The grid is the measure grid of `cube`.  make_data(pts, w_x, w_t) gets
+    the bottom-face points and the mollification widths (one fine cell, one
+    time step) and returns t -> data of shape (faces, ncols); the result
+    has shape (ncols,).
+    """
+    grid = _measure_grid(pole, cube, cfg)
+    _require_pole_clearance(grid, pole)
+    data = make_data(grid.tangential_centers(), _fine_spacing(grid), grid.dt)
+    return solve_probe_final(A, dom, {(grid.d - 1, 0): data}, grid,
+                             [pole.X])[0]
 
 
 def caloric_measure(A: CoefficientField, dom: GraphDomain,
@@ -218,66 +234,30 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
     r = cube.side
     if cube.center_t - r * r >= pole.t:
         return MeasureEstimate(0.0, pole, cube, 0.0, 0.0, ("causal-zero",))
-    grid = _measure_grid(pole, cube, cfg)
-    _require_pole_clearance(grid, pole)
-    value, smooth = _measure_values(A, dom, grid, cube, [pole], cfg)
+
+    def make_data(pts, w_x, w_t):
+        full = _cube_column(cube, w_x, w_t)
+        half = _cube_column(cube, 0.5 * w_x, 0.5 * w_t)
+        return lambda t: np.stack([full(pts, t), half(pts, t)], axis=1)
+
+    value, value_half = _pole_values(A, dom, pole, cube, cfg, make_data)
     trunc = None
     if cfg.truncation_check:
         big = PotentialConfig(**{**cfg.__dict__, "margin_mult": 2 * cfg.margin_mult,
                                  "truncation_check": False})
-        grid2 = _measure_grid(pole, cube, big)
-        v2, _ = _measure_values(A, dom, grid2, cube, [pole], big)
-        trunc = abs(value[0] - v2[0])
-    return MeasureEstimate(float(value[0]), pole, cube,
-                           float(smooth[0]) if smooth is not None else None,
-                           trunc)
-
-
-def _fine_spacing(grid: SpaceTimeGrid) -> float:
-    return float(min(grid.axis_spacings(k).min() for k in range(grid.d - 1)))
-
-
-def _measure_values(A, dom, grid, cube, probes, cfg):
-    """Pole values of the measure solve; returns (values, smoothing_errs)."""
-    pts = grid.tangential_centers()
-    w_x = _fine_spacing(grid)
-    w_t = grid.dt
-    col = _cube_column(cube, w_x, w_t)
-    cols = [col]
-    if cfg.mollify_halving:
-        cols.append(_cube_column(cube, 0.5 * w_x, 0.5 * w_t))
-
-    def data(t):
-        return np.stack([c(pts, t) for c in cols], axis=1)
-
-    probe_pts = [p.X for p in probes]
-    t_end = cube.center_t + cube.side ** 2 + 2 * grid.dt
-    out = solve_probe_final(A, dom, {_bottom_key(grid): data}, grid,
-                            probe_pts, t_end)
-    vals = out[:, 0]
-    smooth = np.abs(out[:, 1] - vals) if len(cols) == 2 else None
-    return vals, smooth
+        value_big = _pole_values(A, dom, pole, cube, big, make_data)[0]
+        trunc = abs(value - value_big)
+    return MeasureEstimate(float(value), pole, cube,
+                           float(abs(value_half - value)), trunc)
 
 
 def caloric_measure_field(A: CoefficientField, dom: GraphDomain,
                           cube: ParabolicCube, grid: SpaceTimeGrid,
                           mollify: float = 1.0) -> ScalarField:
     """Full space-time field u(X, t) = omega^{(X, t)}(cube) on a given grid."""
-    pts = grid.tangential_centers()
     col = _cube_column(cube, mollify * _fine_spacing(grid), mollify * grid.dt)
-
-    def data(t):
-        return col(pts, t)[:, None]
-
-    out = solve_dirichlet_multi(A, dom, {_bottom_key(grid): data}, grid)
-    values = out[:, :, 0].reshape((grid.nt + 1,) + grid.shape)
-    bottom = np.empty((grid.nt + 1, pts.shape[0]))
-    for k, t in enumerate(grid.times()):
-        bottom[k] = col(pts, t)
-    meta = {"coeff": A.label, "measure_cube": (tuple(cube.center_x),
-                                               cube.center_t, cube.side),
-            "bottom_data": bottom}
-    return ScalarField(grid, values, meta)
+    return solve_dirichlet(A, dom, BoundaryData(col, label="measure-cube"),
+                           grid)
 
 
 # ----------------------------------------------------------------------
@@ -312,11 +292,11 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
 
     Densities are measure ratios (the defining limit): the cube is split
     into 2^depth parabolic sub-cubes per tangential axis and 4^depth time
-    slabs; all sub-cube measures come from one batched forward march
-    (shared factorization), their tent-mollified indicators summing exactly
-    to the mollified indicator of the whole cube.  The coarse (depth-1)
-    densities aggregated from the same solve give per-cell error bars; the
-    fine densities are the estimate.
+    slabs; all sub-cube measures come from one adjoint march from the pole
+    (one transposed solve per step for every sub-cube at once), their
+    tent-mollified indicators summing exactly to the mollified indicator of
+    the whole cube.  The coarse (depth-1) densities aggregated from the same
+    solve give per-cell error bars; the fine densities are the estimate.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -324,29 +304,22 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
     if n != 1:
         raise NotImplementedError("kernel partitions are implemented for n = 1")
     r = cube.side
-    grid = _measure_grid(pole, cube, cfg)
-    _require_pole_clearance(grid, pole)
-
     mx, mt = 2 ** depth, 4 ** depth
     ex = _partition_edges(cube.center_x[0] - r, cube.center_x[0] + r, mx)
     et = _partition_edges(cube.center_t - r * r, cube.center_t + r * r, mt)
-    w_x = _fine_spacing(grid)
-    w_t = grid.dt
-    pts = grid.tangential_centers()
-    px = _partition_profiles(pts[:, 0], ex, w_x)      # (mpts, mx)
 
-    full_col = _cube_column(cube, w_x, w_t)
+    def make_data(pts, w_x, w_t):
+        px = _partition_profiles(pts[:, 0], ex, w_x)      # (mpts, mx)
+        full_col = _cube_column(cube, w_x, w_t)
 
-    def data(t):
-        pt = _partition_profiles(np.asarray([t]), et, w_t)[0]   # (mt,)
-        cols = px[:, None, :] * pt[:, None]                      # (mpts, mt, mx)
-        cols = cols.reshape(pts.shape[0], mt * mx)
-        return np.concatenate([cols, full_col(pts, t)[:, None]], axis=1)
+        def data(t):
+            pt = _partition_profiles(np.asarray([t]), et, w_t)[0]  # (mt,)
+            cols = px[:, None, :] * pt[:, None]              # (mpts, mt, mx)
+            cols = cols.reshape(pts.shape[0], mt * mx)
+            return np.concatenate([cols, full_col(pts, t)[:, None]], axis=1)
+        return data
 
-    t_end = cube.center_t + r * r + 2 * grid.dt
-    out = solve_probe_final(A, dom, {_bottom_key(grid): data}, grid,
-                            [pole.X], t_end)
-    vals = out[0, :]
+    vals = _pole_values(A, dom, pole, cube, cfg, make_data)
     omega_total = float(vals[-1])
     masses = vals[:-1].reshape(mt, mx)
     sub_vol = (2 * r / mx) * 2 * (r ** 2 / mt) * 2 ** (n - 1)
@@ -476,21 +449,13 @@ def doubling_ratio(A: CoefficientField, dom: GraphDomain,
                    cfg: PotentialConfig = DEFAULT_CONFIG) -> DoublingResult:
     """omega(Q_2r)/omega(Q_r) from one batched solve on the 2r grid."""
     cube2 = cube.scaled(2.0)
-    grid = _measure_grid(pole, cube2, cfg)
-    _require_pole_clearance(grid, pole)
-    pts = grid.tangential_centers()
-    w_x = _fine_spacing(grid)
-    w_t = grid.dt
-    c1 = _cube_column(cube, w_x, w_t)
-    c2 = _cube_column(cube2, w_x, w_t)
 
-    def data(t):
-        return np.stack([c1(pts, t), c2(pts, t)], axis=1)
+    def make_data(pts, w_x, w_t):
+        c1 = _cube_column(cube, w_x, w_t)
+        c2 = _cube_column(cube2, w_x, w_t)
+        return lambda t: np.stack([c1(pts, t), c2(pts, t)], axis=1)
 
-    t_end = cube2.center_t + cube2.side ** 2 + 2 * grid.dt
-    out = solve_probe_final(A, dom, {_bottom_key(grid): data}, grid,
-                            [pole.X], t_end)
-    w_r, w_2r = float(out[0, 0]), float(out[0, 1])
+    w_r, w_2r = map(float, _pole_values(A, dom, pole, cube2, cfg, make_data))
     if w_r <= 10.0 * cfg.noise_floor:
         raise MeasureBelowNoiseError(
             f"omega(Q_r) = {w_r:.3e} is below 10x the noise floor")

@@ -7,10 +7,11 @@ from parahom.pde import (BoundaryData, IncompatibleDataError, ScalarField,
                          SpaceTimeGrid, caccioppoli_ratio, graded_axis,
                          halfspace, load_field, moser_ratio, nt_trace_ratio,
                          q_difference, rescale_solution, save_field,
-                         solve_dirichlet, solve_dirichlet_multi,
-                         solve_impulse, solve_probe_final)
+                         solve_dirichlet, solve_impulse, solve_probe_final)
 
 HALF = GraphDomain(m=0.0, box=((-4.0, 4.0),))
+WAVY = GraphDomain(m=0.5, box=((-4.0, 4.0),),
+                   phi=lambda x: 0.5 * np.sin(np.asarray(x)[..., 0]))
 
 
 def ramp(t, tau=0.15):
@@ -189,13 +190,11 @@ class TestSolveDirichlet:
                    (0, 0): lambda t: np.zeros(8)}
         with pytest.raises(ValueError, match="column count"):
             solve_probe_final(preset("constant", d=2), HALF, columns, grid,
-                              [[0.0, 0.5]], 0.5)
+                              [[0.0, 0.5]])
 
     def test_batch_paths_agree(self):
-        # one datum through every public solve path; no decay phase
-        # (t_data_end >= t1), so all of them march the same steps
-        dom = GraphDomain(m=0.5, box=((-4.0, 4.0),),
-                          phi=lambda x: 0.5 * np.sin(np.asarray(x)[..., 0]))
+        # one datum, batched with a multiple of itself, through both solves
+        dom = WAVY
         A = preset("trig", d=2)
         grid = small_grid(nx=32, nlam=12, nt=16)
         f = bump_data()
@@ -204,18 +203,42 @@ class TestSolveDirichlet:
                                               axis=1)}
         probes = np.array([[0.1, 0.4], [-0.7, 1.1], [1.3, 0.2]])
         u = solve_dirichlet(A, dom, f, grid)
-        full = solve_dirichlet_multi(A, dom, columns, grid)
-        hist = solve_dirichlet_multi(A, dom, columns, grid, probes=probes)
-        final = solve_probe_final(A, dom, columns, grid, probes, grid.t1)
-        flat = u.values.reshape(grid.nt + 1, -1)
-        scale = np.abs(flat).max()
-        assert np.abs(full[..., 0] - flat).max() <= 1e-12 * scale
-        assert np.abs(full[..., 1] + 3.0 * flat).max() <= 3e-12 * scale
-        pts = np.column_stack([np.repeat(grid.times(), len(probes)),
-                               np.tile(probes, (grid.nt + 1, 1))])
-        ref = u.interpolator()(pts).reshape(grid.nt + 1, len(probes))
-        assert np.abs(hist[..., 0] - ref).max() <= 1e-12 * scale
-        assert np.abs(final - hist[-1]).max() <= 1e-12 * scale
+        final = solve_probe_final(A, dom, columns, grid, probes)
+        pts = np.column_stack([np.full(len(probes), grid.t1), probes])
+        ref = u.interpolator()(pts)
+        scale = np.abs(u.values).max()
+        assert np.abs(final[:, 0] - ref).max() <= 1e-12 * scale
+        assert np.abs(final[:, 1] + 3.0 * ref).max() <= 3e-12 * scale
+
+    @pytest.mark.parametrize("name,dom", [
+        ("constant", HALF), ("laminate", HALF), ("trig", HALF),
+        ("trig", WAVY)])
+    def test_adjoint_equals_forward(self, name, dom):
+        # data that switches off halfway, so the final values come from the
+        # decay stretch as well
+        A = preset(name, d=2)
+        grid = small_grid(nx=32, nlam=12, nt=24)
+        t_off = 0.5 * (grid.t0 + grid.t1)
+
+        def column(center, height):
+            def ev(pts, t):
+                pts = np.atleast_2d(np.asarray(pts, dtype=float))
+                on = height * np.sin(np.pi * t / t_off) ** 2 \
+                    if t < t_off else 0.0
+                return on * np.exp(-(pts[:, 0] - center) ** 2 / 0.25)
+            return BoundaryData(ev)
+
+        data = [column(0.0, 1.0), column(1.2, -2.0)]
+        tang = grid.axis_centers(0)[:, None]
+        columns = {(1, 0): lambda t: np.stack([f(tang, t) for f in data],
+                                              axis=1)}
+        probes = np.array([[0.1, 0.4], [-0.7, 1.1], [1.3, 0.2]])
+        final = solve_probe_final(A, dom, columns, grid, probes)
+        pts = np.column_stack([np.full(len(probes), grid.t1), probes])
+        for j, f in enumerate(data):
+            ref = solve_dirichlet(A, dom, f, grid).interpolator()(pts)
+            assert np.abs(ref).max() > 0.0
+            assert np.abs(final[:, j] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_flattened_graph_solve(self):
         dom = GraphDomain(m=0.5, box=((-4.0, 4.0),),

@@ -8,7 +8,8 @@ from parahom.oracles import (gauss_heat_kernel, halfspace_green,
                              halfspace_measure)
 from parahom.pde import ScalarField, SpaceTimeGrid, halfspace
 from parahom.potential import (KernelEstimate, MeasureBelowNoiseError,
-                               PotentialConfig, caloric_measure,
+                               PotentialConfig, _measure_grid,
+                               caloric_measure,
                                caloric_measure_field, comparison_ratio,
                                doubling_ratio, green_measure_equivalence,
                                green_symmetry_check, greens_function,
@@ -164,6 +165,12 @@ class TestDoubling:
             ratios.append(doubling_ratio(preset("trig", d=2), HALF, pole,
                                          cube, CFG).ratio)
         assert max(ratios) <= 10.0 * min(ratios)   # uniform doubling constant
+
+    def test_measure_grid_keeps_requested_step(self):
+        # a long run behind a small cube still gets r^2 / steps_per_r2 steps
+        grid = _measure_grid(ParabolicPoint([0, 1], 6.0),
+                             ParabolicCube([0], 0.0, 0.25), PotentialConfig())
+        assert grid.dt <= 0.25 ** 2 / 24
 
     def test_noise_floor_guard(self):
         far = ParabolicCube(np.array([55.0]), 0.0, 0.1)
