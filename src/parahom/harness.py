@@ -2,8 +2,9 @@
 machine-readable reports.
 
 Reports are deterministic: identical config + seed produce byte-identical
-files.  Wall-clock timings are kept in memory for resource accounting but
-serialized as null so they never break the byte-level contract.
+files.  Rows carry no wall-clock timings (they once had a `runtime` field,
+always serialized as null), and the config has no `diagnostics` list: the
+sweep runs a fixed set of checks.  Old configs that name it still load.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -22,7 +22,8 @@ from .cell import effective_matrix
 from .coeffs import (CoefficientField, constant_matrix_field, field_from_json,
                      preset, scale_field)
 from .geometry import GraphDomain, LipschitzCylinder, ParabolicCube, ParabolicPoint
-from .maximal import lateral_norm_cylinder, nontangential_max_cylinder
+from .maximal import (boundary_data_norm, lateral_norm_cylinder,
+                      nontangential_max_cylinder)
 from .oracles import halfspace_kernel_cell_average, halfspace_measure
 from .pde import BoundaryData, SpaceTimeGrid, solve_dirichlet
 from .potential import (PotentialConfig, caloric_measure, caloric_measure_field,
@@ -60,8 +61,6 @@ class ExperimentConfig:
     n: int = 1
     seed: int = 0
     outdir: str = "."
-    diagnostics: tuple = ("doubling", "rh", "localsolv", "harnack",
-                          "comparison", "green-sym", "green-measure")
     r_list: tuple = (0.25, 0.5, 1.0, 2.0, 4.0)
     min_cells_per_period: int = 8
 
@@ -167,35 +166,10 @@ class ConvergenceReport:
     version: str = __version__
 
     def to_jsonable(self) -> dict:
-        rows = []
-        for r in self.rows:
-            r = dict(r)
-            r["runtime"] = None       # volatile; excluded from canonical bytes
-            rows.append(r)
         return {"kind": "convergence_report", "version": self.version,
                 "config": self.config, "Abar": self.Abar,
-                "compact_K": self.compact_K, "rows": rows,
+                "compact_K": self.compact_K, "rows": self.rows,
                 "monotone_verdict": self.monotone_verdict}
-
-
-def _cylinder_data_norm(f: BoundaryData, dom: LipschitzCylinder,
-                        grid: SpaceTimeGrid, p: float) -> float:
-    total = 0.0
-    d = grid.d
-    for axis in range(d):
-        for side in (0, 1):
-            tang_axes = [k for k in range(d) if k != axis]
-            axes = [grid.axis_centers(k) for k in tang_axes]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
-            full = np.empty((pts.shape[0], d))
-            full[:, tang_axes] = pts
-            full[:, axis] = dom.base_box[axis][side]
-            w = float(np.prod([grid.h[k] for k in tang_axes]))
-            for t in grid.times():
-                vals = np.abs(np.asarray(f(full, t), dtype=float))
-                total += float(np.sum(vals ** p)) * w * grid.dt
-    return total ** (1.0 / p)
 
 
 def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
@@ -224,9 +198,7 @@ def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     em = effective_matrix(A, cfg.cell_resolution)
     Abar_field = constant_matrix_field(em.Abar, label="Abar")
 
-    t0 = time.perf_counter()
     ubar = solve_dirichlet(Abar_field, dom, f, grid)
-    runtime_bar = time.perf_counter() - t0
 
     K_box, K_t = default_compact_subcylinder(dom)
     sel = []
@@ -241,11 +213,10 @@ def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
 
     ubar_K = restrict(ubar)
     p = cfg.p_list[0]
-    f_norm = _cylinder_data_norm(f, dom, grid, p)
+    f_norm = boundary_data_norm(f, dom, grid, p)
 
     rows = []
     for eps in sorted(cfg.eps_list, reverse=True):
-        t0 = time.perf_counter()
         Aeps = scale_field(A, eps)
         ueps = solve_dirichlet(Aeps, dom, f, grid)
         nfields = nontangential_max_cylinder(ueps, cfg.eta, dom)
@@ -253,8 +224,7 @@ def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
         dist = float(np.abs(restrict(ueps) - ubar_K).max())
         rows.append({"eps": eps, "distance": dist,
                      "nt_norm": n_norm, "nt_ratio": n_norm / f_norm,
-                     "distance_over_eps": dist / eps,
-                     "runtime": time.perf_counter() - t0})
+                     "distance_over_eps": dist / eps})
     last = [r["distance"] for r in rows[-3:]]
     verdict = all(a > b for a, b in zip(last, last[1:]))
     return ConvergenceReport(
@@ -277,13 +247,8 @@ class SweepReport:
     version: str = __version__
 
     def to_jsonable(self) -> dict:
-        rows = []
-        for r in self.rows:
-            r = dict(r)
-            r["runtime"] = None
-            rows.append(r)
         return {"kind": "sweep_report", "version": self.version,
-                "config": self.config, "rows": rows}
+                "config": self.config, "rows": self.rows}
 
     @property
     def all_passed(self) -> bool:
@@ -291,11 +256,11 @@ class SweepReport:
 
 
 def _row(check, coeff, domain, params, value, error_bar=None, passed=True,
-         watermark=False, runtime=0.0):
+         watermark=False):
     return {"check": check, "coeff": coeff, "domain": domain,
             "params": json.dumps(params, sort_keys=True), "value": value,
             "error_bar": error_bar, "passed": bool(passed),
-            "watermark": bool(watermark), "runtime": runtime}
+            "watermark": bool(watermark)}
 
 
 def solvability_sweep(cfg: ExperimentConfig,
@@ -316,16 +281,14 @@ def solvability_sweep(cfg: ExperimentConfig,
     A1 = preset("constant", d=d)
     pole = ParabolicPoint(np.asarray([0.0] * (d - 1) + [1.0]), 5.0)
     cube = ParabolicCube(np.zeros(d - 1), 0.0, 0.5)
-    t0 = time.perf_counter()
     est = caloric_measure(A1, halfspace_dom, pole, cube, pot_cfg)
     oracle = halfspace_measure(pole.X[:-1], pole.X[-1], pole.t,
                                cube.center_x, cube.center_t, cube.side)
     rel = abs(est.value - oracle) / oracle
     rows.append(_row("caloric-measure-oracle", A1.label, "halfspace",
                      {"r": cube.side}, rel, est.smoothing_error,
-                     rel <= 0.05, runtime=time.perf_counter() - t0))
+                     rel <= 0.05))
 
-    t0 = time.perf_counter()
     dres = doubling_ratio(A1, halfspace_dom, pole, cube, pot_cfg)
     o_r = halfspace_measure(pole.X[:-1], pole.X[-1], pole.t, cube.center_x,
                             cube.center_t, cube.side)
@@ -333,10 +296,8 @@ def solvability_sweep(cfg: ExperimentConfig,
                              cube.center_t, 2 * cube.side)
     rel = abs(dres.ratio - o_2r / o_r) / (o_2r / o_r)
     rows.append(_row("doubling-oracle", A1.label, "halfspace",
-                     {"r": cube.side}, rel, None, rel <= 0.05,
-                     runtime=time.perf_counter() - t0))
+                     {"r": cube.side}, rel, None, rel <= 0.05))
 
-    t0 = time.perf_counter()
     K = kernel_estimate(A1, halfspace_dom, pole, cube, depth=2, cfg=pot_cfg)
     rh = reverse_holder_ratio(K, q=2.0)
     K_or = np.empty_like(K.K)
@@ -348,14 +309,12 @@ def solvability_sweep(cfg: ExperimentConfig,
     rh_or = float(np.mean(K_or ** 2) ** 0.5 / np.mean(K_or))
     rel = abs(rh.ratio - rh_or) / rh_or
     rows.append(_row("rh-oracle", A1.label, "halfspace", {"q": 2.0}, rel,
-                     float(K.error_bar.max()), rel <= 0.05,
-                     runtime=time.perf_counter() - t0))
+                     float(K.error_bar.max()), rel <= 0.05))
 
     # watermark row: pole deliberately outside the admissibility window
     import warnings as _warnings
 
     near_pole = ParabolicPoint(np.asarray([0.0] * (d - 1) + [1.0]), 0.6)
-    t0 = time.perf_counter()
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
         K_bad = kernel_estimate(A1, halfspace_dom, near_pole, cube, depth=1,
@@ -363,21 +322,17 @@ def solvability_sweep(cfg: ExperimentConfig,
         rh_bad = reverse_holder_ratio(K_bad, q=2.0)
     rows.append(_row("rh-inadmissible", A1.label, "halfspace",
                      {"q": 2.0, "tau": near_pole.t}, rh_bad.ratio, None,
-                     True, watermark=rh_bad.watermark,
-                     runtime=time.perf_counter() - t0))
+                     True, watermark=rh_bad.watermark))
 
     # --- local solvability uniformity across scales for periodic presets
     for preset_name in ("trig",):
         A = preset(preset_name, d=d)
         values = []
-        t0 = time.perf_counter()
         for r in cfg.r_list:
             res = local_solvability_at_scale(A, r, pot_cfg)
             values.append(res.ratio)
             rows.append(_row("localsolv", A.label, "halfspace", {"r": r},
-                             res.ratio, None, True,
-                             runtime=time.perf_counter() - t0))
-            t0 = time.perf_counter()
+                             res.ratio, None, True))
         vmax, vmin = max(values), min(values)
         rows.append(_row("localsolv-uniformity", A.label, "halfspace",
                          {"r_list": list(cfg.r_list)}, vmax / vmin, None,
@@ -386,12 +341,10 @@ def solvability_sweep(cfg: ExperimentConfig,
     # --- graph-chart configuration (flattening path)
     graph = GraphDomain(m=0.5, box=((-48.0, 48.0),),
                         phi=lambda x: 0.5 * np.abs(np.sin(np.asarray(x)[..., 0])) - 0.25)
-    t0 = time.perf_counter()
     est_g = caloric_measure(A1, graph, pole, cube, pot_cfg)
     rows.append(_row("caloric-measure", A1.label, "graph", {"m": 0.5},
                      est_g.value, est_g.smoothing_error,
-                     0.0 <= est_g.value <= 1.0 + 1e-6,
-                     runtime=time.perf_counter() - t0))
+                     0.0 <= est_g.value <= 1.0 + 1e-6))
     return SweepReport(rows=rows, config=cfg.to_jsonable())
 
 

@@ -5,6 +5,10 @@ parabolic cone section is an ellipse in (x, t), swept as a sliding time-max
 per tangential offset (O(cells per cone) work per boundary cell, done in C
 by ndimage).  Per-boundary-cell sups are independent and parallelizable;
 all inputs are immutable.
+
+Faces, surface weights and chart heights come from `pde.lateral_faces`, the
+same faces the solves bind their data to, so ||N(u)||_p and the data norm
+||f||_p share one quadrature.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d
 
 from .geometry import GraphDomain, LipschitzCylinder
-from .pde import BoundaryData, ScalarField, SpaceTimeGrid, solve_dirichlet
+from .pde import (BoundaryData, LateralFace, ScalarField, SpaceTimeGrid,
+                  lateral_faces, solve_dirichlet)
 
 __all__ = [
     "BoundaryField",
@@ -26,6 +31,7 @@ __all__ = [
     "truncated_vertical_max",
     "lp_boundary_norm",
     "lateral_norm_cylinder",
+    "boundary_data_norm",
     "solvability_constant",
 ]
 
@@ -118,50 +124,49 @@ def _cone_sup(absvals: np.ndarray, h_tang: Sequence[float], dt: float,
     return out, fallback
 
 
+def _face_max(u: ScalarField, eta: float, face: LateralFace,
+              truncation=None) -> BoundaryField:
+    """N(u) on one lateral face, with the depth from the face as lam.
+
+    Cones stop at the face's chart height, or at `truncation` when given.
+    """
+    grid = u.grid
+    if not grid.is_uniform:
+        raise ValueError("the cone scan needs a uniform grid")
+    axis, side = face.key
+    v = np.moveaxis(np.abs(u.values), 1 + axis, -1)     # depth last
+    if side == 1:
+        v = v[..., ::-1]
+    h = list(grid.h)
+    h_depth = h.pop(axis)
+    vals, fallback = _cone_sup(v, h, grid.dt, h_depth, eta,
+                               face.r0 if truncation is None else truncation)
+    return BoundaryField(vals, face.weights, grid.dt, fallback,
+                         {"eta": eta, "face": face.key})
+
+
 def nontangential_max(u: ScalarField, eta: float, dom: GraphDomain,
                       truncation=None) -> BoundaryField:
     """N(u) on the flattened lateral boundary of a graph-domain solve."""
     if eta <= dom.m:
         raise ValueError(
             f"cone opening {eta} must exceed the Lipschitz constant {dom.m}")
-    grid = u.grid
-    if not grid.is_uniform:
-        raise ValueError("the cone scan needs a uniform grid")
-    vals, fallback = _cone_sup(np.abs(u.values), grid.h[:-1], grid.dt,
-                               grid.h[-1], eta, truncation)
-    g = dom.grad_phi(grid.tangential_centers())
-    area = np.sqrt(1.0 + np.sum(g * g, axis=1)).reshape(vals.shape[1:])
-    weights = area * float(np.prod(grid.h[:-1]))
-    return BoundaryField(vals, weights, grid.dt, fallback,
-                         {"eta": eta, "kind": "graph"})
+    face, = lateral_faces(u.grid, dom)
+    return _face_max(u, eta, face, truncation)
 
 
 def nontangential_max_cylinder(u: ScalarField, eta: float,
                                dom: LipschitzCylinder
                                ) -> Dict[tuple, BoundaryField]:
-    """Per-face N(u) for a box-cylinder solve: each face is a local graph.
+    """Per-face N(u) for a box-cylinder solve, keyed by (axis, side).
 
-    The depth coordinate of a face is the distance into the domain; faces
-    are returned keyed by (axis, side).
+    Each face is a local graph of height dom.r0; lam is the distance into
+    the domain from that face, and cones stop at lam = r0, so they never
+    reach the opposite face.  Corners still measure lam from the face, not
+    the distance to the whole boundary.
     """
-    grid = u.grid
-    d = grid.d
-    out = {}
-    for axis in range(d):
-        for side in (0, 1):
-            v = np.moveaxis(u.values, 1 + axis, d)   # depth last
-            if side == 1:
-                v = np.flip(v, axis=d)
-            tang_axes = [k for k in range(d) if k != axis]
-            h_tang = [grid.h[k] for k in tang_axes]
-            vals, fb = _cone_sup(np.abs(v), h_tang, grid.dt,
-                                 grid.h[axis], eta)
-            weights = np.full(vals.shape[1:], float(np.prod(h_tang)))
-            out[(axis, side)] = BoundaryField(
-                vals, weights, grid.dt, fb,
-                {"eta": eta, "kind": "cylinder-face", "axis": axis,
-                 "side": side})
-    return out
+    return {face.key: _face_max(u, eta, face)
+            for face in lateral_faces(u.grid, dom)}
 
 
 def truncated_vertical_max(u: ScalarField, r: float) -> BoundaryField:
@@ -197,16 +202,15 @@ def lateral_norm_cylinder(fields: Dict[tuple, BoundaryField], p: float) -> float
                      for f in fields.values()) ** (1.0 / p))
 
 
-def _data_norm_graph(f: BoundaryData, grid: SpaceTimeGrid,
-                     dom: GraphDomain, p: float) -> float:
-    pts = grid.tangential_centers()
-    g = dom.grad_phi(pts)
-    w = np.sqrt(1.0 + np.sum(g * g, axis=1)) * float(np.prod(grid.h[:-1]))
-    total = 0.0
-    for t in grid.times():
-        vals = np.abs(np.asarray(f(pts, t), dtype=float))
-        total += float(np.sum(vals ** p * w)) * grid.dt
-    return total ** (1.0 / p)
+def boundary_data_norm(f: BoundaryData, dom, grid: SpaceTimeGrid,
+                       p: float) -> float:
+    """||f||_p on the lateral faces of dom, with the faces, surface weights
+    and time levels that N(u) is measured on."""
+    return lateral_norm_cylinder(
+        {face.key: BoundaryField(
+            np.abs([f(face.points, t).reshape(face.weights.shape)
+                    for t in grid.times()]), face.weights, grid.dt)
+         for face in lateral_faces(grid, dom)}, p)
 
 
 def solvability_constant(A, dom: GraphDomain, family: Sequence[BoundaryData],
@@ -223,7 +227,7 @@ def solvability_constant(A, dom: GraphDomain, family: Sequence[BoundaryData],
         u = solve_dirichlet(A, dom, f, grid)
         N = nontangential_max(u, eta, dom)
         nn = lp_boundary_norm(N, p)
-        fn = _data_norm_graph(f, grid, dom, p)
+        fn = boundary_data_norm(f, dom, grid, p)
         ratio = nn / fn if fn > 0 else float("inf")
         rows.append({"data": f.label, "N_norm": nn, "f_norm": fn,
                      "ratio": ratio})

@@ -27,7 +27,8 @@ exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import partial, reduce
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +41,8 @@ __all__ = [
     "SpaceTimeGrid",
     "ScalarField",
     "BoundaryData",
+    "LateralFace",
+    "lateral_faces",
     "IncompatibleDataError",
     "graded_axis",
     "composite_axis",
@@ -262,18 +265,17 @@ class SpaceTimeGrid:
             raise ValueError("grid is graded; use cell_volumes")
         return float(np.prod(self.h))
 
-    def _mesh(self, naxes: int) -> np.ndarray:
-        mesh = np.meshgrid(*[self.axis_centers(k) for k in range(naxes)],
-                           indexing="ij")
+    def _mesh(self, axes) -> np.ndarray:
+        mesh = np.meshgrid(*[self.axis_centers(k) for k in axes], indexing="ij")
         return np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
 
     def centers(self) -> np.ndarray:
         """All cell centers, shape (ncells, d), C-order."""
-        return self._mesh(self.d)
+        return self._mesh(range(self.d))
 
     def tangential_centers(self) -> np.ndarray:
         """Cell centers of the first d-1 axes, shape (cells, d-1), C-order."""
-        return self._mesh(self.d - 1)
+        return self._mesh(range(self.d - 1))
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.nt + 1) * self.dt
@@ -379,15 +381,13 @@ class ScalarField:
 
 
 class _BoundaryGroup:
-    __slots__ = ("axis", "side", "cells", "weights", "points", "tangential")
+    __slots__ = ("axis", "side", "cells", "weights")
 
-    def __init__(self, axis, side, cells, weights, points, tangential):
+    def __init__(self, axis, side, cells, weights):
         self.axis = axis
         self.side = side            # 0 = lo, 1 = hi
         self.cells = cells          # owner cell flat indices
         self.weights = weights      # Dirichlet transmissibilities
-        self.points = points        # face centers, (m, d)
-        self.tangential = tangential  # face centers without the normal axis
 
 
 class _Operator:
@@ -460,8 +460,7 @@ def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
             rows.append(cells)
             cols.append(cells)
             vals.append(tb)
-            tang = np.delete(face_pts, k, axis=1)
-            groups.append(_BoundaryGroup(k, side, cells, tb, face_pts, tang))
+            groups.append(_BoundaryGroup(k, side, cells, tb))
 
         # cross-derivative fluxes on interior k-faces; faces whose
         # tangential stencil would leave the box are skipped (O(h)
@@ -498,26 +497,55 @@ def _field_for(dom, A: CoefficientField) -> CoefficientField:
     return A
 
 
+class LateralFace(NamedTuple):
+    """One lateral face of a domain on a grid, a local graph over its cells."""
+
+    key: tuple                  # (axis, side): normal axis, 0 = lo, 1 = hi
+    points: np.ndarray          # data points, C order of the face cells
+    weights: np.ndarray         # surface measure per face cell
+    r0: Optional[float]         # chart height; None for the whole depth
+
+
+def lateral_faces(grid: SpaceTimeGrid, dom) -> list:
+    """The lateral faces of `dom` on `grid`; the only place that lists them.
+
+    A graph domain has one, the flattened bottom lam = 0: data points are
+    the tangential centers x, weights sqrt(1 + |grad phi(x)|^2) dx, and the
+    chart is the whole depth (the other grid faces truncate the half space
+    and carry zero data).  A box cylinder has every face of the grid box:
+    data points are the face centers X, weights dx over the face, and the
+    chart height is dom.r0.  Weights have the tangential cell shape.
+    """
+    if not isinstance(dom, (GraphDomain, LipschitzCylinder)):
+        raise TypeError(f"unsupported domain {type(dom).__name__}")
+    graph = isinstance(dom, GraphDomain)
+    faces = []
+    for axis in [grid.d - 1] if graph else range(grid.d):
+        tang = [k for k in range(grid.d) if k != axis]
+        x = grid._mesh(tang)
+        w = reduce(np.multiply.outer, [grid.axis_spacings(k) for k in tang])
+        if graph:
+            g = dom.grad_phi(x)
+            area = np.sqrt(1.0 + np.sum(g * g, axis=1)).reshape(w.shape)
+            faces.append(LateralFace((axis, 0), x, area * w, None))
+            continue
+        for side, bound in enumerate((grid.lo, grid.hi)):
+            faces.append(LateralFace((axis, side),
+                                     np.insert(x, axis, bound[axis], axis=1),
+                                     w, dom.r0))
+    return faces
+
+
 def _data_columns(op: _Operator, dom, data) -> dict:
     """Per-face-group data callables t -> values, keyed by (axis, side).
 
     `data` is either a {(axis, side): fn} dict, taken as given, or a
-    BoundaryData bound to the lateral faces of `dom`: the bottom face of a
-    flattened graph domain (the other faces are artificial truncation faces
-    with zero data) or every face of a cylinder.
+    BoundaryData bound to the data points of `lateral_faces(grid, dom)`.
     """
     if isinstance(data, dict):
         return data
-    if dom is None:
-        return {}
-    if isinstance(dom, GraphDomain):
-        key = (op.grid.d - 1, 0)
-        g = next(g for g in op.groups if (g.axis, g.side) == key)
-        return {key: lambda t: data(g.tangential, t)}
-    if isinstance(dom, LipschitzCylinder):
-        return {(g.axis, g.side): (lambda gg: lambda t: data(gg.points, t))(g)
-                for g in op.groups}
-    raise TypeError(f"unsupported domain {type(dom).__name__}")
+    return {face.key: partial(data, face.points)
+            for face in lateral_faces(op.grid, dom)}
 
 
 def _check_columns(columns: dict, t0: float) -> int:

@@ -30,8 +30,8 @@ import numpy as np
 from .coeffs import CoefficientField
 from .geometry import GraphDomain, ParabolicCube, ParabolicPoint, parabolic_norm
 from .pde import (BoundaryData, ScalarField, SpaceTimeGrid, graded_axis,
-                  nt_trace_ratio, solve_dirichlet, solve_impulse,
-                  solve_probe_final)
+                  lateral_faces, nt_trace_ratio, solve_dirichlet,
+                  solve_impulse, solve_probe_final)
 
 __all__ = [
     "PotentialConfig",
@@ -66,6 +66,7 @@ class PotentialConfig:
     configuration (data support, pole, elapsed time) to size the truncation
     margin of the half-space box; region_A is the free constant in the
     Green-measure region condition |(x0,0) - (x,lam)|^2 <= region_A |t - t0|.
+    The measure and Green grids refuse axes above max_cells_per_axis cells.
     """
 
     cells_per_r: float = 16.0
@@ -147,6 +148,14 @@ def _config_diameter(cube: ParabolicCube, pole: ParabolicPoint,
     return diam
 
 
+def _capped(grid: SpaceTimeGrid, cfg: PotentialConfig) -> SpaceTimeGrid:
+    for k, n in enumerate(grid.shape):
+        if n > cfg.max_cells_per_axis:
+            raise ValueError(f"grid axis {k} has {n} cells, more than "
+                             f"max_cells_per_axis = {cfg.max_cells_per_axis}")
+    return grid
+
+
 def _measure_grid(pole: ParabolicPoint, cube: ParabolicCube,
                   cfg: PotentialConfig) -> SpaceTimeGrid:
     """Graded half-space grid: fine cells over the cube and around the pole,
@@ -170,7 +179,7 @@ def _measure_grid(pole: ParabolicPoint, cube: ParabolicCube,
                                     pole.X[-1] + r, h)]
     faces.append(composite_axis(lam_segs, 0.0, pole.X[-1] + r + margin))
     nt = max(8, int(np.ceil((pole.t - t_start) / dt)))
-    return SpaceTimeGrid.from_faces(faces, t_start, pole.t, nt)
+    return _capped(SpaceTimeGrid.from_faces(faces, t_start, pole.t, nt), cfg)
 
 
 def _require_pole_clearance(grid: SpaceTimeGrid, pole: ParabolicPoint,
@@ -216,9 +225,9 @@ def _pole_values(A, dom, pole: ParabolicPoint, cube: ParabolicCube,
     """
     grid = _measure_grid(pole, cube, cfg)
     _require_pole_clearance(grid, pole)
-    data = make_data(grid.tangential_centers(), _fine_spacing(grid), grid.dt)
-    return solve_probe_final(A, dom, {(grid.d - 1, 0): data}, grid,
-                             [pole.X])[0]
+    face, = lateral_faces(grid, dom)
+    data = make_data(face.points, _fine_spacing(grid), grid.dt)
+    return solve_probe_final(A, dom, {face.key: data}, grid, [pole.X])[0]
 
 
 def caloric_measure(A: CoefficientField, dom: GraphDomain,
@@ -227,9 +236,13 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
     """Measure of a boundary cube seen from an interior pole.
 
     Solves with the mollified indicator of the cube as lateral data and
-    evaluates at the pole; a second column at half mollification brings a
-    smoothing-error bound, and an optional margin-doubled re-solve bounds
-    the truncation error.
+    evaluates at the pole; a second column at half mollification gives
+    smoothing_error = |value - value_half|, and an optional margin-doubled
+    re-solve bounds the truncation error.  When the cube's edges sit on
+    cell faces and time levels (as on the measure grids of the sweep's
+    cubes), both widths sample the same data values, so smoothing_error is
+    0 up to roundoff.  That is the true smoothing error, not a bound on the
+    discretization error.
     """
     r = cube.side
     if cube.center_t - r * r >= pole.t:
@@ -381,7 +394,8 @@ def _green_grid(pole: ParabolicPoint, horizon: float, extra_pts,
     lam_core = np.ceil(lam_core / h_lam) * h_lam
     faces.append(graded_axis(0.0, lam_core, h_lam, 0.0, lam_core + margin))
     nt = max(16, int(np.ceil(horizon / dt)))
-    return SpaceTimeGrid.from_faces(faces, pole.t, pole.t + horizon, nt)
+    return _capped(SpaceTimeGrid.from_faces(faces, pole.t, pole.t + horizon,
+                                            nt), cfg)
 
 
 def greens_function(A: CoefficientField, dom: GraphDomain,

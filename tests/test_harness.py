@@ -194,3 +194,18 @@ class TestCli:
                    "--name", "homog"])
         assert os.path.exists(os.path.join(str(tmp_path), "homog.json"))
         assert rc in (0, 1)   # monotonicity not asserted at toy resolution
+
+    def test_sweep_command(self, tmp_path):
+        from parahom.cli import main
+
+        cfg = {"r_list": [0.5], "outdir": str(tmp_path),
+               "diagnostics": ["harnack"]}       # a key old configs carry
+        rc = main(["sweep", "--config", json.dumps(cfg), "--name", "sw"])
+        assert rc == 0
+        rep = load_report(os.path.join(str(tmp_path), "sw.json"))
+        assert rep["kind"] == "sweep_report"
+        assert "diagnostics" not in rep["config"]
+        checks = [r["check"] for r in rep["rows"]]
+        assert "caloric-measure-oracle" in checks
+        assert checks.count("localsolv") == 1
+        assert all(r["passed"] and "runtime" not in r for r in rep["rows"])

@@ -3,11 +3,12 @@ import pytest
 
 from parahom.coeffs import preset, scale_field
 from parahom.geometry import GraphDomain, LipschitzCylinder
-from parahom.maximal import (BoundaryField, lateral_norm_cylinder,
-                             lp_boundary_norm, nontangential_max,
-                             nontangential_max_cylinder, solvability_constant,
-                             truncated_vertical_max)
-from parahom.pde import BoundaryData, ScalarField, halfspace, solve_dirichlet
+from parahom.maximal import (BoundaryField, boundary_data_norm,
+                             lateral_norm_cylinder, lp_boundary_norm,
+                             nontangential_max, nontangential_max_cylinder,
+                             solvability_constant, truncated_vertical_max)
+from parahom.pde import (BoundaryData, ScalarField, SpaceTimeGrid, halfspace,
+                         solve_dirichlet)
 
 HALF = GraphDomain(m=0.0, box=((-4.0, 4.0),))
 
@@ -197,7 +198,41 @@ class TestSolvabilityConstant:
         assert max(ratios) / min(ratios) <= 1.25
 
 
+UNIT_SQUARE = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=0.5)
+
+
+class TestDataNorm:
+    def test_constant_data_on_cylinder(self):
+        g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (24, 24), 0.0, 0.5, 24)
+        f = BoundaryData(lambda pts, t: np.full(len(pts), ramp(t)))
+        for p in (1.5, 2.0, 3.0):
+            exact = (4 * g.dt * sum(ramp(t) ** p for t in g.times())) ** (1 / p)
+            assert boundary_data_norm(f, UNIT_SQUARE, g, p) == \
+                pytest.approx(exact, rel=1e-12)
+
+    def test_graph_surface_measure(self):
+        slope = GraphDomain(m=0.5, box=((-4.0, 4.0),),
+                            phi=lambda x: 0.5 * np.asarray(x)[..., 0])
+        g = grid()
+        for p in (1.5, 2.0, 3.0):
+            flat = boundary_data_norm(bump(), HALF, g, p)
+            assert boundary_data_norm(bump(), slope, g, p) == pytest.approx(
+                1.25 ** (1 / (2 * p)) * flat, rel=1e-12)
+
+
 class TestCylinderCones:
+    def test_cones_stop_at_chart_height(self):
+        g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (24, 24), 0.0, 0.5, 24)
+        vals = np.zeros((g.nt + 1,) + g.shape)
+        vals[:, :, 0] = 1.0                 # bottom cell layer, face (1, 0)
+        fields = nontangential_max_cylinder(ScalarField(g, vals), 1.0,
+                                            UNIT_SQUARE)
+        mid = g.shape[1] // 2
+        assert np.all(fields[(1, 1)].values == 0.0)
+        assert np.all(fields[(0, 0)].values[:, mid] == 0.0)
+        assert np.all(fields[(0, 1)].values[:, mid] == 0.0)
+        assert np.all(fields[(1, 0)].values == 1.0)
+
     def test_per_face_fields(self):
         dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=0.5)
         from parahom.pde import SpaceTimeGrid

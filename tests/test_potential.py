@@ -62,6 +62,11 @@ class TestCaloricMeasure:
         with pytest.raises(ValueError, match="cells"):
             caloric_measure(A_CONST, HALF, shallow, CUBE, CFG)
 
+    def test_grid_size_capped(self):
+        with pytest.raises(ValueError, match="max_cells_per_axis = 32"):
+            caloric_measure(A_CONST, HALF, POLE, CUBE,
+                            PotentialConfig(max_cells_per_axis=32))
+
     def test_monotone_in_cube(self):
         small = caloric_measure(A_CONST, HALF, POLE, CUBE, CFG).value
         large = caloric_measure(A_CONST, HALF, POLE, CUBE.scaled(1.5), CFG).value
