@@ -12,7 +12,12 @@ structure makes the discrete energy identity alpha . Abar alpha =
 <(grad w)^T A grad w> exact up to solver tolerance, keeps Abar symmetric
 for symmetric A, and reproduces 1-d laminates exactly whenever the
 material interfaces fall on element boundaries.  The linear systems are
-solved by Jacobi-preconditioned CG on the mean-zero subspace.
+solved by CG on the mean-zero subspace, preconditioned by the circulant Q1
+stiffness of one constant reference matrix A0 on the same grid, inverted by
+real FFTs (the discrete Galerkin form of FFT homogenization, Moulinec and
+Suquet 1998).  Element by element the two stiffness energies stay within the
+eigenvalue bounds of A relative to A0 whatever the mesh size, so the CG
+iteration count does not grow with N.
 
 The d corrector solves are independent and may run concurrently; each
 solve touches only its own state.
@@ -157,17 +162,19 @@ class CorrectorField:
 
 @dataclass(frozen=True)
 class EffectiveMatrix:
+    """Abar with the CG relative residual and iteration count per direction."""
+
     Abar: np.ndarray
     resolution: int
     residuals: np.ndarray
+    iterations: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.Abar, dtype=float)
-        M.flags.writeable = False
-        object.__setattr__(self, "Abar", M)
-        r = np.asarray(self.residuals, dtype=float)
-        r.flags.writeable = False
-        object.__setattr__(self, "residuals", r)
+        for name, dtype in (("Abar", float), ("residuals", float),
+                            ("iterations", int)):
+            a = np.asarray(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 def _unit_periodize(A: CoefficientField) -> CoefficientField:
@@ -191,15 +198,38 @@ def _prepared(A: CoefficientField, N: int, periodicity_tol: float):
     return A, 50 * N * max(1, A.d - 1)
 
 
-def _solve_one(S, b, tol, itmax):
-    diag = S.diagonal()
-    diag[diag <= 0] = 1.0
-    inv = 1.0 / diag
-    ones = np.ones(S.shape[0])
+def _reference_inverse(Avals: np.ndarray, N: int):
+    """r -> K0^+ r for the circulant Q1 stiffness K0 of the reference A0.
+
+    Row i of K0 is the stencil x -> sum_off s[off] x[i + off], where s[off]
+    sums the element matrix entries Ke[a, b] with c_b - c_a = off.  A0 is
+    symmetric, so s is even and its FFT (the symbol) is real.  The symbol
+    vanishes only on the constant mode, which the pseudo-inverse drops.
+    """
+    d = Avals.shape[-1]
+    corners, G, _ = _q1_reference(d)
+    A0 = Avals.mean(axis=0)
+    A0 = 0.5 * (A0 + A0.T)
+    Ke = (1.0 / N) ** (d - 2) * np.einsum("kl,klab->ab", A0, G)
+    shape = (N,) * d
+    axes = tuple(range(d))
+    stencil = np.zeros(shape)
+    for a, ca in enumerate(corners):
+        for b, cb in enumerate(corners):
+            stencil[tuple(np.subtract(cb, ca) % N)] += Ke[a, b]
+    symbol = np.fft.rfftn(stencil, axes=axes).real
+    symbol.flat[0] = np.inf
+
+    def apply(r):
+        z = np.fft.rfftn(r.reshape(shape), axes=axes) / symbol
+        return np.fft.irfftn(z, s=shape, axes=axes).reshape(-1)
+    return apply
+
+
+def _solve_one(S, b, precond, tol, itmax):
     x, its, relres = pcg(lambda v: S @ v, b, tol=tol, maxiter=itmax,
-                         precond=lambda r: inv * r, deflate=ones)
-    x = x - x.mean()
-    return x, relres
+                         precond=precond, deflate=np.ones(S.shape[0]))
+    return x - x.mean(), its, relres
 
 
 def solve_corrector(A: CoefficientField, alpha, N: int, tol: float = 1e-10,
@@ -209,9 +239,9 @@ def solve_corrector(A: CoefficientField, alpha, N: int, tol: float = 1e-10,
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (A.d,):
         raise ValueError(f"alpha must be a vector in R^{A.d}")
-    S, loads, corner_nodes, _ = _assemble(A, N)
-    b = alpha @ loads
-    x, relres = _solve_one(S, b, tol, itmax)
+    S, loads, _, Avals = _assemble(A, N)
+    x, _, relres = _solve_one(S, alpha @ loads, _reference_inverse(Avals, N),
+                              tol, itmax)
     return CorrectorField(alpha, x.reshape((N,) * A.d), N, relres)
 
 
@@ -221,17 +251,19 @@ def effective_matrix(A: CoefficientField, N: int, tol: float = 1e-10,
     A, itmax = _prepared(A, N, periodicity_tol)
     d = A.d
     S, loads, corner_nodes, Avals = _assemble(A, N)
+    precond = _reference_inverse(Avals, N)
     AT = np.swapaxes(Avals, -1, -2)
     Abar_T = np.zeros((d, d))
     residuals = np.zeros(d)
+    iterations = np.zeros(d, dtype=int)
     for j in range(d):
-        chi, relres = _solve_one(S, loads[j], tol, itmax)
-        residuals[j] = relres
+        chi, iterations[j], residuals[j] = _solve_one(S, loads[j], precond,
+                                                      tol, itmax)
         grad = _element_avg_gradient(chi, corner_nodes, d, N)
         grad[:, j] += 1.0
         flux = np.einsum("ekl,el->ek", AT, grad)
         Abar_T[:, j] = flux.mean(axis=0)
-    return EffectiveMatrix(Abar_T.T, N, residuals)
+    return EffectiveMatrix(Abar_T.T, N, residuals, iterations)
 
 
 def voigt_reuss_bounds(A: CoefficientField, N: int):

@@ -9,7 +9,7 @@ across concurrent workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -197,17 +197,16 @@ class GraphDomain:
     """Region above a Lipschitz graph, D = {(x, t, lam): lam > phi(x)}.
 
     The time direction is free (unbounded cylinder); the lateral boundary is
-    {lam = phi(x)}.  phi is kept both as the original evaluator (when given
-    in closed form) and tabulated on a uniform grid over `box`, where the
-    Lipschitz bound |phi(x) - phi(y)| <= m |x - y| is verified on all
-    neighboring grid-point pairs.
+    {lam = phi(x)}.  phi is a vectorized evaluator, or None for the flat
+    graph phi = 0.  At construction phi is sampled on a uniform grid over
+    `box`, and the Lipschitz bound |phi(x) - phi(y)| <= m |x - y| is
+    verified on all neighboring grid-point pairs.
     """
 
     m: float
     box: tuple                      # ((lo, hi), ...) one pair per x-axis
     phi: Optional[Callable] = None  # closed-form evaluator, vectorized
     table_resolution: int = 257
-    _table: _TabulatedFunction = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.m < 0:
@@ -224,7 +223,6 @@ class GraphDomain:
             pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
             vals = np.asarray(self.phi(pts), dtype=float).reshape(
                 [g.size for g in grids])
-        object.__setattr__(self, "_table", _TabulatedFunction(grids, vals))
         self._check_lipschitz(grids, vals)
 
     def _check_lipschitz(self, grids, vals):
@@ -248,9 +246,9 @@ class GraphDomain:
         x = np.asarray(x, dtype=float)
         if self.n == 1 and x.ndim == 1:
             x = x[:, None]
-        if self.phi is not None:
-            return np.asarray(self.phi(x), dtype=float)
-        return self._table(x if self.n > 1 else x[..., 0])
+        if self.phi is None:
+            return np.zeros(x.shape[:-1])
+        return np.asarray(self.phi(x), dtype=float)
 
     def grad_phi(self, x, h: Optional[float] = None) -> np.ndarray:
         """Gradient of phi by central differences, one-sided at box edges."""
@@ -303,9 +301,8 @@ class LipschitzCylinder:
     """Bounded cylinder Omega x (0, T) with a box base.
 
     The base is an axis-aligned box, the simplest Lipschitz domain; each face
-    is a trivial (m=0, r0=min side/2) chart.  `charts` carries the per-face
-    chart metadata so that lateral-boundary machinery can treat each side as
-    a local graph with phi = 0.
+    is a trivial (m=0, r0=min side/2) chart; `pde.lateral_faces` lists the
+    faces.
     """
 
     base_box: tuple     # ((lo, hi), ...) one pair per spatial axis, d entries
@@ -329,14 +326,6 @@ class LipschitzCylinder:
     @property
     def r0(self) -> float:
         return 0.5 * min(hi - lo for lo, hi in self.base_box)
-
-    def charts(self):
-        """Per-face (axis, side, m, r0) chart descriptors; phi = 0 for a box."""
-        out = []
-        for axis in range(self.d):
-            for side in ("lo", "hi"):
-                out.append({"axis": axis, "side": side, "m": 0.0, "r0": self.r0})
-        return out
 
     @classmethod
     def from_json(cls, spec) -> "LipschitzCylinder":

@@ -26,8 +26,8 @@ from .maximal import (boundary_data_norm, lateral_norm_cylinder,
                       nontangential_max_cylinder)
 from .oracles import halfspace_kernel_cell_average, halfspace_measure
 from .pde import BoundaryData, SpaceTimeGrid, solve_dirichlet
-from .potential import (PotentialConfig, caloric_measure, caloric_measure_field,
-                        doubling_ratio, kernel_estimate,
+from .potential import (PotentialConfig, _capped, caloric_measure,
+                        caloric_measure_field, doubling_ratio, kernel_estimate,
                         local_solvability_ratio, reverse_holder_ratio)
 
 __all__ = [
@@ -408,7 +408,8 @@ def local_solvability_at_scale(A: CoefficientField, r: float,
     t_hi = 16.5 * r * r
     shape = (int(np.ceil((hi[0] - lo[0]) / h)), int(np.ceil(height / h)))
     nt = int(np.ceil((t_hi - t_lo) / dt))
-    grid = SpaceTimeGrid(lo + (0.0,), hi + (height,), shape, t_lo, t_hi, nt)
+    grid = _capped(SpaceTimeGrid(lo + (0.0,), hi + (height,), shape,
+                                 t_lo, t_hi, nt), pot_cfg)
     dom = GraphDomain(m=0.0, box=((lo[0], hi[0]),))
     data_cube = ParabolicCube(np.asarray([data_offset * r]), -16.0 * r * r, r)
     u = caloric_measure_field(A, dom, data_cube, grid)

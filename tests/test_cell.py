@@ -5,6 +5,7 @@ from parahom.cell import (CorrectorField, effective_matrix, grid_convergence,
                           solve_corrector, voigt_reuss_bounds,
                           _element_avg_gradient, _assemble, _q1_reference)
 from parahom.coeffs import CoefficientField, preset, scale_field
+from parahom.linalg import pcg
 
 
 def laminate_profile_midpoint(N, a_low=1.0, a_high=4.0, lo=0.25, hi=0.75):
@@ -187,3 +188,36 @@ def test_three_dimensional_cell():
     assert em.Abar[0, 0] == pytest.approx(1.0 / np.mean(1.0 / a), rel=1e-9)
     assert em.Abar[1, 1] == pytest.approx(np.mean(a), rel=1e-9)
     assert em.Abar[2, 2] == pytest.approx(np.mean(a), rel=1e-9)
+
+
+def test_iterations_independent_of_resolution():
+    counts = [effective_matrix(preset("checker", d=2), N).iterations
+              for N in (32, 64, 128)]
+    counts = np.concatenate(counts)
+    assert counts.max() <= 30
+    assert counts.max() - counts.min() <= 3
+
+
+def _jacobi_effective_matrix(A, N, tol):
+    """Abar from Jacobi-PCG on the same assembled system."""
+    d = A.d
+    S, loads, corner_nodes, Avals = _assemble(A, N)
+    inv = 1.0 / S.diagonal()
+    AT = np.swapaxes(Avals, -1, -2)
+    Abar_T = np.zeros((d, d))
+    for j in range(d):
+        chi, _, _ = pcg(lambda v: S @ v, loads[j], tol=tol, maxiter=100 * N,
+                        precond=lambda r: inv * r, deflate=np.ones(N ** d))
+        grad = _element_avg_gradient(chi - chi.mean(), corner_nodes, d, N)
+        grad[:, j] += 1.0
+        Abar_T[:, j] = np.einsum("ekl,el->ek", AT, grad).mean(axis=0)
+    return Abar_T.T
+
+
+@pytest.mark.parametrize("name,d,N", [("checker", 2, 64), ("trig", 3, 16)],
+                         ids=["checker-d2-N64", "trig-d3-N16"])
+def test_matches_jacobi_reference(name, d, N):
+    A = preset(name, d=d)
+    em = effective_matrix(A, N, tol=1e-12)
+    ref = _jacobi_effective_matrix(A, N, tol=1e-12)
+    assert np.abs(em.Abar - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -10,7 +10,8 @@ from parahom.harness import (ConvergenceReport, ExperimentConfig, SweepReport,
                              data_from_json, default_compact_subcylinder,
                              domain_from_json, emit_report,
                              homogenization_experiment, load_report,
-                             q_decay_constant, solvability_sweep)
+                             local_solvability_at_scale, q_decay_constant,
+                             solvability_sweep)
 from parahom.potential import PotentialConfig
 
 
@@ -114,6 +115,12 @@ class TestSweep:
         p2 = emit_report(rep2, "json", str(tmp_path), "s2")[0]
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_local_solvability_grid_is_capped(self):
+        # r = 4 gives 224 x cells, above the cap, so it fails before solving
+        pot = PotentialConfig(max_cells_per_axis=64)
+        with pytest.raises(ValueError, match="max_cells_per_axis"):
+            local_solvability_at_scale(preset("trig", d=2), 4.0, pot)
 
     def test_empty_report_valid(self, tmp_path):
         rep = SweepReport(rows=[], config={"note": "empty"})
