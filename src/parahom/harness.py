@@ -290,11 +290,9 @@ def solvability_sweep(cfg: ExperimentConfig,
                      rel <= 0.05))
 
     dres = doubling_ratio(A1, halfspace_dom, pole, cube, pot_cfg)
-    o_r = halfspace_measure(pole.X[:-1], pole.X[-1], pole.t, cube.center_x,
-                            cube.center_t, cube.side)
     o_2r = halfspace_measure(pole.X[:-1], pole.X[-1], pole.t, cube.center_x,
                              cube.center_t, 2 * cube.side)
-    rel = abs(dres.ratio - o_2r / o_r) / (o_2r / o_r)
+    rel = abs(dres.ratio - o_2r / oracle) / (o_2r / oracle)
     rows.append(_row("doubling-oracle", A1.label, "halfspace",
                      {"r": cube.side}, rel, None, rel <= 0.05))
 

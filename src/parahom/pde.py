@@ -9,13 +9,14 @@ enter through boundary-face fluxes; artificial truncation faces of
 half-space runs carry homogeneous data.
 
 Every field solve runs through one forward stepper, `_march`: backward-Euler
-steps of a fixed size, one sparse LU factorization per call (well below the
-1e-10 relative-residual contract), with any number of data columns at once.
-Probe values at the final time (`solve_probe_final`) come from the transposed
-march of the same step matrix, the exact discrete adjoint: it needs one
-solve per step for each probe, however many data columns there are, and no
-symmetry of the operator.  Boundary data enters as per-face-group callables,
-checked once for a shared column count and for vanishing at the initial time.
+steps of a fixed size from a flat state, one sparse LU factorization per call
+(well below the 1e-10 relative-residual contract).  Boundary data enters as
+per-face-group callables, checked once for vanishing at the initial time.
+Probe values at the final time come from `adjoint_trace`, the transposed
+march of the same step matrix, the exact discrete adjoint: it records the
+discrete caloric kernel of the probes on one face group (one solve per step
+for each probe, and no symmetry of the operator), so the final probe values
+of any data on that face are a sum of the kernel against the data.
 
 The scheme uses distance-weighted harmonic face averaging for the diagonal
 part of A (exact for laminates aligned with faces) and centered tangential
@@ -48,7 +49,7 @@ __all__ = [
     "composite_axis",
     "solve_dirichlet",
     "solve_impulse",
-    "solve_probe_final",
+    "adjoint_trace",
     "rescale_solution",
     "nt_trace_ratio",
     "NTTrace",
@@ -536,32 +537,13 @@ def lateral_faces(grid: SpaceTimeGrid, dom) -> list:
     return faces
 
 
-def _data_columns(op: _Operator, dom, data) -> dict:
-    """Per-face-group data callables t -> values, keyed by (axis, side).
-
-    `data` is either a {(axis, side): fn} dict, taken as given, or a
-    BoundaryData bound to the data points of `lateral_faces(grid, dom)`.
-    """
-    if isinstance(data, dict):
-        return data
-    return {face.key: partial(data, face.points)
-            for face in lateral_faces(op.grid, dom)}
-
-
-def _check_columns(columns: dict, t0: float) -> int:
-    """Shared column count of the data groups; each must vanish at t0."""
-    ncols = None
-    for key, fn in columns.items():
-        v = np.asarray(fn(t0), dtype=float)
-        cols = 1 if v.ndim == 1 else v.shape[1]
-        if ncols is not None and cols != ncols:
-            raise ValueError("all data groups must share the column count")
-        ncols = cols
-        if v.size and np.abs(v).max() > _COMPAT_TOL:
-            raise IncompatibleDataError(
-                f"data must vanish at the initial time t0={t0}; "
-                f"max |f| = {np.abs(v).max():.3e} on face {key}")
-    return ncols or 1
+def _check_vanishing(values, t0: float, where: str) -> None:
+    """Data values at the initial time t0 must vanish (compatibility)."""
+    v = np.abs(np.asarray(values, dtype=float))
+    if v.size and v.max() > _COMPAT_TOL:
+        raise IncompatibleDataError(
+            f"data must vanish at the initial time t0={t0}; "
+            f"max |f| = {v.max():.3e} on {where}")
 
 
 def _factor(op: _Operator, dt: float):
@@ -570,35 +552,26 @@ def _factor(op: _Operator, dt: float):
     return mass, spla.splu((sp.diags(mass) + op.S).tocsc())
 
 
-def _face_data(op: _Operator, columns: Optional[dict], t: float):
-    """(group, values (faces, ncols)) for each face group with data at t."""
-    for g in op.groups:
-        fn = columns.get((g.axis, g.side)) if columns else None
-        if fn is not None:
-            gv = np.asarray(fn(t), dtype=float)
-            yield g, gv[:, None] if gv.ndim == 1 else gv
-
-
 def _march(op: _Operator, u, dt: float, nsteps: int, t0: float,
-           columns: Optional[dict] = None, record=None) -> np.ndarray:
-    """Backward-Euler steps of size dt from state u at time t0.
+           data: dict, record) -> np.ndarray:
+    """Backward-Euler steps of size dt from the flat state u at time t0.
 
-    u has shape (ncells, ncols).  The step matrix is factorized once per
-    call.  columns maps face-group keys to callables t -> (faces,) or
-    (faces, ncols); groups without an entry carry zero data.  After each
-    step, record(step, u, gvals) sees the new level and the data values
-    applied, keyed like columns.  Returns the last state.
+    The step matrix is factorized once per call.  data maps face-group keys
+    (axis, side) to callables t -> (faces,); groups without an entry carry
+    zero data.  After each step, record(step, u, gvals) sees the new level
+    and the data values applied, keyed like data.  Returns the last state.
     """
     mass, lu = _factor(op, dt)
     for step in range(1, nsteps + 1):
-        rhs = mass[:, None] * u
+        rhs = mass * u
         gvals = {}
-        for g, gv in _face_data(op, columns, t0 + step * dt):
-            rhs[g.cells] += g.weights[:, None] * gv
-            gvals[(g.axis, g.side)] = gv
+        for g in op.groups:
+            key = (g.axis, g.side)
+            if key in data:
+                gvals[key] = np.asarray(data[key](t0 + step * dt), dtype=float)
+                rhs[g.cells] += g.weights * gvals[key]
         u = lu.solve(rhs)
-        if record is not None:
-            record(step, u, gvals)
+        record(step, u, gvals)
     return u
 
 
@@ -649,23 +622,27 @@ def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
                  u0: np.ndarray, extra=None) -> ScalarField:
     """Full-field march from the flat state u0; f = None is zero data.
 
-    The data applied on the bottom face is recorded as meta["bottom_data"].
+    f is bound to the data points of `lateral_faces(grid, dom)`.  The data
+    applied on the bottom face is recorded as meta["bottom_data"].
     """
     op = _assemble(_field_for(dom, A), grid)
-    columns = _data_columns(op, dom, f if f is not None else BoundaryData.zero())
-    _check_columns(columns, grid.t0)
+    bound = f if f is not None else BoundaryData.zero()
+    data = {face.key: partial(bound, face.points)
+            for face in lateral_faces(grid, dom)}
+    for key, fn in data.items():
+        _check_vanishing(fn(grid.t0), grid.t0, f"face {key}")
     out = np.empty((grid.nt + 1, grid.ncells))
     out[0] = u0
     key = (grid.d - 1, 0)
     bottom = np.zeros((grid.nt + 1, grid.ncells // grid.shape[-1])) \
-        if key in columns else None
+        if key in data else None
 
     def record(step, u, gvals):
-        out[step] = u[:, 0]
+        out[step] = u
         if bottom is not None:
-            bottom[step] = gvals[key][:, 0]
+            bottom[step] = gvals[key]
 
-    _march(op, u0[:, None], grid.dt, grid.nt, grid.t0, columns, record)
+    _march(op, u0, grid.dt, grid.nt, grid.t0, data, record)
     meta = _meta_for(dom, A, f, grid, extra)
     if bottom is not None:
         meta["bottom_data"] = bottom
@@ -690,62 +667,56 @@ def solve_dirichlet(A: CoefficientField, dom, f: BoundaryData,
     return _solve_field(A, dom, f, grid, np.zeros(grid.ncells))
 
 
-def solve_probe_final(A: CoefficientField, dom, data_columns,
-                      grid: SpaceTimeGrid, probes) -> np.ndarray:
-    """Probe values at t1 for a batch of data columns, by the adjoint march.
+def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid, probes,
+                  key) -> np.ndarray:
+    """Discrete caloric kernel of probe points on one face group.
 
     From zero initial data the forward march M u_k = D u_{k-1} + B g_k
     (D the mass diagonal, B the boundary-face transmissibilities) read at
     t1 through the interpolation weights P is  P u_N = sum_k w_k^T B g_k,
     with w_N = M^-T P^T and w_{k-1} = M^-T D w_k.  Marching w backward takes
-    one transposed solve per step with one column per probe, however many
-    data columns there are, and gives the forward values up to roundoff on
-    any step matrix, symmetric or not.  Returns shape (nprobes, ncols).
+    one transposed solve per step with one column per probe and needs no
+    symmetry of the step matrix.  Returns K of shape (nt, faces, nprobes)
+    with K[k-1] = B w_k on the face group key = (axis, side), faces in the
+    order of the `lateral_faces` data points: for data g on that face alone,
+    P u_N = sum_k K[k-1]^T g(t_k) up to roundoff.
     """
     op = _assemble(_field_for(dom, A), grid)
-    columns = _data_columns(op, dom, data_columns)
+    g, = (g for g in op.groups if (g.axis, g.side) == tuple(key))
     z = _probe_weights(grid, probes).T.toarray()
-    out = np.zeros((z.shape[1], _check_columns(columns, grid.t0)))
+    out = np.empty((grid.nt, g.cells.size, z.shape[1]))
     mass, lu = _factor(op, grid.dt)
     for step in range(grid.nt, 0, -1):
         w = lu.solve(z, trans="T")
-        for g, gv in _face_data(op, columns, grid.t0 + step * grid.dt):
-            out += (g.weights[:, None] * w[g.cells]).T @ gv
+        out[step - 1] = g.weights[:, None] * w[g.cells]
         z = mass[:, None] * w
     return out
 
 
 def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,
-                  grid: SpaceTimeGrid, mollify_cells: int = 1,
+                  grid: SpaceTimeGrid,
                   f: Optional[BoundaryData] = None) -> ScalarField:
     """Propagate a unit point mass released at (pole_X, pole_t).
 
-    The impulse is a discrete delta: total mass one spread over a block of
-    mollify_cells^d cells around the pole (1 by default), normalized by its
-    volume.  Lateral data defaults to zero and, like any Dirichlet data,
-    must vanish at grid.t0, which must equal pole_t.
+    The impulse is a discrete delta: 1/volume on the cell nearest the pole.
+    Lateral data defaults to zero and, like any Dirichlet data, must vanish
+    at grid.t0, which must equal pole_t.
     """
     if abs(grid.t0 - pole_t) > 1e-12 * max(1.0, abs(pole_t)):
         raise ValueError("grid must start at the pole time")
     pole_X = np.atleast_1d(np.asarray(pole_X, dtype=float))
-    d = grid.d
     idx = []
-    for k in range(d):
+    for k in range(grid.d):
         c = grid.axis_centers(k)
         i = int(np.argmin(np.abs(c - pole_X[k])))
         if i == 0 or i == grid.shape[k] - 1:
             raise ValueError("pole must be interior to the grid box")
         idx.append(i)
+    idx = tuple(idx)
     u0 = np.zeros(grid.shape)
-    sl = tuple(slice(i - (mollify_cells - 1) // 2,
-                     i + mollify_cells // 2 + 1) for i in idx)
-    u0[sl] = 1.0
-    vols = grid.cell_volumes().reshape(grid.shape)
-    total = float((u0 * vols).sum())
-    u0 /= total
+    u0[idx] = 1.0 / grid.cell_volumes().reshape(grid.shape)[idx]
     return _solve_field(A, dom, f, grid, u0.reshape(-1),
-                        {"pole_X": pole_X.tolist(), "pole_t": pole_t,
-                         "impulse_cells": mollify_cells})
+                        {"pole_X": pole_X.tolist(), "pole_t": pole_t})
 
 
 def rescale_solution(u: ScalarField, eps: float,

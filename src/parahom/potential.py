@@ -3,12 +3,14 @@ diagnostic battery: doubling, reverse Holder, local solvability, Harnack,
 comparison, Green-measure equivalence, positivity floors.
 
 Conventions.  The Green field is propagated forward from a discrete unit
-impulse at the pole time.  Measures are the pole values of the solve with
-a mollified indicator (width one grid cell) as lateral data; halving the
-mollification bounds the smoothing error.  Kernel densities are sub-cube
-measure ratios.  Pole values come from the transposed step matrix, the
-exact discrete adjoint of the forward march, which needs no symmetry of
-the operator (flattened graph domains do not give one).
+impulse at the pole time.  Each pole diagnostic reads one discrete caloric
+kernel: the adjoint trace of the pole on the bottom face of its measure
+grid (`pde.adjoint_trace`, the transposed step matrix, which needs no
+symmetry of the operator; flattened graph domains do not give one).  The
+measure of separable lateral data pt(t) px(x) is then pt^T K px: measures
+take the mollified indicator of a cube (width one grid cell and one time
+step), and halving the mollification bounds the smoothing error; kernel
+densities are sub-cube measure ratios from tent partitions of the cube.
 Admissibility windows are enforced as preconditions with explicit margins;
 inadmissible exploratory runs are allowed but watermarked in the results.
 
@@ -22,16 +24,16 @@ cubes can run concurrently since all shared inputs are immutable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .coeffs import CoefficientField
 from .geometry import GraphDomain, ParabolicCube, ParabolicPoint, parabolic_norm
-from .pde import (BoundaryData, ScalarField, SpaceTimeGrid, graded_axis,
-                  lateral_faces, nt_trace_ratio, solve_dirichlet,
-                  solve_impulse, solve_probe_final)
+from .pde import (BoundaryData, ScalarField, SpaceTimeGrid, _check_vanishing,
+                  adjoint_trace, graded_axis, lateral_faces, nt_trace_ratio,
+                  solve_dirichlet, solve_impulse)
 
 __all__ = [
     "PotentialConfig",
@@ -95,19 +97,22 @@ def _interval_profile(s, a, b, w):
     return _edge_profile(s, a, w, True) * _edge_profile(s, b, w, False)
 
 
-def _cube_column(cube: ParabolicCube, w_x, w_t):
-    """Mollified-indicator evaluator (points, t) -> values for one cube."""
-    def fn(pts, t):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        val = np.ones(pts.shape[0])
-        for k in range(cube.center_x.size):
-            a = cube.center_x[k] - cube.side
-            b = cube.center_x[k] + cube.side
-            val = val * _interval_profile(pts[:, k], a, b, w_x)
-        tt = _interval_profile(np.asarray([t]), cube.center_t - cube.side ** 2,
-                               cube.center_t + cube.side ** 2, w_t)[0]
-        return val * tt
-    return fn
+def _cube_profiles(cube: ParabolicCube, pts, t, w_x, w_t):
+    """Mollified indicator of a cube as separable profiles (px, pt).
+
+    px has one value per point (rows of pts), pt one per time in t (a
+    scalar for a scalar t); the indicator at (pts[i], t[k]) is px[i] * pt[k].
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    px = np.ones(pts.shape[0])
+    for k in range(cube.center_x.size):
+        a = cube.center_x[k] - cube.side
+        b = cube.center_x[k] + cube.side
+        px = px * _interval_profile(pts[:, k], a, b, w_x)
+    pt = _interval_profile(np.asarray(t, dtype=float),
+                           cube.center_t - cube.side ** 2,
+                           cube.center_t + cube.side ** 2, w_t)
+    return px, pt
 
 
 def _partition_edges(a, b, m):
@@ -214,20 +219,46 @@ def _fine_spacing(grid: SpaceTimeGrid) -> float:
     return float(min(grid.axis_spacings(k).min() for k in range(grid.d - 1)))
 
 
-def _pole_values(A, dom, pole: ParabolicPoint, cube: ParabolicCube,
-                 cfg: PotentialConfig, make_data) -> np.ndarray:
-    """Pole values of the solves whose bottom-face data make_data builds.
+class _PoleKernel(NamedTuple):
+    """Discrete caloric kernel of one pole on the bottom face of its grid.
 
-    The grid is the measure grid of `cube`.  make_data(pts, w_x, w_t) gets
-    the bottom-face points and the mollification widths (one fine cell, one
-    time step) and returns t -> data of shape (faces, ncols); the result
-    has shape (ncols,).
+    K[k-1, f] is the pole value of unit data on bottom-face cell f at time
+    level k, so the pole value of lateral data g is sum K * g.  x holds the
+    face points (faces, n), t all nt + 1 time levels (t[0] the initial
+    time), and w_x, w_t the mollification widths: one fine cell, one step.
     """
+
+    K: np.ndarray
+    x: np.ndarray
+    t: np.ndarray
+    w_x: float
+    w_t: float
+
+    def mass(self, pt, px):
+        """pt[1:]^T K px for time profiles pt on t and face profiles px.
+
+        pt has shape (nt + 1, ...) and must vanish at t[0], like any
+        Dirichlet data of the march.  The face sum runs first, per level.
+        """
+        _check_vanishing(pt[0], self.t[0], "the time profile")
+        return pt[1:].T @ (self.K @ px)
+
+    def cube_mass(self, cube: ParabolicCube, scale: float = 1.0) -> float:
+        """Measure of the cube's indicator mollified by scale x (w_x, w_t)."""
+        px, pt = _cube_profiles(cube, self.x, self.t, scale * self.w_x,
+                                scale * self.w_t)
+        return float(self.mass(pt, px))
+
+
+def _pole_kernel(A, dom, pole: ParabolicPoint, cube: ParabolicCube,
+                 cfg: PotentialConfig) -> _PoleKernel:
+    """The pole's kernel on the measure grid of `cube`: one adjoint march."""
     grid = _measure_grid(pole, cube, cfg)
     _require_pole_clearance(grid, pole)
     face, = lateral_faces(grid, dom)
-    data = make_data(face.points, _fine_spacing(grid), grid.dt)
-    return solve_probe_final(A, dom, {face.key: data}, grid, [pole.X])[0]
+    K = adjoint_trace(A, dom, grid, [pole.X], face.key)[..., 0]
+    return _PoleKernel(K, face.points, grid.times(), _fine_spacing(grid),
+                       grid.dt)
 
 
 def caloric_measure(A: CoefficientField, dom: GraphDomain,
@@ -235,11 +266,12 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
                     cfg: PotentialConfig = DEFAULT_CONFIG) -> MeasureEstimate:
     """Measure of a boundary cube seen from an interior pole.
 
-    Solves with the mollified indicator of the cube as lateral data and
-    evaluates at the pole; a second column at half mollification gives
-    smoothing_error = |value - value_half|, and an optional margin-doubled
-    re-solve bounds the truncation error.  When the cube's edges sit on
-    cell faces and time levels (as on the measure grids of the sweep's
+    The pole's kernel on the measure grid of the cube, paired with the
+    mollified indicator of the cube, gives the value; the indicator at half
+    mollification on the same kernel gives smoothing_error =
+    |value - value_half|, and with cfg.truncation_check the kernel on a
+    margin-doubled grid bounds the truncation error.  When the cube's edges
+    sit on cell faces and time levels (as on the measure grids of the sweep's
     cubes), both widths sample the same data values, so smoothing_error is
     0 up to roundoff.  That is the true smoothing error, not a bound on the
     discretization error.
@@ -248,29 +280,29 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
     if cube.center_t - r * r >= pole.t:
         return MeasureEstimate(0.0, pole, cube, 0.0, 0.0, ("causal-zero",))
 
-    def make_data(pts, w_x, w_t):
-        full = _cube_column(cube, w_x, w_t)
-        half = _cube_column(cube, 0.5 * w_x, 0.5 * w_t)
-        return lambda t: np.stack([full(pts, t), half(pts, t)], axis=1)
-
-    value, value_half = _pole_values(A, dom, pole, cube, cfg, make_data)
+    kern = _pole_kernel(A, dom, pole, cube, cfg)
+    value = kern.cube_mass(cube)
+    value_half = kern.cube_mass(cube, 0.5)
     trunc = None
     if cfg.truncation_check:
-        big = PotentialConfig(**{**cfg.__dict__, "margin_mult": 2 * cfg.margin_mult,
-                                 "truncation_check": False})
-        value_big = _pole_values(A, dom, pole, cube, big, make_data)[0]
-        trunc = abs(value - value_big)
-    return MeasureEstimate(float(value), pole, cube,
-                           float(abs(value_half - value)), trunc)
+        big = replace(cfg, margin_mult=2 * cfg.margin_mult,
+                      truncation_check=False)
+        trunc = abs(value - _pole_kernel(A, dom, pole, cube, big)
+                    .cube_mass(cube))
+    return MeasureEstimate(value, pole, cube, abs(value_half - value), trunc)
 
 
 def caloric_measure_field(A: CoefficientField, dom: GraphDomain,
-                          cube: ParabolicCube, grid: SpaceTimeGrid,
-                          mollify: float = 1.0) -> ScalarField:
+                          cube: ParabolicCube,
+                          grid: SpaceTimeGrid) -> ScalarField:
     """Full space-time field u(X, t) = omega^{(X, t)}(cube) on a given grid."""
-    col = _cube_column(cube, mollify * _fine_spacing(grid), mollify * grid.dt)
-    return solve_dirichlet(A, dom, BoundaryData(col, label="measure-cube"),
-                           grid)
+    w_x, w_t = _fine_spacing(grid), grid.dt
+
+    def indicator(pts, t):
+        px, pt = _cube_profiles(cube, pts, t, w_x, w_t)
+        return px * pt
+    return solve_dirichlet(A, dom, BoundaryData(indicator,
+                                                label="measure-cube"), grid)
 
 
 # ----------------------------------------------------------------------
@@ -305,11 +337,14 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
 
     Densities are measure ratios (the defining limit): the cube is split
     into 2^depth parabolic sub-cubes per tangential axis and 4^depth time
-    slabs; all sub-cube measures come from one adjoint march from the pole
-    (one transposed solve per step for every sub-cube at once), their
-    tent-mollified indicators summing exactly to the mollified indicator of
-    the whole cube.  The coarse (depth-1) densities aggregated from the same
-    solve give per-cell error bars; the fine densities are the estimate.
+    slabs.  All sub-cube measures are products on the pole's kernel,
+    Pt^T K Px with the tent partitions Pt (time) and Px (space), whose
+    mollified indicators sum exactly to the mollified indicator of the
+    whole cube.  The tents telescope only when every slab spans at least
+    one time step and every sub-cube at least one fine cell, so the grid
+    takes at least 4^depth / 2 steps per r^2 and 2^depth / 2 cells per r.
+    The coarse (depth-1) densities aggregated from the same masses give
+    per-cell error bars; the fine densities are the estimate.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -321,20 +356,12 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
     ex = _partition_edges(cube.center_x[0] - r, cube.center_x[0] + r, mx)
     et = _partition_edges(cube.center_t - r * r, cube.center_t + r * r, mt)
 
-    def make_data(pts, w_x, w_t):
-        px = _partition_profiles(pts[:, 0], ex, w_x)      # (mpts, mx)
-        full_col = _cube_column(cube, w_x, w_t)
-
-        def data(t):
-            pt = _partition_profiles(np.asarray([t]), et, w_t)[0]  # (mt,)
-            cols = px[:, None, :] * pt[:, None]              # (mpts, mt, mx)
-            cols = cols.reshape(pts.shape[0], mt * mx)
-            return np.concatenate([cols, full_col(pts, t)[:, None]], axis=1)
-        return data
-
-    vals = _pole_values(A, dom, pole, cube, cfg, make_data)
-    omega_total = float(vals[-1])
-    masses = vals[:-1].reshape(mt, mx)
+    kern = _pole_kernel(A, dom, pole, cube, replace(
+        cfg, steps_per_r2=max(cfg.steps_per_r2, 4 ** depth / 2),
+        cells_per_r=max(cfg.cells_per_r, 2 ** depth / 2)))
+    masses = kern.mass(_partition_profiles(kern.t, et, kern.w_t),
+                       _partition_profiles(kern.x[:, 0], ex, kern.w_x))
+    omega_total = kern.cube_mass(cube)
     sub_vol = (2 * r / mx) * 2 * (r ** 2 / mt) * 2 ** (n - 1)
     K = masses / sub_vol
 
@@ -359,7 +386,6 @@ class GreenField:
 
     pole: ParabolicPoint
     field: ScalarField
-    delta_cells: int = 1
 
     def value_at(self, X, t) -> float:
         if t < self.pole.t:
@@ -402,7 +428,6 @@ def greens_function(A: CoefficientField, dom: GraphDomain,
                     pole: ParabolicPoint, horizon: float,
                     grid: Optional[SpaceTimeGrid] = None,
                     extra_pts: Sequence = (),
-                    mollify_cells: int = 1,
                     cfg: PotentialConfig = DEFAULT_CONFIG) -> GreenField:
     """Green function by forward propagation of a discrete unit impulse."""
     if grid is None:
@@ -410,9 +435,7 @@ def greens_function(A: CoefficientField, dom: GraphDomain,
     if pole.X[-1] <= 0:
         raise ValueError("pole must lie strictly inside the half space")
     _require_pole_clearance(grid, pole, cells=2)
-    f = solve_impulse(A, dom, pole.X, pole.t, grid,
-                      mollify_cells=mollify_cells)
-    return GreenField(pole, f, mollify_cells)
+    return GreenField(pole, solve_impulse(A, dom, pole.X, pole.t, grid))
 
 
 @dataclass(frozen=True)
@@ -461,15 +484,10 @@ class DoublingResult:
 def doubling_ratio(A: CoefficientField, dom: GraphDomain,
                    pole: ParabolicPoint, cube: ParabolicCube,
                    cfg: PotentialConfig = DEFAULT_CONFIG) -> DoublingResult:
-    """omega(Q_2r)/omega(Q_r) from one batched solve on the 2r grid."""
+    """omega(Q_2r)/omega(Q_r) from one pole kernel on the 2r grid."""
     cube2 = cube.scaled(2.0)
-
-    def make_data(pts, w_x, w_t):
-        c1 = _cube_column(cube, w_x, w_t)
-        c2 = _cube_column(cube2, w_x, w_t)
-        return lambda t: np.stack([c1(pts, t), c2(pts, t)], axis=1)
-
-    w_r, w_2r = map(float, _pole_values(A, dom, pole, cube2, cfg, make_data))
+    kern = _pole_kernel(A, dom, pole, cube2, cfg)
+    w_r, w_2r = kern.cube_mass(cube), kern.cube_mass(cube2)
     if w_r <= 10.0 * cfg.noise_floor:
         raise MeasureBelowNoiseError(
             f"omega(Q_r) = {w_r:.3e} is below 10x the noise floor")

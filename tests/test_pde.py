@@ -5,9 +5,10 @@ from parahom.coeffs import preset, scale_field
 from parahom.geometry import GraphDomain, LipschitzCylinder, ParabolicCube
 from parahom.pde import (BoundaryData, IncompatibleDataError, ScalarField,
                          SpaceTimeGrid, caccioppoli_ratio, graded_axis,
-                         halfspace, load_field, moser_ratio, nt_trace_ratio,
-                         q_difference, rescale_solution, save_field,
-                         solve_dirichlet, solve_impulse, solve_probe_final)
+                         adjoint_trace, halfspace, lateral_faces, load_field,
+                         moser_ratio, nt_trace_ratio, q_difference,
+                         rescale_solution, save_field, solve_dirichlet,
+                         solve_impulse)
 
 HALF = GraphDomain(m=0.0, box=((-4.0, 4.0),))
 WAVY = GraphDomain(m=0.5, box=((-4.0, 4.0),),
@@ -182,28 +183,20 @@ class TestSolveDirichlet:
             solve_impulse(preset("constant", d=2), HALF,
                           np.array([0.0, 1.0]), 0.0, small_grid(), f=f)
 
-    def test_probe_final_column_counts_must_match(self):
-        grid = small_grid(nx=16, nlam=8, nt=8)
-        tang = grid.axis_centers(0)[:, None]
-        f = bump_data()
-        columns = {(1, 0): lambda t: np.stack([f(tang, t)] * 2, axis=1),
-                   (0, 0): lambda t: np.zeros(8)}
-        with pytest.raises(ValueError, match="column count"):
-            solve_probe_final(preset("constant", d=2), HALF, columns, grid,
-                              [[0.0, 0.5]])
-
     def test_batch_paths_agree(self):
-        # one datum, batched with a multiple of itself, through both solves
+        # one trace serves every datum on the face: f and -3 f both match
+        # the forward field at t1
         dom = WAVY
         A = preset("trig", d=2)
         grid = small_grid(nx=32, nlam=12, nt=16)
         f = bump_data()
-        tang = grid.axis_centers(0)[:, None]
-        columns = {(1, 0): lambda t: np.stack([f(tang, t), -3.0 * f(tang, t)],
-                                              axis=1)}
+        face, = lateral_faces(grid, dom)
         probes = np.array([[0.1, 0.4], [-0.7, 1.1], [1.3, 0.2]])
+        K = adjoint_trace(A, dom, grid, probes, face.key)
+        assert K.shape == (grid.nt, face.points.shape[0], len(probes))
+        g = np.stack([f(face.points, t) for t in grid.times()[1:]])
+        final = np.einsum("kfp,kfc->pc", K, np.stack([g, -3.0 * g], axis=-1))
         u = solve_dirichlet(A, dom, f, grid)
-        final = solve_probe_final(A, dom, columns, grid, probes)
         pts = np.column_stack([np.full(len(probes), grid.t1), probes])
         ref = u.interpolator()(pts)
         scale = np.abs(u.values).max()
@@ -228,17 +221,17 @@ class TestSolveDirichlet:
                 return on * np.exp(-(pts[:, 0] - center) ** 2 / 0.25)
             return BoundaryData(ev)
 
-        data = [column(0.0, 1.0), column(1.2, -2.0)]
-        tang = grid.axis_centers(0)[:, None]
-        columns = {(1, 0): lambda t: np.stack([f(tang, t) for f in data],
-                                              axis=1)}
+        face, = lateral_faces(grid, dom)
         probes = np.array([[0.1, 0.4], [-0.7, 1.1], [1.3, 0.2]])
-        final = solve_probe_final(A, dom, columns, grid, probes)
+        K = adjoint_trace(A, dom, grid, probes, face.key)
         pts = np.column_stack([np.full(len(probes), grid.t1), probes])
-        for j, f in enumerate(data):
+        for f in (column(0.0, 1.0), column(1.2, -2.0)):
+            # P u_N = sum_k K[k-1]^T g(t_k)
+            final = sum(K[k - 1].T @ f(face.points, t)
+                        for k, t in enumerate(grid.times()) if k > 0)
             ref = solve_dirichlet(A, dom, f, grid).interpolator()(pts)
             assert np.abs(ref).max() > 0.0
-            assert np.abs(final[:, j] - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(final - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_flattened_graph_solve(self):
         dom = GraphDomain(m=0.5, box=((-4.0, 4.0),),

@@ -6,9 +6,10 @@ from parahom.geometry import GraphDomain, ParabolicCube, ParabolicPoint
 from parahom.oracles import (gauss_heat_kernel, halfspace_green,
                              halfspace_kernel, halfspace_kernel_cell_average,
                              halfspace_measure)
-from parahom.pde import ScalarField, SpaceTimeGrid, halfspace
+from parahom.pde import (IncompatibleDataError, ScalarField, SpaceTimeGrid,
+                         halfspace)
 from parahom.potential import (KernelEstimate, MeasureBelowNoiseError,
-                               PotentialConfig, _measure_grid,
+                               PotentialConfig, _measure_grid, _PoleKernel,
                                caloric_measure,
                                caloric_measure_field, comparison_ratio,
                                doubling_ratio, green_measure_equivalence,
@@ -106,6 +107,21 @@ class TestKernelEstimate:
         K = kernel_estimate(A_CONST, HALF, POLE, CUBE, depth=1, cfg=CFG)
         assert K.error_bar.shape == K.K.shape
         assert np.all(K.error_bar >= 0)
+
+    @pytest.mark.parametrize("depth", [3, 4])
+    def test_partition_masses_sum_to_cube(self, depth):
+        # slabs and sub-cubes finer than the default grid: the grid is
+        # refined so every tent spans a time step and a fine cell
+        K = kernel_estimate(A_CONST, HALF, POLE, CUBE, depth=depth, cfg=CFG)
+        assert K.masses.shape == (4 ** depth, 2 ** depth)
+        assert K.mass_consistency <= 1e-12 * K.omega_total
+
+    def test_time_profile_must_vanish(self):
+        kern = _PoleKernel(np.ones((2, 3)), np.zeros((3, 1)),
+                           np.array([0.0, 0.5, 1.0]), 0.1, 0.5)
+        assert kern.mass(np.array([0.0, 1.0, 2.0]), np.ones(3)) == 9.0
+        with pytest.raises(IncompatibleDataError):
+            kern.mass(np.array([1.0, 1.0, 1.0]), np.ones(3))
 
 
 class TestReverseHolder:
