@@ -185,15 +185,18 @@ def _unit_periodize(A: CoefficientField) -> CoefficientField:
     return scale_field(A, 1.0 / s)
 
 
-def _prepared(A: CoefficientField, N: int, periodicity_tol: float):
-    """Checked unit-periodic field and the CG iteration cap at resolution N."""
+def _prepared(A: CoefficientField, N: int):
+    """Checked unit-periodic field and the CG iteration cap at resolution N.
+
+    The field must repeat to 1e-8 (Frobenius) at 256 sample points.
+    """
     if N < 8:
         raise ValueError("resolution must be at least 8")
     if A.period != "lattice":
         raise ValueError("cell problems need a lattice-periodic field")
     A = _unit_periodize(A)
     dev = check_periodicity(A, sample_count=256)
-    if dev > periodicity_tol:
+    if dev > 1e-8:
         raise ValueError(f"field is not periodic (deviation {dev:.3e})")
     return A, 50 * N * max(1, A.d - 1)
 
@@ -232,10 +235,10 @@ def _solve_one(S, b, precond, tol, itmax):
     return x - x.mean(), its, relres
 
 
-def solve_corrector(A: CoefficientField, alpha, N: int, tol: float = 1e-10,
-                    periodicity_tol: float = 1e-8) -> CorrectorField:
+def solve_corrector(A: CoefficientField, alpha, N: int,
+                    tol: float = 1e-10) -> CorrectorField:
     """Solve the periodic cell problem for direction alpha at resolution N."""
-    A, itmax = _prepared(A, N, periodicity_tol)
+    A, itmax = _prepared(A, N)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (A.d,):
         raise ValueError(f"alpha must be a vector in R^{A.d}")
@@ -245,10 +248,10 @@ def solve_corrector(A: CoefficientField, alpha, N: int, tol: float = 1e-10,
     return CorrectorField(alpha, x.reshape((N,) * A.d), N, relres)
 
 
-def effective_matrix(A: CoefficientField, N: int, tol: float = 1e-10,
-                     periodicity_tol: float = 1e-8) -> EffectiveMatrix:
+def effective_matrix(A: CoefficientField, N: int,
+                     tol: float = 1e-10) -> EffectiveMatrix:
     """Assemble Abar column by column from the d coordinate correctors."""
-    A, itmax = _prepared(A, N, periodicity_tol)
+    A, itmax = _prepared(A, N)
     d = A.d
     S, loads, corner_nodes, Avals = _assemble(A, N)
     precond = _reference_inverse(Avals, N)
@@ -275,8 +278,9 @@ def voigt_reuss_bounds(A: CoefficientField, N: int):
     return harm, arith
 
 
-def grid_convergence(A: CoefficientField, N_list, tol: float = 1e-10):
-    """Self-convergence table for Abar over increasing resolutions.
+def grid_convergence(A: CoefficientField, N_list):
+    """Self-convergence table for Abar over increasing resolutions, each
+    solved to the default CG tolerance 1e-10.
 
     The observed order for row k uses the Richardson ratio of successive
     matrix differences; when differences sit at solver tolerance the rate is
@@ -285,7 +289,7 @@ def grid_convergence(A: CoefficientField, N_list, tol: float = 1e-10):
     N_list = [int(N) for N in N_list]
     if sorted(N_list) != N_list or len(N_list) < 2:
         raise ValueError("N_list must be increasing with at least two entries")
-    mats = [effective_matrix(A, N, tol=tol) for N in N_list]
+    mats = [effective_matrix(A, N) for N in N_list]
     rows = []
     diffs = [np.linalg.norm(mats[i + 1].Abar - mats[i].Abar)
              for i in range(len(mats) - 1)]

@@ -84,14 +84,18 @@ def _cmd_maximal(args):
     u = solve_dirichlet(A, dom, f, grid)
     N = nontangential_max(u, args.eta, dom)
     norm = lp_boundary_norm(N, args.p)
-    xs = u.grid.axis_centers(0)
+    tang = u.grid.tangential_centers()
     times = u.grid.times()
+    vals = N.values.reshape(times.size, -1)
+    flags = N.fallback.reshape(-1)
+    n = tang.shape[1]
     with open(args.out, "w", newline="") as fh:
-        fh.write("x,t,N_value,flag\n")
-        for i, x in enumerate(xs):
+        fh.write(",".join(["x"] if n == 1 else [f"x{k + 1}" for k in range(n)])
+                 + ",t,N_value,flag\n")
+        for i, X in enumerate(tang):
+            xs = ",".join(repr(x) for x in X)
             for k, t in enumerate(times):
-                fh.write(f"{x!r},{t!r},{N.values[k, i]!r},"
-                         f"{int(N.fallback[i])}\n")
+                fh.write(f"{xs},{t!r},{vals[k, i]!r},{int(flags[i])}\n")
     print(f"N written to {args.out}; ||N(u)||_{args.p} = {norm!r}")
     return 0
 

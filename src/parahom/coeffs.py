@@ -196,9 +196,10 @@ def compile_expression(expr: str, d: int) -> Callable:
     return fn
 
 
-def _laminate_profile(y, a_low=1.0, a_high=4.0, lo=0.25, hi=0.75):
+def _laminate_profile(y, a_low, a_high):
+    """a_high on the band 1/4 <= frac(y) < 3/4, a_low elsewhere."""
     frac = y - np.floor(y)
-    return np.where((frac >= lo) & (frac < hi), a_high, a_low)
+    return np.where((frac >= 0.25) & (frac < 0.75), a_high, a_low)
 
 
 def preset(name: str, d: int = 2, **kwargs) -> CoefficientField:
@@ -302,24 +303,24 @@ class EllipticityReport:
     passed: bool
 
 
-def _sample_points(A: CoefficientField, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def _sample_points(A: CoefficientField, count: int) -> np.ndarray:
+    rng = np.random.default_rng(0)
     if A.period != "none":
         scale = A.period_scale
         return rng.uniform(0.0, scale, size=(count, A.d))
     return rng.uniform(-2.0, 2.0, size=(count, A.d))
 
 
-def check_ellipticity(A: CoefficientField, sample_count: int = 2000,
-                      seed: int = 0, slack: float = 1e-10) -> EllipticityReport:
-    """Extreme eigenvalues of A over random sample points.
+def check_ellipticity(A: CoefficientField,
+                      sample_count: int = 2000) -> EllipticityReport:
+    """Extreme eigenvalues of A over random sample points (seed 0).
 
-    Passes iff every eigenvalue lies in [1/lam - slack, lam + slack].
+    Passes iff every eigenvalue lies in [1/lam - 1e-10, lam + 1e-10].
     A non-symmetric sample is a hard error carrying the offending point.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    pts = _sample_points(A, sample_count, seed)
+    pts = _sample_points(A, sample_count)
     vals = A(pts)
     asym = np.abs(vals - np.swapaxes(vals, -1, -2)).max(axis=(-1, -2))
     scale = max(1.0, float(np.abs(vals).max()))
@@ -328,17 +329,17 @@ def check_ellipticity(A: CoefficientField, sample_count: int = 2000,
         raise AsymmetricFieldError(pts[worst], asym[worst])
     eigs = np.linalg.eigvalsh(0.5 * (vals + np.swapaxes(vals, -1, -2)))
     lo, hi = float(eigs.min()), float(eigs.max())
-    ok = (lo >= 1.0 / A.lam - slack) and (hi <= A.lam + slack)
+    ok = (lo >= 1.0 / A.lam - 1e-10) and (hi <= A.lam + 1e-10)
     return EllipticityReport(lo, hi, ok)
 
 
-def check_periodicity(A: CoefficientField, sample_count: int = 2000,
-                      seed: int = 0) -> float:
-    """Max Frobenius deviation |A(X + Z) - A(X)| over declared generators."""
+def check_periodicity(A: CoefficientField, sample_count: int = 2000) -> float:
+    """Max Frobenius deviation |A(X + Z) - A(X)| over declared generators,
+    at `sample_count` uniform points of [-2, 2]^d drawn with seed 0."""
     gens = A.period_generators()
     if gens.shape[0] == 0:
         raise ValueError("field declares no periodicity")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pts = rng.uniform(-2.0, 2.0, size=(sample_count, A.d))
     worst = 0.0
     base = A(pts)
@@ -394,10 +395,11 @@ def _spectral_norm_sym(M: np.ndarray) -> np.ndarray:
 
 def dini_modulus(A: CoefficientField, kind: str = "axis",
                  rho_grid: Optional[np.ndarray] = None,
-                 pairs: int = 10000, seed: int = 0) -> DiniModulus:
+                 pairs: int = 10000) -> DiniModulus:
     """Estimate theta(rho) = sup |A(X) - A(Y)| over admissible pairs.
 
-    The sup is approximated over `pairs` quasi-random pairs per rho plus
+    The sup is approximated over `pairs` quasi-random pairs per rho (a
+    scrambled Halton sequence with seed 0) plus
     offsets of exactly +-rho (which realize the sup for monotone profiles).
     Matrix size is measured in the spectral norm, so scalar fields c * I
     report |c1 - c2| independent of dimension.
@@ -411,7 +413,7 @@ def dini_modulus(A: CoefficientField, kind: str = "axis",
 
     from scipy.stats import qmc
 
-    sampler = qmc.Halton(d=A.d + A.d, seed=seed, scramble=True)
+    sampler = qmc.Halton(d=A.d + A.d, seed=0, scramble=True)
     raw = sampler.random(pairs)
     span = A.period_scale if A.period != "none" else 2.0
     base = raw[:, :A.d] * span

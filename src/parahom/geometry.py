@@ -79,32 +79,20 @@ class ParabolicPoint:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "t", float(self.t))
 
-    @property
-    def d(self) -> int:
-        return self.X.size
-
 
 @dataclass(frozen=True)
 class ParabolicCube:
-    """Parabolic cube: |y_i - x_i| < r, |s - t| < r^2.
-
-    kind selects the flavor:
-      * "boundary"  -- Q_r(x, t), center on the boundary plane, x in R^n;
-      * "interior"  -- Q~_r(X, t), full space-time cube, X in R^{n+1};
-      * "box"       -- T_r(x, t) = Q_r(x, t) x (0, r), carries a height.
-    """
+    """Boundary parabolic cube Q_r(x, t): |y_i - x_i| < r, |s - t| < r^2,
+    with its center x in R^n on the boundary plane."""
 
     center_x: np.ndarray
     center_t: float
     side: float
-    kind: str = "boundary"
 
     def __post_init__(self):
         cx = np.atleast_1d(np.asarray(self.center_x, dtype=float))
         if self.side <= 0:
             raise ValueError("side must be positive")
-        if self.kind not in ("boundary", "interior", "box"):
-            raise ValueError(f"unknown cube kind {self.kind!r}")
         cx.flags.writeable = False
         object.__setattr__(self, "center_x", cx)
         object.__setattr__(self, "center_t", float(self.center_t))
@@ -112,13 +100,7 @@ class ParabolicCube:
 
     def scaled(self, factor: float) -> "ParabolicCube":
         return ParabolicCube(self.center_x, self.center_t,
-                             self.side * factor, self.kind)
-
-    @property
-    def volume(self) -> float:
-        """Lebesgue measure (2r)^n * 2r^2 of the (x, t) cube."""
-        n = self.center_x.size
-        return (2.0 * self.side) ** n * 2.0 * self.side ** 2
+                             self.side * factor)
 
     def contains_xt(self, x, t) -> np.ndarray:
         """Pointwise membership of boundary coordinates (x, t)."""
@@ -250,13 +232,15 @@ class GraphDomain:
             return np.zeros(x.shape[:-1])
         return np.asarray(self.phi(x), dtype=float)
 
-    def grad_phi(self, x, h: Optional[float] = None) -> np.ndarray:
-        """Gradient of phi by central differences, one-sided at box edges."""
+    def grad_phi(self, x) -> np.ndarray:
+        """Gradient of phi by central differences, one-sided at box edges.
+
+        The step is the table spacing of the shortest box side.
+        """
         x = np.asarray(x, dtype=float)
         if self.n == 1 and x.ndim == 1:
             x = x[:, None]
-        if h is None:
-            h = min((hi - lo) for lo, hi in self.box) / (self.table_resolution - 1)
+        h = min((hi - lo) for lo, hi in self.box) / (self.table_resolution - 1)
         g = np.empty_like(x)
         for ax in range(self.n):
             lo, hi = self.box[ax]

@@ -69,6 +69,9 @@ class ExperimentConfig:
         if any(not (0 < e <= 1) for e in self.eps_list):
             raise ValueError("eps values must lie in (0, 1]")
         self.p_list = tuple(float(p) for p in self.p_list)
+        if len(self.p_list) != 1 or not (1.0 < self.p_list[0] < np.inf):
+            raise ValueError("p_list must hold exactly one exponent in "
+                             f"(1, inf), got {list(self.p_list)}")
         self.r_list = tuple(float(r) for r in self.r_list)
 
     def required_resolution(self) -> int:
@@ -346,23 +349,24 @@ def solvability_sweep(cfg: ExperimentConfig,
     return SweepReport(rows=rows, config=cfg.to_jsonable())
 
 
-def q_decay_constant(A: CoefficientField, R_cells: int, period: float = 1.0,
-                     cells_per_period: int = 8, steps: int = 160) -> dict:
+def q_decay_constant(A: CoefficientField, R_cells: int,
+                     steps: int = 160) -> dict:
     """Normalized vertical-difference decay constant at window scale R.
 
     A Green-like field is generated on the box {|x| < 2R, 0 < lam < 4R}
     (zero lateral data, unit impulse at (0, 3R) released at t = -2R^2) and
-    the shifted difference Qu(., lam) = u(., lam + period) - u is measured
+    the shifted difference Qu(., lam) = u(., lam + 1) - u is measured
     where lam >= R inside the half-height window over (0, 4R^2):
 
         C(R) = R * sup |Qu| / (R^{-(n+3)} int_{lower window} u^2)^{1/2}.
 
-    Boundedness of C(R) across R is the decay property under test; R is
-    given in grid cells (cells_per_period cells resolve one period of A).
+    Boundedness of C(R) across R is the decay property under test; A must
+    be 1-periodic in lam, and R is given in grid cells (8 cells resolve one
+    period).
     """
     from .pde import SpaceTimeGrid, q_difference, solve_impulse
 
-    h = period / cells_per_period
+    h = 1.0 / 8
     R = R_cells * h
     nx = int(round(4 * R / h))
     nlam = int(round(4 * R / h))
@@ -370,7 +374,7 @@ def q_decay_constant(A: CoefficientField, R_cells: int, period: float = 1.0,
                          -2 * R * R, 8 * R * R, steps)
     dom = GraphDomain(m=0.0, box=((-2 * R, 2 * R),))
     u = solve_impulse(A, dom, np.asarray([0.0, 3 * R]), -2 * R * R, grid)
-    qu = q_difference(u, period)
+    qu = q_difference(u, 1.0)
 
     times = grid.times()
     lamc = grid.axis_centers(1)
@@ -390,17 +394,17 @@ def q_decay_constant(A: CoefficientField, R_cells: int, period: float = 1.0,
 
 
 def local_solvability_at_scale(A: CoefficientField, r: float,
-                                pot_cfg: PotentialConfig,
-                                data_offset: float = 5.5):
+                                pot_cfg: PotentialConfig):
     """Solve one vanishing-trace configuration and return its ratio.
 
-    The solution is the caloric measure of a cube placed outside Q_4r, so
-    the trace vanishes on the 4x cube while mass flows over T_4r.
+    The solution is the caloric measure of the cube Q_r(5.5 r, -16 r^2),
+    outside Q_4r, so the trace vanishes on the 4x cube while mass flows
+    over T_4r.
     """
     h = min(r / 8.0, 0.25)
     dt = r * r / 12.0
     lo = (-6.0 * r,)
-    hi = (max(8.0 * r, data_offset * r + 2.5 * r),)
+    hi = (max(8.0 * r, 5.5 * r + 2.5 * r),)
     height = 6.0 * r
     t_lo = -17.0 * r * r - 2.0 * dt
     t_hi = 16.5 * r * r
@@ -409,7 +413,7 @@ def local_solvability_at_scale(A: CoefficientField, r: float,
     grid = _capped(SpaceTimeGrid(lo + (0.0,), hi + (height,), shape,
                                  t_lo, t_hi, nt), pot_cfg)
     dom = GraphDomain(m=0.0, box=((lo[0], hi[0]),))
-    data_cube = ParabolicCube(np.asarray([data_offset * r]), -16.0 * r * r, r)
+    data_cube = ParabolicCube(np.asarray([5.5 * r]), -16.0 * r * r, r)
     u = caloric_measure_field(A, dom, data_cube, grid)
     return local_solvability_ratio(u, ParabolicCube(np.zeros(1), 0.0, r))
 

@@ -16,35 +16,29 @@ class ConvergenceError(RuntimeError):
             f"(relative residual {relres:.3e})")
 
 
-def pcg(matvec, b, tol=1e-10, maxiter=None, precond=None, deflate=None,
-        x0=None):
-    """Preconditioned conjugate gradient for SPD (or SPSD + deflation) systems.
+def pcg(matvec, b, tol, maxiter, precond, deflate):
+    """Preconditioned conjugate gradient for SPSD systems with a known
+    nullspace vector, started from zero.
 
     matvec   -- callable v -> A v
-    precond  -- callable r -> M^-1 r (default identity)
+    precond  -- callable r -> M^-1 r
     deflate  -- nullspace vector to project out of b, iterates and residuals
-                (used for the constant mode of periodic problems)
-    Returns (x, iterations, relres).  Raises ConvergenceError at the cap.
+                (the constant mode of periodic problems)
+    Stops once the relative residual is at most tol.  Returns (x,
+    iterations, relres).  Raises ConvergenceError after maxiter iterations.
     """
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    maxiter = 10 * n if maxiter is None else int(maxiter)
-    if deflate is not None:
-        v = deflate / np.linalg.norm(deflate)
+    v = deflate / np.linalg.norm(deflate)
 
-        def project(w):
-            return w - v * (v @ w)
-    else:
-        def project(w):
-            return w
+    def project(w):
+        return w - v * (v @ w)
 
-    b = project(b)
+    b = project(np.asarray(b, dtype=float))
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0, 0.0
-    x = np.zeros_like(b) if x0 is None else project(np.array(x0, dtype=float))
+    x = np.zeros_like(b)
     r = project(b - matvec(x))
-    z = project(precond(r)) if precond is not None else r
+    z = project(precond(r))
     p = z.copy()
     rz = r @ z
     relres = np.linalg.norm(r) / bnorm
@@ -56,7 +50,7 @@ def pcg(matvec, b, tol=1e-10, maxiter=None, precond=None, deflate=None,
         relres = np.linalg.norm(r) / bnorm
         if relres <= tol:
             return project(x), k, relres
-        z = project(precond(r)) if precond is not None else r
+        z = project(precond(r))
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new

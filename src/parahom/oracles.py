@@ -21,12 +21,12 @@ __all__ = [
 ]
 
 
-def gauss_heat_kernel(X, t, d=None):
-    """Free-space kernel (4 pi t)^{-d/2} exp(-|X|^2 / 4t); zero for t <= 0."""
+def gauss_heat_kernel(X, t):
+    """Free-space kernel (4 pi t)^{-d/2} exp(-|X|^2 / 4t), d the last axis
+    of X; zero for t <= 0."""
     X = np.asarray(X, dtype=float)
     t = np.asarray(t, dtype=float)
-    if d is None:
-        d = X.shape[-1]
+    d = X.shape[-1]
     r2 = np.sum(X * X, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.where(t > 0,

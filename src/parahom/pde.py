@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _COMPAT_TOL = 1e-12
+_GROWTH = 1.3           # ratio of neighbouring cells in a graded margin
 
 
 class IncompatibleDataError(ValueError):
@@ -70,9 +71,10 @@ class IncompatibleDataError(ValueError):
 
 
 def graded_axis(core_lo: float, core_hi: float, h_core: float,
-                lo: float, hi: float, growth: float = 1.3,
+                lo: float, hi: float,
                 h_max: Optional[float] = None) -> np.ndarray:
-    """Face positions: uniform core, geometrically growing to the box ends."""
+    """Face positions: uniform core, cells growing by 1.3x to the box ends,
+    at most h_max (default 16 h_core)."""
     if not (lo <= core_lo < core_hi <= hi):
         raise ValueError("core must sit inside the outer interval")
     ncore = max(1, int(round((core_hi - core_lo) / h_core)))
@@ -80,25 +82,25 @@ def graded_axis(core_lo: float, core_hi: float, h_core: float,
     h_max = h_max if h_max is not None else 16.0 * h_core
     h = h_core
     while faces[-1] < hi - 1e-12 * max(1.0, abs(hi)):
-        h = min(h * growth, h_max, hi - faces[-1])
+        h = min(h * _GROWTH, h_max, hi - faces[-1])
         if hi - (faces[-1] + h) < 0.5 * h_core:
             h = hi - faces[-1]
         faces.append(faces[-1] + h)
     h = h_core
     while faces[0] > lo + 1e-12 * max(1.0, abs(lo)):
-        h = min(h * growth, h_max, faces[0] - lo)
+        h = min(h * _GROWTH, h_max, faces[0] - lo)
         if (faces[0] - h) - lo < 0.5 * h_core:
             h = faces[0] - lo
         faces.insert(0, faces[0] - h)
     return np.asarray(faces)
 
 
-def composite_axis(segments, lo: float, hi: float, growth: float = 1.3,
-                   h_max: Optional[float] = None) -> np.ndarray:
+def composite_axis(segments, lo: float, hi: float) -> np.ndarray:
     """Graded axis with several uniform fine segments (lo_i, hi_i, h_i).
 
-    Gaps between segments and the outer margins grow geometrically from
-    both ends; overlapping segments merge at the finer spacing.
+    Gaps between segments and the outer margins grow by 1.3x per cell from
+    both ends, up to max(16 x the coarsest segment spacing, (hi - lo)/64);
+    overlapping segments merge at the finer spacing.
     """
     segs = sorted((float(a), float(b), float(h)) for a, b, h in segments)
     merged = []
@@ -113,8 +115,7 @@ def composite_axis(segments, lo: float, hi: float, growth: float = 1.3,
             merged.append((a, b, h))
     if not merged:
         raise ValueError("no segment intersects the axis interval")
-    if h_max is None:
-        h_max = max(16.0 * max(h for _, _, h in merged), (hi - lo) / 64.0)
+    h_max = max(16.0 * max(h for _, _, h in merged), (hi - lo) / 64.0)
 
     def uniform(a, b, h):
         n = max(1, int(round((b - a) / h)))
@@ -124,13 +125,13 @@ def composite_axis(segments, lo: float, hi: float, growth: float = 1.3,
         """Interior faces between a and b, growing from both ends."""
         L, R = [a], [b]
         hl, hr = ha, hb
-        while R[-1] - L[-1] > 0.75 * (min(hl * growth, h_max)
-                                      + min(hr * growth, h_max)):
+        while R[-1] - L[-1] > 0.75 * (min(hl * _GROWTH, h_max)
+                                      + min(hr * _GROWTH, h_max)):
             if hl <= hr:
-                hl = min(hl * growth, h_max)
+                hl = min(hl * _GROWTH, h_max)
                 L.append(L[-1] + hl)
             else:
-                hr = min(hr * growth, h_max)
+                hr = min(hr * _GROWTH, h_max)
                 R.append(R[-1] - hr)
         mid = R[-1] - L[-1]
         if mid > 1e-12 * max(1.0, abs(b) + abs(a)):
@@ -142,7 +143,7 @@ def composite_axis(segments, lo: float, hi: float, growth: float = 1.3,
     pieces = []
     a0, b0, h0 = merged[0]
     if a0 > lo + 1e-12 * max(1.0, abs(lo)):
-        left = graded_axis(a0, b0, h0, lo, b0, growth, h_max)
+        left = graded_axis(a0, b0, h0, lo, b0, h_max)
         pieces.append(left[left <= a0 + 1e-15])
     for i, (a, b, h) in enumerate(merged):
         pieces.append(uniform(a, b, h))
@@ -151,7 +152,7 @@ def composite_axis(segments, lo: float, hi: float, growth: float = 1.3,
             pieces.append(gap(b, na, h, nh))
     a1, b1, h1 = merged[-1]
     if b1 < hi - 1e-12 * max(1.0, abs(hi)):
-        right = graded_axis(a1, b1, h1, a1, hi, growth, h_max)
+        right = graded_axis(a1, b1, h1, a1, hi, h_max)
         pieces.append(right[right >= b1 - 1e-15][1:])
     faces = np.concatenate([np.atleast_1d(p) for p in pieces if len(p)])
     faces = np.unique(faces)
@@ -281,18 +282,19 @@ class SpaceTimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.nt + 1) * self.dt
 
-    def refined(self, factor: int = 2) -> "SpaceTimeGrid":
+    def refined(self) -> "SpaceTimeGrid":
+        """Every cell and time step halved."""
         if self.faces is None:
             return SpaceTimeGrid(self.lo, self.hi,
-                                 tuple(s * factor for s in self.shape),
-                                 self.t0, self.t1, self.nt * factor)
+                                 tuple(2 * s for s in self.shape),
+                                 self.t0, self.t1, 2 * self.nt)
         new_faces = []
         for f in self.faces:
-            pieces = [np.linspace(f[i], f[i + 1], factor + 1)[:-1]
+            pieces = [np.linspace(f[i], f[i + 1], 3)[:-1]
                       for i in range(f.size - 1)]
             new_faces.append(np.append(np.concatenate(pieces), f[-1]))
         return SpaceTimeGrid.from_faces(new_faces, self.t0, self.t1,
-                                        self.nt * factor)
+                                        2 * self.nt)
 
 
 def halfspace(x_lo, x_hi, height, t0, t1, shape, nt) -> SpaceTimeGrid:
@@ -608,16 +610,6 @@ def _probe_weights(grid: SpaceTimeGrid, probes) -> sp.csr_matrix:
 # public solves
 
 
-def _meta_for(dom, A, f, grid, extra=None):
-    meta = {"coeff": A.label, "domain": type(dom).__name__ if dom else "box",
-            "data": getattr(f, "label", None),
-            "nt_trace_convention":
-                "first interior layer with second-layer Richardson correction"}
-    if extra:
-        meta.update(extra)
-    return meta
-
-
 def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
                  u0: np.ndarray, extra=None) -> ScalarField:
     """Full-field march from the flat state u0; f = None is zero data.
@@ -633,19 +625,18 @@ def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
         _check_vanishing(fn(grid.t0), grid.t0, f"face {key}")
     out = np.empty((grid.nt + 1, grid.ncells))
     out[0] = u0
-    key = (grid.d - 1, 0)
-    bottom = np.zeros((grid.nt + 1, grid.ncells // grid.shape[-1])) \
-        if key in data else None
+    bottom = np.zeros((grid.nt + 1, grid.ncells // grid.shape[-1]))
 
     def record(step, u, gvals):
         out[step] = u
-        if bottom is not None:
-            bottom[step] = gvals[key]
+        bottom[step] = gvals[(grid.d - 1, 0)]
 
     _march(op, u0, grid.dt, grid.nt, grid.t0, data, record)
-    meta = _meta_for(dom, A, f, grid, extra)
-    if bottom is not None:
-        meta["bottom_data"] = bottom
+    meta = {"coeff": A.label, "domain": type(dom).__name__,
+            "data": getattr(f, "label", None),
+            "nt_trace_convention":
+                "first interior layer with second-layer Richardson correction",
+            **(extra or {}), "bottom_data": bottom}
     return ScalarField(grid, out.reshape((grid.nt + 1,) + grid.shape), meta)
 
 
@@ -725,16 +716,20 @@ def rescale_solution(u: ScalarField, eps: float,
 
     Without a target grid the natural image grid is used (faces and times
     divided by eps and eps^2 with unchanged cell counts), whose centers map
-    exactly onto source centers.  A custom target must map inside the
-    source grid.
+    exactly onto source centers; only there does the recorded
+    meta["bottom_data"] carry over, index for index.  A custom target must
+    map inside the source grid, and its field records no bottom data.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     g = u.grid
+    meta = dict(u.meta, rescaled_by=eps)
     if target is None:
         target = SpaceTimeGrid.from_faces(
             [g.axis_faces(k) / eps for k in range(g.d)],
             g.t0 / eps ** 2, g.t1 / eps ** 2, g.nt)
+    else:
+        meta.pop("bottom_data", None)
     tc = target.centers()
     src_pts = tc * eps
     times = target.times() * eps ** 2
@@ -750,7 +745,7 @@ def rescale_solution(u: ScalarField, eps: float,
     for k, t in enumerate(times):
         pts = np.concatenate([np.full((tc.shape[0], 1), t), src_pts], axis=1)
         out[k] = interp(pts).reshape(target.shape)
-    return ScalarField(target, out, dict(u.meta, rescaled_by=eps))
+    return ScalarField(target, out, meta)
 
 
 # ----------------------------------------------------------------------
@@ -769,13 +764,12 @@ class NTTrace:
     lam2: float
 
 
-def nt_trace_ratio(u: ScalarField, cube: ParabolicCube,
-                   zero_tol: float = 1e-10) -> NTTrace:
+def nt_trace_ratio(u: ScalarField, cube: ParabolicCube) -> NTTrace:
     """First-interior-layer u/lam with a second-layer Richardson estimate.
 
     Requires the boundary data of the solve to vanish on the concentric
-    4x cube (the trace hypothesis); the solve must come from a graph or
-    half-space run so the bottom trace is recorded.
+    4x cube (the trace hypothesis: |f| <= 1e-10 there); the field must
+    carry the bottom trace recorded by its solve, meta["bottom_data"].
     """
     grid = u.grid
     if "bottom_data" not in u.meta:
@@ -786,7 +780,7 @@ def nt_trace_ratio(u: ScalarField, cube: ParabolicCube,
     tang0 = grid.tangential_centers()
     times = grid.times()
     inside = big.contains_xt(tang0, times[:, None])
-    if bd.shape == inside.shape and np.abs(bd[inside]).max(initial=0.0) > zero_tol:
+    if np.abs(bd[inside]).max(initial=0.0) > 1e-10:
         raise ValueError("boundary data does not vanish on the 4x cube")
 
     sel_x = [np.abs(grid.axis_centers(k) - cube.center_x[k]) < cube.side
@@ -836,23 +830,22 @@ class CaccioppoliResult:
     energy: float
     mass: float
     flagged: bool
-    note: str = ""
+    note: str
 
 
-def caccioppoli_ratio(u: ScalarField, R: float, x_center=None,
+def caccioppoli_ratio(u: ScalarField, R: float,
                       t_base: float = None) -> CaccioppoliResult:
     """R^2 x gradient energy over the inner window / mass over the outer.
 
-    Inner window: {|x - xc| < 2R, 0 < lam < 2R} x (t_base, t_base + 4R^2);
-    outer: height 3R and times up to 8R^2.  The hypothesis (u vanishing on
-    the lateral boundary of the height-4R box) is checked by comparing the
-    outermost samples against the interior magnitude; violations flag the
-    result rather than abort.
+    Inner window: {|x| < 2R, 0 < lam < 2R} x (t_base, t_base + 4R^2),
+    centred on x = 0 (t_base defaults to grid.t0); outer: height 3R and
+    times up to 8R^2.  The hypothesis (u vanishing on the lateral boundary
+    of the height-4R box) is checked by comparing the outermost samples
+    against the interior magnitude; violations flag the result rather than
+    abort.
     """
     grid = u.grid
     d = grid.d
-    x_center = np.zeros(d - 1) if x_center is None else \
-        np.atleast_1d(np.asarray(x_center, dtype=float))
     t_base = grid.t0 if t_base is None else float(t_base)
     times = grid.times()
 
@@ -882,8 +875,8 @@ def caccioppoli_ratio(u: ScalarField, R: float, x_center=None,
                       )[sel_t8].max(initial=0.0)
 
     for k in range(d - 1):
-        edge_vals.append(extrapolated(k, x_center[k] - 2 * R, +1))
-        edge_vals.append(extrapolated(k, x_center[k] + 2 * R, -1))
+        edge_vals.append(extrapolated(k, -2 * R, +1))
+        edge_vals.append(extrapolated(k, 2 * R, -1))
     edge_vals.append(extrapolated(d - 1, 4 * R, -1))
     if max(edge_vals) > 0.02 * vmax:
         flagged = True
@@ -892,7 +885,7 @@ def caccioppoli_ratio(u: ScalarField, R: float, x_center=None,
     def integrate(field_v, gamma, t_span):
         masks = []
         for k in range(d - 1):
-            masks.append(np.abs(grid.axis_centers(k) - x_center[k]) < 2 * R)
+            masks.append(np.abs(grid.axis_centers(k)) < 2 * R)
         masks.append((lamc > 0) & (lamc < gamma * R))
         keep_t = (times > t_base) & (times <= t_base + t_span)
         w, wt = ScalarField(grid, field_v).window(masks, keep_t)

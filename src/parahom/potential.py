@@ -66,16 +66,16 @@ class PotentialConfig:
 
     margin_mult multiplies the parabolic diameter of the active
     configuration (data support, pole, elapsed time) to size the truncation
-    margin of the half-space box; region_A is the free constant in the
-    Green-measure region condition |(x0,0) - (x,lam)|^2 <= region_A |t - t0|.
-    The measure and Green grids refuse axes above max_cells_per_axis cells.
+    margin of the half-space box.  The measure and Green grids refuse axes
+    above max_cells_per_axis cells.  The Green-measure region condition is
+    fixed at |(x0,0) - (x,lam)|^2 <= |t - t0|, and margins grade by 1.3x
+    per cell.
     """
 
     cells_per_r: float = 16.0
     steps_per_r2: float = 24.0
     margin_mult: float = 4.0
     truncation_check: bool = False
-    region_A: float = 1.0
     noise_floor: float = 1e-8
     max_cells_per_axis: int = 768
 
@@ -113,10 +113,6 @@ def _cube_profiles(cube: ParabolicCube, pts, t, w_x, w_t):
                            cube.center_t - cube.side ** 2,
                            cube.center_t + cube.side ** 2, w_t)
     return px, pt
-
-
-def _partition_edges(a, b, m):
-    return np.linspace(a, b, m + 1)
 
 
 def _partition_profiles(s, edges, w):
@@ -325,9 +321,6 @@ class KernelEstimate:
     omega_total: float
     mass_consistency: float        # |sum omega_i - omega(cube)|
 
-    def mean(self, q: float = 1.0) -> float:
-        return float(np.mean(np.abs(self.K) ** q) ** (1.0 / q))
-
 
 def kernel_estimate(A: CoefficientField, dom: GraphDomain,
                     pole: ParabolicPoint, cube: ParabolicCube,
@@ -353,8 +346,8 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
         raise NotImplementedError("kernel partitions are implemented for n = 1")
     r = cube.side
     mx, mt = 2 ** depth, 4 ** depth
-    ex = _partition_edges(cube.center_x[0] - r, cube.center_x[0] + r, mx)
-    et = _partition_edges(cube.center_t - r * r, cube.center_t + r * r, mt)
+    ex = np.linspace(cube.center_x[0] - r, cube.center_x[0] + r, mx + 1)
+    et = np.linspace(cube.center_t - r * r, cube.center_t + r * r, mt + 1)
 
     kern = _pole_kernel(A, dom, pole, cube, replace(
         cfg, steps_per_r2=max(cfg.steps_per_r2, 4 ** depth / 2),
@@ -426,14 +419,13 @@ def _green_grid(pole: ParabolicPoint, horizon: float, extra_pts,
 
 def greens_function(A: CoefficientField, dom: GraphDomain,
                     pole: ParabolicPoint, horizon: float,
-                    grid: Optional[SpaceTimeGrid] = None,
                     extra_pts: Sequence = (),
                     cfg: PotentialConfig = DEFAULT_CONFIG) -> GreenField:
-    """Green function by forward propagation of a discrete unit impulse."""
-    if grid is None:
-        grid = _green_grid(pole, horizon, extra_pts, cfg)
+    """Green function by forward propagation of a discrete unit impulse,
+    on the graded grid of the pole sized by sqrt(horizon)."""
     if pole.X[-1] <= 0:
         raise ValueError("pole must lie strictly inside the half space")
+    grid = _green_grid(pole, horizon, extra_pts, cfg)
     _require_pole_clearance(grid, pole, cells=2)
     return GreenField(pole, solve_impulse(A, dom, pole.X, pole.t, grid))
 
@@ -478,7 +470,6 @@ class DoublingResult:
     ratio: float
     omega_r: float
     omega_2r: float
-    flags: tuple = ()
 
 
 def doubling_ratio(A: CoefficientField, dom: GraphDomain,
@@ -579,23 +570,15 @@ class HarnackResult:
     ratio: float
     sup_value: float
     base_value: float
-    interior_constant: float
 
 
-def harnack_ratio(u: ScalarField, x0, t0: float, r: float,
-                  pairs: int = 200, seed: int = 0) -> HarnackResult:
+def harnack_ratio(u: ScalarField, x0, t0: float, r: float) -> HarnackResult:
     """sup over T_r of u divided by the forward base value u(x0, t0+2r^2, r).
 
-    Also runs the interior exponential-form check on the same data: the
-    reported interior_constant is the largest factor needed so that
-    u(y, s, sigma) <= C u(x, t, lam) exp(Q + 1) over sampled pairs with
-    t > s, Q = (|x-y|^2 + |lam-sigma|^2)/(t-s) + (t-s)/R, R the usual
-    distance-to-boundary minimum.
+    The field must be nonnegative (down to -1e-12 of its largest value) and
+    the base value positive.
     """
-    grid = u.grid
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    n = grid.d - 1
-    times = grid.times()
     vmin = float(u.values.min())
     if vmin < -1e-12 * max(1.0, float(np.abs(u.values).max())):
         raise ValueError(f"field is not nonnegative (min {vmin:.3e})")
@@ -604,52 +587,7 @@ def harnack_ratio(u: ScalarField, x0, t0: float, r: float,
     base = u.value_at(np.append(x0, r), t0 + 2 * r * r)
     if base <= 0:
         raise ValueError("base value is not positive")
-
-    # interior exponential-form monitor on random pairs inside T_4r
-    rng = np.random.default_rng(seed)
-    t_lo, t_hi = t0 - 16 * r * r, t0 + 16 * r * r
-    t_lo = max(t_lo, times[0])
-    t_hi = min(t_hi, times[-1])
-    interior_c = 0.0
-    interp = u.interpolator()
-
-    def sample(count):
-        pts = np.empty((count, grid.d + 1))
-        for k in range(n):
-            pts[:, 1 + k] = x0[k] + rng.uniform(-3.5 * r, 3.5 * r, count)
-        pts[:, grid.d] = rng.uniform(0.25 * r, 3.5 * r, count)
-        pts[:, 0] = rng.uniform(t_lo + 0.1 * r * r, t_hi, count)
-        return pts
-
-    a = sample(pairs)
-    b = sample(pairs)
-    early = np.minimum(a[:, 0], b[:, 0]) - 0.05 * r * r
-    lo_pts, hi_pts = a.copy(), b.copy()
-    lo_pts[:, 0] = early
-    ua = interp(lo_pts)
-    ub = interp(hi_pts)
-    dtp = hi_pts[:, 0] - lo_pts[:, 0]
-    dist_x = np.zeros(pairs)
-    for k in range(n):
-        dist_x += (hi_pts[:, 1 + k] - lo_pts[:, 1 + k]) ** 2
-    dist_x += (hi_pts[:, grid.d] - lo_pts[:, grid.d]) ** 2
-    bd = []
-    for pts_ in (lo_pts, hi_pts):
-        dmin = np.full(pairs, np.inf)
-        for k in range(n):
-            dmin = np.minimum(dmin, np.abs(pts_[:, 1 + k] - (x0[k] - 4 * r)))
-            dmin = np.minimum(dmin, np.abs((x0[k] + 4 * r) - pts_[:, 1 + k]))
-        dmin = np.minimum(dmin, pts_[:, grid.d])
-        dmin = np.minimum(dmin, 4 * r - pts_[:, grid.d])
-        bd.append(dmin)
-    Rfac = np.minimum(np.minimum(bd[0] ** 2, bd[1] ** 2),
-                      np.minimum(lo_pts[:, 0] - t_lo, 1.0))
-    ok = (ub > 0) & (dtp > 0) & (Rfac > 0)
-    if np.any(ok):
-        Q = dist_x[ok] / dtp[ok] + dtp[ok] / Rfac[ok]
-        needed = ua[ok] / (ub[ok] * np.exp(np.minimum(Q + 1.0, 700.0)))
-        interior_c = float(needed.max())
-    return HarnackResult(sup_val / base, sup_val, base, interior_c)
+    return HarnackResult(sup_val / base, sup_val, base)
 
 
 @dataclass(frozen=True)
@@ -659,13 +597,14 @@ class ComparisonResult:
     denominator_base: float
 
 
-def comparison_ratio(u: ScalarField, v: ScalarField, x0, t0: float, r: float,
-                     zero_tol: float = 1e-10) -> ComparisonResult:
+def comparison_ratio(u: ScalarField, v: ScalarField, x0, t0: float,
+                     r: float) -> ComparisonResult:
     """Boundary comparison quotient for two nonnegative vanishing solutions.
 
     value = sup_{T_r} (u/v) * v(x0, t0 - 2r^2, r) / u(x0, t0 + 2r^2, r),
     bounded by the comparison constant.  Both fields must vanish on the
-    2r cube trace and be nonnegative; v must clear the noise floor on T_r.
+    2r cube trace (recorded bottom data at most 1e-10 there) and be
+    nonnegative; v must clear the noise floor 1e-9 max(1, max|v|) on T_r.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     cube2 = ParabolicCube(x0, t0, 2 * r)
@@ -678,7 +617,7 @@ def comparison_ratio(u: ScalarField, v: ScalarField, x0, t0: float, r: float,
         grid = w.grid
         tang = grid.tangential_centers()
         inside = cube2.contains_xt(tang, grid.times()[:, None])
-        if np.abs(bd[inside]).max(initial=0.0) > zero_tol:
+        if np.abs(bd[inside]).max(initial=0.0) > 1e-10:
             raise ValueError(f"{name} does not vanish on the 2r cube")
 
     uu, _ = _t_window(u, x0, t0, r)
@@ -714,13 +653,13 @@ def green_measure_equivalence(A: CoefficientField, dom: GraphDomain,
 
     G_plus has pole ((x0, rho), t0 + rho^2), G_minus ((x0, rho), t0 - rho^2);
     both are read at the observation point.  The admissibility window is
-    t - t0 >= 4 rho^2 and |(x0, 0) - (x, lam)|^2 <= region_A * (t - t0).
+    t - t0 >= 4 rho^2 and |(x0, 0) - (x, lam)|^2 <= t - t0.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.size
     sep2 = float(np.sum((obs.X[:-1] - x0) ** 2) + obs.X[-1] ** 2)
     dt = obs.t - t0
-    admissible = (dt >= 4 * rho * rho) and (sep2 <= cfg.region_A * dt)
+    admissible = (dt >= 4 * rho * rho) and (sep2 <= dt)
     if not admissible:
         warnings.warn("Green-measure configuration outside the admissible "
                       "window; result watermarked", stacklevel=2)
@@ -753,18 +692,16 @@ class PositivityResult:
 
 def measure_positivity_floor(A: CoefficientField, dom: GraphDomain,
                              cube: ParabolicCube, grid: SpaceTimeGrid,
-                             gamma: float = 0.5, C1: float = 1.0,
-                             C2: float = 10.0, samples: int = 50,
-                             seed: int = 0) -> PositivityResult:
+                             samples: int = 50) -> PositivityResult:
     """Minimum of omega(., cube) over the standard positivity region.
 
-    Region: lam > gamma r, |x - x0|^2 + lam^2 <= C1 (t - t0) <= C2 r^2.
-    One field solve serves every sample point; the recorded c0 is the
-    empirical positivity floor (asserted positive by callers, never against
-    book constants).
+    Region: lam > r/2, |x - x0|^2 + lam^2 <= t - t0 <= 10 r^2, sampled at
+    `samples` points drawn with seed 0.  One field solve serves every
+    sample point; the recorded c0 is the empirical positivity floor
+    (asserted positive by callers, never against book constants).
     """
     f = caloric_measure_field(A, dom, cube, grid)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     r = cube.side
     n = cube.center_x.size
     pts, vals = [], []
@@ -772,11 +709,11 @@ def measure_positivity_floor(A: CoefficientField, dom: GraphDomain,
     tries = 0
     while len(pts) < samples and tries < 100 * samples:
         tries += 1
-        tau = cube.center_t + rng.uniform(0.5, 1.0) * C2 * r * r / C1
-        bound = C1 * (tau - cube.center_t)
-        if bound > C2 * r * r:
+        tau = cube.center_t + rng.uniform(0.5, 1.0) * 10.0 * r * r
+        bound = tau - cube.center_t
+        if bound > 10.0 * r * r:
             continue
-        lam = rng.uniform(gamma * r * 1.01, np.sqrt(bound) * 0.99)
+        lam = rng.uniform(0.5 * r * 1.01, np.sqrt(bound) * 0.99)
         rad2 = bound - lam * lam
         if rad2 <= 0:
             continue

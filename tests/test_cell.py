@@ -5,7 +5,7 @@ from parahom.cell import (CorrectorField, effective_matrix, grid_convergence,
                           solve_corrector, voigt_reuss_bounds,
                           _element_avg_gradient, _assemble, _q1_reference)
 from parahom.coeffs import CoefficientField, preset, scale_field
-from parahom.linalg import pcg
+from parahom.linalg import ConvergenceError, pcg
 
 
 def laminate_profile_midpoint(N, a_low=1.0, a_high=4.0, lo=0.25, hi=0.75):
@@ -212,6 +212,15 @@ def _jacobi_effective_matrix(A, N, tol):
         grad[:, j] += 1.0
         Abar_T[:, j] = np.einsum("ekl,el->ek", AT, grad).mean(axis=0)
     return Abar_T.T
+
+
+def test_pcg_raises_at_its_cap():
+    S, loads, _, _ = _assemble(preset("checker", d=2), 16)
+    with pytest.raises(ConvergenceError) as err:
+        pcg(lambda v: S @ v, loads[0], tol=1e-12, maxiter=3,
+            precond=lambda r: r, deflate=np.ones(16 ** 2))
+    assert err.value.iterations == 3
+    assert err.value.relres > 1e-12
 
 
 @pytest.mark.parametrize("name,d,N", [("checker", 2, 64), ("trig", 3, 16)],

@@ -150,6 +150,19 @@ class TestGraphDomain:
         dom = GraphDomain(m=0.0, box=((-1.0, 1.0),))
         assert np.all(dom.phi_values(np.array([[0.1], [0.7]])) == 0.0)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_json_table_reproduces_nodes(self, n):
+        grids = [np.linspace(-1.0, 1.0, 5)] * n
+        mesh = np.meshgrid(*grids, indexing="ij")
+        vals = 0.2 * np.abs(sum(mesh)) - 0.1
+        dom = GraphDomain.from_json(
+            {"m": 0.25, "box": [[-1.0, 1.0]] * n,
+             "phi": {"kind": "table", "grids": [g.tolist() for g in grids],
+                     "values": vals.tolist()}})
+        nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        assert np.allclose(dom.phi_values(nodes), vals.reshape(-1),
+                           rtol=0.0, atol=1e-15)
+
 
 class TestFlattenPullback:
     def test_identity_for_zero_phi(self):

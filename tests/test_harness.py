@@ -25,6 +25,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(eps_list=(2.0,))
 
+    def test_p_list_holds_one_exponent(self):
+        assert ExperimentConfig(p_list=[3]).p_list == (3.0,)
+        for bad in ((2.0, 3.0), (), (1.0,), (float("inf"),)):
+            with pytest.raises(ValueError, match="p_list"):
+                ExperimentConfig(p_list=bad)
+
     def test_from_json_ignores_unknown(self):
         cfg = ExperimentConfig.from_json(
             {"coeff": "trig", "resolution": 64, "bogus": 1})
@@ -47,11 +53,33 @@ class TestSpecs:
         assert isinstance(dom, GraphDomain)
         assert dom.m == 0.0
 
+    def test_domain_graph_and_cylinder(self):
+        dom = domain_from_json(
+            {"kind": "graph", "m": 0.25, "box": [[-2, 2]],
+             "phi": {"kind": "closed_form", "expr": "0.25*sin(x1)"}})
+        assert isinstance(dom, GraphDomain)
+        assert dom.phi_values(np.array([[0.3]]))[0] == \
+            pytest.approx(0.25 * np.sin(0.3))
+        cyl = domain_from_json({"kind": "cylinder",
+                                "base_box": [[0, 1], [0, 2]], "T": 0.5})
+        assert isinstance(cyl, LipschitzCylinder)
+        assert cyl.base_box == ((0.0, 1.0), (0.0, 2.0))
+        assert cyl.T == 0.5
+
     def test_data_bump_compatible(self):
         f = data_from_json(None)
         pts = np.array([[0.5, 0.0]])
         assert abs(f(pts, 0.0)[0]) == 0.0
         assert f(pts, 1.0)[0] > 0.5
+
+    def test_data_expr_ramps_to_expression(self):
+        f = data_from_json({"kind": "expr", "expr": "1 + x1 * x2",
+                            "ramp": 0.1})
+        pts = np.array([[0.5, 2.0], [-1.0, 3.0]])
+        assert np.all(f(pts, 0.0) == 0.0)
+        assert np.array_equal(f(pts, 10.0), 1.0 + pts[:, 0] * pts[:, 1])
+        # tangential points of a graph domain carry x2 = 0
+        assert np.array_equal(f(np.array([[0.5]]), 10.0), [1.0])
 
     def test_compact_K(self):
         dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=1.0)
@@ -177,6 +205,19 @@ class TestCli:
             header = fh.readline().strip()
         assert header == "x,t,N_value,flag"
 
+    def test_maximal_command_in_three_dimensions(self, tmp_path):
+        from parahom.cli import main
+
+        out = str(tmp_path / "N3.csv")
+        rc = main(["maximal", "--coeff", "constant", "--d", "3",
+                   "--grid", "8,8,8", "--nt", "4", "--t1", "0.2",
+                   "--out", out])
+        assert rc == 0
+        with open(out) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "x1,x2,t,N_value,flag"
+        assert len(lines) - 1 == (4 + 1) * 64
+
     def test_diagnose_command(self, tmp_path):
         from parahom.cli import main
 
@@ -201,6 +242,19 @@ class TestCli:
                    "--name", "homog"])
         assert os.path.exists(os.path.join(str(tmp_path), "homog.json"))
         assert rc in (0, 1)   # monotonicity not asserted at toy resolution
+
+    def test_config_from_file(self, tmp_path):
+        from parahom.cli import main
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"coeff": "laminate", "eps_list": [0.5], "resolution": 16,
+             "nt": 8, "cell_resolution": 8, "outdir": str(tmp_path)}))
+        rc = main(["homogenize", "--config", f"@{path}", "--name", "ff"])
+        assert rc == 0
+        rep = load_report(str(tmp_path / "ff.json"))
+        assert rep["config"]["resolution"] == 16
+        assert [r["eps"] for r in rep["rows"]] == [0.5]
 
     def test_sweep_command(self, tmp_path):
         from parahom.cli import main

@@ -277,6 +277,19 @@ class TestRescale:
         with pytest.raises(ValueError, match="exceeds"):
             rescale_solution(u, 2.0, target=big)
 
+    def test_bottom_trace_kept_only_on_natural_grid(self):
+        # the data is nonzero on the 4x cube, so every trace check must fail
+        u = solve_dirichlet(preset("constant", d=2), HALF, bump_data(),
+                            small_grid(nx=64, nlam=16))
+        with pytest.raises(ValueError, match="does not vanish"):
+            nt_trace_ratio(u, ParabolicCube(np.zeros(1), 0.5, 0.5))
+        cube = ParabolicCube(np.zeros(1), 2.0, 1.0)      # the same cube at eps
+        with pytest.raises(ValueError, match="does not vanish"):
+            nt_trace_ratio(rescale_solution(u, 0.5), cube)
+        target = halfspace(-8.0, 8.0, 4.0, 0.0, 4.0, (40, 10), 16)
+        with pytest.raises(ValueError, match="no recorded bottom"):
+            nt_trace_ratio(rescale_solution(u, 0.5, target=target), cube)
+
 
 class TestNTTrace:
     def test_linear_field(self):
