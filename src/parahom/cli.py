@@ -93,9 +93,10 @@ def _cmd_maximal(args):
         fh.write(",".join(["x"] if n == 1 else [f"x{k + 1}" for k in range(n)])
                  + ",t,N_value,flag\n")
         for i, X in enumerate(tang):
-            xs = ",".join(repr(x) for x in X)
+            xs = ",".join(repr(float(x)) for x in X)
             for k, t in enumerate(times):
-                fh.write(f"{xs},{t!r},{vals[k, i]!r},{int(flags[i])}\n")
+                fh.write(f"{xs},{float(t)!r},{float(vals[k, i])!r},"
+                         f"{int(flags[i])}\n")
     print(f"N written to {args.out}; ||N(u)||_{args.p} = {norm!r}")
     return 0
 

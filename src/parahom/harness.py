@@ -73,6 +73,9 @@ class ExperimentConfig:
             raise ValueError("p_list must hold exactly one exponent in "
                              f"(1, inf), got {list(self.p_list)}")
         self.r_list = tuple(float(r) for r in self.r_list)
+        if not self.eta > 0:
+            raise ValueError(
+                f"cone opening eta must be positive, got {self.eta}")
 
     def required_resolution(self) -> int:
         eps_min = min(self.eps_list)

@@ -3,8 +3,10 @@
 The cone supremum is a direct scan over grid layers: for each height the
 parabolic cone section is an ellipse in (x, t), swept as a sliding time-max
 per tangential offset (O(cells per cone) work per boundary cell, done in C
-by ndimage).  Per-boundary-cell sups are independent and parallelizable;
-all inputs are immutable.
+by ndimage and numpy).  Each face copies |u| on just the layers its cones
+reach into one slab laid out (layer, *tangential, time), time last, so the
+time-max filters run along contiguous rows and every tangential offset
+shifts whole rows.
 
 Faces, surface weights and chart heights come from `pde.lateral_faces`, the
 same faces the solves bind their data to, so ||N(u)||_p and the data norm
@@ -63,6 +65,8 @@ class BoundaryField:
         fb = self.fallback
         fb = np.zeros(v.shape[1:], dtype=bool) if fb is None else \
             np.asarray(fb, dtype=bool)
+        if fb.shape != v.shape[1:]:
+            raise ValueError("fallback must match the tangential shape")
         v.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -70,89 +74,83 @@ class BoundaryField:
         object.__setattr__(self, "fallback", fb)
 
 
-def _cone_sup(absvals: np.ndarray, h_tang: Sequence[float], dt: float,
-              h_depth: float, eta: float, truncation=None):
-    """Cone suprema over a (nt+1, *tang, depth) block of |u|.
+def _cone_sup(slab: np.ndarray, h_tang: Sequence[float], dt: float,
+              h_depth: float, eta: float) -> np.ndarray:
+    """Cone suprema over a (layer, *tang, nt+1) slab of |u|, time last.
 
     Layer l sits at depth (l + 1/2) h_depth; its cone section admits
     tangential offsets m with |m . h| < rho and times within
-    rho * sqrt(rho^2 - |dx|^2) of the vertex, rho = eta * depth.
+    rho * sqrt(rho^2 - |dx|^2) of the vertex, rho = eta * depth.  Each
+    layer's windowed time-max runs along contiguous rows, one filter per
+    distinct half-width w (w = 0 is the layer itself), and every offset
+    shifts whole rows into the (*tang, nt+1) result.
     """
-    nt1 = absvals.shape[0]
-    tang_shape = absvals.shape[1:-1]
-    nlayers = absvals.shape[-1]
-    out = np.zeros((nt1,) + tang_shape)
-    fallback = np.zeros(tang_shape, dtype=bool)
-    ndim_t = len(tang_shape)
-
-    used_any = False
-    for l in range(nlayers):
-        lam = (l + 0.5) * h_depth
-        if truncation is not None and lam >= truncation:
-            break
-        rho = eta * lam
-        layer = absvals[..., l]
-        filtered_cache = {}
+    tang_shape = slab.shape[1:-1]
+    nt1 = slab.shape[-1]
+    out = np.zeros(slab.shape[1:])
+    for l, layer in enumerate(slab):
+        rho = eta * ((l + 0.5) * h_depth)
+        filtered = {0: layer}
         max_off = [min(int(np.floor(rho / h)), n - 1)
                    for h, n in zip(h_tang, tang_shape)]
         for offs in product(*[range(-mo, mo + 1) for mo in max_off]):
             dx2 = sum((o * h) ** 2 for o, h in zip(offs, h_tang))
             if dx2 >= rho * rho:
                 continue
-            used_any = True
             win = rho * np.sqrt(rho * rho - dx2)
             w = min(int(np.floor(win / dt)), nt1 - 1)
-            if w not in filtered_cache:
-                filtered_cache[w] = maximum_filter1d(
-                    layer, size=2 * w + 1, axis=0, mode="nearest")
-            f = filtered_cache[w]
-            src = [slice(None)]
-            dst = [slice(None)]
+            if w not in filtered:
+                filtered[w] = maximum_filter1d(
+                    layer, size=2 * w + 1, axis=-1, mode="nearest")
+            src, dst = [], []
             for o, n in zip(offs, tang_shape):
-                if o >= 0:
-                    src.append(slice(o, n))
-                    dst.append(slice(0, n - o))
-                else:
-                    src.append(slice(0, n + o))
-                    dst.append(slice(-o, n))
+                src.append(slice(max(o, 0), n + min(o, 0)))
+                dst.append(slice(max(-o, 0), n - max(o, 0)))
             view = out[tuple(dst)]
-            np.maximum(view, f[tuple(src)], out=view)
-    if not used_any:
-        # truncated below the first layer: fall back to the first-layer trace
-        out = absvals[..., 0].copy()
-        fallback[...] = True
-    return out, fallback
+            np.maximum(view, filtered[w][tuple(src)], out=view)
+    return out
 
 
-def _face_max(u: ScalarField, eta: float, face: LateralFace,
+def _face_max(u: ScalarField, eta: float, m: float, face: LateralFace,
               truncation=None) -> BoundaryField:
     """N(u) on one lateral face, with the depth from the face as lam.
 
-    Cones stop at the face's chart height, or at `truncation` when given.
+    Cones open by eta, which must exceed the domain's Lipschitz constant m
+    (0 for a cylinder), and stop at the face's chart height, or at
+    `truncation` when given.  Only the layers they reach are copied.
     """
+    if eta <= m:
+        raise ValueError(
+            f"cone opening {eta} must exceed the Lipschitz constant {m}")
     grid = u.grid
     if not grid.is_uniform:
         raise ValueError("the cone scan needs a uniform grid")
     axis, side = face.key
-    v = np.moveaxis(np.abs(u.values), 1 + axis, -1)     # depth last
-    if side == 1:
-        v = v[..., ::-1]
     h = list(grid.h)
     h_depth = h.pop(axis)
-    vals, fallback = _cone_sup(v, h, grid.dt, h_depth, eta,
-                               face.r0 if truncation is None else truncation)
-    return BoundaryField(vals, face.weights, grid.dt, fallback,
+    cut = face.r0 if truncation is None else truncation
+    lam = (np.arange(grid.shape[axis]) + 0.5) * h_depth
+    nlayers = lam.size if cut is None else int(np.sum(lam < cut))
+    v = np.moveaxis(u.values, (1 + axis, 0), (0, -1))   # (depth, *tang, time)
+    if side == 1:
+        v = v[::-1]
+    slab = np.abs(v[:max(nlayers, 1)], order="C")
+    if nlayers:
+        vals = _cone_sup(slab, h, grid.dt, h_depth, eta)
+    else:   # truncated below the first layer: the first-layer trace
+        vals = slab[0]
+    # C order: np.sum in the L^p norms adds in memory order
+    return BoundaryField(np.ascontiguousarray(np.moveaxis(vals, -1, 0)),
+                         face.weights, grid.dt,
+                         np.full(vals.shape[:-1], not nlayers),
                          {"eta": eta, "face": face.key})
 
 
 def nontangential_max(u: ScalarField, eta: float, dom: GraphDomain,
                       truncation=None) -> BoundaryField:
     """N(u) on the flattened lateral boundary of a graph-domain solve."""
-    if eta <= dom.m:
-        raise ValueError(
-            f"cone opening {eta} must exceed the Lipschitz constant {dom.m}")
     face, = lateral_faces(u.grid, dom)
-    return _face_max(u, eta, face, truncation)
+    return _face_max(u, eta, dom.m, face, truncation)
 
 
 def nontangential_max_cylinder(u: ScalarField, eta: float,
@@ -165,7 +163,7 @@ def nontangential_max_cylinder(u: ScalarField, eta: float,
     reach the opposite face.  Corners still measure lam from the face, not
     the distance to the whole boundary.
     """
-    return {face.key: _face_max(u, eta, face)
+    return {face.key: _face_max(u, eta, 0.0, face)
             for face in lateral_faces(u.grid, dom)}
 
 

@@ -31,6 +31,11 @@ class TestConfig:
             with pytest.raises(ValueError, match="p_list"):
                 ExperimentConfig(p_list=bad)
 
+    def test_eta_must_be_positive(self):
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="eta"):
+                ExperimentConfig(eta=bad)
+
     def test_from_json_ignores_unknown(self):
         cfg = ExperimentConfig.from_json(
             {"coeff": "trig", "resolution": 64, "bogus": 1})
@@ -202,8 +207,11 @@ class TestCli:
                    "--out", csv_out])
         assert rc == 0
         with open(csv_out) as fh:
-            header = fh.readline().strip()
-        assert header == "x,t,N_value,flag"
+            lines = fh.read().splitlines()
+        assert lines[0] == "x,t,N_value,flag"
+        assert len(lines) - 1 == (16 + 1) * 32
+        for line in lines[1:]:
+            [float(cell) for cell in line.split(",")]
 
     def test_maximal_command_in_three_dimensions(self, tmp_path):
         from parahom.cli import main
@@ -217,6 +225,8 @@ class TestCli:
             lines = fh.read().splitlines()
         assert lines[0] == "x1,x2,t,N_value,flag"
         assert len(lines) - 1 == (4 + 1) * 64
+        for line in lines[1:]:
+            [float(cell) for cell in line.split(",")]
 
     def test_diagnose_command(self, tmp_path):
         from parahom.cli import main

@@ -8,7 +8,7 @@ from parahom.maximal import (BoundaryField, boundary_data_norm,
                              nontangential_max, nontangential_max_cylinder,
                              solvability_constant, truncated_vertical_max)
 from parahom.pde import (BoundaryData, ScalarField, SpaceTimeGrid, halfspace,
-                         solve_dirichlet)
+                         lateral_faces, solve_dirichlet)
 
 HALF = GraphDomain(m=0.0, box=((-4.0, 4.0),))
 
@@ -84,6 +84,13 @@ class TestNontangentialMax:
         with pytest.raises(ValueError, match="exceed"):
             nontangential_max(u, 0.4, dom)
 
+    def test_cylinder_cones_need_a_positive_opening(self):
+        g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (8, 8), 0.0, 0.5, 4)
+        u = ScalarField(g, np.ones((g.nt + 1,) + g.shape))
+        for eta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="exceed"):
+                nontangential_max_cylinder(u, eta, UNIT_SQUARE)
+
     def test_truncated_cone_fallback(self):
         g = grid()
         u = synthetic(g, lambda X: X[..., 1])
@@ -156,6 +163,12 @@ class TestLpNorm:
             lhs = lp_boundary_norm(bf, p)
             rhs = supp ** (1 / p - 1 / q) * lp_boundary_norm(bf, q)
             assert lhs <= rhs * (1 + 1e-12)
+
+    def test_fallback_must_match_tangential_shape(self):
+        BoundaryField(np.ones((2, 4)), np.ones(4), 0.1, np.zeros(4, bool))
+        for bad in (np.zeros(3, bool), np.zeros((2, 4), bool), True):
+            with pytest.raises(ValueError, match="fallback"):
+                BoundaryField(np.ones((2, 4)), np.ones(4), 0.1, bad)
 
     def test_p_range(self):
         bf = BoundaryField(np.ones((2, 4)), np.ones(4), 0.1)
@@ -249,3 +262,99 @@ class TestCylinderCones:
         assert total > 0
         for bf in fields.values():
             assert bf.values.max() <= u.values.max() + 1e-14
+
+
+def cone_oracle(u, eta, face, cut):
+    """N(u) on one face by brute force over every vertex, layer, tangential
+    offset and time, with the admission rule written out: layer l of the
+    face has depth lam = (l + 1/2) h, rho = eta lam, and (x + dx, s) is in
+    the cone of (x, t) when |dx|^2 < rho^2 and |s - t| <= rho sqrt(rho^2 -
+    |dx|^2).  Returns (values, fallback) like BoundaryField."""
+    g = u.grid
+    axis, side = face.key
+    v = np.moveaxis(np.abs(u.values), 1 + axis, 1)     # (nt+1, depth, *tang)
+    if side == 1:
+        v = v[:, ::-1]
+    h = list(g.h)
+    h_depth = h.pop(axis)
+    tang = v.shape[2:]
+    cells = np.indices(tang).reshape(len(tang), -1).T
+    vals = v.reshape(v.shape[:2] + (-1,))
+    lag = np.abs(np.subtract.outer(np.arange(g.nt + 1),
+                                   np.arange(g.nt + 1))) * g.dt
+    out = np.zeros((g.nt + 1, len(cells)))
+    used = False
+    for l in range(v.shape[1]):
+        lam = (l + 0.5) * h_depth
+        if cut is not None and lam >= cut:
+            break
+        rho = eta * lam
+        for i, x in enumerate(cells):
+            dx2 = np.sum(((cells - x) * h) ** 2, axis=1)
+            win = rho * np.sqrt(np.maximum(rho * rho - dx2, 0.0))
+            adm = (dx2 < rho * rho)[None, None, :] & \
+                (lag[:, :, None] <= win[None, None, :])
+            used |= bool(adm.any())
+            cone = np.where(adm, vals[None, :, l, :], 0.0)
+            out[:, i] = np.maximum(out[:, i], cone.max(axis=(1, 2)))
+    if not used:
+        out = vals[:, 0, :]
+    return out.reshape((g.nt + 1,) + tang), np.full(tang, not used)
+
+
+class TestConeOracle:
+    """The cone scan against cone_oracle, exactly: a max has no roundoff."""
+
+    @staticmethod
+    def field(g, seed):
+        rng = np.random.default_rng(seed)
+        return ScalarField(g, rng.normal(size=(g.nt + 1,) + g.shape))
+
+    @pytest.mark.parametrize("eta", [0.7, 1.0, 2.5, 9.0])
+    @pytest.mark.parametrize("cut", [None, 0.33, 0.04])
+    def test_graph_face(self, eta, cut):
+        g = halfspace(-2.0, 2.0, 0.6, 0.0, 2.0, (12, 6), 20)
+        u = self.field(g, 0)
+        face, = lateral_faces(g, HALF)
+        N = nontangential_max(u, eta, HALF, truncation=cut)
+        vals, fallback = cone_oracle(u, eta, face, cut)
+        assert np.array_equal(N.values, vals)
+        assert np.array_equal(N.fallback, fallback)
+        assert fallback.all() == (cut == 0.04)
+        if eta == 9.0 and cut is None:      # offsets reach the n - 1 cap
+            assert eta * 5.5 * g.h[1] > 11 * g.h[0]
+
+    def test_cone_boundary_on_the_grid(self):
+        # binary-exact spacings put cells on |dx| = rho (outside the cone)
+        # and times on |s - t| = rho sqrt(rho^2 - |dx|^2) (inside it)
+        g = halfspace(-1.0, 1.0, 0.5, 0.0, 0.625, (32, 4), 8)
+        u = self.field(g, 3)
+        face, = lateral_faces(g, HALF)
+        vals, _ = cone_oracle(u, 1.0, face, None)
+        assert np.array_equal(nontangential_max(u, 1.0, HALF).values, vals)
+
+    @pytest.mark.parametrize("eta", [0.7, 1.0, 2.5])
+    @pytest.mark.parametrize("t1", [0.5, 0.02])
+    def test_cylinder_faces(self, eta, t1):
+        dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.3),
+                                          (0.0, 0.9)), T=t1)
+        g = SpaceTimeGrid((0.0, 0.0, 0.0), (1.0, 1.3, 0.9), (6, 5, 4),
+                          0.0, t1, 8)
+        u = self.field(g, 1)
+        fields = nontangential_max_cylinder(u, eta, dom)
+        faces = lateral_faces(g, dom)
+        assert sorted(fields) == sorted(f.key for f in faces)
+        for face in faces:
+            vals, fallback = cone_oracle(u, eta, face, dom.r0)
+            assert np.array_equal(fields[face.key].values, vals), face.key
+            assert not fields[face.key].fallback.any()
+        if t1 == 0.02:                      # windows reach the nt cap
+            assert (eta * 1.5 * 1.3 / 5) ** 2 > t1
+
+    def test_two_dimensional_cylinder(self):
+        g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (9, 7), 0.0, 0.5, 12)
+        u = self.field(g, 2)
+        fields = nontangential_max_cylinder(u, 1.3, UNIT_SQUARE)
+        for face in lateral_faces(g, UNIT_SQUARE):
+            vals, _ = cone_oracle(u, 1.3, face, UNIT_SQUARE.r0)
+            assert np.array_equal(fields[face.key].values, vals), face.key
