@@ -35,6 +35,10 @@ import scipy.sparse as sp
 from .coeffs import CoefficientField, check_periodicity, scale_field
 from .linalg import pcg
 
+# CG iteration cap, fixed in N: the circulant preconditioner keeps every
+# solve near 30 iterations at any resolution
+_CG_MAXITER = 2000
+
 __all__ = [
     "CorrectorField",
     "EffectiveMatrix",
@@ -185,8 +189,8 @@ def _unit_periodize(A: CoefficientField) -> CoefficientField:
     return scale_field(A, 1.0 / s)
 
 
-def _prepared(A: CoefficientField, N: int):
-    """Checked unit-periodic field and the CG iteration cap at resolution N.
+def _prepared(A: CoefficientField, N: int) -> CoefficientField:
+    """The checked unit-periodic field for a cell problem at resolution N.
 
     The field must repeat to 1e-8 (Frobenius) at 256 sample points.
     """
@@ -195,10 +199,10 @@ def _prepared(A: CoefficientField, N: int):
     if A.period != "lattice":
         raise ValueError("cell problems need a lattice-periodic field")
     A = _unit_periodize(A)
-    dev = check_periodicity(A, sample_count=256)
+    dev = check_periodicity(A)
     if dev > 1e-8:
         raise ValueError(f"field is not periodic (deviation {dev:.3e})")
-    return A, 50 * N * max(1, A.d - 1)
+    return A
 
 
 def _reference_inverse(Avals: np.ndarray, N: int):
@@ -229,8 +233,8 @@ def _reference_inverse(Avals: np.ndarray, N: int):
     return apply
 
 
-def _solve_one(S, b, precond, tol, itmax):
-    x, its, relres = pcg(lambda v: S @ v, b, tol=tol, maxiter=itmax,
+def _solve_one(S, b, precond, tol):
+    x, its, relres = pcg(lambda v: S @ v, b, tol=tol, maxiter=_CG_MAXITER,
                          precond=precond, deflate=np.ones(S.shape[0]))
     return x - x.mean(), its, relres
 
@@ -238,20 +242,20 @@ def _solve_one(S, b, precond, tol, itmax):
 def solve_corrector(A: CoefficientField, alpha, N: int,
                     tol: float = 1e-10) -> CorrectorField:
     """Solve the periodic cell problem for direction alpha at resolution N."""
-    A, itmax = _prepared(A, N)
+    A = _prepared(A, N)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (A.d,):
         raise ValueError(f"alpha must be a vector in R^{A.d}")
     S, loads, _, Avals = _assemble(A, N)
     x, _, relres = _solve_one(S, alpha @ loads, _reference_inverse(Avals, N),
-                              tol, itmax)
+                              tol)
     return CorrectorField(alpha, x.reshape((N,) * A.d), N, relres)
 
 
 def effective_matrix(A: CoefficientField, N: int,
                      tol: float = 1e-10) -> EffectiveMatrix:
     """Assemble Abar column by column from the d coordinate correctors."""
-    A, itmax = _prepared(A, N)
+    A = _prepared(A, N)
     d = A.d
     S, loads, corner_nodes, Avals = _assemble(A, N)
     precond = _reference_inverse(Avals, N)
@@ -261,7 +265,7 @@ def effective_matrix(A: CoefficientField, N: int,
     iterations = np.zeros(d, dtype=int)
     for j in range(d):
         chi, iterations[j], residuals[j] = _solve_one(S, loads[j], precond,
-                                                      tol, itmax)
+                                                      tol)
         grad = _element_avg_gradient(chi, corner_nodes, d, N)
         grad[:, j] += 1.0
         flux = np.einsum("ekl,el->ek", AT, grad)
@@ -289,6 +293,8 @@ def grid_convergence(A: CoefficientField, N_list):
     N_list = [int(N) for N in N_list]
     if sorted(N_list) != N_list or len(N_list) < 2:
         raise ValueError("N_list must be increasing with at least two entries")
+    if any(a * c != b * b for a, b, c in zip(N_list, N_list[1:], N_list[2:])):
+        raise ValueError(f"N_list {N_list} must refine by one constant ratio")
     mats = [effective_matrix(A, N) for N in N_list]
     rows = []
     diffs = [np.linalg.norm(mats[i + 1].Abar - mats[i].Abar)

@@ -87,16 +87,14 @@ def _cmd_maximal(args):
     tang = u.grid.tangential_centers()
     times = u.grid.times()
     vals = N.values.reshape(times.size, -1)
-    flags = N.fallback.reshape(-1)
     n = tang.shape[1]
     with open(args.out, "w", newline="") as fh:
         fh.write(",".join(["x"] if n == 1 else [f"x{k + 1}" for k in range(n)])
-                 + ",t,N_value,flag\n")
+                 + ",t,N_value\n")
         for i, X in enumerate(tang):
             xs = ",".join(repr(float(x)) for x in X)
             for k, t in enumerate(times):
-                fh.write(f"{xs},{float(t)!r},{float(vals[k, i])!r},"
-                         f"{int(flags[i])}\n")
+                fh.write(f"{xs},{float(t)!r},{float(vals[k, i])!r}\n")
     print(f"N written to {args.out}; ||N(u)||_{args.p} = {norm!r}")
     return 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -104,23 +104,23 @@ def _scalar_field(cfun, d):
     return evaluate
 
 
-def constant_matrix_field(M, label: str = "constant-matrix",
-                          lam: Optional[float] = None) -> CoefficientField:
-    """Constant coefficient field from an explicit symmetric matrix."""
+def constant_matrix_field(M, label: str = "constant-matrix"
+                          ) -> CoefficientField:
+    """Constant coefficient field from an explicit symmetric matrix, with
+    lam = max(largest eigenvalue, 1 / smallest eigenvalue)."""
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
     if M.shape != (d, d) or np.abs(M - M.T).max() > 1e-10 * np.abs(M).max():
         raise ValueError("matrix must be square and symmetric")
     M = 0.5 * (M + M.T)
-    if lam is None:
-        eigs = np.linalg.eigvalsh(M)
-        lam = float(max(eigs.max(), 1.0 / eigs.min()))
+    eigs = np.linalg.eigvalsh(M)
+    lam = float(max(eigs.max(), 1.0 / eigs.min()))
 
     def evaluate(X):
         X = np.asarray(X, dtype=float)
         return np.broadcast_to(M, X.shape[:-1] + (d, d)).copy()
 
-    return CoefficientField(evaluate, d=d, lam=max(lam, 1.0), period="lattice",
+    return CoefficientField(evaluate, d=d, lam=lam, period="lattice",
                             label=label)
 
 
@@ -311,16 +311,13 @@ def _sample_points(A: CoefficientField, count: int) -> np.ndarray:
     return rng.uniform(-2.0, 2.0, size=(count, A.d))
 
 
-def check_ellipticity(A: CoefficientField,
-                      sample_count: int = 2000) -> EllipticityReport:
-    """Extreme eigenvalues of A over random sample points (seed 0).
+def check_ellipticity(A: CoefficientField) -> EllipticityReport:
+    """Extreme eigenvalues of A over 2000 random sample points (seed 0).
 
     Passes iff every eigenvalue lies in [1/lam - 1e-10, lam + 1e-10].
     A non-symmetric sample is a hard error carrying the offending point.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    pts = _sample_points(A, sample_count)
+    pts = _sample_points(A, 2000)
     vals = A(pts)
     asym = np.abs(vals - np.swapaxes(vals, -1, -2)).max(axis=(-1, -2))
     scale = max(1.0, float(np.abs(vals).max()))
@@ -333,14 +330,14 @@ def check_ellipticity(A: CoefficientField,
     return EllipticityReport(lo, hi, ok)
 
 
-def check_periodicity(A: CoefficientField, sample_count: int = 2000) -> float:
+def check_periodicity(A: CoefficientField) -> float:
     """Max Frobenius deviation |A(X + Z) - A(X)| over declared generators,
-    at `sample_count` uniform points of [-2, 2]^d drawn with seed 0."""
+    at 256 uniform points of [-2, 2]^d drawn with seed 0."""
     gens = A.period_generators()
     if gens.shape[0] == 0:
         raise ValueError("field declares no periodicity")
     rng = np.random.default_rng(0)
-    pts = rng.uniform(-2.0, 2.0, size=(sample_count, A.d))
+    pts = rng.uniform(-2.0, 2.0, size=(256, A.d))
     worst = 0.0
     base = A(pts)
     for z in gens:
@@ -349,26 +346,17 @@ def check_periodicity(A: CoefficientField, sample_count: int = 2000) -> float:
     return worst
 
 
-def _default_rho_grid() -> np.ndarray:
-    # Geometric grid, ratio 2^{1/4}, from 2^-20 up to 1: resolves the
-    # log-divergent borderline.
-    k = np.arange(0, 81)
-    return 2.0 ** (-20 + k / 4.0)
-
-
 @dataclass(frozen=True)
 class DiniModulus:
-    """Sampled oscillation modulus rho -> theta(rho).
+    """Sampled oscillation modulus rho -> theta(rho) in the last coordinate.
 
-    kind "axis" measures oscillation in the last coordinate only; "all"
-    over full-space offsets |X - Y| <= rho.  theta is monotone nondecreasing
-    by construction (running max over the grid).  half_width estimates the
-    sampling error from the gap between the two largest samples at each rho.
+    theta is monotone nondecreasing by construction (running max over the
+    grid).  half_width estimates the sampling error from the gap between
+    the two largest samples at each rho.
     """
 
     rho: np.ndarray
     theta: np.ndarray
-    kind: str
     half_width: np.ndarray
 
     def __post_init__(self):
@@ -393,23 +381,20 @@ def _spectral_norm_sym(M: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(M)).max(axis=-1)
 
 
-def dini_modulus(A: CoefficientField, kind: str = "axis",
-                 rho_grid: Optional[np.ndarray] = None,
-                 pairs: int = 10000) -> DiniModulus:
-    """Estimate theta(rho) = sup |A(X) - A(Y)| over admissible pairs.
+def dini_modulus(A: CoefficientField) -> DiniModulus:
+    """Estimate theta(rho) = sup |A(X) - A(Y)| over pairs whose offset runs
+    along the last coordinate, |X - Y| <= rho.
 
-    The sup is approximated over `pairs` quasi-random pairs per rho (a
-    scrambled Halton sequence with seed 0) plus
-    offsets of exactly +-rho (which realize the sup for monotone profiles).
-    Matrix size is measured in the spectral norm, so scalar fields c * I
-    report |c1 - c2| independent of dimension.
+    rho runs over the geometric grid 2^-20 ... 1 of ratio 2^{1/4}, which
+    resolves the log-divergent borderline.  The sup is approximated over
+    10,000 quasi-random pairs per rho (a scrambled Halton sequence with
+    seed 0), a quarter of them at offset exactly +rho and a quarter at -rho
+    (which realize the sup for monotone profiles).  Matrix size is measured
+    in the spectral norm, so scalar fields c * I report |c1 - c2|
+    independent of dimension.
     """
-    if kind not in ("axis", "all"):
-        raise ValueError("kind must be 'axis' or 'all'")
-    rho_grid = _default_rho_grid() if rho_grid is None else np.asarray(rho_grid)
-    if np.any(rho_grid <= 0) or np.any(rho_grid > 1):
-        raise ValueError("rho grid must lie in (0, 1]")
-    rho_grid = np.sort(rho_grid)
+    rho_grid = 2.0 ** (-20 + np.arange(81) / 4.0)
+    pairs = 10000
 
     from scipy.stats import qmc
 
@@ -422,33 +407,26 @@ def dini_modulus(A: CoefficientField, kind: str = "axis",
     theta = np.empty(rho_grid.size)
     half_width = np.empty(rho_grid.size)
     for i, rho in enumerate(rho_grid):
-        if kind == "axis":
-            off = np.zeros_like(base)
-            off[:, -1] = unit[:, -1] * rho
-            # include the extreme offsets exactly
-            off[: pairs // 4, -1] = rho
-            off[pairs // 4: pairs // 2, -1] = -rho
-        else:
-            norms = np.linalg.norm(unit, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            radii = np.abs(unit[:, :1])
-            off = unit / norms * radii * rho
-            off[: pairs // 4] = unit[: pairs // 4] / norms[: pairs // 4] * rho
+        off = np.zeros_like(base)
+        off[:, -1] = unit[:, -1] * rho
+        # include the extreme offsets exactly
+        off[: pairs // 4, -1] = rho
+        off[pairs // 4: pairs // 2, -1] = -rho
         dev = _spectral_norm_sym(A(base + off) - A(base))
         top2 = np.partition(dev, dev.size - 2)[-2:]
         theta[i] = top2[1]
         half_width[i] = 0.5 * (top2[1] - top2[0])
     theta = np.maximum.accumulate(theta)
-    return DiniModulus(rho_grid, theta, kind, half_width)
+    return DiniModulus(rho_grid, theta, half_width)
 
 
 @dataclass(frozen=True)
 class DiniIntegral:
     """Quadrature of theta(rho)^2 / rho with a divergence indicator.
 
-    tail_indicator = theta(rho_min)^2 * |log rho_min| grows without bound
-    exactly when the integral diverges logarithmically, making the
-    borderline visible in reports.
+    tail_indicator = theta(rho_min)^2 * |log rho_min|, with rho_min the
+    first sample, grows without bound exactly when the integral diverges
+    logarithmically, making the borderline visible in reports.
     """
 
     value: float
@@ -456,15 +434,10 @@ class DiniIntegral:
     rho_min: float
 
 
-def dini_integral(mod: DiniModulus, rho_min: float = None) -> DiniIntegral:
-    """Trapezoid integral of theta^2/rho over [rho_min, 1]."""
-    rho_min = float(mod.rho[0]) if rho_min is None else float(rho_min)
-    if rho_min < mod.rho[0] - 1e-15:
-        raise ValueError(
-            f"samples start at {mod.rho[0]:.3e}, cannot integrate from {rho_min:.3e}")
-    mask = mod.rho >= rho_min * (1 - 1e-12)
-    rho = mod.rho[mask]
-    th = mod.theta[mask]
+def dini_integral(mod: DiniModulus) -> DiniIntegral:
+    """Trapezoid integral of theta^2/rho over the samples, from the first
+    sample rho_min to the last."""
+    rho, th = mod.rho, mod.theta
     value = float(np.trapezoid(th * th / rho, rho))
     tail = float(th[0] ** 2 * abs(np.log(rho[0])))
     return DiniIntegral(value, tail, float(rho[0]))

@@ -1,4 +1,6 @@
-"""Parabolic metric structure: norms, cubes, cones, Lipschitz graph domains.
+"""Parabolic metric structure: norms, cubes, Lipschitz graph domains.
+
+Nontangential cones are defined once, by the cone scan in `maximal`.
 
 The anisotropic geometry (space scales like rho, time like rho^2) underlies
 every estimate in the toolkit.  All objects here are immutable after
@@ -19,8 +21,6 @@ __all__ = [
     "parabolic_distance",
     "ParabolicPoint",
     "ParabolicCube",
-    "Cone",
-    "cone_contains",
     "GraphDomain",
     "LipschitzCylinder",
     "flatten_pullback",
@@ -109,45 +109,6 @@ class ParabolicCube:
             x = x[:, None]
         inside = np.all(np.abs(x - self.center_x) < self.side, axis=-1)
         return inside & (np.abs(np.asarray(t) - self.center_t) < self.side ** 2)
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Nontangential cone of opening eta at a boundary vertex (x0, t0).
-
-    Contains the points (x, t, lam) with ||(x - x0, t - t0)|| < eta * lam,
-    lam > 0.  An optional truncation keeps only lam < truncation (distance
-    to the flattened lateral boundary).
-    """
-
-    vertex_x: np.ndarray
-    vertex_t: float
-    opening: float
-    truncation: Optional[float] = None
-
-    def __post_init__(self):
-        vx = np.atleast_1d(np.asarray(self.vertex_x, dtype=float))
-        if self.opening <= 0:
-            raise ValueError("opening must be positive")
-        if self.truncation is not None and self.truncation <= 0:
-            raise ValueError("truncation must be positive when given")
-        vx.flags.writeable = False
-        object.__setattr__(self, "vertex_x", vx)
-        object.__setattr__(self, "vertex_t", float(self.vertex_t))
-
-
-def cone_contains(cone: Cone, x, t, lam) -> np.ndarray:
-    """Membership test for points (x, t, lam); vectorized over leading axes."""
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if x.ndim == cone.vertex_x.ndim and x.shape[-1] != cone.vertex_x.size:
-        raise ValueError("x dimension does not match cone vertex")
-    rho = parabolic_norm(np.atleast_1d(x) - cone.vertex_x,
-                         np.asarray(t, dtype=float) - cone.vertex_t)
-    inside = (rho < cone.opening * lam) & (lam > 0)
-    if cone.truncation is not None:
-        inside &= lam < cone.truncation
-    return inside
 
 
 class _TabulatedFunction:
@@ -377,13 +338,12 @@ class BoundaryMeasure:
     empty: bool = False
 
 
-def boundary_measure(dom, region: ParabolicCube,
-                     quad_pts: int = 257) -> BoundaryMeasure:
+def boundary_measure(dom, region: ParabolicCube) -> BoundaryMeasure:
     """Lateral-boundary measure sigma(region) = surface measure x time length.
 
     For a graph domain the surface element is sqrt(1 + |grad phi|^2) dx and
     the measure of Q_r is the patch integral times the time extent 2 r^2,
-    computed by trapezoid quadrature at resolution `quad_pts` per axis.
+    computed by trapezoid quadrature on 257 points per axis.
     For a box cylinder the perimeter arc length inside the cube is exact.
     """
     r = region.side
@@ -396,7 +356,7 @@ def boundary_measure(dom, region: ParabolicCube,
             his.append(min(hi, c + r))
         if any(h <= l for l, h in zip(los, his)):
             return BoundaryMeasure(0.0, empty=True)
-        grids = [np.linspace(l, h, quad_pts) for l, h in zip(los, his)]
+        grids = [np.linspace(l, h, 257) for l, h in zip(los, his)]
         mesh = np.meshgrid(*grids, indexing="ij")
         pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
         g = dom.grad_phi(pts)

@@ -333,7 +333,7 @@ def solvability_sweep(cfg: ExperimentConfig,
         A = preset(preset_name, d=d)
         values = []
         for r in cfg.r_list:
-            res = local_solvability_at_scale(A, r, pot_cfg)
+            res = local_solvability_at_scale(A, r)
             values.append(res.ratio)
             rows.append(_row("localsolv", A.label, "halfspace", {"r": r},
                              res.ratio, None, True))
@@ -352,14 +352,14 @@ def solvability_sweep(cfg: ExperimentConfig,
     return SweepReport(rows=rows, config=cfg.to_jsonable())
 
 
-def q_decay_constant(A: CoefficientField, R_cells: int,
-                     steps: int = 160) -> dict:
+def q_decay_constant(A: CoefficientField, R_cells: int) -> dict:
     """Normalized vertical-difference decay constant at window scale R.
 
     A Green-like field is generated on the box {|x| < 2R, 0 < lam < 4R}
     (zero lateral data, unit impulse at (0, 3R) released at t = -2R^2) and
     the shifted difference Qu(., lam) = u(., lam + 1) - u is measured
-    where lam >= R inside the half-height window over (0, 4R^2):
+    where lam >= R inside the half-height window over (0, 4R^2), with 160
+    time steps over (-2R^2, 8R^2):
 
         C(R) = R * sup |Qu| / (R^{-(n+3)} int_{lower window} u^2)^{1/2}.
 
@@ -374,7 +374,7 @@ def q_decay_constant(A: CoefficientField, R_cells: int,
     nx = int(round(4 * R / h))
     nlam = int(round(4 * R / h))
     grid = SpaceTimeGrid((-2 * R, 0.0), (2 * R, 4 * R), (nx, nlam),
-                         -2 * R * R, 8 * R * R, steps)
+                         -2 * R * R, 8 * R * R, 160)
     dom = GraphDomain(m=0.0, box=((-2 * R, 2 * R),))
     u = solve_impulse(A, dom, np.asarray([0.0, 3 * R]), -2 * R * R, grid)
     qu = q_difference(u, 1.0)
@@ -396,13 +396,12 @@ def q_decay_constant(A: CoefficientField, R_cells: int,
             "constant": R * sup_q / denom}
 
 
-def local_solvability_at_scale(A: CoefficientField, r: float,
-                                pot_cfg: PotentialConfig):
+def local_solvability_at_scale(A: CoefficientField, r: float):
     """Solve one vanishing-trace configuration and return its ratio.
 
     The solution is the caloric measure of the cube Q_r(5.5 r, -16 r^2),
     outside Q_4r, so the trace vanishes on the 4x cube while mass flows
-    over T_4r.
+    over T_4r.  Like the potential grids, no axis may exceed 768 cells.
     """
     h = min(r / 8.0, 0.25)
     dt = r * r / 12.0
@@ -414,7 +413,7 @@ def local_solvability_at_scale(A: CoefficientField, r: float,
     shape = (int(np.ceil((hi[0] - lo[0]) / h)), int(np.ceil(height / h)))
     nt = int(np.ceil((t_hi - t_lo) / dt))
     grid = _capped(SpaceTimeGrid(lo + (0.0,), hi + (height,), shape,
-                                 t_lo, t_hi, nt), pot_cfg)
+                                 t_lo, t_hi, nt))
     dom = GraphDomain(m=0.0, box=((lo[0], hi[0]),))
     data_cube = ParabolicCube(np.asarray([5.5 * r]), -16.0 * r * r, r)
     u = caloric_measure_field(A, dom, data_cube, grid)
@@ -445,7 +444,8 @@ def emit_report(report, fmt: str = "json", outdir: str = ".",
 
     json: canonical sorted-key JSON.  csv: one row per sweep/convergence
     entry.  Both formats also get a gnuplot-ready .dat column file when the
-    report carries numeric rows.
+    report carries numeric rows: the numeric keys of the first row, one
+    column each, with nan for a missing value and 0/1 for a flag.
     """
     import os
 
@@ -482,14 +482,13 @@ def emit_report(report, fmt: str = "json", outdir: str = ".",
     numeric_keys = []
     if rows:
         numeric_keys = [k for k in sorted(rows[0].keys())
-                        if isinstance(rows[0][k], (int, float))
-                        and rows[0][k] is not None]
+                        if isinstance(rows[0][k], (int, float))]
     if numeric_keys:
         dat = os.path.join(outdir, f"{name}.dat")
         with open(dat, "w") as fh:
             fh.write("# " + " ".join(numeric_keys) + "\n")
             for r in rows:
-                fh.write(" ".join(_csv_cell(r.get(k, "nan"))
+                fh.write(" ".join(_dat_cell(r.get(k))
                                   for k in numeric_keys) + "\n")
         paths.append(dat)
     return paths
@@ -501,6 +500,14 @@ def _csv_cell(v):
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _dat_cell(v):
+    if v is None:
+        return "nan"
+    if isinstance(v, bool):
+        return str(int(v))
+    return _csv_cell(v)
 
 
 def load_report(path: str) -> dict:

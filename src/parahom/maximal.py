@@ -1,5 +1,11 @@
 """Non-tangential maximal operator and boundary L^p norms.
 
+The scan below is the toolkit's one cone definition: at depth lam from a
+face the cone of opening eta admits tangential offsets |dx| < rho and times
+|s - t| <= rho sqrt(rho^2 - |dx|^2), rho = eta lam.  Cones stop at the
+face's chart height r0 (a graph face has none); a face with no cell layer
+below r0 raises ValueError.
+
 The cone supremum is a direct scan over grid layers: for each height the
 parabolic cone section is an ellipse in (x, t), swept as a sliding time-max
 per tangential offset (O(cells per cone) work per boundary cell, done in C
@@ -43,14 +49,12 @@ class BoundaryField:
     """Values on the lateral-boundary grid (tangential cells x time levels).
 
     weights are the per-cell surface measures (sigma per tangential cell);
-    the time measure is the uniform step dt.  fallback marks cells where an
-    empty truncated cone forced the first-layer trace.
+    the time measure is the uniform step dt.
     """
 
     values: np.ndarray          # (nt+1, *tangential shape)
     weights: np.ndarray         # (*tangential shape,)
     dt: float
-    fallback: np.ndarray = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -62,16 +66,10 @@ class BoundaryField:
             raise ValueError("boundary weights must be positive")
         if not np.all(np.isfinite(v)):
             raise ValueError("boundary field has non-finite values")
-        fb = self.fallback
-        fb = np.zeros(v.shape[1:], dtype=bool) if fb is None else \
-            np.asarray(fb, dtype=bool)
-        if fb.shape != v.shape[1:]:
-            raise ValueError("fallback must match the tangential shape")
         v.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "fallback", fb)
 
 
 def _cone_sup(slab: np.ndarray, h_tang: Sequence[float], dt: float,
@@ -111,13 +109,13 @@ def _cone_sup(slab: np.ndarray, h_tang: Sequence[float], dt: float,
     return out
 
 
-def _face_max(u: ScalarField, eta: float, m: float, face: LateralFace,
-              truncation=None) -> BoundaryField:
+def _face_max(u: ScalarField, eta: float, m: float,
+              face: LateralFace) -> BoundaryField:
     """N(u) on one lateral face, with the depth from the face as lam.
 
     Cones open by eta, which must exceed the domain's Lipschitz constant m
-    (0 for a cylinder), and stop at the face's chart height, or at
-    `truncation` when given.  Only the layers they reach are copied.
+    (0 for a cylinder), and stop at the face's chart height r0, which must
+    lie above the first cell layer.  Only the layers they reach are copied.
     """
     if eta <= m:
         raise ValueError(
@@ -128,29 +126,29 @@ def _face_max(u: ScalarField, eta: float, m: float, face: LateralFace,
     axis, side = face.key
     h = list(grid.h)
     h_depth = h.pop(axis)
-    cut = face.r0 if truncation is None else truncation
     lam = (np.arange(grid.shape[axis]) + 0.5) * h_depth
-    nlayers = lam.size if cut is None else int(np.sum(lam < cut))
+    nlayers = lam.size if face.r0 is None else int(np.sum(lam < face.r0))
+    if not nlayers:
+        raise ValueError(
+            f"face {face.key}: no cell layer below the chart height "
+            f"r0 = {face.r0}; the first layer sits at depth {lam[0]}")
     v = np.moveaxis(u.values, (1 + axis, 0), (0, -1))   # (depth, *tang, time)
     if side == 1:
         v = v[::-1]
-    slab = np.abs(v[:max(nlayers, 1)], order="C")
-    if nlayers:
-        vals = _cone_sup(slab, h, grid.dt, h_depth, eta)
-    else:   # truncated below the first layer: the first-layer trace
-        vals = slab[0]
+    # kept alive to the return: freeing it before the copy below raises
+    # the homogenize peak RSS by 3 MB
+    slab = np.abs(v[:nlayers], order="C")
+    vals = _cone_sup(slab, h, grid.dt, h_depth, eta)
     # C order: np.sum in the L^p norms adds in memory order
     return BoundaryField(np.ascontiguousarray(np.moveaxis(vals, -1, 0)),
-                         face.weights, grid.dt,
-                         np.full(vals.shape[:-1], not nlayers),
-                         {"eta": eta, "face": face.key})
+                         face.weights, grid.dt, {"eta": eta, "face": face.key})
 
 
-def nontangential_max(u: ScalarField, eta: float, dom: GraphDomain,
-                      truncation=None) -> BoundaryField:
+def nontangential_max(u: ScalarField, eta: float,
+                      dom: GraphDomain) -> BoundaryField:
     """N(u) on the flattened lateral boundary of a graph-domain solve."""
     face, = lateral_faces(u.grid, dom)
-    return _face_max(u, eta, dom.m, face, truncation)
+    return _face_max(u, eta, dom.m, face)
 
 
 def nontangential_max_cylinder(u: ScalarField, eta: float,
@@ -161,7 +159,8 @@ def nontangential_max_cylinder(u: ScalarField, eta: float,
     Each face is a local graph of height dom.r0; lam is the distance into
     the domain from that face, and cones stop at lam = r0, so they never
     reach the opposite face.  Corners still measure lam from the face, not
-    the distance to the whole boundary.
+    the distance to the whole boundary.  A face whose first cell layer sits
+    at or above r0 raises ValueError.
     """
     return {face.key: _face_max(u, eta, 0.0, face)
             for face in lateral_faces(u.grid, dom)}
@@ -180,7 +179,7 @@ def truncated_vertical_max(u: ScalarField, r: float) -> BoundaryField:
         w = np.multiply.outer(w, grid.axis_spacings(k))
     weights = np.broadcast_to(w, vals.shape[1:]).copy()
     offset = r - float(lamc[jr - 1])
-    return BoundaryField(vals, weights, grid.dt, None,
+    return BoundaryField(vals, weights, grid.dt,
                          {"r": r, "grid_offset": offset})
 
 

@@ -312,14 +312,11 @@ class BoundaryData:
 
     evaluator(points, t) takes boundary-point coordinates -- tangential
     (x) coordinates for graph/half-space domains, full spatial coordinates
-    for cylinders -- and returns values.  feature_size, when given, lets
-    solves check that the grid resolves the data with at least 8 cells per
-    feature.
+    for cylinders -- and returns values.
     """
 
     evaluator: Callable
     label: str = "data"
-    feature_size: Optional[float] = None
 
     def __call__(self, points, t):
         return np.asarray(self.evaluator(points, t), dtype=float)
@@ -648,13 +645,6 @@ def solve_dirichlet(A: CoefficientField, dom, f: BoundaryData,
     lives on {lam > 0}.  Cylinders use the grid box as the base and carry f
     on every lateral face.  Data must vanish at t0.
     """
-    if f.feature_size is not None:
-        coarsest = max(float(grid.axis_spacings(k).min())
-                       for k in range(grid.d - 1))
-        if coarsest > f.feature_size / 8.0:
-            raise ValueError(
-                f"grid spacing {coarsest:.4g} does not resolve the data "
-                f"feature size {f.feature_size:.4g} with 8 cells")
     return _solve_field(A, dom, f, grid, np.zeros(grid.ncells))
 
 
@@ -685,13 +675,11 @@ def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid, probes,
 
 
 def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,
-                  grid: SpaceTimeGrid,
-                  f: Optional[BoundaryData] = None) -> ScalarField:
+                  grid: SpaceTimeGrid) -> ScalarField:
     """Propagate a unit point mass released at (pole_X, pole_t).
 
-    The impulse is a discrete delta: 1/volume on the cell nearest the pole.
-    Lateral data defaults to zero and, like any Dirichlet data, must vanish
-    at grid.t0, which must equal pole_t.
+    The impulse is a discrete delta: 1/volume on the cell nearest the pole,
+    with zero lateral data.  grid.t0 must equal pole_t.
     """
     if abs(grid.t0 - pole_t) > 1e-12 * max(1.0, abs(pole_t)):
         raise ValueError("grid must start at the pole time")
@@ -706,46 +694,25 @@ def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,
     idx = tuple(idx)
     u0 = np.zeros(grid.shape)
     u0[idx] = 1.0 / grid.cell_volumes().reshape(grid.shape)[idx]
-    return _solve_field(A, dom, f, grid, u0.reshape(-1),
+    return _solve_field(A, dom, None, grid, u0.reshape(-1),
                         {"pole_X": pole_X.tolist(), "pole_t": pole_t})
 
 
-def rescale_solution(u: ScalarField, eps: float,
-                     target: Optional[SpaceTimeGrid] = None) -> ScalarField:
+def rescale_solution(u: ScalarField, eps: float) -> ScalarField:
     """Parabolic rescale v(y, s, sigma) = u(eps y, eps^2 s, eps sigma).
 
-    Without a target grid the natural image grid is used (faces and times
-    divided by eps and eps^2 with unchanged cell counts), whose centers map
-    exactly onto source centers; only there does the recorded
-    meta["bottom_data"] carry over, index for index.  A custom target must
-    map inside the source grid, and its field records no bottom data.
+    The image grid divides faces by eps and times by eps^2 with unchanged
+    cell counts, so each image center is the image of one source center: the
+    rescale is a relabelling, and the values and the recorded
+    meta["bottom_data"] carry over index for index.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     g = u.grid
-    meta = dict(u.meta, rescaled_by=eps)
-    if target is None:
-        target = SpaceTimeGrid.from_faces(
-            [g.axis_faces(k) / eps for k in range(g.d)],
-            g.t0 / eps ** 2, g.t1 / eps ** 2, g.nt)
-    else:
-        meta.pop("bottom_data", None)
-    tc = target.centers()
-    src_pts = tc * eps
-    times = target.times() * eps ** 2
-    for k in range(g.d):
-        c = g.axis_centers(k)
-        sl = 1e-9 + 0.5 * float(g.axis_spacings(k).max())
-        if src_pts[:, k].min() < c[0] - sl or src_pts[:, k].max() > c[-1] + sl:
-            raise ValueError("rescaled domain exceeds the source grid")
-    if times.min() < g.t0 - 1e-9 or times.max() > g.t1 + 1e-9:
-        raise ValueError("rescaled time range exceeds the source grid")
-    interp = u.interpolator()
-    out = np.empty((target.nt + 1,) + target.shape)
-    for k, t in enumerate(times):
-        pts = np.concatenate([np.full((tc.shape[0], 1), t), src_pts], axis=1)
-        out[k] = interp(pts).reshape(target.shape)
-    return ScalarField(target, out, meta)
+    target = SpaceTimeGrid.from_faces(
+        [g.axis_faces(k) / eps for k in range(g.d)],
+        g.t0 / eps ** 2, g.t1 / eps ** 2, g.nt)
+    return ScalarField(target, u.values, dict(u.meta, rescaled_by=eps))
 
 
 # ----------------------------------------------------------------------
@@ -833,20 +800,19 @@ class CaccioppoliResult:
     note: str
 
 
-def caccioppoli_ratio(u: ScalarField, R: float,
-                      t_base: float = None) -> CaccioppoliResult:
+def caccioppoli_ratio(u: ScalarField, R: float) -> CaccioppoliResult:
     """R^2 x gradient energy over the inner window / mass over the outer.
 
-    Inner window: {|x| < 2R, 0 < lam < 2R} x (t_base, t_base + 4R^2),
-    centred on x = 0 (t_base defaults to grid.t0); outer: height 3R and
-    times up to 8R^2.  The hypothesis (u vanishing on the lateral boundary
+    Inner window: {|x| < 2R, 0 < lam < 2R} x (t0, t0 + 4R^2) with t0 the
+    grid's initial time, centred on x = 0; outer: height 3R and times up to
+    t0 + 8R^2.  The hypothesis (u vanishing on the lateral boundary
     of the height-4R box) is checked by comparing the outermost samples
     against the interior magnitude; violations flag the result rather than
     abort.
     """
     grid = u.grid
     d = grid.d
-    t_base = grid.t0 if t_base is None else float(t_base)
+    t0 = grid.t0
     times = grid.times()
 
     v = u.values
@@ -859,7 +825,7 @@ def caccioppoli_ratio(u: ScalarField, R: float,
     # vanishing trace scale like h |grad u|, so raw values would over-flag)
     note = ""
     flagged = False
-    sel_t8 = (times > t_base) & (times <= t_base + 8 * R * R)
+    sel_t8 = (times > t0) & (times <= t0 + 8 * R * R)
     lamc = grid.axis_centers(d - 1)
     edge_vals = []
 
@@ -887,7 +853,7 @@ def caccioppoli_ratio(u: ScalarField, R: float,
         for k in range(d - 1):
             masks.append(np.abs(grid.axis_centers(k)) < 2 * R)
         masks.append((lamc > 0) & (lamc < gamma * R))
-        keep_t = (times > t_base) & (times <= t_base + t_span)
+        keep_t = (times > t0) & (times <= t0 + t_span)
         w, wt = ScalarField(grid, field_v).window(masks, keep_t)
         return float(np.sum(w * wt[None]) * grid.dt)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,28 +56,30 @@ __all__ = [
 ]
 
 
+_NOISE_FLOOR = 1e-8         # measure and Green values below this are noise
+_MAX_CELLS_PER_AXIS = 768   # cap on every axis of a diagnostic grid
+
+
 class MeasureBelowNoiseError(RuntimeError):
-    """A measure value sits below the configured noise floor."""
+    """A measure value sits below the noise floor."""
 
 
 @dataclass(frozen=True)
 class PotentialConfig:
-    """Resolution and admissibility knobs shared by the diagnostics.
+    """Resolution knobs shared by the diagnostics.
 
-    margin_mult multiplies the parabolic diameter of the active
-    configuration (data support, pole, elapsed time) to size the truncation
-    margin of the half-space box.  The measure and Green grids refuse axes
-    above max_cells_per_axis cells.  The Green-measure region condition is
-    fixed at |(x0,0) - (x,lam)|^2 <= |t - t0|, and margins grade by 1.3x
-    per cell.
+    cells_per_r and steps_per_r2 set the fine spacing h = r / cells_per_r
+    and the step dt = r^2 / steps_per_r2 of a scale-r grid.  margin_mult
+    multiplies the parabolic diameter of the active configuration (data
+    support, pole, elapsed time) to size the truncation margin of the
+    half-space box.  Fixed: the measure and Green grids refuse axes above
+    768 cells, the noise floor is 1e-8, the Green-measure region condition
+    is |(x0,0) - (x,lam)|^2 <= |t - t0|, and margins grade by 1.3x per cell.
     """
 
     cells_per_r: float = 16.0
     steps_per_r2: float = 24.0
     margin_mult: float = 4.0
-    truncation_check: bool = False
-    noise_floor: float = 1e-8
-    max_cells_per_axis: int = 768
 
 
 DEFAULT_CONFIG = PotentialConfig()
@@ -149,11 +151,11 @@ def _config_diameter(cube: ParabolicCube, pole: ParabolicPoint,
     return diam
 
 
-def _capped(grid: SpaceTimeGrid, cfg: PotentialConfig) -> SpaceTimeGrid:
+def _capped(grid: SpaceTimeGrid) -> SpaceTimeGrid:
     for k, n in enumerate(grid.shape):
-        if n > cfg.max_cells_per_axis:
+        if n > _MAX_CELLS_PER_AXIS:
             raise ValueError(f"grid axis {k} has {n} cells, more than "
-                             f"max_cells_per_axis = {cfg.max_cells_per_axis}")
+                             f"max_cells_per_axis = {_MAX_CELLS_PER_AXIS}")
     return grid
 
 
@@ -180,7 +182,7 @@ def _measure_grid(pole: ParabolicPoint, cube: ParabolicCube,
                                     pole.X[-1] + r, h)]
     faces.append(composite_axis(lam_segs, 0.0, pole.X[-1] + r + margin))
     nt = max(8, int(np.ceil((pole.t - t_start) / dt)))
-    return _capped(SpaceTimeGrid.from_faces(faces, t_start, pole.t, nt), cfg)
+    return _capped(SpaceTimeGrid.from_faces(faces, t_start, pole.t, nt))
 
 
 def _require_pole_clearance(grid: SpaceTimeGrid, pole: ParabolicPoint,
@@ -201,13 +203,12 @@ def _require_pole_clearance(grid: SpaceTimeGrid, pole: ParabolicPoint,
 
 @dataclass(frozen=True)
 class MeasureEstimate:
-    """omega^{pole}(cube) with smoothing / truncation error bounds."""
+    """omega^{pole}(cube) with its smoothing error."""
 
     value: float
     pole: ParabolicPoint
     cube: ParabolicCube
     smoothing_error: float
-    truncation_error: Optional[float] = None
     flags: tuple = ()
 
 
@@ -265,8 +266,7 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
     The pole's kernel on the measure grid of the cube, paired with the
     mollified indicator of the cube, gives the value; the indicator at half
     mollification on the same kernel gives smoothing_error =
-    |value - value_half|, and with cfg.truncation_check the kernel on a
-    margin-doubled grid bounds the truncation error.  When the cube's edges
+    |value - value_half|.  When the cube's edges
     sit on cell faces and time levels (as on the measure grids of the sweep's
     cubes), both widths sample the same data values, so smoothing_error is
     0 up to roundoff.  That is the true smoothing error, not a bound on the
@@ -274,18 +274,12 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
     """
     r = cube.side
     if cube.center_t - r * r >= pole.t:
-        return MeasureEstimate(0.0, pole, cube, 0.0, 0.0, ("causal-zero",))
+        return MeasureEstimate(0.0, pole, cube, 0.0, ("causal-zero",))
 
     kern = _pole_kernel(A, dom, pole, cube, cfg)
     value = kern.cube_mass(cube)
     value_half = kern.cube_mass(cube, 0.5)
-    trunc = None
-    if cfg.truncation_check:
-        big = replace(cfg, margin_mult=2 * cfg.margin_mult,
-                      truncation_check=False)
-        trunc = abs(value - _pole_kernel(A, dom, pole, cube, big)
-                    .cube_mass(cube))
-    return MeasureEstimate(value, pole, cube, abs(value_half - value), trunc)
+    return MeasureEstimate(value, pole, cube, abs(value_half - value))
 
 
 def caloric_measure_field(A: CoefficientField, dom: GraphDomain,
@@ -414,7 +408,7 @@ def _green_grid(pole: ParabolicPoint, horizon: float, extra_pts,
     faces.append(graded_axis(0.0, lam_core, h_lam, 0.0, lam_core + margin))
     nt = max(16, int(np.ceil(horizon / dt)))
     return _capped(SpaceTimeGrid.from_faces(faces, pole.t, pole.t + horizon,
-                                            nt), cfg)
+                                            nt))
 
 
 def greens_function(A: CoefficientField, dom: GraphDomain,
@@ -479,7 +473,7 @@ def doubling_ratio(A: CoefficientField, dom: GraphDomain,
     cube2 = cube.scaled(2.0)
     kern = _pole_kernel(A, dom, pole, cube2, cfg)
     w_r, w_2r = kern.cube_mass(cube), kern.cube_mass(cube2)
-    if w_r <= 10.0 * cfg.noise_floor:
+    if w_r <= 10.0 * _NOISE_FLOOR:
         raise MeasureBelowNoiseError(
             f"omega(Q_r) = {w_r:.3e} is below 10x the noise floor")
     return DoublingResult(w_2r / w_r, w_r, w_2r)
@@ -677,7 +671,7 @@ def green_measure_equivalence(A: CoefficientField, dom: GraphDomain,
     vp = gp.value_at(obs.X, obs.t)
     vm = gm.value_at(obs.X, obs.t)
     scale = rho ** (n + 1)
-    if vp <= cfg.noise_floor * scale or vm <= cfg.noise_floor * scale:
+    if vp <= _NOISE_FLOOR * scale or vm <= _NOISE_FLOOR * scale:
         raise MeasureBelowNoiseError("Green values below the noise floor")
     return GreenMeasureResult(omega / (scale * vp), omega / (scale * vm),
                               omega, vp, vm, admissible, not admissible)
@@ -691,38 +685,38 @@ class PositivityResult:
 
 
 def measure_positivity_floor(A: CoefficientField, dom: GraphDomain,
-                             cube: ParabolicCube, grid: SpaceTimeGrid,
-                             samples: int = 50) -> PositivityResult:
+                             cube: ParabolicCube,
+                             grid: SpaceTimeGrid) -> PositivityResult:
     """Minimum of omega(., cube) over the standard positivity region.
 
     Region: lam > r/2, |x - x0|^2 + lam^2 <= t - t0 <= 10 r^2, sampled at
-    `samples` points drawn with seed 0.  One field solve serves every
-    sample point; the recorded c0 is the empirical positivity floor
-    (asserted positive by callers, never against book constants).
+    50 points drawn with seed 0 at times t0 + [5, 10] r^2, which the grid
+    must cover, with the spatial extent of those times.  One field solve
+    serves every sample point; the recorded c0 is the empirical positivity
+    floor (asserted positive by callers, never against book constants).
     """
-    f = caloric_measure_field(A, dom, cube, grid)
-    rng = np.random.default_rng(0)
     r = cube.side
     n = cube.center_x.size
-    pts, vals = [], []
+    t_lo, t_hi = cube.center_t + 5.0 * r * r, cube.center_t + 10.0 * r * r
+    reach = np.sqrt(10.0) * r
+    lo = np.append(cube.center_x - reach / np.sqrt(n), 0.0)
+    hi = np.append(cube.center_x + reach / np.sqrt(n), reach)
+    if grid.t0 > t_lo or grid.t1 < t_hi or np.any(lo < grid.lo) \
+            or np.any(hi > grid.hi):
+        raise ValueError(
+            f"grid does not cover the positivity region: times "
+            f"[{t_lo:.4g}, {t_hi:.4g}], box {lo.tolist()} to {hi.tolist()}")
+    f = caloric_measure_field(A, dom, cube, grid)
+    rng = np.random.default_rng(0)
     interp = f.interpolator()
-    tries = 0
-    while len(pts) < samples and tries < 100 * samples:
-        tries += 1
+    pts = []
+    for _ in range(50):
         tau = cube.center_t + rng.uniform(0.5, 1.0) * 10.0 * r * r
         bound = tau - cube.center_t
-        if bound > 10.0 * r * r:
-            continue
         lam = rng.uniform(0.5 * r * 1.01, np.sqrt(bound) * 0.99)
         rad2 = bound - lam * lam
-        if rad2 <= 0:
-            continue
         x = cube.center_x + rng.uniform(-1, 1, n) * np.sqrt(rad2) / np.sqrt(n)
-        X = np.append(x, lam)
-        if tau > grid.t1 or tau < grid.t0:
-            continue
-        pts.append(np.concatenate([[tau], X]))
-        vals.append(float(interp(np.concatenate([[tau], X])[None, :])[0]))
+        pts.append(np.concatenate([[tau], x, [lam]]))
     pts = np.asarray(pts)
-    vals = np.asarray(vals)
+    vals = interp(pts)
     return PositivityResult(float(vals.min()), pts, vals)

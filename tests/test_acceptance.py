@@ -11,8 +11,8 @@ import pytest
 
 from parahom.cell import effective_matrix
 from parahom.coeffs import constant_matrix_field, preset
-from parahom.geometry import (Cone, GraphDomain, ParabolicCube,
-                              ParabolicPoint, cone_contains, parabolic_norm)
+from parahom.geometry import (GraphDomain, ParabolicCube, ParabolicPoint,
+                              parabolic_norm)
 from parahom.harness import (ExperimentConfig, local_solvability_at_scale,
                              emit_report, homogenization_experiment,
                              q_decay_constant, solvability_sweep)
@@ -110,10 +110,9 @@ def test_criterion_2_heat_kernel_oracle_suite():
 
 def test_criterion_3_local_solvability_uniform_across_scales():
     A = preset("trig", d=2)
-    cfg = PotentialConfig()
     ratios = {}
     for r in (0.25, 0.5, 1.0, 2.0, 4.0):
-        ratios[r] = local_solvability_at_scale(A, r, cfg).ratio
+        ratios[r] = local_solvability_at_scale(A, r).ratio
     spread = max(ratios.values()) / min(ratios.values())
     assert spread <= 2.0
     _report(3, "local solvability r-uniformity",

@@ -172,6 +172,11 @@ class TestGridConvergence:
         rows = grid_convergence(preset("laminate", d=2), [9, 27, 81])
         assert rows[1]["rate"] >= 0.9
 
+    def test_refinement_ratio_must_be_constant(self):
+        # 16 -> 32 -> 48 would rate row N = 32 with the first ratio, 2
+        with pytest.raises(ValueError, match="constant ratio"):
+            grid_convergence(preset("trig2d", d=2), [16, 32, 48])
+
     def test_validates_input(self):
         with pytest.raises(ValueError):
             grid_convergence(preset("constant", d=2), [32, 16])

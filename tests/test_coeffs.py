@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from parahom.coeffs import (AsymmetricFieldError, CoefficientField, PRESETS,
-                            check_ellipticity, check_periodicity,
-                            compile_expression, constant_matrix_field,
-                            dini_integral, dini_modulus, field_from_json,
-                            preset, scale_field)
+                            DiniModulus, check_ellipticity,
+                            check_periodicity, compile_expression,
+                            constant_matrix_field, dini_integral,
+                            dini_modulus, field_from_json, preset,
+                            scale_field)
 
 
 def scalar_field(cfun, d=2, **kw):
@@ -27,14 +30,16 @@ class TestEllipticity:
         assert rep.max_eig == pytest.approx(1.0)
 
     def test_diag_within_declared(self):
-        A = constant_matrix_field(np.diag([0.5, 3.0]), lam=3.0)
+        A = constant_matrix_field(np.diag([0.5, 3.0]))
+        assert A.lam == 3.0
         rep = check_ellipticity(A)
         assert rep.passed
         assert rep.min_eig == pytest.approx(0.5)
         assert rep.max_eig == pytest.approx(3.0)
 
     def test_diag_exceeding_declared(self):
-        A = constant_matrix_field(np.diag([0.5, 3.0]), lam=2.0)
+        A = dataclasses.replace(constant_matrix_field(np.diag([0.5, 3.0])),
+                                lam=2.0)
         rep = check_ellipticity(A)
         assert not rep.passed
 
@@ -51,13 +56,9 @@ class TestEllipticity:
             check_ellipticity(A)
         assert ei.value.point.shape == (2,)
 
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            check_ellipticity(preset("constant", d=2), sample_count=0)
-
     def test_all_presets_pass(self):
         for name in PRESETS:
-            rep = check_ellipticity(preset(name, d=2), sample_count=4000)
+            rep = check_ellipticity(preset(name, d=2))
             assert rep.passed, name
 
 
@@ -83,13 +84,12 @@ class TestPeriodicity:
 
 class TestDiniModulus:
     def test_constant_is_zero(self):
-        mod = dini_modulus(preset("constant", d=2), pairs=2000)
+        mod = dini_modulus(preset("constant", d=2))
         assert np.all(mod.theta == 0.0)
 
     def test_trig_bounds(self):
         A = preset("trig", d=2)
-        rho = 2.0 ** np.arange(-8.0, 0.5, 0.5)
-        mod = dini_modulus(A, kind="axis", rho_grid=rho, pairs=8000)
+        mod = dini_modulus(A)
         assert np.all(mod.theta <= np.minimum(2.0, 2 * np.pi * mod.rho) + 1e-9)
         small = mod.rho <= 0.1
         assert np.all(mod.theta[small] >= 1.9 * mod.rho[small])
@@ -97,42 +97,36 @@ class TestDiniModulus:
     def test_jump_detected_at_moderate_scales(self):
         A = scalar_field(lambda X: 1.0 + ((X[..., -1] % 1.0) >= 0.5),
                          lam=2.0, period="axis")
-        rho = 2.0 ** np.arange(-8, 1, 1.0)
-        mod = dini_modulus(A, kind="axis", rho_grid=rho, pairs=20000)
-        assert np.all(mod.theta >= 0.99)        # pairs straddle the jump
+        mod = dini_modulus(A)
+        moderate = mod.rho >= 2.0 ** -8
+        assert moderate.sum() == 33
+        assert np.all(mod.theta[moderate] >= 0.99)  # pairs straddle the jump
 
     def test_monotone_and_bounded(self):
         A = preset("trig2d", d=2)
-        mod = dini_modulus(A, kind="all", pairs=3000)
+        mod = dini_modulus(A)
         assert np.all(np.diff(mod.theta) >= 0)
         assert np.all(mod.theta <= 2 * A.lam)
-
-    def test_kind_validated(self):
-        with pytest.raises(ValueError):
-            dini_modulus(preset("trig", d=2), kind="oops")
 
 
 class TestDiniIntegral:
     def test_zero_modulus(self):
-        mod = dini_modulus(preset("constant", d=2), pairs=1000)
+        mod = dini_modulus(preset("constant", d=2))
         assert dini_integral(mod).value == 0.0
 
     def test_linear_modulus_analytic(self):
-        from parahom.coeffs import DiniModulus
         rho = 2.0 ** (np.arange(0, 81) / 4.0 - 20)
-        mod = DiniModulus(rho, rho.copy(), "axis", np.zeros_like(rho))
+        mod = DiniModulus(rho, rho.copy(), np.zeros_like(rho))
         out = dini_integral(mod)
         exact = 0.5 * (1 - rho[0] ** 2)
         assert out.value == pytest.approx(exact, abs=1e-6)
 
     def test_constant_modulus_log_divergence(self):
-        from parahom.coeffs import DiniModulus
         c = 0.7
         vals = []
         for k in (6, 12, 18):
             rho = 2.0 ** (np.arange(0, 4 * k + 1) / 4.0 - k)
-            mod = DiniModulus(rho, np.full_like(rho, c), "axis",
-                              np.zeros_like(rho))
+            mod = DiniModulus(rho, np.full_like(rho, c), np.zeros_like(rho))
             out = dini_integral(mod)
             vals.append(out.value)
             assert out.tail_indicator == pytest.approx(
@@ -145,9 +139,12 @@ class TestDiniIntegral:
         # theta <= L rho gives integral <= L^2 / 2 for every rho_min
         L = 2 * np.pi
         A = preset("trig", d=2)
-        mod = dini_modulus(A, kind="axis", pairs=4000)
+        mod = dini_modulus(A)
         for rho_min in (2.0 ** -20, 2.0 ** -10, 2.0 ** -4):
-            out = dini_integral(mod, rho_min)
+            keep = mod.rho >= rho_min
+            out = dini_integral(DiniModulus(mod.rho[keep], mod.theta[keep],
+                                            mod.half_width[keep]))
+            assert out.rho_min == rho_min
             # theta saturates at 2 above rho ~ 1/3, which only lowers theta^2
             # relative to (L rho)^2; the bound holds uniformly
             assert out.value <= L * L / 2 + 1e-6

@@ -7,7 +7,7 @@ import pytest
 from parahom.coeffs import preset
 from parahom.geometry import GraphDomain, LipschitzCylinder
 from parahom.harness import (ConvergenceReport, ExperimentConfig, SweepReport,
-                             data_from_json, default_compact_subcylinder,
+                             _row, data_from_json, default_compact_subcylinder,
                              domain_from_json, emit_report,
                              homogenization_experiment, load_report,
                              local_solvability_at_scale, q_decay_constant,
@@ -150,10 +150,23 @@ class TestSweep:
             assert f1.read() == f2.read()
 
     def test_local_solvability_grid_is_capped(self):
-        # r = 4 gives 224 x cells, above the cap, so it fails before solving
-        pot = PotentialConfig(max_cells_per_axis=64)
-        with pytest.raises(ValueError, match="max_cells_per_axis"):
-            local_solvability_at_scale(preset("trig", d=2), 4.0, pot)
+        # r = 16 gives 896 x cells, above the cap of 768, so it fails
+        # before any assembly
+        with pytest.raises(ValueError, match="896 cells.*max_cells_per_axis"):
+            local_solvability_at_scale(preset("trig", d=2), 16.0)
+
+    def test_dat_columns_parse(self, tmp_path):
+        # a missing error bar is nan and flags are 0/1, so columns line up
+        rows = [_row("a", "c", "halfspace", {}, 0.5, 0.01, True),
+                _row("b", "c", "halfspace", {}, 2.0, None, False, True)]
+        rep = SweepReport(rows=rows, config={})
+        dat = emit_report(rep, "json", str(tmp_path), "s")[-1]
+        table = np.loadtxt(dat)
+        with open(dat) as fh:
+            assert fh.readline() == "# error_bar passed value watermark\n"
+        assert table.shape == (2, 4)
+        assert np.array_equal(table, [[0.01, 1, 0.5, 0], [np.nan, 0, 2.0, 1]],
+                              equal_nan=True)
 
     def test_empty_report_valid(self, tmp_path):
         rep = SweepReport(rows=[], config={"note": "empty"})
@@ -167,7 +180,7 @@ class TestSweep:
 
 class TestQDecay:
     def test_small_window(self):
-        row = q_decay_constant(preset("trig", d=2), 8, steps=80)
+        row = q_decay_constant(preset("trig", d=2), 8)
         assert row["constant"] > 0
         assert np.isfinite(row["sup_Q"])
 
@@ -208,7 +221,7 @@ class TestCli:
         assert rc == 0
         with open(csv_out) as fh:
             lines = fh.read().splitlines()
-        assert lines[0] == "x,t,N_value,flag"
+        assert lines[0] == "x,t,N_value"
         assert len(lines) - 1 == (16 + 1) * 32
         for line in lines[1:]:
             [float(cell) for cell in line.split(",")]
@@ -223,7 +236,7 @@ class TestCli:
         assert rc == 0
         with open(out) as fh:
             lines = fh.read().splitlines()
-        assert lines[0] == "x1,x2,t,N_value,flag"
+        assert lines[0] == "x1,x2,t,N_value"
         assert len(lines) - 1 == (4 + 1) * 64
         for line in lines[1:]:
             [float(cell) for cell in line.split(",")]

@@ -91,12 +91,15 @@ class TestNontangentialMax:
             with pytest.raises(ValueError, match="exceed"):
                 nontangential_max_cylinder(u, eta, UNIT_SQUARE)
 
-    def test_truncated_cone_fallback(self):
-        g = grid()
-        u = synthetic(g, lambda X: X[..., 1])
-        N = nontangential_max(u, 1.0, HALF, truncation=g.h[1] / 4)
-        assert N.fallback.all()
-        assert np.allclose(N.values, np.abs(u.values[:, :, 0]))
+    def test_cone_below_first_layer_raises(self):
+        # r0 = 0.05, and the faces normal to x1 have their first layer at
+        # depth 0.0625: no cone reaches a cell there
+        dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 0.1)), T=0.5)
+        g = SpaceTimeGrid((0.0, 0.0), (1.0, 0.1), (8, 8), 0.0, 0.5, 4)
+        u = ScalarField(g, np.ones((g.nt + 1,) + g.shape))
+        with pytest.raises(ValueError, match=r"face \(0, 0\).*r0 = 0.05"
+                           r".*depth 0.0625"):
+            nontangential_max_cylinder(u, 1.0, dom)
 
     def test_norm_ratio_stable_under_refinement(self):
         A = preset("constant", d=2)
@@ -163,12 +166,6 @@ class TestLpNorm:
             lhs = lp_boundary_norm(bf, p)
             rhs = supp ** (1 / p - 1 / q) * lp_boundary_norm(bf, q)
             assert lhs <= rhs * (1 + 1e-12)
-
-    def test_fallback_must_match_tangential_shape(self):
-        BoundaryField(np.ones((2, 4)), np.ones(4), 0.1, np.zeros(4, bool))
-        for bad in (np.zeros(3, bool), np.zeros((2, 4), bool), True):
-            with pytest.raises(ValueError, match="fallback"):
-                BoundaryField(np.ones((2, 4)), np.ones(4), 0.1, bad)
 
     def test_p_range(self):
         bf = BoundaryField(np.ones((2, 4)), np.ones(4), 0.1)
@@ -269,7 +266,7 @@ def cone_oracle(u, eta, face, cut):
     offset and time, with the admission rule written out: layer l of the
     face has depth lam = (l + 1/2) h, rho = eta lam, and (x + dx, s) is in
     the cone of (x, t) when |dx|^2 < rho^2 and |s - t| <= rho sqrt(rho^2 -
-    |dx|^2).  Returns (values, fallback) like BoundaryField."""
+    |dx|^2).  Cones stop below depth `cut` (None: the whole depth)."""
     g = u.grid
     axis, side = face.key
     v = np.moveaxis(np.abs(u.values), 1 + axis, 1)     # (nt+1, depth, *tang)
@@ -283,7 +280,6 @@ def cone_oracle(u, eta, face, cut):
     lag = np.abs(np.subtract.outer(np.arange(g.nt + 1),
                                    np.arange(g.nt + 1))) * g.dt
     out = np.zeros((g.nt + 1, len(cells)))
-    used = False
     for l in range(v.shape[1]):
         lam = (l + 0.5) * h_depth
         if cut is not None and lam >= cut:
@@ -294,12 +290,9 @@ def cone_oracle(u, eta, face, cut):
             win = rho * np.sqrt(np.maximum(rho * rho - dx2, 0.0))
             adm = (dx2 < rho * rho)[None, None, :] & \
                 (lag[:, :, None] <= win[None, None, :])
-            used |= bool(adm.any())
             cone = np.where(adm, vals[None, :, l, :], 0.0)
             out[:, i] = np.maximum(out[:, i], cone.max(axis=(1, 2)))
-    if not used:
-        out = vals[:, 0, :]
-    return out.reshape((g.nt + 1,) + tang), np.full(tang, not used)
+    return out.reshape((g.nt + 1,) + tang)
 
 
 class TestConeOracle:
@@ -313,14 +306,24 @@ class TestConeOracle:
     @pytest.mark.parametrize("eta", [0.7, 1.0, 2.5, 9.0])
     @pytest.mark.parametrize("cut", [None, 0.33, 0.04])
     def test_graph_face(self, eta, cut):
+        # cut None: the graph face, cones reach the whole depth; otherwise
+        # the same face as the bottom (1, 0) of a cylinder with r0 = cut,
+        # which must lie above the first layer (depth 0.05)
         g = halfspace(-2.0, 2.0, 0.6, 0.0, 2.0, (12, 6), 20)
         u = self.field(g, 0)
-        face, = lateral_faces(g, HALF)
-        N = nontangential_max(u, eta, HALF, truncation=cut)
-        vals, fallback = cone_oracle(u, eta, face, cut)
-        assert np.array_equal(N.values, vals)
-        assert np.array_equal(N.fallback, fallback)
-        assert fallback.all() == (cut == 0.04)
+        if cut is None:
+            face, = lateral_faces(g, HALF)
+            N = nontangential_max(u, eta, HALF)
+        else:
+            dom = LipschitzCylinder(base_box=((-2.0, 2.0), (0.0, 2 * cut)),
+                                    T=2.0)
+            if cut < 0.5 * g.h[1]:
+                with pytest.raises(ValueError, match="first layer"):
+                    nontangential_max_cylinder(u, eta, dom)
+                return
+            face, = (f for f in lateral_faces(g, dom) if f.key == (1, 0))
+            N = nontangential_max_cylinder(u, eta, dom)[face.key]
+        assert np.array_equal(N.values, cone_oracle(u, eta, face, cut))
         if eta == 9.0 and cut is None:      # offsets reach the n - 1 cap
             assert eta * 5.5 * g.h[1] > 11 * g.h[0]
 
@@ -330,7 +333,7 @@ class TestConeOracle:
         g = halfspace(-1.0, 1.0, 0.5, 0.0, 0.625, (32, 4), 8)
         u = self.field(g, 3)
         face, = lateral_faces(g, HALF)
-        vals, _ = cone_oracle(u, 1.0, face, None)
+        vals = cone_oracle(u, 1.0, face, None)
         assert np.array_equal(nontangential_max(u, 1.0, HALF).values, vals)
 
     @pytest.mark.parametrize("eta", [0.7, 1.0, 2.5])
@@ -345,9 +348,8 @@ class TestConeOracle:
         faces = lateral_faces(g, dom)
         assert sorted(fields) == sorted(f.key for f in faces)
         for face in faces:
-            vals, fallback = cone_oracle(u, eta, face, dom.r0)
+            vals = cone_oracle(u, eta, face, dom.r0)
             assert np.array_equal(fields[face.key].values, vals), face.key
-            assert not fields[face.key].fallback.any()
         if t1 == 0.02:                      # windows reach the nt cap
             assert (eta * 1.5 * 1.3 / 5) ** 2 > t1
 
@@ -356,5 +358,5 @@ class TestConeOracle:
         u = self.field(g, 2)
         fields = nontangential_max_cylinder(u, 1.3, UNIT_SQUARE)
         for face in lateral_faces(g, UNIT_SQUARE):
-            vals, _ = cone_oracle(u, 1.3, face, UNIT_SQUARE.r0)
+            vals = cone_oracle(u, 1.3, face, UNIT_SQUARE.r0)
             assert np.array_equal(fields[face.key].values, vals), face.key

@@ -103,13 +103,6 @@ class TestSolveDirichlet:
         with pytest.raises(IncompatibleDataError):
             solve_dirichlet(preset("constant", d=2), HALF, f, small_grid())
 
-    def test_feature_size_guard(self):
-        f = BoundaryData(lambda pts, t: np.zeros(len(np.atleast_2d(pts))),
-                         feature_size=0.1, label="fine")
-        with pytest.raises(ValueError, match="feature"):
-            solve_dirichlet(preset("constant", d=2), HALF, f,
-                            small_grid(nx=16))
-
     def test_discrete_maximum_principle_randomized(self):
         rng = np.random.default_rng(7)
         grid = small_grid(nx=48, nlam=16, nt=32)
@@ -176,12 +169,6 @@ class TestSolveDirichlet:
         assert u.values.min() >= -1e-12
         assert u.values.max() <= 1.0 + 1e-12
         assert u.values[0].max() == 0.0
-
-    def test_impulse_data_must_vanish(self):
-        f = BoundaryData(lambda p, t: np.ones(len(p)))
-        with pytest.raises(IncompatibleDataError):
-            solve_impulse(preset("constant", d=2), HALF,
-                          np.array([0.0, 1.0]), 0.0, small_grid(), f=f)
 
     def test_batch_paths_agree(self):
         # one trace serves every datum on the face: f and -3 f both match
@@ -270,13 +257,6 @@ class TestRescale:
         v = rescale_solution(u, 0.5)
         assert np.array_equal(v.values, np.ones_like(v.values))
 
-    def test_out_of_range_rejected(self):
-        u = solve_dirichlet(preset("constant", d=2), HALF, bump_data(),
-                            small_grid())
-        big = halfspace(-40.0, 40.0, 2.0, 0.0, 1.0, (16, 8), 8)
-        with pytest.raises(ValueError, match="exceeds"):
-            rescale_solution(u, 2.0, target=big)
-
     def test_bottom_trace_kept_only_on_natural_grid(self):
         # the data is nonzero on the 4x cube, so every trace check must fail
         u = solve_dirichlet(preset("constant", d=2), HALF, bump_data(),
@@ -286,9 +266,6 @@ class TestRescale:
         cube = ParabolicCube(np.zeros(1), 2.0, 1.0)      # the same cube at eps
         with pytest.raises(ValueError, match="does not vanish"):
             nt_trace_ratio(rescale_solution(u, 0.5), cube)
-        target = halfspace(-8.0, 8.0, 4.0, 0.0, 4.0, (40, 10), 16)
-        with pytest.raises(ValueError, match="no recorded bottom"):
-            nt_trace_ratio(rescale_solution(u, 0.5, target=target), cube)
 
 
 class TestNTTrace:
@@ -419,7 +396,10 @@ class TestCaccioppoli:
             dom = GraphDomain(m=0.0, box=((-2 * R, 2 * R),))
             u = solve_impulse(preset("trig", d=2), dom,
                               np.array([0.0, 3 * R]), -2 * R * R, grid)
-            res = caccioppoli_ratio(u, R, t_base=0.0)
+            # the windows start at t = 0, time level 24 of the impulse run
+            after = SpaceTimeGrid(grid.lo, grid.hi, grid.shape, 0.0,
+                                  8 * R * R, 96)
+            res = caccioppoli_ratio(ScalarField(after, u.values[24:]), R)
             ratios.append(res.ratio)
         assert max(ratios) / min(ratios) <= 4.0
         assert all(np.isfinite(r) for r in ratios)

@@ -64,9 +64,10 @@ class TestCaloricMeasure:
             caloric_measure(A_CONST, HALF, shallow, CUBE, CFG)
 
     def test_grid_size_capped(self):
-        with pytest.raises(ValueError, match="max_cells_per_axis = 32"):
+        # 300 cells per r puts about 900 cells on the cube's x segment
+        with pytest.raises(ValueError, match="max_cells_per_axis = 768"):
             caloric_measure(A_CONST, HALF, POLE, CUBE,
-                            PotentialConfig(max_cells_per_axis=32))
+                            PotentialConfig(cells_per_r=300.0))
 
     def test_monotone_in_cube(self):
         small = caloric_measure(A_CONST, HALF, POLE, CUBE, CFG).value
@@ -74,10 +75,11 @@ class TestCaloricMeasure:
         assert 0.0 <= small <= large <= 1.0 + 1e-9
 
     def test_truncation_check(self):
-        cfg = PotentialConfig(truncation_check=True)
-        est = caloric_measure(A_CONST, HALF, POLE, CUBE, cfg)
-        assert est.truncation_error is not None
-        assert est.truncation_error <= 0.01 * max(est.value, 1e-12)
+        # doubling the truncation margin moves the measure by under 1%
+        est = caloric_measure(A_CONST, HALF, POLE, CUBE, CFG)
+        wide = caloric_measure(A_CONST, HALF, POLE, CUBE,
+                               PotentialConfig(margin_mult=8.0))
+        assert abs(wide.value - est.value) <= 0.01 * max(est.value, 1e-12)
 
 
 class TestKernelEstimate:
@@ -479,9 +481,20 @@ class TestGreenMeasure:
         cube = ParabolicCube(np.zeros(1), 0.0, 1.0)
         grid = SpaceTimeGrid((-8.0, 0.0), (8.0, 6.0), (128, 64),
                              -1.1, 10.0, 220)
-        res = measure_positivity_floor(A_CONST, HALF, cube, grid, samples=30)
+        res = measure_positivity_floor(A_CONST, HALF, cube, grid)
         assert res.c0 > 0.0
         assert res.values.min() == res.c0
+        assert res.points.shape == (50, 3)
+
+    @pytest.mark.parametrize("lo,hi,t1", [((-8.0, 0.0), (8.0, 6.0), 4.0),
+                                          ((-2.0, 0.0), (8.0, 6.0), 10.0),
+                                          ((-8.0, 0.0), (8.0, 3.0), 10.0)])
+    def test_positivity_floor_needs_its_region(self, lo, hi, t1):
+        # the samples reach t = 10 r^2, |x| = sqrt(10) r and lam ~ 3.13 r
+        cube = ParabolicCube(np.zeros(1), 0.0, 1.0)
+        grid = SpaceTimeGrid(lo, hi, (16, 8), -1.1, t1, 8)
+        with pytest.raises(ValueError, match="does not cover"):
+            measure_positivity_floor(A_CONST, HALF, cube, grid)
 
 
 class TestRefinementStability:
