@@ -15,7 +15,7 @@ import numpy as np
 
 from .cell import effective_matrix
 from .coeffs import field_from_json
-from .geometry import ParabolicCube, ParabolicPoint
+from .geometry import GraphDomain, ParabolicCube, ParabolicPoint
 from .harness import (ExperimentConfig, data_from_json, domain_from_json,
                       emit_report, homogenization_experiment,
                       solvability_sweep)
@@ -78,6 +78,10 @@ def _cmd_maximal(args):
     dom_spec = _load_spec(args.domain) or {"kind": "halfspace"}
     d = args.d
     dom = domain_from_json(dom_spec, d=d)
+    if not isinstance(dom, GraphDomain):
+        raise SystemExit("parahom maximal scans the one lateral face of a "
+                         "graph or half-space domain; for a cylinder's faces "
+                         "use parahom homogenize")
     A = field_from_json(_load_spec(args.coeff), d=d)
     f = data_from_json(_load_spec(args.data), d=d)
     grid = _grid_from_args(args, d)

@@ -184,7 +184,8 @@ def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     For each eps the Dirichlet problem with coefficients A(X/eps) is solved
     on the same grid as the effective problem (cancelling discretization
     bias), the sup distance is measured on the compact interior K, and the
-    lateral maximal-function norm ratio is recorded.
+    lateral maximal-function norm ratio is recorded.  Like the potential
+    grids, no axis may exceed 768 cells.
     """
     if cfg.resolution < cfg.required_resolution():
         raise ValueError(
@@ -197,9 +198,9 @@ def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     if not isinstance(dom, LipschitzCylinder):
         raise ValueError("the homogenization experiment runs on cylinders")
     f = data_from_json(cfg.data, d=d)
-    grid = SpaceTimeGrid(tuple(lo for lo, _ in dom.base_box),
-                         tuple(hi for _, hi in dom.base_box),
-                         (cfg.resolution,) * d, 0.0, dom.T, cfg.nt)
+    grid = _capped(SpaceTimeGrid(tuple(lo for lo, _ in dom.base_box),
+                                 tuple(hi for _, hi in dom.base_box),
+                                 (cfg.resolution,) * d, 0.0, dom.T, cfg.nt))
 
     em = effective_matrix(A, cfg.cell_resolution)
     Abar_field = constant_matrix_field(em.Abar, label="Abar")
@@ -365,16 +366,16 @@ def q_decay_constant(A: CoefficientField, R_cells: int) -> dict:
 
     Boundedness of C(R) across R is the decay property under test; A must
     be 1-periodic in lam, and R is given in grid cells (8 cells resolve one
-    period).
+    period).  The grid has 4 R_cells cells per axis, at most 768.
     """
-    from .pde import SpaceTimeGrid, q_difference, solve_impulse
+    from .pde import q_difference, solve_impulse
 
     h = 1.0 / 8
     R = R_cells * h
     nx = int(round(4 * R / h))
     nlam = int(round(4 * R / h))
-    grid = SpaceTimeGrid((-2 * R, 0.0), (2 * R, 4 * R), (nx, nlam),
-                         -2 * R * R, 8 * R * R, 160)
+    grid = _capped(SpaceTimeGrid((-2 * R, 0.0), (2 * R, 4 * R), (nx, nlam),
+                                 -2 * R * R, 8 * R * R, 160))
     dom = GraphDomain(m=0.0, box=((-2 * R, 2 * R),))
     u = solve_impulse(A, dom, np.asarray([0.0, 3 * R]), -2 * R * R, grid)
     qu = q_difference(u, 1.0)

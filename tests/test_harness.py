@@ -15,6 +15,10 @@ from parahom.harness import (ConvergenceReport, ExperimentConfig, SweepReport,
 from parahom.potential import PotentialConfig
 
 
+def _no_solve(*args):
+    raise AssertionError("solved before the input was checked")
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
@@ -41,6 +45,14 @@ class TestConfig:
             {"coeff": "trig", "resolution": 64, "bogus": 1})
         assert cfg.coeff == "trig"
         assert cfg.resolution == 64
+
+    def test_grid_is_capped(self, monkeypatch):
+        import parahom.harness as harness
+
+        monkeypatch.setattr(harness, "effective_matrix", _no_solve)
+        monkeypatch.setattr(harness, "solve_dirichlet", _no_solve)
+        with pytest.raises(ValueError, match="800 cells.*max_cells_per_axis"):
+            homogenization_experiment(ExperimentConfig(resolution=800))
 
     def test_insufficient_resolution_refused(self):
         cfg = ExperimentConfig(resolution=32, eps_list=(0.0625,), nt=16)
@@ -184,6 +196,14 @@ class TestQDecay:
         assert row["constant"] > 0
         assert np.isfinite(row["sup_Q"])
 
+    def test_grid_is_capped(self, monkeypatch):
+        # R_cells = 200 gives 800 cells per axis, above the cap of 768
+        import parahom.pde as pde
+
+        monkeypatch.setattr(pde, "solve_impulse", _no_solve)
+        with pytest.raises(ValueError, match="800 cells.*max_cells_per_axis"):
+            q_decay_constant(preset("trig", d=2), 200)
+
 
 class TestCli:
     def test_cell_command(self, tmp_path):
@@ -240,6 +260,19 @@ class TestCli:
         assert len(lines) - 1 == (4 + 1) * 64
         for line in lines[1:]:
             [float(cell) for cell in line.split(",")]
+
+    def test_maximal_rejects_cylinder_before_solving(self, tmp_path,
+                                                     monkeypatch):
+        from parahom import cli
+
+        monkeypatch.setattr(cli, "solve_dirichlet", _no_solve)
+        out = tmp_path / "N.csv"
+        with pytest.raises(SystemExit, match="parahom homogenize"):
+            cli.main(["maximal", "--coeff", "constant", "--domain",
+                      '{"kind": "cylinder", "base_box": [[0,1],[0,1]], '
+                      '"T": 1.0}', "--grid", "8,8", "--box", "[[0,1],[0,1]]",
+                      "--nt", "4", "--out", str(out)])
+        assert not out.exists()
 
     def test_diagnose_command(self, tmp_path):
         from parahom.cli import main
