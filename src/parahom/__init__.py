@@ -4,7 +4,7 @@ Effective coefficients from periodic cell problems, finite-volume solvers
 for divergence-form parabolic Dirichlet problems with rapidly oscillating
 coefficients on truncated half spaces and Lipschitz cylinders, and the
 potential-theoretic diagnostic battery (caloric measure, kernel densities,
-doubling, reverse Holder, Harnack, comparison, Green-function estimates).
+doubling, reverse Holder, Harnack, Green-function estimates).
 """
 
 __version__ = "0.1.0"

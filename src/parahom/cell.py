@@ -44,7 +44,6 @@ __all__ = [
     "EffectiveMatrix",
     "solve_corrector",
     "effective_matrix",
-    "grid_convergence",
     "voigt_reuss_bounds",
 ]
 
@@ -280,33 +279,3 @@ def voigt_reuss_bounds(A: CoefficientField, N: int):
     arith = Avals.mean(axis=0)
     harm = np.linalg.inv(np.linalg.inv(Avals).mean(axis=0))
     return harm, arith
-
-
-def grid_convergence(A: CoefficientField, N_list):
-    """Self-convergence table for Abar over increasing resolutions, each
-    solved to the default CG tolerance 1e-10.
-
-    The observed order for row k uses the Richardson ratio of successive
-    matrix differences; when differences sit at solver tolerance the rate is
-    reported as inf ("exact").  Requires a constant refinement ratio.
-    """
-    N_list = [int(N) for N in N_list]
-    if sorted(N_list) != N_list or len(N_list) < 2:
-        raise ValueError("N_list must be increasing with at least two entries")
-    if any(a * c != b * b for a, b, c in zip(N_list, N_list[1:], N_list[2:])):
-        raise ValueError(f"N_list {N_list} must refine by one constant ratio")
-    mats = [effective_matrix(A, N) for N in N_list]
-    rows = []
-    diffs = [np.linalg.norm(mats[i + 1].Abar - mats[i].Abar)
-             for i in range(len(mats) - 1)]
-    for i, (N, em) in enumerate(zip(N_list, mats)):
-        rate = None
-        if 1 <= i < len(N_list) - 0 and i < len(diffs):
-            ratio = N_list[i] / N_list[i - 1]
-            if diffs[i] < 1e-12 * max(1.0, np.linalg.norm(em.Abar)):
-                rate = float("inf")
-            elif diffs[i - 1] > 0:
-                rate = float(np.log(diffs[i - 1] / diffs[i]) / np.log(ratio))
-        rows.append({"N": N, "Abar": em.Abar, "rate": rate,
-                     "residuals": em.residuals})
-    return rows

@@ -103,15 +103,24 @@ def _cmd_maximal(args):
     return 0
 
 
+def _coords(text, flag, d, layout):
+    """A JSON list of d + 1 numbers, laid out as `layout`."""
+    vals = json.loads(text)
+    if not isinstance(vals, list) or len(vals) != d + 1:
+        raise SystemExit(f"{flag} needs {d + 1} numbers {layout} for --d {d}, "
+                         f"got {text}")
+    return vals
+
+
 def _cmd_diagnose(args):
     d = args.d
+    p = _coords(args.pole, "--pole", d, "[x..., lam, tau]")
+    c = _coords(args.cube, "--cube", d, "[x0..., t0, r]")
+    pole = ParabolicPoint(np.asarray(p[:-1]), p[-1])
+    cube = ParabolicCube(np.asarray(c[:-2]), c[-2], c[-1])
     dom = domain_from_json(_load_spec(args.domain) or {"kind": "halfspace"}, d=d)
     A = field_from_json(_load_spec(args.coeff), d=d)
     pot = PotentialConfig()
-    pole = ParabolicPoint(np.asarray(json.loads(args.pole)[:-1]),
-                          json.loads(args.pole)[-1])
-    cube = ParabolicCube(np.asarray(json.loads(args.cube)[:-2]),
-                         json.loads(args.cube)[-2], json.loads(args.cube)[-1])
     rows = []
     if args.check == "doubling":
         res = doubling_ratio(A, dom, pole, cube, pot)

@@ -18,20 +18,12 @@ import numpy as np
 
 __all__ = [
     "parabolic_norm",
-    "parabolic_distance",
     "ParabolicPoint",
     "ParabolicCube",
     "GraphDomain",
     "LipschitzCylinder",
     "flatten_pullback",
-    "boundary_measure",
-    "BoundaryMeasure",
-    "QUASI_TRIANGLE_CONSTANT",
 ]
-
-# Provable for this norm: ||a+b|| <= 2(||a|| + ||b||).  A failed assertion
-# downstream flags an implementation bug, not a theory gap.
-QUASI_TRIANGLE_CONSTANT = 2.0
 
 
 def parabolic_norm(X, t):
@@ -42,7 +34,8 @@ def parabolic_norm(X, t):
     Vectorized: X may have shape (..., k) and t shape (...,).
 
     Satisfies the scaling law rho(g*X, g^2*t) = g * rho(X, t) for g > 0,
-    and rho = 0 iff (X, t) = (0, 0).
+    rho = 0 iff (X, t) = (0, 0), and the quasi-triangle inequality
+    ||a + b|| <= 2 (||a|| + ||b||).
     """
     X = np.asarray(X, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -51,15 +44,6 @@ def parabolic_norm(X, t):
     x2 = np.sum(X * X, axis=-1)
     rho2 = 0.5 * (x2 + np.sqrt(x2 * x2 + 4.0 * t * t))
     return np.sqrt(rho2)
-
-
-def parabolic_distance(p: "ParabolicPoint", q: "ParabolicPoint") -> float:
-    """Parabolic distance ||(X - Y, t - s)|| between two space-time points."""
-    if p.X.shape != q.X.shape:
-        raise ValueError(
-            f"dimension mismatch: {p.X.shape[-1]} vs {q.X.shape[-1]}"
-        )
-    return float(parabolic_norm(p.X - q.X, p.t - q.t))
 
 
 @dataclass(frozen=True)
@@ -196,15 +180,24 @@ class GraphDomain:
     def grad_phi(self, x) -> np.ndarray:
         """Gradient of phi by central differences, one-sided at box edges.
 
-        The step is the table spacing of the shortest box side.
+        The step is the table spacing of the shortest box side.  A flat
+        graph has zero gradient everywhere; otherwise every point must lie
+        in the box, where the Lipschitz bound was verified.
         """
         x = np.asarray(x, dtype=float)
         if self.n == 1 and x.ndim == 1:
             x = x[:, None]
+        if self.phi is None:
+            return np.zeros_like(x)
         h = min((hi - lo) for lo, hi in self.box) / (self.table_resolution - 1)
         g = np.empty_like(x)
         for ax in range(self.n):
             lo, hi = self.box[ax]
+            outside = (x[:, ax] < lo) | (x[:, ax] > hi)
+            if outside.any():
+                raise ValueError(
+                    f"grad_phi at x{ax + 1} = {x[outside, ax][0]:.6g}: the "
+                    f"graph is only defined on its box {self.box}")
             xp = x.copy()
             xm = x.copy()
             xp[:, ax] = np.minimum(x[:, ax] + h, hi)
@@ -330,65 +323,3 @@ def flatten_pullback(dom: GraphDomain, A):
         metadata={"map": "shear lam -> lam - phi(x)", "m": m,
                   "source": A.label},
     )
-
-
-@dataclass(frozen=True)
-class BoundaryMeasure:
-    value: float
-    empty: bool = False
-
-
-def boundary_measure(dom, region: ParabolicCube) -> BoundaryMeasure:
-    """Lateral-boundary measure sigma(region) = surface measure x time length.
-
-    For a graph domain the surface element is sqrt(1 + |grad phi|^2) dx and
-    the measure of Q_r is the patch integral times the time extent 2 r^2,
-    computed by trapezoid quadrature on 257 points per axis.
-    For a box cylinder the perimeter arc length inside the cube is exact.
-    """
-    r = region.side
-    time_len = 2.0 * r * r
-    if isinstance(dom, GraphDomain):
-        los, his = [], []
-        for ax, (lo, hi) in enumerate(dom.box):
-            c = region.center_x[ax] if region.center_x.size > ax else 0.0
-            los.append(max(lo, c - r))
-            his.append(min(hi, c + r))
-        if any(h <= l for l, h in zip(los, his)):
-            return BoundaryMeasure(0.0, empty=True)
-        grids = [np.linspace(l, h, 257) for l, h in zip(los, his)]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
-        g = dom.grad_phi(pts)
-        integrand = np.sqrt(1.0 + np.sum(g * g, axis=1)).reshape(
-            [q.size for q in grids])
-        patch = integrand
-        for ax in range(dom.n):
-            patch = np.trapezoid(patch, grids[ax], axis=0)
-        return BoundaryMeasure(float(patch) * time_len)
-    if isinstance(dom, LipschitzCylinder):
-        # Perimeter length of the base box inside the spatial cube, times
-        # the time overlap with (0, T).
-        t_lo = max(0.0, region.center_t - r * r)
-        t_hi = min(dom.T, region.center_t + r * r)
-        if t_hi <= t_lo:
-            return BoundaryMeasure(0.0, empty=True)
-        length = 0.0
-        d = dom.d
-        for axis in range(d):
-            for side in (0, 1):
-                face = dom.base_box[axis][side]
-                if abs(face - region.center_x[axis]) >= r:
-                    continue
-                seg = 1.0
-                for ax2 in range(d):
-                    if ax2 == axis:
-                        continue
-                    lo, hi = dom.base_box[ax2]
-                    c = region.center_x[ax2]
-                    seg *= max(0.0, min(hi, c + r) - max(lo, c - r))
-                length += seg
-        if length == 0.0:
-            return BoundaryMeasure(0.0, empty=True)
-        return BoundaryMeasure(length * (t_hi - t_lo))
-    raise TypeError(f"unsupported domain type {type(dom).__name__}")

@@ -38,7 +38,6 @@ __all__ = [
     "local_solvability_at_scale",
     "q_decay_constant",
     "emit_report",
-    "load_report",
     "data_from_json",
     "domain_from_json",
     "default_compact_subcylinder",
@@ -509,8 +508,3 @@ def _dat_cell(v):
     if isinstance(v, bool):
         return str(int(v))
     return _csv_cell(v)
-
-
-def load_report(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

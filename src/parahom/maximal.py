@@ -30,17 +30,15 @@ from scipy.ndimage import maximum_filter1d
 
 from .geometry import GraphDomain, LipschitzCylinder
 from .pde import (BoundaryData, LateralFace, ScalarField, SpaceTimeGrid,
-                  lateral_faces, solve_dirichlet)
+                  lateral_faces)
 
 __all__ = [
     "BoundaryField",
     "nontangential_max",
     "nontangential_max_cylinder",
-    "truncated_vertical_max",
     "lp_boundary_norm",
     "lateral_norm_cylinder",
     "boundary_data_norm",
-    "solvability_constant",
 ]
 
 
@@ -166,23 +164,6 @@ def nontangential_max_cylinder(u: ScalarField, eta: float,
             for face in lateral_faces(u.grid, dom)}
 
 
-def truncated_vertical_max(u: ScalarField, r: float) -> BoundaryField:
-    """M_r(u)(x, t) = sup of |u| over the vertical segment 0 < lam < r."""
-    grid = u.grid
-    lamc = grid.axis_centers(grid.d - 1)
-    jr = int(np.sum(lamc < r))
-    if jr < 1:
-        raise ValueError("truncation height r does not reach the first layer")
-    vals = np.abs(u.values[..., :jr]).max(axis=-1)
-    w = grid.axis_spacings(0)
-    for k in range(1, grid.d - 1):
-        w = np.multiply.outer(w, grid.axis_spacings(k))
-    weights = np.broadcast_to(w, vals.shape[1:]).copy()
-    offset = r - float(lamc[jr - 1])
-    return BoundaryField(vals, weights, grid.dt,
-                         {"r": r, "grid_offset": offset})
-
-
 def lp_boundary_norm(g: BoundaryField, p: float) -> float:
     """Weighted L^p norm over the lateral boundary, measure sigma(x) dt."""
     if not (1.0 < p < np.inf):
@@ -208,25 +189,3 @@ def boundary_data_norm(f: BoundaryData, dom, grid: SpaceTimeGrid,
             np.abs([f(face.points, t).reshape(face.weights.shape)
                     for t in grid.times()]), face.weights, grid.dt)
          for face in lateral_faces(grid, dom)}, p)
-
-
-def solvability_constant(A, dom: GraphDomain, family: Sequence[BoundaryData],
-                         p: float, grid: SpaceTimeGrid, eta: float):
-    """Empirical ratios ||N(u_f)||_p / ||f||_p over a family of data.
-
-    Returns (rows, family_max); each row is a dict with the datum label,
-    both norms and their ratio.  The family maximum is the measured
-    solvability constant for this configuration.
-    """
-    rows = []
-    worst = 0.0
-    for f in family:
-        u = solve_dirichlet(A, dom, f, grid)
-        N = nontangential_max(u, eta, dom)
-        nn = lp_boundary_norm(N, p)
-        fn = boundary_data_norm(f, dom, grid, p)
-        ratio = nn / fn if fn > 0 else float("inf")
-        rows.append({"data": f.label, "N_norm": nn, "f_norm": fn,
-                     "ratio": ratio})
-        worst = max(worst, ratio)
-    return rows, worst

@@ -1,6 +1,6 @@
 """Caloric measure, kernel densities, Green functions and the quantitative
 diagnostic battery: doubling, reverse Holder, local solvability, Harnack,
-comparison, Green-measure equivalence, positivity floors.
+Green-measure equivalence.
 
 Conventions.  The Green field is propagated forward from a discrete unit
 impulse at the pole time.  Each pole diagnostic reads one discrete caloric
@@ -49,9 +49,7 @@ __all__ = [
     "reverse_holder_ratio",
     "local_solvability_ratio",
     "harnack_ratio",
-    "comparison_ratio",
     "green_measure_equivalence",
-    "measure_positivity_floor",
     "MeasureBelowNoiseError",
 ]
 
@@ -585,50 +583,6 @@ def harnack_ratio(u: ScalarField, x0, t0: float, r: float) -> HarnackResult:
 
 
 @dataclass(frozen=True)
-class ComparisonResult:
-    value: float
-    numerator_base: float
-    denominator_base: float
-
-
-def comparison_ratio(u: ScalarField, v: ScalarField, x0, t0: float,
-                     r: float) -> ComparisonResult:
-    """Boundary comparison quotient for two nonnegative vanishing solutions.
-
-    value = sup_{T_r} (u/v) * v(x0, t0 - 2r^2, r) / u(x0, t0 + 2r^2, r),
-    bounded by the comparison constant.  Both fields must vanish on the
-    2r cube trace (recorded bottom data at most 1e-10 there) and be
-    nonnegative; v must clear the noise floor 1e-9 max(1, max|v|) on T_r.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    cube2 = ParabolicCube(x0, t0, 2 * r)
-    for w, name in ((u, "u"), (v, "v")):
-        if float(w.values.min()) < -1e-12 * max(1.0, float(np.abs(w.values).max())):
-            raise ValueError(f"{name} is not nonnegative")
-        bd = w.meta.get("bottom_data")
-        if bd is None:
-            raise ValueError(f"{name} has no recorded boundary trace")
-        grid = w.grid
-        tang = grid.tangential_centers()
-        inside = cube2.contains_xt(tang, grid.times()[:, None])
-        if np.abs(bd[inside]).max(initial=0.0) > 1e-10:
-            raise ValueError(f"{name} does not vanish on the 2r cube")
-
-    uu, _ = _t_window(u, x0, t0, r)
-    vv, _ = _t_window(v, x0, t0, r)
-    floor = 10.0 * 1e-10 * max(1.0, float(np.abs(v.values).max()))
-    if float(vv.min()) < floor:
-        raise MeasureBelowNoiseError(
-            f"v on T_r dips to {float(vv.min()):.3e}, below the noise floor")
-    quot = float((uu / vv).max())
-    u_base = u.value_at(np.append(x0, r), t0 + 2 * r * r)
-    v_base = v.value_at(np.append(x0, r), t0 - 2 * r * r)
-    if u_base <= 0:
-        raise ValueError("u base value is not positive")
-    return ComparisonResult(quot * v_base / u_base, v_base, u_base)
-
-
-@dataclass(frozen=True)
 class GreenMeasureResult:
     lower_ratio: float      # omega / (rho^{n+1} G_plus), expected >= 1/c
     upper_ratio: float      # omega / (rho^{n+1} G_minus), expected <= c
@@ -675,48 +629,3 @@ def green_measure_equivalence(A: CoefficientField, dom: GraphDomain,
         raise MeasureBelowNoiseError("Green values below the noise floor")
     return GreenMeasureResult(omega / (scale * vp), omega / (scale * vm),
                               omega, vp, vm, admissible, not admissible)
-
-
-@dataclass(frozen=True)
-class PositivityResult:
-    c0: float
-    points: np.ndarray
-    values: np.ndarray
-
-
-def measure_positivity_floor(A: CoefficientField, dom: GraphDomain,
-                             cube: ParabolicCube,
-                             grid: SpaceTimeGrid) -> PositivityResult:
-    """Minimum of omega(., cube) over the standard positivity region.
-
-    Region: lam > r/2, |x - x0|^2 + lam^2 <= t - t0 <= 10 r^2, sampled at
-    50 points drawn with seed 0 at times t0 + [5, 10] r^2, which the grid
-    must cover, with the spatial extent of those times.  One field solve
-    serves every sample point; the recorded c0 is the empirical positivity
-    floor (asserted positive by callers, never against book constants).
-    """
-    r = cube.side
-    n = cube.center_x.size
-    t_lo, t_hi = cube.center_t + 5.0 * r * r, cube.center_t + 10.0 * r * r
-    reach = np.sqrt(10.0) * r
-    lo = np.append(cube.center_x - reach / np.sqrt(n), 0.0)
-    hi = np.append(cube.center_x + reach / np.sqrt(n), reach)
-    if grid.t0 > t_lo or grid.t1 < t_hi or np.any(lo < grid.lo) \
-            or np.any(hi > grid.hi):
-        raise ValueError(
-            f"grid does not cover the positivity region: times "
-            f"[{t_lo:.4g}, {t_hi:.4g}], box {lo.tolist()} to {hi.tolist()}")
-    f = caloric_measure_field(A, dom, cube, grid)
-    rng = np.random.default_rng(0)
-    interp = f.interpolator()
-    pts = []
-    for _ in range(50):
-        tau = cube.center_t + rng.uniform(0.5, 1.0) * 10.0 * r * r
-        bound = tau - cube.center_t
-        lam = rng.uniform(0.5 * r * 1.01, np.sqrt(bound) * 0.99)
-        rad2 = bound - lam * lam
-        x = cube.center_x + rng.uniform(-1, 1, n) * np.sqrt(rad2) / np.sqrt(n)
-        pts.append(np.concatenate([[tau], x, [lam]]))
-    pts = np.asarray(pts)
-    vals = interp(pts)
-    return PositivityResult(float(vals.min()), pts, vals)

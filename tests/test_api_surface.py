@@ -1,0 +1,86 @@
+"""Every public name of the package is reached by the program itself.
+
+A name in a module's `__all__` must be referenced outside its own
+definition: in `src/parahom`, in `perfbench/` or in the acceptance module.
+Unit tests do not count, so public code that only its own tests call is
+deleted rather than kept.  The few names kept for tests alone are listed in
+KEPT, each with its reason, and the list may not go stale.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "parahom"
+CALLERS = (sorted(PACKAGE.glob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
+
+KEPT = {
+    "cell.solve_corrector": "the only pointwise check of the corrector "
+                            "that effective_matrix builds (laminate gradient "
+                            "oracle, energy identity by independent "
+                            "quadrature)",
+    "pde.load_field": "reads the field files that `parahom solve` writes",
+    "oracles.halfspace_green": "closed-form reference the unit tests compare "
+                               "against",
+    "oracles.halfspace_kernel": "closed-form reference the unit tests compare "
+                                "against",
+    # the paper's hypotheses on A; open until `parahom diagnose` reaches them
+    "coeffs.dini_modulus": "checks the Dini condition on A",
+    "coeffs.dini_integral": "checks the square-Dini condition on A",
+    "coeffs.check_ellipticity": "checks uniform ellipticity of A",
+    "coeffs.PRESETS": "the presets the ellipticity test runs over",
+}
+
+
+def _statements(path):
+    """(name defined by the statement or None, names it references) for
+    each top-level statement of a module."""
+    out = []
+    for stmt in ast.parse(path.read_text()).body:
+        defined = getattr(stmt, "name", None)
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+                and isinstance(stmt.targets[0], ast.Name):
+            defined = stmt.targets[0].id
+        refs = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+        out.append((defined, refs))
+    return out
+
+
+def _public_names():
+    """(module, name) for every entry of every module's __all__."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue            # lists the submodules, not API names
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in stmt.targets):
+                for elt in stmt.value.elts:
+                    yield path.stem, elt.value
+
+
+def _unreached():
+    scans = {path: _statements(path) for path in CALLERS}
+    out = set()
+    for module, name in _public_names():
+        own = PACKAGE / f"{module}.py"
+        if not any(name in refs and not (path == own and defined == name)
+                   for path, stmts in scans.items()
+                   for defined, refs in stmts):
+            out.add(f"{module}.{name}")
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    unreached = _unreached()
+    assert sorted(unreached - set(KEPT)) == []
+    assert sorted(set(KEPT) - unreached) == [], "KEPT lists reached names"

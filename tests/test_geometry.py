@@ -3,10 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parahom.coeffs import preset
-from parahom.geometry import (BoundaryMeasure, GraphDomain,
-                              LipschitzCylinder, ParabolicCube, ParabolicPoint,
-                              QUASI_TRIANGLE_CONSTANT, boundary_measure,
-                              flatten_pullback, parabolic_distance,
+from parahom.geometry import (GraphDomain, LipschitzCylinder, flatten_pullback,
                               parabolic_norm)
 
 
@@ -70,35 +67,6 @@ class TestParabolicNorm:
         assert parabolic_norm(np.array([1e-30, 0.0]), 0.0) > 0.0
 
 
-class TestDistance:
-    def test_coincident(self):
-        p = ParabolicPoint(np.array([1.0, 2.0]), 3.0)
-        assert parabolic_distance(p, p) == 0.0
-
-    def test_examples(self):
-        o = ParabolicPoint(np.array([0.0, 0.0]), 0.0)
-        assert parabolic_distance(o, ParabolicPoint(np.array([3.0, 4.0]), 0.0)) \
-            == pytest.approx(5.0)
-        assert parabolic_distance(o, ParabolicPoint(np.array([0.0, 0.0]), 4.0)) \
-            == pytest.approx(2.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            parabolic_distance(ParabolicPoint(np.array([0.0]), 0.0),
-                               ParabolicPoint(np.array([0.0, 0.0]), 0.0))
-
-    def test_quasi_triangle(self):
-        rng = np.random.default_rng(4)
-        P = rng.normal(size=(500, 3, 2)) * 3
-        T = rng.normal(size=(500, 3))
-        for (Xs, ts) in zip(P, T):
-            p, q, r = (ParabolicPoint(Xs[i], ts[i]) for i in range(3))
-            d_pr = parabolic_distance(p, r)
-            d_pq = parabolic_distance(p, q)
-            d_qr = parabolic_distance(q, r)
-            assert d_pr <= QUASI_TRIANGLE_CONSTANT * (d_pq + d_qr) + 1e-14
-
-
 class TestGraphDomain:
     def test_lipschitz_violation_detected(self):
         with pytest.raises(ValueError, match="Lipschitz"):
@@ -116,6 +84,16 @@ class TestGraphDomain:
     def test_zero_phi_table(self):
         dom = GraphDomain(m=0.0, box=((-1.0, 1.0),))
         assert np.all(dom.phi_values(np.array([[0.1], [0.7]])) == 0.0)
+
+    def test_grad_phi_only_inside_the_box(self):
+        wavy = GraphDomain(m=0.5, box=((-1.0, 1.0),),
+                           phi=lambda x: 0.5 * np.sin(np.asarray(x)[..., 0]))
+        x = np.array([-0.5, 0.3, 0.9])
+        assert np.allclose(wavy.grad_phi(x)[:, 0], 0.5 * np.cos(x), atol=1e-5)
+        with pytest.raises(ValueError, match=r"x1 = 2.*\(\(-1.0, 1.0\),\)"):
+            wavy.grad_phi(np.array([0.0, 2.0]))
+        flat = GraphDomain(m=0.0, box=((-1.0, 1.0),))
+        assert not flat.grad_phi(np.array([2.0, -7.0])).any()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_json_table_reproduces_nodes(self, n):
@@ -168,44 +146,6 @@ class TestFlattenPullback:
             dom = GraphDomain(m=0.2, box=((-1.0, 1.0),),
                               phi=lambda x: np.asarray(x)[..., 0] ** 2)
             flatten_pullback(dom, preset("constant", d=2))
-
-
-class TestBoundaryMeasure:
-    def test_flat_graph(self):
-        dom = GraphDomain(m=0.0, box=((-4.0, 4.0),))
-        r = 1.0
-        bm = boundary_measure(dom, ParabolicCube(np.zeros(1), 0.0, r))
-        assert bm.value == pytest.approx((2 * r) * 2 * r * r, rel=1e-12)
-        assert not bm.empty
-
-    def test_constant_slope(self):
-        dom = GraphDomain(m=1.0, box=((-4.0, 4.0),),
-                          phi=lambda x: np.asarray(x)[..., 0])
-        bm = boundary_measure(dom, ParabolicCube(np.zeros(1), 0.0, 1.0))
-        assert bm.value == pytest.approx(np.sqrt(2.0) * 2 * 2, rel=1e-6)
-
-    def test_empty_intersection(self):
-        dom = GraphDomain(m=0.0, box=((-1.0, 1.0),))
-        bm = boundary_measure(dom, ParabolicCube(np.array([5.0]), 0.0, 0.5))
-        assert bm.empty and bm.value == 0.0
-
-    def test_matches_adaptive_quadrature(self):
-        from scipy.integrate import quad
-
-        dom = GraphDomain(m=0.3, box=((-4.0, 4.0),),
-                          phi=lambda x: 0.3 * np.sin(np.asarray(x)[..., 0]))
-        cube = ParabolicCube(np.zeros(1), 0.0, 1.5)
-        arc, _ = quad(lambda x: np.sqrt(1.0 + (0.3 * np.cos(x)) ** 2),
-                      -1.5, 1.5, epsabs=0.0, epsrel=1e-12)
-        # the central-difference gradient of phi costs about 7e-6
-        assert boundary_measure(dom, cube).value == pytest.approx(
-            arc * 2 * 1.5 ** 2, rel=2e-5)
-
-    def test_cylinder_perimeter(self):
-        dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=1.0)
-        # small cube straddling one face
-        bm = boundary_measure(dom, ParabolicCube(np.array([0.0, 0.5]), 0.5, 0.2))
-        assert bm.value == pytest.approx(0.4 * 2 * 0.04, rel=1e-12)
 
 
 class TestCylinder:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from parahom.geometry import GraphDomain, LipschitzCylinder
 from parahom.harness import (ConvergenceReport, ExperimentConfig, SweepReport,
                              _row, data_from_json, default_compact_subcylinder,
                              domain_from_json, emit_report,
-                             homogenization_experiment, load_report,
+                             homogenization_experiment,
                              local_solvability_at_scale, q_decay_constant,
                              solvability_sweep)
 from parahom.potential import PotentialConfig
@@ -130,7 +131,8 @@ class TestHomogenization:
     def test_report_roundtrip(self, small_report, tmp_path):
         paths = emit_report(small_report, fmt="json", outdir=str(tmp_path),
                             name="conv")
-        loaded = load_report(paths[0])
+        with open(paths[0]) as fh:
+            loaded = json.load(fh)
         assert loaded == small_report.to_jsonable()
 
     def test_emit_deterministic_bytes(self, small_report, tmp_path):
@@ -185,7 +187,8 @@ class TestSweep:
         for fmt in ("json", "csv"):
             path = emit_report(rep, fmt, str(tmp_path), f"empty_{fmt}")[0]
             assert os.path.exists(path)
-        loaded = load_report(os.path.join(str(tmp_path), "empty_json.json"))
+        with open(os.path.join(str(tmp_path), "empty_json.json")) as fh:
+            loaded = json.load(fh)
         assert loaded["rows"] == []
         assert loaded["config"]["note"] == "empty"
 
@@ -288,6 +291,24 @@ class TestCli:
         assert lines[0] == "check,value,error_bar,pass,watermark"
         assert lines[1].startswith("caloric-measure,")
 
+    @pytest.mark.parametrize("flag,value,layout", [
+        ("--pole", "[1, 5]", "[x..., lam, tau]"),
+        ("--cube", "[0, 0.5]", "[x0..., t0, r]"),
+        ("--pole", "[0, 0, 1, 5]", "[x..., lam, tau]")],
+        ids=["short-pole", "short-cube", "long-pole"])
+    def test_diagnose_rejects_missized_coordinates(self, tmp_path, flag,
+                                                   value, layout):
+        from parahom.cli import main
+
+        args = {"--pole": "[0.0, 1.0, 5.0]", "--cube": "[0.0, 0.0, 0.5]"}
+        args[flag] = value
+        with pytest.raises(SystemExit,
+                           match=re.escape(f"{flag} needs 3 numbers {layout}")):
+            main(["diagnose", "--check", "caloric-measure",
+                  "--coeff", "constant", "--pole", args["--pole"],
+                  "--cube", args["--cube"],
+                  "--out", str(tmp_path / "diag.csv")])
+
     def test_homogenize_command(self, tmp_path):
         from parahom.cli import main
 
@@ -308,7 +329,8 @@ class TestCli:
              "nt": 8, "cell_resolution": 8, "outdir": str(tmp_path)}))
         rc = main(["homogenize", "--config", f"@{path}", "--name", "ff"])
         assert rc == 0
-        rep = load_report(str(tmp_path / "ff.json"))
+        with open(str(tmp_path / "ff.json")) as fh:
+            rep = json.load(fh)
         assert rep["config"]["resolution"] == 16
         assert [r["eps"] for r in rep["rows"]] == [0.5]
 
@@ -319,7 +341,8 @@ class TestCli:
                "diagnostics": ["harnack"]}       # a key old configs carry
         rc = main(["sweep", "--config", json.dumps(cfg), "--name", "sw"])
         assert rc == 0
-        rep = load_report(os.path.join(str(tmp_path), "sw.json"))
+        with open(os.path.join(str(tmp_path), "sw.json")) as fh:
+            rep = json.load(fh)
         assert rep["kind"] == "sweep_report"
         assert "diagnostics" not in rep["config"]
         checks = [r["check"] for r in rep["rows"]]

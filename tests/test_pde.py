@@ -253,6 +253,12 @@ class TestSolveDirichlet:
         assert np.isfinite(u.values).all()
         assert u.values.max() <= 1.0 + 1e-9   # cross terms keep bounds here
 
+    def test_wavy_graph_grid_must_stay_in_its_box(self):
+        # WAVY is defined on x in (-4, 4); this grid reaches x = +-6
+        grid = halfspace(-6.0, 6.0, 2.0, 0.0, 0.5, (48, 8), 8)
+        with pytest.raises(ValueError, match="box"):
+            solve_dirichlet(preset("constant", d=2), WAVY, bump_data(), grid)
+
 
 class TestFactor:
     def test_fill_reducing_order(self):

@@ -10,13 +10,11 @@ from parahom.pde import (IncompatibleDataError, ScalarField, SpaceTimeGrid,
                          halfspace)
 from parahom.potential import (KernelEstimate, MeasureBelowNoiseError,
                                PotentialConfig, _measure_grid, _PoleKernel,
-                               caloric_measure,
-                               caloric_measure_field, comparison_ratio,
+                               caloric_measure, caloric_measure_field,
                                doubling_ratio, green_measure_equivalence,
                                green_symmetry_check, greens_function,
                                harnack_ratio, kernel_estimate,
-                               local_solvability_ratio,
-                               measure_positivity_floor, reverse_holder_ratio)
+                               local_solvability_ratio, reverse_holder_ratio)
 
 A_CONST = preset("constant", d=2)
 HALF = GraphDomain(m=0.0, box=((-64.0, 64.0),))
@@ -410,50 +408,6 @@ class TestHarnack:
         assert abs(r1.ratio - r2.ratio) <= 1e-13 * r1.ratio
 
 
-class TestComparison:
-    def test_equal_fields(self):
-        u, _ = _measure_pair(nx=128, nt=260)
-        res = comparison_ratio(u, u, np.zeros(1), 0.0, 0.5)
-        base = u.value_at(np.array([0.0, 0.5]), -2 * 0.25) / \
-            u.value_at(np.array([0.0, 0.5]), 2 * 0.25)
-        assert res.value == pytest.approx(base, rel=1e-10)
-        assert res.value > 0
-
-    def test_images_oracle(self):
-        r = 0.5
-        u, v = _measure_pair(r)
-        res = comparison_ratio(u, v, np.zeros(1), 0.0, r)
-
-        cu = (np.asarray([3.0]), -4.0, 0.8)
-        cv = (np.asarray([-3.0]), -4.0, 0.8)
-
-        def om(cube, X, t):
-            return halfspace_measure(X[:-1], X[-1], t, cube[0], cube[1],
-                                     cube[2])
-
-        # evaluate the closed-form quotient on the same sample set the
-        # estimator scans (all T_r cell centers and time levels)
-        grid = u.grid
-        xs = grid.axis_centers(0)
-        lam = grid.axis_centers(1)
-        times = grid.times()
-        quot = 0.0
-        for x in xs[np.abs(xs) < r]:
-            for l in lam[(lam > 0) & (lam < r)]:
-                for t in times[np.abs(times) < r * r]:
-                    X = np.array([x, l])
-                    quot = max(quot, om(cu, X, t) / om(cv, X, t))
-        vb = om(cv, np.array([0.0, r]), -2 * r * r)
-        ub = om(cu, np.array([0.0, r]), 2 * r * r)
-        oracle = quot * vb / ub
-        assert res.value == pytest.approx(oracle, rel=0.05)
-
-    def test_trace_hypothesis_enforced(self):
-        u, v = _measure_pair(nx=128, nt=260)
-        with pytest.raises(ValueError, match="vanish"):
-            comparison_ratio(u, v, np.asarray([3.0]), -4.0, 0.6)
-
-
 class TestGreenMeasure:
     def test_sandwich_and_scaling_invariance(self):
         obs = ParabolicPoint(np.array([0.2, 0.7]), 2.0)
@@ -476,25 +430,6 @@ class TestGreenMeasure:
             res = green_measure_equivalence(A_CONST, HALF, obs, np.zeros(1),
                                             0.0, 0.5, CFG)
         assert res.watermark
-
-    def test_positivity_floor(self):
-        cube = ParabolicCube(np.zeros(1), 0.0, 1.0)
-        grid = SpaceTimeGrid((-8.0, 0.0), (8.0, 6.0), (128, 64),
-                             -1.1, 10.0, 220)
-        res = measure_positivity_floor(A_CONST, HALF, cube, grid)
-        assert res.c0 > 0.0
-        assert res.values.min() == res.c0
-        assert res.points.shape == (50, 3)
-
-    @pytest.mark.parametrize("lo,hi,t1", [((-8.0, 0.0), (8.0, 6.0), 4.0),
-                                          ((-2.0, 0.0), (8.0, 6.0), 10.0),
-                                          ((-8.0, 0.0), (8.0, 3.0), 10.0)])
-    def test_positivity_floor_needs_its_region(self, lo, hi, t1):
-        # the samples reach t = 10 r^2, |x| = sqrt(10) r and lam ~ 3.13 r
-        cube = ParabolicCube(np.zeros(1), 0.0, 1.0)
-        grid = SpaceTimeGrid(lo, hi, (16, 8), -1.1, t1, 8)
-        with pytest.raises(ValueError, match="does not cover"):
-            measure_positivity_floor(A_CONST, HALF, cube, grid)
 
 
 class TestRefinementStability:
