@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,7 +66,6 @@ class CoefficientField:
     period: str = "none"
     period_scale: float = 1.0
     label: str = "field"
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.lam < 1.0:
@@ -252,7 +251,7 @@ def preset(name: str, d: int = 2, **kwargs) -> CoefficientField:
         return CoefficientField(_scalar_field(cc, d), d=d,
                                 lam=max(a2, 1.0 / a1), period="lattice",
                                 label=f"checker(delta={delta})")
-    raise KeyError(f"unknown preset {name!r}")
+    raise KeyError(f"unknown preset {name!r}; presets are {', '.join(PRESETS)}")
 
 
 PRESETS = ("constant", "laminate", "trig", "trig2d", "checker")
@@ -264,7 +263,24 @@ def field_from_json(spec, d: int = 2) -> CoefficientField:
     {"preset": "laminate", ...kwargs} or
     {"expr": "2+sin(2*pi*lam)", "lam": 3.0, "period": "axis"} (scalar * I) or
     {"entries": [[...]], "lam": ..., "period": ...} for full matrices.
+
+    This is where coefficients enter from outside the program, so every
+    field is sampled by `check_ellipticity`: an asymmetric sample raises
+    AsymmetricFieldError, and eigenvalues outside [1/lam, lam] raise
+    ValueError naming their range and the declared lam.
     """
+    A = _field_from_spec(spec, d)
+    rep = check_ellipticity(A)
+    if not rep.passed:
+        raise ValueError(
+            f"coefficient field {A.label} is not uniformly elliptic with the "
+            f"declared lam = {A.lam:g}: sampled eigenvalues span "
+            f"[{rep.min_eig:.6g}, {rep.max_eig:.6g}], outside "
+            f"[1/lam, lam] = [{1.0 / A.lam:.6g}, {A.lam:g}]")
+    return A
+
+
+def _field_from_spec(spec, d: int) -> CoefficientField:
     if isinstance(spec, str):
         return preset(spec, d=d)
     if "preset" in spec:
@@ -444,7 +460,7 @@ def dini_integral(mod: DiniModulus) -> DiniIntegral:
 
 
 def scale_field(A: CoefficientField, eps: float) -> CoefficientField:
-    """Oscillating rescale X -> A(X / eps); period metadata scales with eps."""
+    """Oscillating rescale X -> A(X / eps); period_scale scales with eps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if eps == 1.0:
@@ -455,5 +471,4 @@ def scale_field(A: CoefficientField, eps: float) -> CoefficientField:
 
     return CoefficientField(scaled, d=A.d, lam=A.lam, period=A.period,
                             period_scale=A.period_scale * eps,
-                            label=f"{A.label}@eps={eps}",
-                            metadata=dict(A.metadata, eps=eps))
+                            label=f"{A.label}@eps={eps}")

@@ -320,6 +320,4 @@ def flatten_pullback(dom: GraphDomain, A):
         period="none" if not identity_map else A.period,
         period_scale=A.period_scale,
         label=f"flatten({A.label})",
-        metadata={"map": "shear lam -> lam - phi(x)", "m": m,
-                  "source": A.label},
     )

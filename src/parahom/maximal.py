@@ -1,5 +1,12 @@
 """Non-tangential maximal operator and boundary L^p norms.
 
+N(u) and the boundary data f live on the lateral faces of
+`pde.lateral_faces`, the faces the solves bind their data to, for every
+domain: both are {(axis, side): BoundaryField} dicts (a graph has the one
+key (d-1, 0), a cylinder every face of its box), and `lp_boundary_norm`
+takes such a dict, (sum_f ||f||_p^p)^(1/p).  So ||N(u)||_p and ||f||_p
+share faces, surface weights, time levels and summation.
+
 The scan below is the toolkit's one cone definition: at depth lam from a
 face the cone of opening eta admits tangential offsets |dx| < rho and times
 |s - t| <= rho sqrt(rho^2 - |dx|^2), rho = eta lam.  Cones stop at the
@@ -13,31 +20,25 @@ by ndimage and numpy).  Each face copies |u| on just the layers its cones
 reach into one slab laid out (layer, *tangential, time), time last, so the
 time-max filters run along contiguous rows and every tangential offset
 shifts whole rows.
-
-Faces, surface weights and chart heights come from `pde.lateral_faces`, the
-same faces the solves bind their data to, so ||N(u)||_p and the data norm
-||f||_p share one quadrature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Sequence
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
-from .geometry import GraphDomain, LipschitzCylinder
+from .geometry import GraphDomain
 from .pde import (BoundaryData, LateralFace, ScalarField, SpaceTimeGrid,
                   lateral_faces)
 
 __all__ = [
     "BoundaryField",
     "nontangential_max",
-    "nontangential_max_cylinder",
     "lp_boundary_norm",
-    "lateral_norm_cylinder",
     "boundary_data_norm",
 ]
 
@@ -53,7 +54,6 @@ class BoundaryField:
     values: np.ndarray          # (nt+1, *tangential shape)
     weights: np.ndarray         # (*tangential shape,)
     dt: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -139,52 +139,42 @@ def _face_max(u: ScalarField, eta: float, m: float,
     vals = _cone_sup(slab, h, grid.dt, h_depth, eta)
     # C order: np.sum in the L^p norms adds in memory order
     return BoundaryField(np.ascontiguousarray(np.moveaxis(vals, -1, 0)),
-                         face.weights, grid.dt, {"eta": eta, "face": face.key})
+                         face.weights, grid.dt)
 
 
 def nontangential_max(u: ScalarField, eta: float,
-                      dom: GraphDomain) -> BoundaryField:
-    """N(u) on the flattened lateral boundary of a graph-domain solve."""
-    face, = lateral_faces(u.grid, dom)
-    return _face_max(u, eta, dom.m, face)
+                      dom) -> Dict[tuple, BoundaryField]:
+    """N(u) on every lateral face of dom, keyed by (axis, side).
 
-
-def nontangential_max_cylinder(u: ScalarField, eta: float,
-                               dom: LipschitzCylinder
-                               ) -> Dict[tuple, BoundaryField]:
-    """Per-face N(u) for a box-cylinder solve, keyed by (axis, side).
-
-    Each face is a local graph of height dom.r0; lam is the distance into
-    the domain from that face, and cones stop at lam = r0, so they never
-    reach the opposite face.  Corners still measure lam from the face, not
-    the distance to the whole boundary.  A face whose first cell layer sits
-    at or above r0 raises ValueError.
+    A graph domain has the one face (d-1, 0), its flattened bottom, and
+    cones open by eta > dom.m through the whole depth.  A box cylinder has
+    every face of the grid box, each a local graph of Lipschitz constant 0
+    and height dom.r0: lam is the distance into the domain from that face,
+    and cones stop at lam = r0, so they never reach the opposite face.
+    Corners still measure lam from the face, not the distance to the whole
+    boundary.  A face whose first cell layer sits at or above r0 raises
+    ValueError.
     """
-    return {face.key: _face_max(u, eta, 0.0, face)
+    m = dom.m if isinstance(dom, GraphDomain) else 0.0
+    return {face.key: _face_max(u, eta, m, face)
             for face in lateral_faces(u.grid, dom)}
 
 
-def lp_boundary_norm(g: BoundaryField, p: float) -> float:
-    """Weighted L^p norm over the lateral boundary, measure sigma(x) dt."""
+def lp_boundary_norm(fields: Dict[tuple, BoundaryField], p: float) -> float:
+    """L^p norm over the lateral faces, measure sigma(x) dt on each:
+    (sum_f ||f||_p^p)^(1/p) with ||f||_p = (sum |v|^p w dt)^(1/p)."""
     if not (1.0 < p < np.inf):
         raise ValueError("p must lie in (1, inf)")
-    total = float(np.sum(np.abs(g.values) ** p * g.weights) * g.dt)
-    return total ** (1.0 / p)
-
-
-def lateral_norm_cylinder(fields: Dict[tuple, BoundaryField], p: float) -> float:
-    """Combine per-face norms into the full lateral-boundary norm."""
-    if not (1.0 < p < np.inf):
-        raise ValueError("p must lie in (1, inf)")
-    return float(sum(lp_boundary_norm(f, p) ** p
-                     for f in fields.values()) ** (1.0 / p))
+    norms = (float(np.sum(np.abs(g.values) ** p * g.weights) * g.dt)
+             ** (1.0 / p) for g in fields.values())
+    return float(sum(v ** p for v in norms) ** (1.0 / p))
 
 
 def boundary_data_norm(f: BoundaryData, dom, grid: SpaceTimeGrid,
                        p: float) -> float:
     """||f||_p on the lateral faces of dom, with the faces, surface weights
     and time levels that N(u) is measured on."""
-    return lateral_norm_cylinder(
+    return lp_boundary_norm(
         {face.key: BoundaryField(
             np.abs([f(face.points, t).reshape(face.weights.shape)
                     for t in grid.times()]), face.weights, grid.dt)

@@ -283,20 +283,6 @@ class SpaceTimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.nt + 1) * self.dt
 
-    def refined(self) -> "SpaceTimeGrid":
-        """Every cell and time step halved."""
-        if self.faces is None:
-            return SpaceTimeGrid(self.lo, self.hi,
-                                 tuple(2 * s for s in self.shape),
-                                 self.t0, self.t1, 2 * self.nt)
-        new_faces = []
-        for f in self.faces:
-            pieces = [np.linspace(f[i], f[i + 1], 3)[:-1]
-                      for i in range(f.size - 1)]
-            new_faces.append(np.append(np.concatenate(pieces), f[-1]))
-        return SpaceTimeGrid.from_faces(new_faces, self.t0, self.t1,
-                                        2 * self.nt)
-
 
 def halfspace(x_lo, x_hi, height, t0, t1, shape, nt) -> SpaceTimeGrid:
     """Uniform grid on a truncated half space {0 < lam < height}."""
@@ -381,23 +367,15 @@ class ScalarField:
 # operator assembly
 
 
-class _BoundaryGroup:
-    __slots__ = ("axis", "side", "cells", "weights")
-
-    def __init__(self, axis, side, cells, weights):
-        self.axis = axis
-        self.side = side            # 0 = lo, 1 = hi
-        self.cells = cells          # owner cell flat indices
-        self.weights = weights      # Dirichlet transmissibilities
+class _BoundaryGroup(NamedTuple):
+    cells: np.ndarray           # owner cell flat indices
+    weights: np.ndarray         # Dirichlet transmissibilities
 
 
-class _Operator:
-    def __init__(self, grid: SpaceTimeGrid, S: sp.csr_matrix, groups,
-                 volumes: np.ndarray):
-        self.grid = grid
-        self.S = S
-        self.groups = groups
-        self.volumes = volumes
+class _Operator(NamedTuple):
+    S: sp.csr_matrix
+    groups: dict                # (axis, side) -> _BoundaryGroup; 0 = lo
+    volumes: np.ndarray
 
 
 def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
@@ -422,7 +400,7 @@ def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
     spac_cell = [cellwise(spac[k], k) for k in range(d)]
 
     rows, cols, vals = [], [], []
-    groups = []
+    groups = {}
     cell_idx = np.arange(nc).reshape(shape)
     multi = np.indices(shape)
 
@@ -461,7 +439,7 @@ def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
             rows.append(cells)
             cols.append(cells)
             vals.append(tb)
-            groups.append(_BoundaryGroup(k, side, cells, tb))
+            groups[(k, side)] = _BoundaryGroup(cells, tb)
 
         # cross-derivative fluxes on interior k-faces; faces whose
         # tangential stencil would leave the box are skipped (O(h)
@@ -489,7 +467,7 @@ def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     S = sp.coo_matrix((vals, (rows, cols)), shape=(nc, nc)).tocsr()
-    return _Operator(grid, S, groups, volumes)
+    return _Operator(S, groups, volumes)
 
 
 def _field_for(dom, A: CoefficientField) -> CoefficientField:
@@ -571,7 +549,8 @@ def _march(op: _Operator, u, dt: float, nsteps: int, t0: float,
 
     The step matrix is factorized once per call, and the residual of the
     last solve is checked.  data maps face-group keys (axis, side) to
-    callables t -> (faces,); groups without an entry carry zero data.  After
+    callables t -> (faces,), added in its order (a corner cell takes data
+    from two faces); groups without an entry carry zero data.  After
     each step, record(step, u, gvals) sees the new level and the data values
     applied, keyed like data.  Returns the last state.
     """
@@ -579,11 +558,10 @@ def _march(op: _Operator, u, dt: float, nsteps: int, t0: float,
     for step in range(1, nsteps + 1):
         rhs = mass * u
         gvals = {}
-        for g in op.groups:
-            key = (g.axis, g.side)
-            if key in data:
-                gvals[key] = np.asarray(data[key](t0 + step * dt), dtype=float)
-                rhs[g.cells] += g.weights * gvals[key]
+        for key, fn in data.items():
+            g = op.groups[key]
+            gvals[key] = np.asarray(fn(t0 + step * dt), dtype=float)
+            rhs[g.cells] += g.weights * gvals[key]
         u = lu.solve(rhs)
         record(step, u, gvals)
     _check_residual(M @ u, rhs)
@@ -680,7 +658,7 @@ def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid, probes,
     transposed solve is checked against the 1e-10 contract.
     """
     op = _assemble(_field_for(dom, A), grid)
-    g, = (g for g in op.groups if (g.axis, g.side) == tuple(key))
+    g = op.groups[tuple(key)]
     z = _probe_weights(grid, probes).T.toarray()
     out = np.empty((grid.nt, g.cells.size, z.shape[1]))
     mass, M, lu = _factor(op, grid.dt)

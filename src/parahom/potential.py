@@ -10,7 +10,8 @@ symmetry of the operator; flattened graph domains do not give one).  The
 measure of separable lateral data pt(t) px(x) is then pt^T K px: measures
 take the mollified indicator of a cube (width one grid cell and one time
 step), and halving the mollification bounds the smoothing error; kernel
-densities are sub-cube measure ratios from tent partitions of the cube.
+densities are sub-cube measure ratios from tent partitions of the cube,
+and a kernel estimate carries the whole cube's measure from its kernel.
 Admissibility windows are enforced as preconditions with explicit margins;
 inadmissible exploratory runs are allowed but watermarked in the results.
 
@@ -256,6 +257,15 @@ def _pole_kernel(A, dom, pole: ParabolicPoint, cube: ParabolicCube,
                        grid.dt)
 
 
+def _cube_measure(kern: _PoleKernel, pole: ParabolicPoint,
+                  cube: ParabolicCube) -> MeasureEstimate:
+    """The cube's measure on the pole's kernel; the same measure at half
+    mollification gives smoothing_error = |value - value_half|."""
+    value = kern.cube_mass(cube)
+    value_half = kern.cube_mass(cube, 0.5)
+    return MeasureEstimate(value, pole, cube, abs(value_half - value))
+
+
 def caloric_measure(A: CoefficientField, dom: GraphDomain,
                     pole: ParabolicPoint, cube: ParabolicCube,
                     cfg: PotentialConfig = DEFAULT_CONFIG) -> MeasureEstimate:
@@ -274,10 +284,7 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
     if cube.center_t - r * r >= pole.t:
         return MeasureEstimate(0.0, pole, cube, 0.0, ("causal-zero",))
 
-    kern = _pole_kernel(A, dom, pole, cube, cfg)
-    value = kern.cube_mass(cube)
-    value_half = kern.cube_mass(cube, 0.5)
-    return MeasureEstimate(value, pole, cube, abs(value_half - value))
+    return _cube_measure(_pole_kernel(A, dom, pole, cube, cfg), pole, cube)
 
 
 def caloric_measure_field(A: CoefficientField, dom: GraphDomain,
@@ -299,7 +306,12 @@ def caloric_measure_field(A: CoefficientField, dom: GraphDomain,
 
 @dataclass(frozen=True)
 class KernelEstimate:
-    """Per-cell densities K_i = omega(Q_i)/|Q_i| on a partition of a cube."""
+    """Per-cell densities K_i = omega(Q_i)/|Q_i| on a partition of a cube.
+
+    measure is omega(cube) on the same pole kernel, with its smoothing
+    error: what `caloric_measure` returns on that kernel's grid, so a
+    caller holding the estimate needs no second march for the cube.
+    """
 
     pole: ParabolicPoint
     cube: ParabolicCube
@@ -310,7 +322,7 @@ class KernelEstimate:
     masses: np.ndarray             # omega(Q_i), same shape as K
     cell_volume: float
     error_bar: np.ndarray          # coarse-fine gap per cell
-    omega_total: float
+    measure: MeasureEstimate       # omega(cube) on the same kernel
     mass_consistency: float        # |sum omega_i - omega(cube)|
 
 
@@ -346,7 +358,7 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
         cells_per_r=max(cfg.cells_per_r, 2 ** depth / 2)))
     masses = kern.mass(_partition_profiles(kern.t, et, kern.w_t),
                        _partition_profiles(kern.x[:, 0], ex, kern.w_x))
-    omega_total = kern.cube_mass(cube)
+    measure = _cube_measure(kern, pole, cube)
     sub_vol = (2 * r / mx) * 2 * (r ** 2 / mt) * 2 ** (n - 1)
     K = masses / sub_vol
 
@@ -356,9 +368,9 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
 
     centers_x = 0.5 * (ex[:-1] + ex[1:])[:, None]
     centers_t = 0.5 * (et[:-1] + et[1:])
-    consistency = abs(float(masses.sum()) - omega_total)
+    consistency = abs(float(masses.sum()) - measure.value)
     return KernelEstimate(pole, cube, depth, centers_x, centers_t, K, masses,
-                          sub_vol, err, omega_total, consistency)
+                          sub_vol, err, measure, consistency)
 
 
 # ----------------------------------------------------------------------

@@ -26,11 +26,10 @@ KEPT = {
                                "against",
     "oracles.halfspace_kernel": "closed-form reference the unit tests compare "
                                 "against",
-    # the paper's hypotheses on A; open until `parahom diagnose` reaches them
+    # the paper's Dini hypothesis on A: the only way to reach it from the
+    # program adds an option (a `parahom diagnose` check)
     "coeffs.dini_modulus": "checks the Dini condition on A",
     "coeffs.dini_integral": "checks the square-Dini condition on A",
-    "coeffs.check_ellipticity": "checks uniform ellipticity of A",
-    "coeffs.PRESETS": "the presets the ellipticity test runs over",
 }
 
 

@@ -211,3 +211,7 @@ class TestExpressionGrammar:
 
     def test_preset_by_name(self):
         assert field_from_json("laminate").label == "laminate"
+
+    def test_unknown_preset_lists_the_presets(self):
+        with pytest.raises(KeyError, match=", ".join(PRESETS)):
+            field_from_json("laminat")

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from parahom.coeffs import preset
+from parahom.coeffs import AsymmetricFieldError, preset
 from parahom.geometry import GraphDomain, LipschitzCylinder
 from parahom.harness import (ConvergenceReport, ExperimentConfig, SweepReport,
                              _row, data_from_json, default_compact_subcylinder,
@@ -163,6 +163,29 @@ class TestSweep:
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             assert f1.read() == f2.read()
 
+    def test_one_adjoint_march_per_pole_and_grid(self, monkeypatch):
+        # the measure row and the kernel densities share one march of the
+        # pole; every other diagnostic has a pole, grid or domain of its own
+        import parahom.potential as potential
+
+        march = potential.adjoint_trace
+        keys = []
+
+        def traced(A, dom, grid, probes, key):
+            keys.append((A.label, id(dom), grid.t0, grid.t1, grid.nt,
+                         *(grid.axis_faces(k).tobytes()
+                           for k in range(grid.d)),
+                         np.asarray(probes, dtype=float).tobytes()))
+            return march(A, dom, grid, probes, key)
+
+        monkeypatch.setattr(potential, "adjoint_trace", traced)
+        rep = solvability_sweep(ExperimentConfig(r_list=(0.5,)),
+                                PotentialConfig(cells_per_r=6,
+                                                steps_per_r2=8))
+        assert rep.all_passed
+        assert len(set(keys)) == len(keys)
+        assert len(keys) == 4
+
     def test_local_solvability_grid_is_capped(self):
         # r = 16 gives 896 x cells, above the cap of 768, so it fails
         # before any assembly
@@ -220,6 +243,30 @@ class TestCli:
             data = json.load(fh)
         assert data["Abar"][0][0] == pytest.approx(1.6, rel=1e-6)
         assert data["Abar"][1][1] == pytest.approx(2.5, rel=1e-6)
+
+    def test_cell_rejects_a_field_outside_its_lam(self, tmp_path,
+                                                   monkeypatch):
+        from parahom import cli
+
+        monkeypatch.setattr(cli, "effective_matrix", _no_solve)
+        out = tmp_path / "Abar.json"
+        # values 4..6 against the default lam = 2
+        with pytest.raises(ValueError, match=r"lam = 2: sampled eigenvalues "
+                           r"span \[4, 6\]"):
+            cli.main(["cell", "--coeff", '{"expr": "5+sin(2*pi*lam)", '
+                      '"period": "lattice"}', "--out", str(out)])
+        assert not out.exists()
+
+    def test_solve_rejects_an_asymmetric_field(self, tmp_path, monkeypatch):
+        from parahom import cli
+
+        monkeypatch.setattr(cli, "solve_dirichlet", _no_solve)
+        out = tmp_path / "u.bin"
+        with pytest.raises(AsymmetricFieldError):
+            cli.main(["solve", "--coeff",
+                      '{"entries": [["2", "0.5"], ["0", "2"]]}',
+                      "--grid", "16,8", "--nt", "8", "--out", str(out)])
+        assert not out.exists()
 
     def test_solve_and_maximal_commands(self, tmp_path):
         from parahom.cli import main

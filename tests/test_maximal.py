@@ -4,12 +4,12 @@ import pytest
 from parahom.coeffs import preset, scale_field
 from parahom.geometry import GraphDomain, LipschitzCylinder
 from parahom.maximal import (BoundaryField, boundary_data_norm,
-                             lateral_norm_cylinder, lp_boundary_norm,
-                             nontangential_max, nontangential_max_cylinder)
+                             lp_boundary_norm, nontangential_max)
 from parahom.pde import (BoundaryData, ScalarField, SpaceTimeGrid, halfspace,
                          lateral_faces, solve_dirichlet)
 
 HALF = GraphDomain(m=0.0, box=((-4.0, 4.0),))
+BOTTOM = (1, 0)             # the one lateral face of a graph domain, d = 2
 
 
 def ramp(t, tau=0.15):
@@ -36,20 +36,20 @@ def synthetic(g, fn):
 class TestNontangentialMax:
     def test_constant_field(self):
         u = synthetic(grid(), lambda X: np.full(X.shape[:-1], -0.7))
-        N = nontangential_max(u, 1.0, HALF)
+        N = nontangential_max(u, 1.0, HALF)[BOTTOM]
         assert np.all(np.abs(N.values - 0.7) <= 1e-14)
 
     def test_linear_height_field(self):
         g = grid()
         u = synthetic(g, lambda X: X[..., 1])
-        N = nontangential_max(u, 1.0, HALF)
+        N = nontangential_max(u, 1.0, HALF)[BOTTOM]
         top = g.axis_centers(1)[-1]
         assert np.all(np.abs(N.values - top) <= 1e-14)
 
     def test_monotone_in_eta(self):
         u = solve_dirichlet(preset("constant", d=2), HALF, bump(), grid())
-        N1 = nontangential_max(u, 0.7, HALF)
-        N2 = nontangential_max(u, 2.1, HALF)
+        N1 = nontangential_max(u, 0.7, HALF)[BOTTOM]
+        N2 = nontangential_max(u, 2.1, HALF)[BOTTOM]
         assert np.all(N2.values >= N1.values - 1e-15)
 
     def test_subadditive(self):
@@ -58,14 +58,14 @@ class TestNontangentialMax:
         u = solve_dirichlet(A, HALF, bump(), g)
         v = solve_dirichlet(A, HALF, bump(center=1.0, width=0.3), g)
         w = ScalarField(g, u.values + v.values, {})
-        Nu = nontangential_max(u, 1.0, HALF)
-        Nv = nontangential_max(v, 1.0, HALF)
-        Nw = nontangential_max(w, 1.0, HALF)
+        Nu = nontangential_max(u, 1.0, HALF)[BOTTOM]
+        Nv = nontangential_max(v, 1.0, HALF)[BOTTOM]
+        Nw = nontangential_max(w, 1.0, HALF)[BOTTOM]
         assert np.all(Nw.values <= Nu.values + Nv.values + 1e-14)
 
     def test_dominates_first_layer_trace(self):
         u = solve_dirichlet(preset("trig", d=2), HALF, bump(), grid())
-        N = nontangential_max(u, 1.0, HALF)
+        N = nontangential_max(u, 1.0, HALF)[BOTTOM]
         assert np.all(N.values >= np.abs(u.values[:, :, 0]) - 1e-15)
 
     def test_dominates_vertical_max(self):
@@ -74,7 +74,7 @@ class TestNontangentialMax:
         below = u.grid.axis_centers(1) < 1.0
         M = np.abs(u.values[..., below]).max(axis=-1)
         # a cone wide enough to contain that segment
-        N = nontangential_max(u, 50.0, HALF)
+        N = nontangential_max(u, 50.0, HALF)[BOTTOM]
         assert np.all(N.values >= M - 1e-14)
 
     def test_eta_must_exceed_lipschitz(self):
@@ -89,7 +89,7 @@ class TestNontangentialMax:
         u = ScalarField(g, np.ones((g.nt + 1,) + g.shape))
         for eta in (0.0, -1.0):
             with pytest.raises(ValueError, match="exceed"):
-                nontangential_max_cylinder(u, eta, UNIT_SQUARE)
+                nontangential_max(u, eta, UNIT_SQUARE)
 
     def test_cone_below_first_layer_raises(self):
         # r0 = 0.05, and the faces normal to x1 have their first layer at
@@ -99,15 +99,24 @@ class TestNontangentialMax:
         u = ScalarField(g, np.ones((g.nt + 1,) + g.shape))
         with pytest.raises(ValueError, match=r"face \(0, 0\).*r0 = 0.05"
                            r".*depth 0.0625"):
-            nontangential_max_cylinder(u, 1.0, dom)
+            nontangential_max(u, 1.0, dom)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_graph_has_one_face(self, d):
+        dom = GraphDomain(m=0.5, box=((-4.0, 4.0),) * (d - 1),
+                          phi=lambda x: 0.5 * np.sin(np.asarray(x)[..., 0]))
+        g = halfspace([-2.0] * (d - 1), [2.0] * (d - 1), 1.0, 0.0, 0.5,
+                      (8,) * d, 4)
+        u = ScalarField(g, np.ones((g.nt + 1,) + g.shape))
+        assert list(nontangential_max(u, 1.0, dom)) == [(d - 1, 0)]
 
     def test_norm_ratio_stable_under_refinement(self):
         A = preset("constant", d=2)
         vals = []
         for g in (grid(nx=64, nlam=16, nt=48), grid(nx=128, nlam=32, nt=96)):
             u = solve_dirichlet(A, HALF, bump(), g)
-            N = nontangential_max(u, 1.0, HALF)
-            vals.append(lp_boundary_norm(N, 2.0))
+            vals.append(lp_boundary_norm(nontangential_max(u, 1.0, HALF),
+                                         2.0))
         assert abs(vals[0] - vals[1]) <= 0.1 * max(vals)
 
 
@@ -121,15 +130,16 @@ class TestLpNorm:
         bf = BoundaryField(vals, np.full(64, g.h[0]), g.dt)
         S = patch.sum() * g.h[0] * (g.nt + 1) * g.dt
         for p in (1.5, 2.0, 4.0):
-            assert lp_boundary_norm(bf, p) == pytest.approx(S ** (1 / p))
+            assert lp_boundary_norm({BOTTOM: bf}, p) == \
+                pytest.approx(S ** (1 / p))
 
     def test_homogeneity(self):
         rng = np.random.default_rng(0)
         vals = rng.normal(size=(11, 32))
         bf = BoundaryField(vals, np.full(32, 0.1), 0.05)
         bf3 = BoundaryField(3.0 * vals, np.full(32, 0.1), 0.05)
-        assert lp_boundary_norm(bf3, 2.5) == pytest.approx(
-            3.0 * lp_boundary_norm(bf, 2.5), rel=1e-12)
+        assert lp_boundary_norm({BOTTOM: bf3}, 2.5) == pytest.approx(
+            3.0 * lp_boundary_norm({BOTTOM: bf}, 2.5), rel=1e-12)
 
     def test_holder_consistency(self):
         # ||g||_p <= sigma(supp)^{1/p - 1/q} ||g||_q for p < q
@@ -141,16 +151,16 @@ class TestLpNorm:
             bf = BoundaryField(vals, np.full(16, 0.25), 0.125)
             supp = m * 0.25 * 8 * 0.125
             p, q = 1.5, 3.0
-            lhs = lp_boundary_norm(bf, p)
-            rhs = supp ** (1 / p - 1 / q) * lp_boundary_norm(bf, q)
+            lhs = lp_boundary_norm({BOTTOM: bf}, p)
+            rhs = supp ** (1 / p - 1 / q) * lp_boundary_norm({BOTTOM: bf}, q)
             assert lhs <= rhs * (1 + 1e-12)
 
     def test_p_range(self):
         bf = BoundaryField(np.ones((2, 4)), np.ones(4), 0.1)
         with pytest.raises(ValueError):
-            lp_boundary_norm(bf, 1.0)
+            lp_boundary_norm({BOTTOM: bf}, 1.0)
         with pytest.raises(ValueError):
-            lp_boundary_norm(bf, np.inf)
+            lp_boundary_norm({BOTTOM: bf}, np.inf)
 
 
 def solvability_ratio(A, dom, f, g):
@@ -212,8 +222,7 @@ class TestCylinderCones:
         g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (24, 24), 0.0, 0.5, 24)
         vals = np.zeros((g.nt + 1,) + g.shape)
         vals[:, :, 0] = 1.0                 # bottom cell layer, face (1, 0)
-        fields = nontangential_max_cylinder(ScalarField(g, vals), 1.0,
-                                            UNIT_SQUARE)
+        fields = nontangential_max(ScalarField(g, vals), 1.0, UNIT_SQUARE)
         mid = g.shape[1] // 2
         assert np.all(fields[(1, 1)].values == 0.0)
         assert np.all(fields[(0, 0)].values[:, mid] == 0.0)
@@ -230,10 +239,13 @@ class TestCylinderCones:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             return ramp(t) * np.exp(-np.sum((pts - 0.5) ** 2, axis=1) / 0.05)
         u = solve_dirichlet(preset("constant", d=2), dom, BoundaryData(ev), g)
-        fields = nontangential_max_cylinder(u, 1.0, dom)
+        fields = nontangential_max(u, 1.0, dom)
         assert set(fields) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        total = lateral_norm_cylinder(fields, 2.0)
+        total = lp_boundary_norm(fields, 2.0)
         assert total > 0
+        faces = [lp_boundary_norm({k: bf}, 2.0) for k, bf in fields.items()]
+        assert total == pytest.approx(np.sqrt(np.sum(np.square(faces))),
+                                      rel=1e-14)
         for bf in fields.values():
             assert bf.values.max() <= u.values.max() + 1e-14
 
@@ -290,16 +302,16 @@ class TestConeOracle:
         u = self.field(g, 0)
         if cut is None:
             face, = lateral_faces(g, HALF)
-            N = nontangential_max(u, eta, HALF)
+            N = nontangential_max(u, eta, HALF)[face.key]
         else:
             dom = LipschitzCylinder(base_box=((-2.0, 2.0), (0.0, 2 * cut)),
                                     T=2.0)
             if cut < 0.5 * g.h[1]:
                 with pytest.raises(ValueError, match="first layer"):
-                    nontangential_max_cylinder(u, eta, dom)
+                    nontangential_max(u, eta, dom)
                 return
             face, = (f for f in lateral_faces(g, dom) if f.key == (1, 0))
-            N = nontangential_max_cylinder(u, eta, dom)[face.key]
+            N = nontangential_max(u, eta, dom)[face.key]
         assert np.array_equal(N.values, cone_oracle(u, eta, face, cut))
         if eta == 9.0 and cut is None:      # offsets reach the n - 1 cap
             assert eta * 5.5 * g.h[1] > 11 * g.h[0]
@@ -311,7 +323,8 @@ class TestConeOracle:
         u = self.field(g, 3)
         face, = lateral_faces(g, HALF)
         vals = cone_oracle(u, 1.0, face, None)
-        assert np.array_equal(nontangential_max(u, 1.0, HALF).values, vals)
+        assert np.array_equal(nontangential_max(u, 1.0, HALF)[face.key].values,
+                              vals)
 
     @pytest.mark.parametrize("eta", [0.7, 1.0, 2.5])
     @pytest.mark.parametrize("t1", [0.5, 0.02])
@@ -321,7 +334,7 @@ class TestConeOracle:
         g = SpaceTimeGrid((0.0, 0.0, 0.0), (1.0, 1.3, 0.9), (6, 5, 4),
                           0.0, t1, 8)
         u = self.field(g, 1)
-        fields = nontangential_max_cylinder(u, eta, dom)
+        fields = nontangential_max(u, eta, dom)
         faces = lateral_faces(g, dom)
         assert sorted(fields) == sorted(f.key for f in faces)
         for face in faces:
@@ -333,7 +346,7 @@ class TestConeOracle:
     def test_two_dimensional_cylinder(self):
         g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (9, 7), 0.0, 0.5, 12)
         u = self.field(g, 2)
-        fields = nontangential_max_cylinder(u, 1.3, UNIT_SQUARE)
+        fields = nontangential_max(u, 1.3, UNIT_SQUARE)
         for face in lateral_faces(g, UNIT_SQUARE):
             vals = cone_oracle(u, 1.3, face, UNIT_SQUARE.r0)
             assert np.array_equal(fields[face.key].values, vals), face.key

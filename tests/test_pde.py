@@ -57,11 +57,6 @@ class TestGrid:
         assert not g.is_uniform
         assert g.cell_volumes().sum() == pytest.approx(12.0 * 1.0)
 
-    def test_refined(self):
-        g = small_grid().refined()
-        assert g.shape == (128, 48)
-        assert g.nt == 96
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SpaceTimeGrid((0.0,), (0.0,), (4,), 0.0, 1.0, 4)
