@@ -146,17 +146,13 @@ def _element_avg_gradient(chi: np.ndarray, corner_nodes: np.ndarray,
 class CorrectorField:
     """Mean-zero periodic part chi_alpha = w_alpha - alpha . y on the torus."""
 
-    alpha: np.ndarray
     values: np.ndarray      # node values, shape (N,)*d
     resolution: int
     residual: float
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        a.flags.writeable = False
         v.flags.writeable = False
-        object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "values", v)
         scale = max(np.abs(v).max(), 1e-300)
         if abs(v.mean()) > 1e-10 * scale:
@@ -248,7 +244,7 @@ def solve_corrector(A: CoefficientField, alpha, N: int,
     S, loads, _, Avals = _assemble(A, N)
     x, _, relres = _solve_one(S, alpha @ loads, _reference_inverse(Avals, N),
                               tol)
-    return CorrectorField(alpha, x.reshape((N,) * A.d), N, relres)
+    return CorrectorField(x.reshape((N,) * A.d), N, relres)
 
 
 def effective_matrix(A: CoefficientField, N: int,

@@ -82,6 +82,11 @@ def _cmd_maximal(args):
         raise SystemExit("parahom maximal scans the one lateral face of a "
                          "graph or half-space domain; for a cylinder's faces "
                          "use parahom homogenize")
+    if not 1.0 < args.p < np.inf:
+        raise SystemExit(f"--p must lie in (1, inf), got {args.p}")
+    if not args.eta > dom.m:
+        raise SystemExit(f"--eta must exceed the domain's Lipschitz constant "
+                         f"m = {dom.m:g}, got {args.eta}")
     A = field_from_json(_load_spec(args.coeff), d=d)
     f = data_from_json(_load_spec(args.data), d=d)
     grid = _grid_from_args(args, d)
@@ -124,8 +129,8 @@ def _cmd_diagnose(args):
     pot = PotentialConfig()
     rows = []
     if args.check == "doubling":
-        res = doubling_ratio(A, dom, pole, cube, pot)
-        rows.append(("doubling", res.ratio, None, True, False))
+        rows.append(("doubling", doubling_ratio(A, dom, pole, cube, pot),
+                     None, True, False))
     elif args.check == "rh":
         K = kernel_estimate(A, dom, pole, cube, cfg=pot)
         res = reverse_holder_ratio(K, q=args.q)
@@ -137,8 +142,8 @@ def _cmd_diagnose(args):
                      0.0 <= res.value <= 1.0 + 1e-6, False))
     elif args.check == "green-sym":
         point = ParabolicPoint(pole.X + 0.5, pole.t + 2.0)
-        res = green_symmetry_check(A, dom, pole, point, shift=args.shift)
-        rows.append(("green-sym", res.deviation, None, True, False))
+        dev = green_symmetry_check(A, dom, pole, point, shift=args.shift)
+        rows.append(("green-sym", dev, None, True, False))
     elif args.check == "green-measure":
         obs = pole
         res = green_measure_equivalence(A, dom, obs, cube.center_x,

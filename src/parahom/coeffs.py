@@ -270,13 +270,7 @@ def field_from_json(spec, d: int = 2) -> CoefficientField:
     ValueError naming their range and the declared lam.
     """
     A = _field_from_spec(spec, d)
-    rep = check_ellipticity(A)
-    if not rep.passed:
-        raise ValueError(
-            f"coefficient field {A.label} is not uniformly elliptic with the "
-            f"declared lam = {A.lam:g}: sampled eigenvalues span "
-            f"[{rep.min_eig:.6g}, {rep.max_eig:.6g}], outside "
-            f"[1/lam, lam] = [{1.0 / A.lam:.6g}, {A.lam:g}]")
+    _require_elliptic(A, check_ellipticity(A), "sampled")
     return A
 
 
@@ -327,14 +321,13 @@ def _sample_points(A: CoefficientField, count: int) -> np.ndarray:
     return rng.uniform(-2.0, 2.0, size=(count, A.d))
 
 
-def check_ellipticity(A: CoefficientField) -> EllipticityReport:
-    """Extreme eigenvalues of A over 2000 random sample points (seed 0).
+def _ellipticity(A: CoefficientField, pts, vals) -> EllipticityReport:
+    """Extreme eigenvalues of the values vals = A(pts), shape (m, d, d).
 
-    Passes iff every eigenvalue lies in [1/lam - 1e-10, lam + 1e-10].
-    A non-symmetric sample is a hard error carrying the offending point.
+    Passes iff every eigenvalue lies in [1/lam - 1e-10, lam + 1e-10].  A
+    sample asymmetric beyond 1e-12 of the largest entry (at least 1) is a
+    hard error, AsymmetricFieldError, carrying the offending point.
     """
-    pts = _sample_points(A, 2000)
-    vals = A(pts)
     asym = np.abs(vals - np.swapaxes(vals, -1, -2)).max(axis=(-1, -2))
     scale = max(1.0, float(np.abs(vals).max()))
     worst = int(np.argmax(asym))
@@ -344,6 +337,25 @@ def check_ellipticity(A: CoefficientField) -> EllipticityReport:
     lo, hi = float(eigs.min()), float(eigs.max())
     ok = (lo >= 1.0 / A.lam - 1e-10) and (hi <= A.lam + 1e-10)
     return EllipticityReport(lo, hi, ok)
+
+
+def _require_elliptic(A: CoefficientField, rep: EllipticityReport,
+                      where: str) -> None:
+    """Raise ValueError naming the eigenvalue range and lam when rep fails;
+    `where` names the samples ("sampled", "cell-center", ...)."""
+    if not rep.passed:
+        raise ValueError(
+            f"coefficient field {A.label} is not uniformly elliptic with the "
+            f"declared lam = {A.lam:g}: {where} eigenvalues span "
+            f"[{rep.min_eig:.6g}, {rep.max_eig:.6g}], outside "
+            f"[1/lam, lam] = [{1.0 / A.lam:.6g}, {A.lam:g}]")
+
+
+def check_ellipticity(A: CoefficientField) -> EllipticityReport:
+    """Extreme eigenvalues of A over 2000 random sample points (seed 0),
+    checked by the rule of `_ellipticity`."""
+    pts = _sample_points(A, 2000)
+    return _ellipticity(A, pts, A(pts))
 
 
 def check_periodicity(A: CoefficientField) -> float:
@@ -380,9 +392,6 @@ class DiniModulus:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def theta_at(self, rho) -> np.ndarray:
-        return np.interp(rho, self.rho, self.theta)
 
 
 def _spectral_norm_sym(M: np.ndarray) -> np.ndarray:

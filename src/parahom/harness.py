@@ -65,13 +65,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.eps_list = tuple(float(e) for e in self.eps_list)
-        if any(not (0 < e <= 1) for e in self.eps_list):
-            raise ValueError("eps values must lie in (0, 1]")
+        if not self.eps_list or any(not (0 < e <= 1) for e in self.eps_list):
+            raise ValueError("eps_list must hold values in (0, 1], got "
+                             f"{list(self.eps_list)}")
         self.p_list = tuple(float(p) for p in self.p_list)
         if len(self.p_list) != 1 or not (1.0 < self.p_list[0] < np.inf):
             raise ValueError("p_list must hold exactly one exponent in "
                              f"(1, inf), got {list(self.p_list)}")
         self.r_list = tuple(float(r) for r in self.r_list)
+        if not self.r_list or any(not r > 0 for r in self.r_list):
+            raise ValueError("r_list must hold positive scales, got "
+                             f"{list(self.r_list)}")
         if not self.eta > 0:
             raise ValueError(
                 f"cone opening eta must be positive, got {self.eta}")
@@ -299,10 +303,10 @@ def solvability_sweep(cfg: ExperimentConfig,
                      {"r": cube.side}, rel, est.smoothing_error,
                      rel <= 0.05))
 
-    dres = doubling_ratio(A1, halfspace_dom, pole, cube, pot_cfg)
+    dratio = doubling_ratio(A1, halfspace_dom, pole, cube, pot_cfg)
     o_2r = halfspace_measure(pole.X[:-1], pole.X[-1], pole.t, cube.center_x,
                              cube.center_t, 2 * cube.side)
-    rel = abs(dres.ratio - o_2r / oracle) / (o_2r / oracle)
+    rel = abs(dratio - o_2r / oracle) / (o_2r / oracle)
     rows.append(_row("doubling-oracle", A1.label, "halfspace",
                      {"r": cube.side}, rel, None, rel <= 0.05))
 
@@ -333,10 +337,10 @@ def solvability_sweep(cfg: ExperimentConfig,
     A = preset("trig", d=d)
     values = []
     for r in cfg.r_list:
-        res = local_solvability_at_scale(A, r)
-        values.append(res.ratio)
+        ratio = local_solvability_at_scale(A, r)
+        values.append(ratio)
         rows.append(_row("localsolv", A.label, "halfspace", {"r": r},
-                         res.ratio, None, True))
+                         ratio, None, True))
     vmax, vmin = max(values), min(values)
     rows.append(_row("localsolv-uniformity", A.label, "halfspace",
                      {"r_list": list(cfg.r_list)}, vmax / vmin, None,
@@ -396,7 +400,7 @@ def q_decay_constant(A: CoefficientField, R_cells: int) -> dict:
             "constant": R * sup_q / denom}
 
 
-def local_solvability_at_scale(A: CoefficientField, r: float):
+def local_solvability_at_scale(A: CoefficientField, r: float) -> float:
     """Solve one vanishing-trace configuration and return its ratio.
 
     The solution is the caloric measure of the cube Q_r(5.5 r, -16 r^2),

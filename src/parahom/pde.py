@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coeffs import CoefficientField
+from .coeffs import CoefficientField, _ellipticity, _require_elliptic
 from .geometry import GraphDomain, LipschitzCylinder, ParabolicCube, flatten_pullback
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "solve_impulse",
     "adjoint_trace",
     "nt_trace_ratio",
-    "NTTrace",
     "q_difference",
     "halfspace",
     "save_field",
@@ -379,6 +378,12 @@ class _Operator(NamedTuple):
 
 
 def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
+    """Finite-volume operator of Afield on grid, with its face groups.
+
+    The values evaluated at the cell centers and on each boundary face are
+    checked by the ellipticity rule of `coeffs.check_ellipticity` against
+    Afield.lam; a breach raises ValueError naming the cells or the face.
+    """
     d = grid.d
     shape = grid.shape
     nc = grid.ncells
@@ -386,6 +391,7 @@ def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
 
     pts = grid.centers()
     Avals = Afield(pts)                       # (nc, d, d)
+    _require_elliptic(Afield, _ellipticity(Afield, pts, Avals), "cell-center")
     volumes = grid.cell_volumes()
 
     spac = [grid.axis_spacings(k) for k in range(d)]
@@ -434,7 +440,10 @@ def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
             cells = cell_idx[sl_B].reshape(-1)
             face_pts = pts[cells].copy()
             face_pts[:, k] = grid.lo[k] if side == 0 else grid.hi[k]
-            a_face = Afield(face_pts)[:, k, k]
+            face_vals = Afield(face_pts)
+            _require_elliptic(Afield, _ellipticity(Afield, face_pts, face_vals),
+                              f"face {(k, side)}")
+            a_face = face_vals[:, k, k]
             tb = a_face * area_cell[cells] / (0.5 * spac_cell[k][cells])
             rows.append(cells)
             cols.append(cells)
@@ -699,21 +708,13 @@ def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,
 # field diagnostics
 
 
-@dataclass(frozen=True)
-class NTTrace:
-    """Boundary-trace ratios u(., lam)/lam near lam = 0 on a cube patch."""
+def nt_trace_ratio(u: ScalarField, cube: ParabolicCube) -> np.ndarray:
+    """Boundary-trace ratio u/lam at lam = 0 on the cube patch.
 
-    x: np.ndarray            # tangential cell centers in the patch, (mx, n)
-    t: np.ndarray            # time levels in the patch, (mt,)
-    first_layer: np.ndarray  # (mt, mx)
-    richardson: np.ndarray   # (mt, mx) extrapolated limit estimate
-    lam1: float
-    lam2: float
-
-
-def nt_trace_ratio(u: ScalarField, cube: ParabolicCube) -> NTTrace:
-    """First-interior-layer u/lam with a second-layer Richardson estimate.
-
+    The first-interior-layer ratio u(., lam1)/lam1 is extrapolated to
+    lam = 0 through the second layer's (Richardson, exact for
+    u = a lam + b lam^2).  Returns the estimate as an (mt, mx) array: time
+    levels in the patch by tangential cells in the patch, C order.
     Requires the boundary data of the solve to vanish on the concentric
     4x cube (the trace hypothesis: |f| <= 1e-10 there); the field must
     carry the bottom trace recorded by its solve, meta["bottom_data"].
@@ -739,10 +740,7 @@ def nt_trace_ratio(u: ScalarField, cube: ParabolicCube) -> NTTrace:
     r1 = v[..., 0] / lam1
     r2 = v[..., 1] / lam2
     rich = r1 - lam1 * (r2 - r1) / (lam2 - lam1)
-    x = tang0.reshape(grid.shape[:-1] + (n,))[np.ix_(*sel_x)].reshape(-1, n)
-    return NTTrace(x, times[sel_t],
-                   r1.reshape(r1.shape[0], -1),
-                   rich.reshape(rich.shape[0], -1), lam1, lam2)
+    return rich.reshape(rich.shape[0], -1)
 
 
 def q_difference(u: ScalarField, period: float) -> ScalarField:

@@ -202,11 +202,10 @@ def _require_pole_clearance(grid: SpaceTimeGrid, pole: ParabolicPoint,
 
 @dataclass(frozen=True)
 class MeasureEstimate:
-    """omega^{pole}(cube) with its smoothing error."""
+    """omega^{pole}(cube) with its smoothing error; flags holds
+    "causal-zero" when the cube lies after the pole."""
 
     value: float
-    pole: ParabolicPoint
-    cube: ParabolicCube
     smoothing_error: float
     flags: tuple = ()
 
@@ -257,13 +256,12 @@ def _pole_kernel(A, dom, pole: ParabolicPoint, cube: ParabolicCube,
                        grid.dt)
 
 
-def _cube_measure(kern: _PoleKernel, pole: ParabolicPoint,
-                  cube: ParabolicCube) -> MeasureEstimate:
+def _cube_measure(kern: _PoleKernel, cube: ParabolicCube) -> MeasureEstimate:
     """The cube's measure on the pole's kernel; the same measure at half
     mollification gives smoothing_error = |value - value_half|."""
     value = kern.cube_mass(cube)
     value_half = kern.cube_mass(cube, 0.5)
-    return MeasureEstimate(value, pole, cube, abs(value_half - value))
+    return MeasureEstimate(value, abs(value_half - value))
 
 
 def caloric_measure(A: CoefficientField, dom: GraphDomain,
@@ -282,9 +280,9 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
     """
     r = cube.side
     if cube.center_t - r * r >= pole.t:
-        return MeasureEstimate(0.0, pole, cube, 0.0, ("causal-zero",))
+        return MeasureEstimate(0.0, 0.0, ("causal-zero",))
 
-    return _cube_measure(_pole_kernel(A, dom, pole, cube, cfg), pole, cube)
+    return _cube_measure(_pole_kernel(A, dom, pole, cube, cfg), cube)
 
 
 def caloric_measure_field(A: CoefficientField, dom: GraphDomain,
@@ -310,20 +308,18 @@ class KernelEstimate:
 
     measure is omega(cube) on the same pole kernel, with its smoothing
     error: what `caloric_measure` returns on that kernel's grid, so a
-    caller holding the estimate needs no second march for the cube.
+    caller holding the estimate needs no second march for the cube.  The
+    masses sum to measure.value up to roundoff (the tents telescope).
     """
 
     pole: ParabolicPoint
     cube: ParabolicCube
-    depth: int
     centers_x: np.ndarray          # (mx, n) tangential centers
     centers_t: np.ndarray          # (mt,)
     K: np.ndarray                  # (mt, mx)
     masses: np.ndarray             # omega(Q_i), same shape as K
-    cell_volume: float
     error_bar: np.ndarray          # coarse-fine gap per cell
     measure: MeasureEstimate       # omega(cube) on the same kernel
-    mass_consistency: float        # |sum omega_i - omega(cube)|
 
 
 def kernel_estimate(A: CoefficientField, dom: GraphDomain,
@@ -358,7 +354,7 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
         cells_per_r=max(cfg.cells_per_r, 2 ** depth / 2)))
     masses = kern.mass(_partition_profiles(kern.t, et, kern.w_t),
                        _partition_profiles(kern.x[:, 0], ex, kern.w_x))
-    measure = _cube_measure(kern, pole, cube)
+    measure = _cube_measure(kern, cube)
     sub_vol = (2 * r / mx) * 2 * (r ** 2 / mt) * 2 ** (n - 1)
     K = masses / sub_vol
 
@@ -368,9 +364,8 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
 
     centers_x = 0.5 * (ex[:-1] + ex[1:])[:, None]
     centers_t = 0.5 * (et[:-1] + et[1:])
-    consistency = abs(float(masses.sum()) - measure.value)
-    return KernelEstimate(pole, cube, depth, centers_x, centers_t, K, masses,
-                          sub_vol, err, measure, consistency)
+    return KernelEstimate(pole, cube, centers_x, centers_t, K, masses, err,
+                          measure)
 
 
 # ----------------------------------------------------------------------
@@ -434,24 +429,16 @@ def greens_function(A: CoefficientField, dom: GraphDomain,
     return GreenField(pole, solve_impulse(A, dom, pole.X, pole.t, grid))
 
 
-@dataclass(frozen=True)
-class GreenSymmetryResult:
-    deviation: float
-    g_direct: float
-    g_swapped: float
-    shift: float
-
-
 def green_symmetry_check(A: CoefficientField, dom: GraphDomain,
                          pole: ParabolicPoint, point: ParabolicPoint,
                          shift: float = 0.0,
-                         cfg: PotentialConfig = DEFAULT_CONFIG
-                         ) -> GreenSymmetryResult:
+                         cfg: PotentialConfig = DEFAULT_CONFIG) -> float:
     """Space-symmetry / time-invariance deviation of the Green function.
 
     Compares G(X, t; Z, tau) against G(Z, t + t0; X, tau + t0): the first
     field has pole (Z, tau) and is read at (X, t); the second has pole
-    (X, tau + t0) and is read at (Z, t + t0).
+    (X, tau + t0) and is read at (Z, t + t0).  Returns the relative
+    deviation |v1 - v2| / max(|v1|, |v2|).
     """
     if point.t <= pole.t:
         raise ValueError("the evaluation time must come after the pole time")
@@ -461,24 +448,16 @@ def green_symmetry_check(A: CoefficientField, dom: GraphDomain,
     pole2 = ParabolicPoint(point.X, pole.t + shift)
     g2 = greens_function(A, dom, pole2, horizon, extra_pts=[pole.X], cfg=cfg)
     v2 = g2.value_at(pole.X, point.t + shift)
-    dev = abs(v1 - v2) / max(abs(v1), abs(v2), 1e-300)
-    return GreenSymmetryResult(dev, v1, v2, shift)
+    return abs(v1 - v2) / max(abs(v1), abs(v2), 1e-300)
 
 
 # ----------------------------------------------------------------------
 # ratio diagnostics
 
 
-@dataclass(frozen=True)
-class DoublingResult:
-    ratio: float
-    omega_r: float
-    omega_2r: float
-
-
 def doubling_ratio(A: CoefficientField, dom: GraphDomain,
                    pole: ParabolicPoint, cube: ParabolicCube,
-                   cfg: PotentialConfig = DEFAULT_CONFIG) -> DoublingResult:
+                   cfg: PotentialConfig = DEFAULT_CONFIG) -> float:
     """omega(Q_2r)/omega(Q_r) from one pole kernel on the 2r grid."""
     cube2 = cube.scaled(2.0)
     kern = _pole_kernel(A, dom, pole, cube2, cfg)
@@ -486,14 +465,14 @@ def doubling_ratio(A: CoefficientField, dom: GraphDomain,
     if w_r <= 10.0 * _NOISE_FLOOR:
         raise MeasureBelowNoiseError(
             f"omega(Q_r) = {w_r:.3e} is below 10x the noise floor")
-    return DoublingResult(w_2r / w_r, w_r, w_2r)
+    return w_2r / w_r
 
 
 @dataclass(frozen=True)
 class ReverseHolderResult:
+    """Reverse Holder ratio; watermark marks a pole outside the window."""
+
     ratio: float
-    exponent: float
-    admissible: bool
     watermark: bool
 
 
@@ -518,8 +497,8 @@ def reverse_holder_ratio(K: KernelEstimate, q: float = 2.0
     mean_q = float(np.mean(np.abs(K.K) ** q) ** (1.0 / q))
     mean_1 = float(np.mean(np.abs(K.K)))
     if mean_1 == 0.0:
-        return ReverseHolderResult(float("nan"), q, admissible, not admissible)
-    return ReverseHolderResult(mean_q / mean_1, q, admissible, not admissible)
+        return ReverseHolderResult(float("nan"), not admissible)
+    return ReverseHolderResult(mean_q / mean_1, not admissible)
 
 
 def _t_window(u: ScalarField, x0, t0: float, r: float):
@@ -533,50 +512,34 @@ def _t_window(u: ScalarField, x0, t0: float, r: float):
     return u.window(masks, np.abs(grid.times() - t0) < r ** 2)
 
 
-@dataclass(frozen=True)
-class LocalSolvabilityResult:
-    ratio: float
-    boundary_flux: float      # int_{Q_r} (limsup u/lam)^2 dx dt
-    interior_mass: float      # int_{T_2r} u^2
-    r: float
-
-
-def local_solvability_ratio(u: ScalarField, cube: ParabolicCube
-                            ) -> LocalSolvabilityResult:
+def local_solvability_ratio(u: ScalarField, cube: ParabolicCube) -> float:
     """Boundary-flux over interior-mass ratio on the scale-r cube.
 
-    ratio = r^3 * int_{Q_r} (trace ratio)^2 dx dt / int_{T_2r} u^2, the
-    quantity bounded by the local solvability constant.  Requires u to be a
-    solution on T_4r vanishing on the 4x cube trace (checked through the
-    recorded bottom data).
+    Returns r^3 * int_{Q_r} (trace ratio)^2 dx dt / int_{T_2r} u^2, the
+    quantity bounded by the local solvability constant, and 0.0 for a field
+    with no mass on T_2r.  Requires u to be a solution on T_4r vanishing on
+    the 4x cube trace (checked through the recorded bottom data).
     """
     grid = u.grid
     r = cube.side
     if grid.hi[-1] < 4 * r:
         raise ValueError("grid height does not cover T_4r")
-    tr = nt_trace_ratio(u, cube)     # enforces the 4x-cube trace hypothesis
+    rich = nt_trace_ratio(u, cube)   # enforces the 4x-cube trace hypothesis
     n = grid.d - 1
     wx = np.ones(1)
     for k in range(n):
         sel = np.abs(grid.axis_centers(k) - cube.center_x[k]) < r
         wx = np.multiply.outer(wx, grid.axis_spacings(k)[sel])
     wx = wx.reshape(-1)
-    lhs = float(np.sum(tr.richardson ** 2 * wx[None, :]) * grid.dt)
+    lhs = float(np.sum(rich ** 2 * wx[None, :]) * grid.dt)
     v, w = _t_window(u, cube.center_x, cube.center_t, 2 * r)
     mass = float(np.sum(v * v * w[None]) * grid.dt)
     if mass == 0.0:
-        return LocalSolvabilityResult(0.0, lhs, 0.0, r)
-    return LocalSolvabilityResult(lhs * r ** 3 / mass, lhs, mass, r)
+        return 0.0
+    return lhs * r ** 3 / mass
 
 
-@dataclass(frozen=True)
-class HarnackResult:
-    ratio: float
-    sup_value: float
-    base_value: float
-
-
-def harnack_ratio(u: ScalarField, x0, t0: float, r: float) -> HarnackResult:
+def harnack_ratio(u: ScalarField, x0, t0: float, r: float) -> float:
     """sup over T_r of u divided by the forward base value u(x0, t0+2r^2, r).
 
     The field must be nonnegative (down to -1e-12 of its largest value) and
@@ -591,17 +554,15 @@ def harnack_ratio(u: ScalarField, x0, t0: float, r: float) -> HarnackResult:
     base = u.value_at(np.append(x0, r), t0 + 2 * r * r)
     if base <= 0:
         raise ValueError("base value is not positive")
-    return HarnackResult(sup_val / base, sup_val, base)
+    return sup_val / base
 
 
 @dataclass(frozen=True)
 class GreenMeasureResult:
+    """Sandwich ratios; watermark marks a configuration outside the window."""
+
     lower_ratio: float      # omega / (rho^{n+1} G_plus), expected >= 1/c
     upper_ratio: float      # omega / (rho^{n+1} G_minus), expected <= c
-    omega: float
-    green_plus: float
-    green_minus: float
-    admissible: bool
     watermark: bool
 
 
@@ -640,4 +601,4 @@ def green_measure_equivalence(A: CoefficientField, dom: GraphDomain,
     if vp <= _NOISE_FLOOR * scale or vm <= _NOISE_FLOOR * scale:
         raise MeasureBelowNoiseError("Green values below the noise floor")
     return GreenMeasureResult(omega / (scale * vp), omega / (scale * vm),
-                              omega, vp, vm, admissible, not admissible)
+                              not admissible)

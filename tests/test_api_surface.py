@@ -1,10 +1,12 @@
-"""Every public name of the package is reached by the program itself.
+"""Every public name and every result field is reached by the program.
 
 A name in a module's `__all__` must be referenced outside its own
 definition: in `src/parahom`, in `perfbench/` or in the acceptance module.
+Every annotated field of a class in `src/parahom` must be read there too.
 Unit tests do not count, so public code that only its own tests call is
-deleted rather than kept.  The few names kept for tests alone are listed in
-KEPT, each with its reason, and the list may not go stale.
+deleted rather than kept.  The few names and fields kept for tests alone
+are listed in KEPT and KEPT_FIELDS, each with its reason, and neither list
+may go stale.
 """
 
 import ast
@@ -83,3 +85,55 @@ def test_every_public_name_has_a_caller():
     unreached = _unreached()
     assert sorted(unreached - set(KEPT)) == []
     assert sorted(set(KEPT) - unreached) == [], "KEPT lists reached names"
+
+
+KEPT_FIELDS = {
+    "CorrectorField.residual": "the corrector's CG contract",
+    "EffectiveMatrix.iterations": "the N-independence test of the CG "
+                                  "iteration count, and its per-run stats",
+    "KernelEstimate.masses": "the sub-cube masses sum to the cube's measure",
+    # the Dini pair's reason in KEPT
+    "DiniModulus.half_width": "sampling error of the Dini modulus",
+    "DiniIntegral.tail_indicator": "makes the Dini borderline visible",
+    "DiniIntegral.rho_min": "lower end of the Dini quadrature",
+}
+
+
+def _fields():
+    """(class, field) for every annotated field of a class in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) \
+                            and isinstance(stmt.target, ast.Name):
+                        yield node.name, stmt.target.id
+
+
+def _attribute_reads():
+    """Names loaded as attributes in CALLERS, outside `__post_init__`."""
+    reads = set()
+    for path in CALLERS:
+        tree = ast.parse(path.read_text())
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name == "__post_init__":
+                skip.update(map(id, ast.walk(node)))
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load)
+                     and id(node) not in skip)
+    return reads
+
+
+def test_every_result_field_has_a_reader():
+    """Matches by attribute name, not by type: a field is read when any
+    `x.<field>` loads it.  Names shared between classes (pole, cube, x, t,
+    shift, cell_volume) can hide an unread field, so such fields are
+    checked by hand."""
+    reads = _attribute_reads()
+    unread = {f"{cls}.{name}" for cls, name in _fields() if name not in reads}
+    assert sorted(unread - set(KEPT_FIELDS)) == []
+    assert sorted(set(KEPT_FIELDS) - unread) == [], \
+        "KEPT_FIELDS lists read fields"

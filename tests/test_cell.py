@@ -176,7 +176,7 @@ class TestGridConvergence:
 
 def test_corrector_rejects_nonzero_mean():
     with pytest.raises(ValueError):
-        CorrectorField(np.array([1.0, 0.0]), np.ones((8, 8)), 8, 0.0)
+        CorrectorField(np.ones((8, 8)), 8, 0.0)
 
 
 def test_three_dimensional_cell():

@@ -36,6 +36,13 @@ class TestConfig:
             with pytest.raises(ValueError, match="p_list"):
                 ExperimentConfig(p_list=bad)
 
+    @pytest.mark.parametrize("name, bad", [("r_list", ()),
+                                           ("r_list", (0.0,)),
+                                           ("eps_list", ())])
+    def test_lists_must_be_nonempty_and_positive(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: bad})
+
     def test_eta_must_be_positive(self):
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="eta"):
@@ -322,6 +329,23 @@ class TestCli:
                       '{"kind": "cylinder", "base_box": [[0,1],[0,1]], '
                       '"T": 1.0}', "--grid", "8,8", "--box", "[[0,1],[0,1]]",
                       "--nt", "4", "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, match", [
+        (["--p", "1.0"], "--p"),
+        (["--eta", "0.4", "--domain",
+          '{"kind": "graph", "m": 0.5, "box": [[-4, 4]], "phi": '
+          '{"kind": "closed_form", "expr": "0.5*sin(x1)"}}'], "--eta")])
+    def test_maximal_checks_p_and_eta_before_solving(self, tmp_path,
+                                                     monkeypatch, flags,
+                                                     match):
+        from parahom import cli
+
+        monkeypatch.setattr(cli, "solve_dirichlet", _no_solve)
+        out = tmp_path / "N.csv"
+        with pytest.raises(SystemExit, match=match):
+            cli.main(["maximal", "--coeff", "constant", "--grid", "8,8",
+                      "--nt", "4", "--out", str(out)] + flags)
         assert not out.exists()
 
     def test_diagnose_command(self, tmp_path):

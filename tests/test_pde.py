@@ -240,6 +240,31 @@ class TestSolveDirichlet:
                             small_grid(nx=32, nlam=12, nt=8))
         assert not u.values.any()
 
+    def test_coefficients_checked_where_the_solver_uses_them(self,
+                                                             monkeypatch):
+        # 1.2 + 0.3 x1 passes field_from_json's sample of [-2, 2]^2 but is
+        # -1.12 at the first cell center of [-8, 8]
+        from parahom.coeffs import field_from_json
+        from parahom.harness import data_from_json, domain_from_json
+
+        def no_factor(*args):
+            raise AssertionError("factorized before the check")
+
+        monkeypatch.setattr(pde, "_factor", no_factor)
+        A = field_from_json({"expr": "1.2+0.3*x1"})
+        dom = domain_from_json({"kind": "halfspace", "box": [[-8, 8]]})
+        grid = SpaceTimeGrid((-8.0, 0.0), (8.0, 2.0), (30, 8), 0.0, 1.0, 8)
+        with pytest.raises(ValueError, match=r"lam = 2: cell-center "
+                           r"eigenvalues span \[-1.12, 3.52\]"):
+            solve_dirichlet(A, dom, data_from_json(None), grid)
+        # on [-2.4, 2.4] the cell centers hold 0.57..1.83, in [1/2, 2], but
+        # the lo face x1 = -2.4 holds 0.48
+        grid = SpaceTimeGrid((-2.4, 0.0), (2.4, 2.0), (8, 8), 0.0, 1.0, 8)
+        face, = lateral_faces(grid, dom)
+        with pytest.raises(ValueError, match=r"face \(0, 0\) eigenvalues "
+                           r"span \[0.48, 0.48\]"):
+            adjoint_trace(A, dom, grid, np.array([[0.1, 0.4]]), face.key)
+
     def test_flattened_graph_solve(self):
         dom = GraphDomain(m=0.5, box=((-4.0, 4.0),),
                           phi=lambda x: 0.5 * np.sin(np.asarray(x)[..., 0]))
@@ -273,9 +298,8 @@ class TestNTTrace:
         vals = np.broadcast_to(lam, (grid.nt + 1,) + grid.shape).copy()
         u = ScalarField(grid, vals,
                         {"bottom_data": np.zeros((grid.nt + 1, 64))})
-        tr = nt_trace_ratio(u, ParabolicCube(np.zeros(1), 0.5, 0.5))
-        assert np.abs(tr.first_layer - 1.0).max() <= 1e-12
-        assert np.abs(tr.richardson - 1.0).max() <= 1e-12
+        rich = nt_trace_ratio(u, ParabolicCube(np.zeros(1), 0.5, 0.5))
+        assert np.abs(rich - 1.0).max() <= 1e-12
 
     def test_quadratic_field(self):
         grid = small_grid()
@@ -283,10 +307,9 @@ class TestNTTrace:
         vals = np.broadcast_to(lam ** 2, (grid.nt + 1,) + grid.shape).copy()
         u = ScalarField(grid, vals,
                         {"bottom_data": np.zeros((grid.nt + 1, 64))})
-        tr = nt_trace_ratio(u, ParabolicCube(np.zeros(1), 0.5, 0.5))
-        assert np.abs(tr.first_layer - tr.lam1).max() <= 1e-12
+        rich = nt_trace_ratio(u, ParabolicCube(np.zeros(1), 0.5, 0.5))
         # Richardson removes the linear bias exactly for u = lam^2
-        assert np.abs(tr.richardson).max() <= 1e-12
+        assert np.abs(rich).max() <= 1e-12
 
     def test_trace_hypothesis_enforced(self):
         u = solve_dirichlet(preset("constant", d=2), HALF, bump_data(),
