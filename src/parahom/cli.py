@@ -84,9 +84,9 @@ def _cmd_maximal(args):
                          "use parahom homogenize")
     if not 1.0 < args.p < np.inf:
         raise SystemExit(f"--p must lie in (1, inf), got {args.p}")
-    if not args.eta > dom.m:
-        raise SystemExit(f"--eta must exceed the domain's Lipschitz constant "
-                         f"m = {dom.m:g}, got {args.eta}")
+    if not (args.eta > dom.m and np.isfinite(args.eta)):
+        raise SystemExit(f"--eta must be finite and exceed the domain's "
+                         f"Lipschitz constant m = {dom.m:g}, got {args.eta}")
     A = field_from_json(_load_spec(args.coeff), d=d)
     f = data_from_json(_load_spec(args.data), d=d)
     grid = _grid_from_args(args, d)

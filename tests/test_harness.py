@@ -44,7 +44,7 @@ class TestConfig:
             ExperimentConfig(**{name: bad})
 
     def test_eta_must_be_positive(self):
-        for bad in (0.0, -1.0, float("nan")):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="eta"):
                 ExperimentConfig(eta=bad)
 
@@ -335,7 +335,8 @@ class TestCli:
         (["--p", "1.0"], "--p"),
         (["--eta", "0.4", "--domain",
           '{"kind": "graph", "m": 0.5, "box": [[-4, 4]], "phi": '
-          '{"kind": "closed_form", "expr": "0.5*sin(x1)"}}'], "--eta")])
+          '{"kind": "closed_form", "expr": "0.5*sin(x1)"}}'], "--eta"),
+        (["--eta", "inf"], "--eta must be finite")])
     def test_maximal_checks_p_and_eta_before_solving(self, tmp_path,
                                                      monkeypatch, flags,
                                                      match):

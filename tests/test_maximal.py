@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parahom.coeffs import preset, scale_field
 from parahom.geometry import GraphDomain, LipschitzCylinder
@@ -83,6 +84,12 @@ class TestNontangentialMax:
         u = solve_dirichlet(preset("constant", d=2), dom, bump(), grid())
         with pytest.raises(ValueError, match="exceed"):
             nontangential_max(u, 0.4, dom)
+
+    def test_eta_must_be_finite(self):
+        u = synthetic(grid(nx=8, nlam=4, nt=4), lambda X: X[..., 0])
+        for eta in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="eta must be finite"):
+                nontangential_max(u, eta, HALF)
 
     def test_cylinder_cones_need_a_positive_opening(self):
         g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (8, 8), 0.0, 0.5, 4)
@@ -292,13 +299,14 @@ class TestConeOracle:
         rng = np.random.default_rng(seed)
         return ScalarField(g, rng.normal(size=(g.nt + 1,) + g.shape))
 
-    @pytest.mark.parametrize("eta", [0.7, 1.0, 2.5, 9.0])
+    @pytest.mark.parametrize("eta", [0.7, 1.0, 2.5, 9.0, 1e300])
     @pytest.mark.parametrize("cut", [None, 0.33, 0.04])
-    def test_graph_face(self, eta, cut):
+    def test_graph_face(self, eta, cut, t1=2.0, nt=20):
         # cut None: the graph face, cones reach the whole depth; otherwise
         # the same face as the bottom (1, 0) of a cylinder with r0 = cut,
-        # which must lie above the first layer (depth 0.05)
-        g = halfspace(-2.0, 2.0, 0.6, 0.0, 2.0, (12, 6), 20)
+        # which must lie above the first layer (depth 0.05).  eta = 1e300
+        # overflows rho^2: every cone covers the whole grid.
+        g = halfspace(-2.0, 2.0, 0.6, 0.0, t1, (12, 6), nt)
         u = self.field(g, 0)
         if cut is None:
             face, = lateral_faces(g, HALF)
@@ -313,8 +321,19 @@ class TestConeOracle:
             face, = (f for f in lateral_faces(g, dom) if f.key == (1, 0))
             N = nontangential_max(u, eta, dom)[face.key]
         assert np.array_equal(N.values, cone_oracle(u, eta, face, cut))
-        if eta == 9.0 and cut is None:      # offsets reach the n - 1 cap
+        if eta == 9.0 and cut is None and nt == 20:   # the n - 1 cap
             assert eta * 5.5 * g.h[1] > 11 * g.h[0]
+
+    @pytest.mark.parametrize("eta", [0.7, 1.0, 2.5])
+    @pytest.mark.parametrize("cut", [None, 0.33])
+    def test_graph_face_fine_time_steps(self, eta, cut):
+        # dt = 0.01 is small against h^2 = 1/9: one tangential cell steps
+        # the time window down by several levels, and deep windows span
+        # more than half of the 41 time levels
+        self.test_graph_face(eta, cut, t1=0.4, nt=40)
+        rho, h, dt = 0.7 * 0.55, 4.0 / 12, 0.01     # eta 0.7, layer 5
+        assert (rho * rho - rho * np.sqrt(rho * rho - h * h)) / dt > 2
+        assert 0.55 ** 2 / dt > 40 / 2              # eta 1.0, layer 5
 
     def test_cone_boundary_on_the_grid(self):
         # binary-exact spacings put cells on |dx| = rho (outside the cone)
@@ -328,10 +347,10 @@ class TestConeOracle:
 
     @pytest.mark.parametrize("eta", [0.7, 1.0, 2.5])
     @pytest.mark.parametrize("t1", [0.5, 0.02])
-    def test_cylinder_faces(self, eta, t1):
+    def test_cylinder_faces(self, eta, t1, shape=(6, 5, 4)):
         dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.3),
                                           (0.0, 0.9)), T=t1)
-        g = SpaceTimeGrid((0.0, 0.0, 0.0), (1.0, 1.3, 0.9), (6, 5, 4),
+        g = SpaceTimeGrid((0.0, 0.0, 0.0), (1.0, 1.3, 0.9), shape,
                           0.0, t1, 8)
         u = self.field(g, 1)
         fields = nontangential_max(u, eta, dom)
@@ -340,8 +359,14 @@ class TestConeOracle:
         for face in faces:
             vals = cone_oracle(u, eta, face, dom.r0)
             assert np.array_equal(fields[face.key].values, vals), face.key
-        if t1 == 0.02:                      # windows reach the nt cap
+        if t1 == 0.02 and shape == (6, 5, 4):   # windows reach the nt cap
             assert (eta * 1.5 * 1.3 / 5) ** 2 > t1
+
+    @pytest.mark.parametrize("eta", [0.7, 2.5])
+    @pytest.mark.parametrize("t1", [0.5, 0.02])
+    def test_cylinder_faces_unequal_spacings(self, eta, t1):
+        # tangential spacings 1/3, 0.1 and 0.18, a different pair per face
+        self.test_cylinder_faces(eta, t1, shape=(3, 13, 5))
 
     def test_two_dimensional_cylinder(self):
         g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (9, 7), 0.0, 0.5, 12)
@@ -350,3 +375,33 @@ class TestConeOracle:
         for face in lateral_faces(g, UNIT_SQUARE):
             vals = cone_oracle(u, 1.3, face, UNIT_SQUARE.r0)
             assert np.array_equal(fields[face.key].values, vals), face.key
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(d=st.sampled_from([2, 3]), data=st.data(),
+           shape=st.lists(st.integers(1, 6), min_size=3, max_size=3),
+           lengths=st.lists(st.sampled_from([0.3, 0.5, 1.0, 1.3]),
+                            min_size=3, max_size=3),
+           dt_h2=st.floats(0.02, 2.0), nt=st.integers(1, 24),
+           eta=st.floats(0.05, 30.0), seed=st.integers(0, 2 ** 16))
+    def test_random_grids(self, d, data, shape, lengths, dt_h2, nt, eta,
+                          seed):
+        # dt is drawn against the square of a tangential spacing, so time
+        # windows step down by many levels per cell as well as by none.
+        # cut None: a graph face through the whole depth; otherwise every
+        # face of a cylinder with r0 = cut above all first layers
+        t1 = nt * dt_h2 * (lengths[0] / shape[0]) ** 2
+        g = SpaceTimeGrid((0.0,) * d, tuple(lengths[:d]), tuple(shape[:d]),
+                          0.0, t1, nt)
+        u = self.field(g, seed)
+        cut = data.draw(st.one_of(st.none(), st.floats(1.01, 6.0)),
+                        label="cut / max first-layer depth")
+        if cut is None:
+            dom = GraphDomain(m=0.0, box=((-1.0, 2.0),) * (d - 1))
+        else:
+            cut *= 0.5 * max(g.h)
+            dom = LipschitzCylinder(base_box=((0.0, 2 * cut),) * d, T=t1)
+        fields = nontangential_max(u, eta, dom)
+        for face in lateral_faces(g, dom):
+            assert np.array_equal(fields[face.key].values,
+                                  cone_oracle(u, eta, face, cut)), face.key
