@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -402,7 +402,12 @@ def local_solvability_at_scale(A: CoefficientField, r: float) -> float:
 
     The solution is the caloric measure of the cube Q_r(5.5 r, -16 r^2),
     outside Q_4r, so the trace vanishes on the 4x cube while mass flows
-    over T_4r.  Like the potential grids, no axis may exceed 768 cells.
+    over T_4r.  The step is set by a grid reaching t = 16.5 r^2, but the
+    march stops at that grid's first time level at or past 4 r^2: the
+    ratio reads no later level.  So the trace check sees only the kept
+    levels; the data's x-support [4.5 r, 6.5 r] lies outside |x| < 4 r at
+    every level anyway.  Like the potential grids, no axis may exceed 768
+    cells.
     """
     h = min(r / 8.0, 0.25)
     dt = r * r / 12.0
@@ -413,8 +418,13 @@ def local_solvability_at_scale(A: CoefficientField, r: float) -> float:
     t_hi = 16.5 * r * r
     shape = (int(np.ceil((hi[0] - lo[0]) / h)), int(np.ceil(height / h)))
     nt = int(np.ceil((t_hi - t_lo) / dt))
-    grid = _capped(SpaceTimeGrid(lo + (0.0,), hi + (height,), shape,
+    full = _capped(SpaceTimeGrid(lo + (0.0,), hi + (height,), shape,
                                  t_lo, t_hi, nt))
+    # t1 is one of the full grid's own levels, which keeps dt and every
+    # kept level bitwise equal to the full grid's
+    times = full.times()
+    k = int(np.searchsorted(times, 4.0 * r * r))
+    grid = replace(full, t1=times[k], nt=k)
     dom = GraphDomain(m=0.0, box=((lo[0], hi[0]),))
     data_cube = ParabolicCube(np.asarray([5.5 * r]), -16.0 * r * r, r)
     u = caloric_measure_field(A, dom, data_cube, grid)

@@ -343,9 +343,6 @@ class ScalarField:
         pt = np.concatenate([[t], X])[None, :]
         return float(self.interpolator()(pt)[0])
 
-    def scaled(self, c: float) -> "ScalarField":
-        return ScalarField(self.grid, c * self.values, dict(self.meta))
-
     def window(self, masks, t_mask):
         """Values and cell volumes on a box window.
 
@@ -718,6 +715,8 @@ def nt_trace_ratio(u: ScalarField, cube: ParabolicCube) -> np.ndarray:
     Requires the boundary data of the solve to vanish on the concentric
     4x cube (the trace hypothesis: |f| <= 1e-10 there); the field must
     carry the bottom trace recorded by its solve, meta["bottom_data"].
+    The check sees only the time levels the grid holds: a field whose
+    march stopped early is checked up to its last level.
     """
     grid = u.grid
     if "bottom_data" not in u.meta:

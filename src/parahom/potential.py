@@ -517,13 +517,19 @@ def local_solvability_ratio(u: ScalarField, cube: ParabolicCube) -> float:
 
     Returns r^3 * int_{Q_r} (trace ratio)^2 dx dt / int_{T_2r} u^2, the
     quantity bounded by the local solvability constant, and 0.0 for a field
-    with no mass on T_2r.  Requires u to be a solution on T_4r vanishing on
-    the 4x cube trace (checked through the recorded bottom data).
+    with no mass on T_2r.  Requires u to be a solution on T_4r, up to the
+    last time level the ratio reads, vanishing on the 4x cube trace
+    (checked through the recorded bottom data).  The grid must reach the
+    height 4r and its time levels must cover the T_2r window
+    |t - t0| < 4 r^2; both are checked.
     """
     grid = u.grid
     r = cube.side
+    t0 = cube.center_t
     if grid.hi[-1] < 4 * r:
         raise ValueError("grid height does not cover T_4r")
+    if grid.t0 > t0 - 4 * r * r or grid.t1 < t0 + 4 * r * r:
+        raise ValueError("grid time levels do not cover T_2r")
     rich = nt_trace_ratio(u, cube)   # enforces the 4x-cube trace hypothesis
     n = grid.d - 1
     wx = np.ones(1)

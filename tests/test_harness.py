@@ -199,6 +199,34 @@ class TestSweep:
         with pytest.raises(ValueError, match="896 cells.*max_cells_per_axis"):
             local_solvability_at_scale(preset("trig", d=2), 16.0)
 
+    @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 2.0, 4.0])
+    def test_local_solvability_march_stops_at_4r2(self, monkeypatch, r):
+        # the march keeps the full grid's step and levels, bit for bit, up
+        # to its first level at or past 4 r^2; no solve runs here
+        import parahom.harness as harness
+
+        grids = []
+
+        def capped(grid):
+            grids.append(grid)
+            return grid
+
+        def record(A, dom, cube, grid):
+            grids.append(grid)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(harness, "_capped", capped)
+        monkeypatch.setattr(harness, "caloric_measure_field", record)
+        with pytest.raises(RuntimeError, match="recorded"):
+            local_solvability_at_scale(preset("trig", d=2), r)
+        full, grid = grids
+        assert full.t1 == 16.5 * r * r
+        assert (grid.lo, grid.hi, grid.shape) == (full.lo, full.hi,
+                                                  full.shape)
+        assert grid.dt == full.dt
+        assert np.array_equal(grid.times(), full.times()[:grid.nt + 1])
+        assert grid.times()[-1] >= 4 * r * r > grid.times()[-2]
+
     def test_dat_columns_parse(self, tmp_path):
         # a missing error bar is nan and flags are 0/1, so columns line up
         rows = [_row("a", "c", "halfspace", {}, 0.5, 0.01, True),

@@ -302,9 +302,10 @@ class TestGreenSymmetry:
 
 
 class TestLocalSolvability:
-    def _synthetic_linear(self, r=0.5):
-        grid = halfspace(-4.0, 4.0, 4 * r + 0.5, -17 * r * r, 17 * r * r,
-                         (128, 72), 256)
+    def _synthetic_linear(self, r=0.5, t_lo=-17.0, t_hi=17.0, nt=256):
+        # t_lo and t_hi in units of r^2
+        grid = halfspace(-4.0, 4.0, 4 * r + 0.5, t_lo * r * r, t_hi * r * r,
+                         (128, 72), nt)
         lam = grid.axis_centers(1)
         vals = np.broadcast_to(lam, (grid.nt + 1,) + grid.shape).copy()
         nb = grid.shape[0]
@@ -337,11 +338,20 @@ class TestLocalSolvability:
         assert local_solvability_ratio(
             z, ParabolicCube(np.zeros(1), 0.0, 0.5)) == 0.0
 
+    @pytest.mark.parametrize("t_lo, t_hi", [(-17.0, 2.0), (-2.0, 17.0)])
+    def test_time_levels_must_cover_t2r(self, t_lo, t_hi):
+        # T_2r spans |t| < 4 r^2; a field cut short on either side would
+        # lose part of the mass and give a wrong ratio
+        u = self._synthetic_linear(0.5, t_lo, t_hi, 144)
+        with pytest.raises(ValueError, match="do not cover T_2r"):
+            local_solvability_ratio(u, ParabolicCube(np.zeros(1), 0.0, 0.5))
+
     def test_scalar_invariance(self):
         u = self._synthetic_linear()
         cube = ParabolicCube(np.zeros(1), 0.0, 0.5)
         r1 = local_solvability_ratio(u, cube)
-        r2 = local_solvability_ratio(u.scaled(7.3), cube)
+        r2 = local_solvability_ratio(
+            ScalarField(u.grid, 7.3 * u.values, dict(u.meta)), cube)
         assert abs(r1 - r2) <= 1e-13 * abs(r1)
 
 
@@ -402,7 +412,8 @@ class TestHarnack:
     def test_scalar_invariance(self):
         u, _ = _measure_pair(nx=128, nt=260)
         r1 = harnack_ratio(u, np.zeros(1), 0.0, 0.5)
-        r2 = harnack_ratio(u.scaled(3.7), np.zeros(1), 0.0, 0.5)
+        r2 = harnack_ratio(ScalarField(u.grid, 3.7 * u.values, dict(u.meta)),
+                           np.zeros(1), 0.0, 0.5)
         assert abs(r1 - r2) <= 1e-13 * r1
 
 
