@@ -7,16 +7,18 @@ direction.  The cell average and the cell equation both live on the full
 (n+1)-dimensional unit cell, which keeps the dimensions consistent.
 
 Discretization: multilinear (Q1) elements on a uniform periodic grid with
-the coefficient sampled once per element at its midpoint.  The Galerkin
-structure makes the discrete energy identity alpha . Abar alpha =
-<(grad w)^T A grad w> exact up to solver tolerance, keeps Abar symmetric
-for symmetric A, and reproduces 1-d laminates exactly whenever the
-material interfaces fall on element boundaries.  The linear systems are
+the coefficient sampled once per element at its midpoint.  The stiffness is
+then a 3^d-point stencil with weights that vary by node, and its CSR rows
+are written straight from them, with no element triplets to sort and sum.
+The Galerkin structure makes the discrete energy identity alpha . Abar
+alpha = <(grad w)^T A grad w> exact up to solver tolerance, keeps Abar
+symmetric for symmetric A, and reproduces 1-d laminates exactly whenever
+the material interfaces fall on element boundaries.  The linear systems are
 solved by CG on the mean-zero subspace, preconditioned by the circulant Q1
 stiffness of one constant reference matrix A0 on the same grid, inverted by
 real FFTs (the discrete Galerkin form of FFT homogenization, Moulinec and
-Suquet 1998).  Element by element the two stiffness energies stay within the
-eigenvalue bounds of A relative to A0 whatever the mesh size, so the CG
+Suquet 1998).  Element by element the two stiffness energies stay within
+the eigenvalue bounds of A relative to A0 whatever the mesh size, so the CG
 iteration count does not grow with N.
 
 The d corrector solves are independent and may run concurrently; each
@@ -39,13 +41,8 @@ from .linalg import pcg
 # solve near 30 iterations at any resolution
 _CG_MAXITER = 2000
 
-__all__ = [
-    "CorrectorField",
-    "EffectiveMatrix",
-    "solve_corrector",
-    "effective_matrix",
-    "voigt_reuss_bounds",
-]
+__all__ = ["CorrectorField", "EffectiveMatrix", "solve_corrector",
+           "effective_matrix", "voigt_reuss_bounds"]
 
 
 @lru_cache(maxsize=8)
@@ -54,33 +51,19 @@ def _q1_reference(d: int):
 
     Returns (corners, G, E) where corners lists the 2^d corner multi-indices,
     G[k, l, a, b] = int d_k phi_a d_l phi_b dxi  and
-    E[k, a] = int d_k phi_a dxi.
-    Gauss 2-point quadrature per axis is exact for these integrands.
+    E[k, a] = int d_k phi_a dxi = +-2^{1-d}, the sign that of corner bit k.
+    Gauss 2-point quadrature per axis is exact for the products in G.
     """
     corners = list(product((0, 1), repeat=d))
-    nc = len(corners)
     gp = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-    gw = np.array([0.5, 0.5])
     pts = np.array(list(product(gp, repeat=d)))
-    wts = np.array([np.prod(w) for w in product(gw, repeat=d)])
-
-    def shape_1d(a, x):
-        return x if a == 1 else 1.0 - x
-
-    def dshape_1d(a):
-        return 1.0 if a == 1 else -1.0
-
-    grads = np.zeros((nc, len(pts), d))
-    for a, ci in enumerate(corners):
-        for k in range(d):
-            g = np.full(len(pts), dshape_1d(ci[k]))
-            for j in range(d):
-                if j != k:
-                    g = g * shape_1d(ci[j], pts[:, j])
-            grads[a, :, k] = g
-
-    G = np.einsum("aqk,bql,q->klab", grads, grads, wts)
-    E = np.einsum("aqk,q->ka", grads, wts)
+    # d_k phi_a: the 1-d slope +-1 on axis k times x or 1 - x on the others
+    grads = np.ones((len(corners), len(pts), d))
+    for (a, ci), k, j in product(enumerate(corners), range(d), range(d)):
+        x = pts[:, j]
+        grads[a, :, k] *= 2 * ci[j] - 1 if j == k else x if ci[j] else 1 - x
+    G = np.einsum("aqk,bql->klab", grads, grads) * 0.5 ** d   # equal weights
+    E = (2.0 * np.array(corners).T - 1) / 2 ** (d - 1)
     return corners, G, E
 
 
@@ -88,58 +71,75 @@ def _element_coefficients(A: CoefficientField, N: int) -> np.ndarray:
     d = A.d
     h = 1.0 / N
     axes = [np.arange(N) * h + 0.5 * h] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     return A(pts)  # (N^d, d, d)
 
 
+def _shift(x: np.ndarray, c) -> np.ndarray:
+    """y[i] = x[i - c] on the periodic grid (the leading len(c) axes)."""
+    return np.roll(x, tuple(c), axis=tuple(range(len(c))))
+
+
+def _stencil(Avals: np.ndarray, N: int):
+    """Node weights s[i, m] of the periodic Q1 stiffness at offsets[m].
+
+    Avals is one matrix per element in C order, (N^d, d, d), or one for all,
+    (1, d, d).  Ke[a, b] = h^{d-2} sum_kl A_kl G[k, l, a, b] couples node
+    i = e + c_a to i + off, off = c_b - c_a, so s[i, m] sums the Ke[a, b]
+    with off = offsets[m] over the elements e = i - c_a.  Each Ke[:, a, b]
+    is formed on its own; the (ne, 2^d, 2^d) array never is.
+    """
+    d = Avals.shape[-1]
+    corners, G, _ = _q1_reference(d)
+    grid = (N if len(Avals) > 1 else 1,) * d
+    offsets = list(product((-1, 0, 1), repeat=d))
+    flat = Avals.reshape(len(Avals), d * d)
+    s = np.zeros((len(flat), len(offsets)))
+    for (a, ca), (b, cb) in product(enumerate(corners), repeat=2):
+        kab = (flat @ G[:, :, a, b].ravel()).reshape(grid)
+        s[:, offsets.index(tuple(np.subtract(cb, ca)))] += \
+            _shift(kab, ca).reshape(-1)
+    s *= (1.0 / N) ** (d - 2)
+    return offsets, s
+
+
 def _assemble(A: CoefficientField, N: int):
-    """Periodic stiffness matrix and the per-direction load vectors.
+    """Periodic stiffness (CSR), the per-direction loads and the element A.
 
     Node (i1..id) lives at the grid corners modulo N; element e has corner
-    nodes e + c for c in {0,1}^d (indices mod N).
+    nodes e + c for c in {0,1}^d (indices mod N).  Row i of S holds the
+    `_stencil` weights against the nodes i + off, in int32 columns.
     """
     d = A.d
-    h = 1.0 / N
-    corners, G, E = _q1_reference(d)
+    grid = (N,) * d
+    corners, _, E = _q1_reference(d)
     Avals = _element_coefficients(A, N)
-    ne = Avals.shape[0]
+    offsets, s = _stencil(Avals, N)
     nn = N ** d
-
-    # element -> corner node flat indices, shape (ne, 2^d)
-    idx = np.arange(ne).reshape((N,) * d)
-    corner_nodes = np.empty((ne, len(corners)), dtype=np.int64)
-    for a, ci in enumerate(corners):
-        rolled = idx
-        for ax, c in enumerate(ci):
-            if c:
-                rolled = np.roll(rolled, -1, axis=ax)
-        corner_nodes[:, a] = rolled.reshape(-1)
-
-    # K^e_ab = h^{d-2} sum_kl A_kl G[k,l,a,b]
-    Ke = h ** (d - 2) * np.einsum("ekl,klab->eab", Avals, G)
-    nc = len(corners)
-    rows = np.repeat(corner_nodes, nc, axis=1).reshape(-1)
-    cols = np.tile(corner_nodes, (1, nc)).reshape(-1)
-    S = sp.coo_matrix((Ke.reshape(-1), (rows, cols)), shape=(nn, nn)).tocsr()
+    nodes = np.arange(nn, dtype=np.int32).reshape(grid)
+    cols = np.empty_like(s, dtype=np.int32)
+    for m, off in enumerate(offsets):
+        cols[:, m] = _shift(nodes, np.negative(off)).reshape(-1)
+    S = sp.csr_matrix((s.reshape(-1), cols.reshape(-1),
+                       len(offsets) * np.arange(nn + 1)), shape=(nn, nn))
 
     # load for direction alpha = e_j:
-    # b_a = -int grad phi_a . (A^T e_j) = -h^{d-1} sum_k (A^T)_{kj} E[k,a]
+    # b_a = -int grad phi_a . (A^T e_j) = -h^{d-1} sum_k A_{jk} E[k,a]
     loads = np.zeros((d, nn))
-    AT = np.swapaxes(Avals, -1, -2)
-    for j in range(d):
-        be = -h ** (d - 1) * np.einsum("ek,ka->ea", AT[:, :, j], E)
-        np.add.at(loads[j], corner_nodes.reshape(-1), be.reshape(-1))
-    return S, loads, corner_nodes, Avals
+    for a, ca in enumerate(corners):
+        be = (Avals @ E[:, a]).reshape(grid + (d,))
+        loads += _shift(be, ca).reshape(nn, d).T
+    loads *= -(1.0 / N) ** (d - 1)
+    return S, loads, Avals
 
 
-def _element_avg_gradient(chi: np.ndarray, corner_nodes: np.ndarray,
-                          d: int, N: int) -> np.ndarray:
-    """Element-averaged gradient of the Q1 interpolant, shape (ne, d)."""
-    _, _, E = _q1_reference(d)
-    h = 1.0 / N
-    vals = chi[corner_nodes]            # (ne, 2^d)
-    return vals @ E.T / h               # int over xi, scaled by 1/h
+def _element_avg_gradient(chi: np.ndarray, N: int) -> np.ndarray:
+    """Element-averaged Q1 gradient of node values chi (N,)*d, as (N^d, d)."""
+    d = chi.ndim
+    corners, _, E = _q1_reference(d)
+    grad = sum(np.multiply.outer(_shift(chi, np.negative(c)), E[:, a])
+               for a, c in enumerate(corners))
+    return grad.reshape(-1, d) * N     # int over xi, scaled by 1/h
 
 
 @dataclass(frozen=True)
@@ -184,11 +184,16 @@ def _unit_periodize(A: CoefficientField) -> CoefficientField:
     return scale_field(A, 1.0 / s)
 
 
-def _prepared(A: CoefficientField, N: int) -> CoefficientField:
+def _prepared(A: CoefficientField, N: int, tol: float) -> CoefficientField:
     """The checked unit-periodic field for a cell problem at resolution N.
 
-    The field must repeat to 1e-8 (Frobenius) at 256 sample points.
+    N and tol are checked before the field is evaluated; the field must
+    repeat to 1e-8 (Frobenius) at 256 sample points.
     """
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ValueError(f"resolution must be an int, got {N!r}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     if N < 8:
         raise ValueError("resolution must be at least 8")
     if A.period != "lattice":
@@ -203,22 +208,19 @@ def _prepared(A: CoefficientField, N: int) -> CoefficientField:
 def _reference_inverse(Avals: np.ndarray, N: int):
     """r -> K0^+ r for the circulant Q1 stiffness K0 of the reference A0.
 
-    Row i of K0 is the stencil x -> sum_off s[off] x[i + off], where s[off]
-    sums the element matrix entries Ke[a, b] with c_b - c_a = off.  A0 is
-    symmetric, so s is even and its FFT (the symbol) is real.  The symbol
-    vanishes only on the constant mode, which the pseudo-inverse drops.
+    Row i of K0 is the `_stencil` of the single matrix A0, the same 3^d
+    weights s[off] at every node, placed at off mod N.  A0 is symmetric, so
+    s is even and its FFT (the symbol) is real.  The symbol vanishes only
+    on the constant mode, which the pseudo-inverse drops.
     """
     d = Avals.shape[-1]
-    corners, G, _ = _q1_reference(d)
     A0 = Avals.mean(axis=0)
-    A0 = 0.5 * (A0 + A0.T)
-    Ke = (1.0 / N) ** (d - 2) * np.einsum("kl,klab->ab", A0, G)
+    offsets, s = _stencil(0.5 * (A0 + A0.T)[None], N)
     shape = (N,) * d
     axes = tuple(range(d))
     stencil = np.zeros(shape)
-    for a, ca in enumerate(corners):
-        for b, cb in enumerate(corners):
-            stencil[tuple(np.subtract(cb, ca) % N)] += Ke[a, b]
+    for off, w in zip(offsets, s[0]):
+        stencil[off] = w            # index -1 is node N - 1
     symbol = np.fft.rfftn(stencil, axes=axes).real
     symbol.flat[0] = np.inf
 
@@ -237,11 +239,11 @@ def _solve_one(S, b, precond, tol):
 def solve_corrector(A: CoefficientField, alpha, N: int,
                     tol: float = 1e-10) -> CorrectorField:
     """Solve the periodic cell problem for direction alpha at resolution N."""
-    A = _prepared(A, N)
+    A = _prepared(A, N, tol)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (A.d,):
         raise ValueError(f"alpha must be a vector in R^{A.d}")
-    S, loads, _, Avals = _assemble(A, N)
+    S, loads, Avals = _assemble(A, N)
     x, _, relres = _solve_one(S, alpha @ loads, _reference_inverse(Avals, N),
                               tol)
     return CorrectorField(x.reshape((N,) * A.d), N, relres)
@@ -250,21 +252,19 @@ def solve_corrector(A: CoefficientField, alpha, N: int,
 def effective_matrix(A: CoefficientField, N: int,
                      tol: float = 1e-10) -> EffectiveMatrix:
     """Assemble Abar column by column from the d coordinate correctors."""
-    A = _prepared(A, N)
+    A = _prepared(A, N, tol)
     d = A.d
-    S, loads, corner_nodes, Avals = _assemble(A, N)
+    S, loads, Avals = _assemble(A, N)
     precond = _reference_inverse(Avals, N)
-    AT = np.swapaxes(Avals, -1, -2)
     Abar_T = np.zeros((d, d))
     residuals = np.zeros(d)
     iterations = np.zeros(d, dtype=int)
     for j in range(d):
         chi, iterations[j], residuals[j] = _solve_one(S, loads[j], precond,
                                                       tol)
-        grad = _element_avg_gradient(chi, corner_nodes, d, N)
+        grad = _element_avg_gradient(chi.reshape((N,) * d), N)
         grad[:, j] += 1.0
-        flux = np.einsum("ekl,el->ek", AT, grad)
-        Abar_T[:, j] = flux.mean(axis=0)
+        Abar_T[:, j] = np.einsum("elk,el->ek", Avals, grad).mean(axis=0)
     return EffectiveMatrix(Abar_T.T, N, residuals, iterations)
 
 

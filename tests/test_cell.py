@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from parahom.cell import (CorrectorField, effective_matrix, solve_corrector,
                           voigt_reuss_bounds,
-                          _element_avg_gradient, _assemble, _q1_reference)
+                          _element_avg_gradient, _element_coefficients,
+                          _assemble, _q1_reference)
 from parahom.coeffs import CoefficientField, preset, scale_field
 from parahom.linalg import ConvergenceError, pcg
 
@@ -25,8 +29,7 @@ class TestCorrector:
         chi = solve_corrector(A, np.array([1.0, 0.0]), N, tol=1e-12)
         a = laminate_profile_midpoint(N)
         target = (1.0 / np.mean(1.0 / a)) / a          # dw/dy1 per column
-        S, loads, corner_nodes, Avals = _assemble(A, N)
-        grad = _element_avg_gradient(chi.values.reshape(-1), corner_nodes, 2, N)
+        grad = _element_avg_gradient(chi.values, N)
         dw = grad[:, 0].reshape(N, N) + 1.0
         assert np.abs(dw - target[:, None]).max() <= 1e-8
 
@@ -198,21 +201,21 @@ def test_iterations_independent_of_resolution():
 def _jacobi_effective_matrix(A, N, tol):
     """Abar from Jacobi-PCG on the same assembled system."""
     d = A.d
-    S, loads, corner_nodes, Avals = _assemble(A, N)
+    S, loads, Avals = _assemble(A, N)
     inv = 1.0 / S.diagonal()
     AT = np.swapaxes(Avals, -1, -2)
     Abar_T = np.zeros((d, d))
     for j in range(d):
         chi, _, _ = pcg(lambda v: S @ v, loads[j], tol=tol, maxiter=100 * N,
                         precond=lambda r: inv * r, deflate=np.ones(N ** d))
-        grad = _element_avg_gradient(chi - chi.mean(), corner_nodes, d, N)
+        grad = _element_avg_gradient((chi - chi.mean()).reshape((N,) * d), N)
         grad[:, j] += 1.0
         Abar_T[:, j] = np.einsum("ekl,el->ek", AT, grad).mean(axis=0)
     return Abar_T.T
 
 
 def test_pcg_raises_at_its_cap():
-    S, loads, _, _ = _assemble(preset("checker", d=2), 16)
+    S, loads, _ = _assemble(preset("checker", d=2), 16)
     with pytest.raises(ConvergenceError) as err:
         pcg(lambda v: S @ v, loads[0], tol=1e-12, maxiter=3,
             precond=lambda r: r, deflate=np.ones(16 ** 2))
@@ -227,3 +230,105 @@ def test_matches_jacobi_reference(name, d, N):
     em = effective_matrix(A, N, tol=1e-12)
     ref = _jacobi_effective_matrix(A, N, tol=1e-12)
     assert np.abs(em.Abar - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _coo_assemble(A, N):
+    """Element-by-element COO assembly of the periodic Q1 system, summed by
+    `tocsr`: an independent reference for the stencil operator and loads.
+    Returns (S, loads, corner_nodes), corner_nodes[e, a] = node e + c_a."""
+    d = A.d
+    h = 1.0 / N
+    corners, G, E = _q1_reference(d)
+    Avals = _element_coefficients(A, N)
+    ne = nn = N ** d
+    idx = np.arange(ne).reshape((N,) * d)
+    corner_nodes = np.empty((ne, len(corners)), dtype=np.int64)
+    for a, ci in enumerate(corners):
+        rolled = np.roll(idx, [-c for c in ci], axis=tuple(range(d)))
+        corner_nodes[:, a] = rolled.reshape(-1)
+    Ke = h ** (d - 2) * np.einsum("ekl,klab->eab", Avals, G)
+    nc = len(corners)
+    rows = np.repeat(corner_nodes, nc, axis=1).reshape(-1)
+    cols = np.tile(corner_nodes, (1, nc)).reshape(-1)
+    S = sp.coo_matrix((Ke.reshape(-1), (rows, cols)), shape=(nn, nn)).tocsr()
+    loads = np.zeros((d, nn))
+    AT = np.swapaxes(Avals, -1, -2)
+    for j in range(d):
+        be = -h ** (d - 1) * np.einsum("ek,ka->ea", AT[:, :, j], E)
+        np.add.at(loads[j], corner_nodes.reshape(-1), be.reshape(-1))
+    return S, loads, corner_nodes
+
+
+def _full_matrix_field(d):
+    """A periodic field with every entry varying and A != A^T, so a swapped
+    corner, offset or transpose shows in the assembly."""
+    rng = np.random.default_rng(5)
+    amp = rng.uniform(-0.3, 0.3, (d, d, d))
+    phase = rng.uniform(0.0, 1.0, (d, d, d))
+
+    def ev(X):
+        X = np.asarray(X, dtype=float)
+        waves = np.sin(2 * np.pi * (X[..., None, None, :] + phase))
+        return 2.0 * np.eye(d) + (amp * waves).sum(axis=-1)
+    return CoefficientField(ev, d=d, lam=4.0, period="lattice")
+
+
+@pytest.mark.parametrize("d,N", [(2, 8), (2, 9), (3, 8)])
+def test_stencil_matches_coo_reference(d, N):
+    A = _full_matrix_field(d)
+    S, loads, _ = _assemble(A, N)
+    S_ref, loads_ref, corner_nodes = _coo_assemble(A, N)
+    E = _q1_reference(d)[2]
+    X = np.random.default_rng(11).standard_normal((N ** d, 3))
+
+    def assert_close(got, ref):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    assert_close(S @ X, S_ref @ X)
+    assert_close(loads, loads_ref)
+    for x in X.T:
+        assert_close(_element_avg_gradient(x.reshape((N,) * d), N),
+                     x[corner_nodes] @ E.T * N)
+
+
+def test_operator_is_the_stencil_and_memory_per_node():
+    for d, N in ((2, 16), (3, 8)):
+        S, _, _ = _assemble(preset("checker", d=d), N)
+        assert S.nnz == 3 ** d * N ** d
+        assert S.indices.dtype == np.int32
+    # peak traced allocation of a whole Abar solve, per grid node
+    N = 128
+    tracemalloc.start()
+    try:
+        effective_matrix(preset("checker"), N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / N ** 2 <= 400
+
+
+def _unevaluable(X):
+    raise AssertionError("coefficient evaluated before the input checks")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf"), 1.0])
+def test_bad_tol_fails_before_any_evaluation(tol):
+    A = CoefficientField(_unevaluable, d=2, lam=1.0, period="lattice")
+    with pytest.raises(ValueError, match="tol"):
+        effective_matrix(A, 16, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        solve_corrector(A, np.array([1.0, 0.0]), 16, tol=tol)
+
+
+@pytest.mark.parametrize("N", [16.0, np.float64(16), "16", True])
+def test_non_integer_resolution_fails_before_any_evaluation(N):
+    A = CoefficientField(_unevaluable, d=2, lam=1.0, period="lattice")
+    with pytest.raises(ValueError, match="resolution"):
+        effective_matrix(A, N)
+    with pytest.raises(ValueError, match="resolution"):
+        solve_corrector(A, np.array([1.0, 0.0]), N)
+
+
+def test_numpy_integer_resolution_accepted():
+    em = effective_matrix(preset("constant", d=2), np.int64(8))
+    assert np.abs(em.Abar - np.eye(2)).max() <= 1e-10
