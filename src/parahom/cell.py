@@ -21,12 +21,19 @@ Suquet 1998).  Element by element the two stiffness energies stay within
 the eigenvalue bounds of A relative to A0 whatever the mesh size, so the CG
 iteration count does not grow with N.
 
-The d corrector solves are independent and may run concurrently; each
-solve touches only its own state.
+The d corrector solves run concurrently, on min(d, usable cores) threads.
+Threads pay here because the CG time goes to numpy's FFTs and scipy's CSR
+matvec, which release the GIL, and each solve writes only its own state.
+The LU solves of the `pde` marches gain nothing this way: SuperLU holds the
+GIL, and on a 2-core machine 2 threads of 200 solves each took 1.36 s
+against 1.10 s in series.  The gradients and Abar columns follow in series,
+so their temporaries never sit beside a running solve.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -184,16 +191,19 @@ def _unit_periodize(A: CoefficientField) -> CoefficientField:
     return scale_field(A, 1.0 / s)
 
 
-def _prepared(A: CoefficientField, N: int, tol: float) -> CoefficientField:
+def _check_tol(tol: float):
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
+
+
+def _prepared(A: CoefficientField, N: int) -> CoefficientField:
     """The checked unit-periodic field for a cell problem at resolution N.
 
-    N and tol are checked before the field is evaluated; the field must
-    repeat to 1e-8 (Frobenius) at 256 sample points.
+    N and the period are checked before the field is evaluated; the field
+    must repeat to 1e-8 (Frobenius) at 256 sample points.
     """
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
         raise ValueError(f"resolution must be an int, got {N!r}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     if N < 8:
         raise ValueError("resolution must be at least 8")
     if A.period != "lattice":
@@ -225,52 +235,73 @@ def _reference_inverse(Avals: np.ndarray, N: int):
     symbol.flat[0] = np.inf
 
     def apply(r):
-        z = np.fft.rfftn(r.reshape(shape), axes=axes) / symbol
+        z = np.fft.rfftn(r.reshape(shape), axes=axes)
+        z /= symbol
         return np.fft.irfftn(z, s=shape, axes=axes).reshape(-1)
     return apply
 
 
-def _solve_one(S, b, precond, tol):
+def _constant_mode(nn: int) -> np.ndarray:
+    """The unit constant vector, the nullspace of every periodic stiffness."""
+    return np.full(nn, 1.0 / np.sqrt(nn))
+
+
+def _solve_one(S, b, precond, mode, tol):
     x, its, relres = pcg(lambda v: S @ v, b, tol=tol, maxiter=_CG_MAXITER,
-                         precond=precond, deflate=np.ones(S.shape[0]))
-    return x - x.mean(), its, relres
+                         precond=precond, deflate=mode)
+    x -= x.mean()
+    return x, its, relres
+
+
+def _workers(d: int) -> int:
+    """min(d, the cores this process may run on)."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(d, cores)
 
 
 def solve_corrector(A: CoefficientField, alpha, N: int,
                     tol: float = 1e-10) -> CorrectorField:
     """Solve the periodic cell problem for direction alpha at resolution N."""
-    A = _prepared(A, N, tol)
+    _check_tol(tol)
+    A = _prepared(A, N)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (A.d,):
         raise ValueError(f"alpha must be a vector in R^{A.d}")
     S, loads, Avals = _assemble(A, N)
     x, _, relres = _solve_one(S, alpha @ loads, _reference_inverse(Avals, N),
-                              tol)
+                              _constant_mode(N ** A.d), tol)
     return CorrectorField(x.reshape((N,) * A.d), N, relres)
 
 
 def effective_matrix(A: CoefficientField, N: int,
                      tol: float = 1e-10) -> EffectiveMatrix:
-    """Assemble Abar column by column from the d coordinate correctors."""
-    A = _prepared(A, N, tol)
+    """Assemble Abar column by column from the d coordinate correctors,
+    solved concurrently (see the module docstring)."""
+    _check_tol(tol)
+    A = _prepared(A, N)
     d = A.d
     S, loads, Avals = _assemble(A, N)
     precond = _reference_inverse(Avals, N)
+    mode = _constant_mode(N ** d)
+    with ThreadPoolExecutor(_workers(d)) as pool:
+        solves = list(pool.map(
+            lambda b: _solve_one(S, b, precond, mode, tol), loads))
     Abar_T = np.zeros((d, d))
-    residuals = np.zeros(d)
-    iterations = np.zeros(d, dtype=int)
-    for j in range(d):
-        chi, iterations[j], residuals[j] = _solve_one(S, loads[j], precond,
-                                                      tol)
+    for j, (chi, _, _) in enumerate(solves):
         grad = _element_avg_gradient(chi.reshape((N,) * d), N)
         grad[:, j] += 1.0
         Abar_T[:, j] = np.einsum("elk,el->ek", Avals, grad).mean(axis=0)
+    _, iterations, residuals = zip(*solves)
     return EffectiveMatrix(Abar_T.T, N, residuals, iterations)
 
 
 def voigt_reuss_bounds(A: CoefficientField, N: int):
-    """(harmonic, arithmetic) matrix means over the element samples."""
-    A = _unit_periodize(A)
+    """(harmonic, arithmetic) matrix means over the element samples, with
+    N and A checked as for a cell problem before A is evaluated."""
+    A = _prepared(A, N)
     Avals = _element_coefficients(A, N)
     arith = Avals.mean(axis=0)
     harm = np.linalg.inv(np.linalg.inv(Avals).mean(axis=0))

@@ -1,13 +1,16 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from parahom import cell
 from parahom.cell import (CorrectorField, effective_matrix, solve_corrector,
                           voigt_reuss_bounds,
                           _element_avg_gradient, _element_coefficients,
-                          _assemble, _q1_reference)
+                          _assemble, _constant_mode, _q1_reference,
+                          _reference_inverse, _solve_one)
 from parahom.coeffs import CoefficientField, preset, scale_field
 from parahom.linalg import ConvergenceError, pcg
 
@@ -207,7 +210,7 @@ def _jacobi_effective_matrix(A, N, tol):
     Abar_T = np.zeros((d, d))
     for j in range(d):
         chi, _, _ = pcg(lambda v: S @ v, loads[j], tol=tol, maxiter=100 * N,
-                        precond=lambda r: inv * r, deflate=np.ones(N ** d))
+                        precond=lambda r: inv * r, deflate=_constant_mode(N ** d))
         grad = _element_avg_gradient((chi - chi.mean()).reshape((N,) * d), N)
         grad[:, j] += 1.0
         Abar_T[:, j] = np.einsum("ekl,el->ek", AT, grad).mean(axis=0)
@@ -218,7 +221,7 @@ def test_pcg_raises_at_its_cap():
     S, loads, _ = _assemble(preset("checker", d=2), 16)
     with pytest.raises(ConvergenceError) as err:
         pcg(lambda v: S @ v, loads[0], tol=1e-12, maxiter=3,
-            precond=lambda r: r, deflate=np.ones(16 ** 2))
+            precond=np.copy, deflate=_constant_mode(16 ** 2))
     assert err.value.iterations == 3
     assert err.value.relres > 1e-12
 
@@ -332,3 +335,74 @@ def test_non_integer_resolution_fails_before_any_evaluation(N):
 def test_numpy_integer_resolution_accepted():
     em = effective_matrix(preset("constant", d=2), np.int64(8))
     assert np.abs(em.Abar - np.eye(2)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("N", [16.5, 0, "16"])
+def test_voigt_reuss_checks_resolution_before_any_evaluation(N):
+    A = CoefficientField(_unevaluable, d=2, lam=1.0, period="lattice")
+    with pytest.raises(ValueError, match="resolution"):
+        voigt_reuss_bounds(A, N)
+
+
+def test_voigt_reuss_requires_lattice_periodicity():
+    A = CoefficientField(_unevaluable, d=2, lam=1.0, period="none")
+    with pytest.raises(ValueError, match="lattice"):
+        voigt_reuss_bounds(A, 16)
+
+
+def _serial_effective_matrix(A, N, tol=1e-10):
+    """effective_matrix with its d solves run one after the other."""
+    d = A.d
+    S, loads, Avals = _assemble(A, N)
+    precond = _reference_inverse(Avals, N)
+    mode = _constant_mode(N ** d)
+    Abar_T = np.zeros((d, d))
+    residuals = np.zeros(d)
+    iterations = np.zeros(d, dtype=int)
+    for j in range(d):
+        chi, iterations[j], residuals[j] = _solve_one(S, loads[j], precond,
+                                                      mode, tol)
+        grad = _element_avg_gradient(chi.reshape((N,) * d), N)
+        grad[:, j] += 1.0
+        Abar_T[:, j] = np.einsum("elk,el->ek", Avals, grad).mean(axis=0)
+    return Abar_T.T, residuals, iterations
+
+
+@pytest.mark.parametrize("name,d,N", [("checker", 2, 64), ("trig", 3, 16)],
+                         ids=["checker-d2-N64", "trig-d3-N16"])
+def test_concurrent_solves_match_serial_loop(name, d, N):
+    A = preset(name, d=d)
+    em = effective_matrix(A, N)
+    Abar, residuals, iterations = _serial_effective_matrix(A, N)
+    assert np.array_equal(em.Abar, Abar)
+    assert np.array_equal(em.residuals, residuals)
+    assert np.array_equal(em.iterations, iterations)
+
+
+def test_pcg_leaves_its_load_unchanged():
+    S, loads, Avals = _assemble(preset("checker"), 16)
+    b = loads[0].copy()
+    pcg(lambda v: S @ v, b, tol=1e-10, maxiter=100,
+        precond=_reference_inverse(Avals, 16), deflate=_constant_mode(16 ** 2))
+    assert np.array_equal(b, loads[0])
+
+
+def test_pcg_checks_its_deflation_vector_and_callbacks():
+    S, loads, _ = _assemble(preset("checker"), 16)
+    with pytest.raises(ValueError, match="unit"):
+        pcg(lambda v: S @ v, loads[0], tol=1e-10, maxiter=100,
+            precond=np.copy, deflate=np.ones(16 ** 2))
+    with pytest.raises(ValueError, match="new arrays"):
+        pcg(lambda v: S @ v, loads[0], tol=1e-10, maxiter=100,
+            precond=lambda r: r, deflate=_constant_mode(16 ** 2))
+
+
+def test_convergence_error_of_one_direction_surfaces(monkeypatch):
+    # the laminate's tangential load is zero and solves in 0 iterations;
+    # with no iterations allowed only the normal direction fails
+    monkeypatch.setattr(cell, "_CG_MAXITER", 0)
+    before = threading.active_count()
+    with pytest.raises(ConvergenceError) as err:
+        effective_matrix(preset("laminate"), 16)
+    assert err.value.iterations == 0
+    assert threading.active_count() == before
