@@ -115,7 +115,10 @@ def _assemble(A: CoefficientField, N: int):
 
     Node (i1..id) lives at the grid corners modulo N; element e has corner
     nodes e + c for c in {0,1}^d (indices mod N).  Row i of S holds the
-    `_stencil` weights against the nodes i + off, in int32 columns.
+    `_stencil` weights against the nodes i + off, in int32 columns.  Each
+    load entry sums 2^d terms of size at most h^{d-1} max|A|, so a load of
+    norm below 2^d eps h^{d-1} max|A| sqrt(N^d) is roundoff and is returned
+    as 0: CG then solves it as x = 0 in 0 iterations, not to 1e-10 of noise.
     """
     d = A.d
     grid = (N,) * d
@@ -137,6 +140,9 @@ def _assemble(A: CoefficientField, N: int):
         be = (Avals @ E[:, a]).reshape(grid + (d,))
         loads += _shift(be, ca).reshape(nn, d).T
     loads *= -(1.0 / N) ** (d - 1)
+    floor = 2 ** d * np.finfo(float).eps * (1.0 / N) ** (d - 1) \
+        * max(Avals.max(), -Avals.min()) * np.sqrt(nn)
+    loads[np.linalg.norm(loads, axis=1) < floor] = 0.0
     return S, loads, Avals
 
 

@@ -1,10 +1,11 @@
 """Coefficient fields and their structural hypotheses.
 
 A field is a symmetric (d x d) matrix-valued map on R^d together with a
-declared ellipticity constant and periodicity.  The checkers quantify how
-well a given field satisfies uniform ellipticity, periodicity and the
-Dini-type oscillation conditions; nothing here assumes the declarations are
-true, they are verified by sampling.
+declared ellipticity constant and periodicity.  Nothing here assumes the
+declarations are true: they are verified by sampling.  Ellipticity has one
+check, `_require_elliptic`, which raises on fields read from configs and on
+the values the solver assembles; the other checkers quantify periodicity
+and the Dini-type oscillation conditions.
 
 Evaluators must be pure and re-entrant; every operation is safe under
 concurrent calls.
@@ -22,10 +23,8 @@ import numpy as np
 __all__ = [
     "CoefficientField",
     "AsymmetricFieldError",
-    "EllipticityReport",
     "DiniModulus",
     "DiniIntegral",
-    "check_ellipticity",
     "check_periodicity",
     "dini_modulus",
     "dini_integral",
@@ -265,12 +264,15 @@ def field_from_json(spec, d: int = 2) -> CoefficientField:
     {"entries": [[...]], "lam": ..., "period": ...} for full matrices.
 
     This is where coefficients enter from outside the program, so every
-    field is sampled by `check_ellipticity`: an asymmetric sample raises
-    AsymmetricFieldError, and eigenvalues outside [1/lam, lam] raise
-    ValueError naming their range and the declared lam.
+    field is checked by `_require_elliptic` at 2000 random points (seed 0)
+    of its period cell, or of [-2, 2]^d when it declares no period: an
+    asymmetric sample raises AsymmetricFieldError, and eigenvalues outside
+    [1/lam, lam] raise ValueError naming their span and the declared lam.
     """
     A = _field_from_spec(spec, d)
-    _require_elliptic(A, check_ellipticity(A), "sampled")
+    box = (-2.0, 2.0) if A.period == "none" else (0.0, A.period_scale)
+    pts = np.random.default_rng(0).uniform(*box, size=(2000, A.d))
+    _require_elliptic(A, pts, A(pts), "sampled")
     return A
 
 
@@ -306,27 +308,13 @@ def _field_from_spec(spec, d: int) -> CoefficientField:
     raise ValueError("field spec needs 'preset', 'expr' or 'entries'")
 
 
-@dataclass(frozen=True)
-class EllipticityReport:
-    min_eig: float
-    max_eig: float
-    passed: bool
+def _require_elliptic(A: CoefficientField, pts, vals, where: str) -> None:
+    """Check the values vals = A(pts), shape (m, d, d), against A.lam.
 
-
-def _sample_points(A: CoefficientField, count: int) -> np.ndarray:
-    rng = np.random.default_rng(0)
-    if A.period != "none":
-        scale = A.period_scale
-        return rng.uniform(0.0, scale, size=(count, A.d))
-    return rng.uniform(-2.0, 2.0, size=(count, A.d))
-
-
-def _ellipticity(A: CoefficientField, pts, vals) -> EllipticityReport:
-    """Extreme eigenvalues of the values vals = A(pts), shape (m, d, d).
-
-    Passes iff every eigenvalue lies in [1/lam - 1e-10, lam + 1e-10].  A
-    sample asymmetric beyond 1e-12 of the largest entry (at least 1) is a
-    hard error, AsymmetricFieldError, carrying the offending point.
+    A sample asymmetric beyond 1e-12 of the largest entry (at least 1)
+    raises AsymmetricFieldError carrying its point; eigenvalues outside
+    [1/lam - 1e-10, lam + 1e-10] raise ValueError naming their span and
+    lam, with `where` naming the samples ("sampled", "cell-center", ...).
     """
     asym = np.abs(vals - np.swapaxes(vals, -1, -2)).max(axis=(-1, -2))
     scale = max(1.0, float(np.abs(vals).max()))
@@ -335,27 +323,12 @@ def _ellipticity(A: CoefficientField, pts, vals) -> EllipticityReport:
         raise AsymmetricFieldError(pts[worst], asym[worst])
     eigs = np.linalg.eigvalsh(0.5 * (vals + np.swapaxes(vals, -1, -2)))
     lo, hi = float(eigs.min()), float(eigs.max())
-    ok = (lo >= 1.0 / A.lam - 1e-10) and (hi <= A.lam + 1e-10)
-    return EllipticityReport(lo, hi, ok)
-
-
-def _require_elliptic(A: CoefficientField, rep: EllipticityReport,
-                      where: str) -> None:
-    """Raise ValueError naming the eigenvalue range and lam when rep fails;
-    `where` names the samples ("sampled", "cell-center", ...)."""
-    if not rep.passed:
+    if lo < 1.0 / A.lam - 1e-10 or hi > A.lam + 1e-10:
         raise ValueError(
             f"coefficient field {A.label} is not uniformly elliptic with the "
             f"declared lam = {A.lam:g}: {where} eigenvalues span "
-            f"[{rep.min_eig:.6g}, {rep.max_eig:.6g}], outside "
+            f"[{lo:.6g}, {hi:.6g}], outside "
             f"[1/lam, lam] = [{1.0 / A.lam:.6g}, {A.lam:g}]")
-
-
-def check_ellipticity(A: CoefficientField) -> EllipticityReport:
-    """Extreme eigenvalues of A over 2000 random sample points (seed 0),
-    checked by the rule of `_ellipticity`."""
-    pts = _sample_points(A, 2000)
-    return _ellipticity(A, pts, A(pts))
 
 
 def check_periodicity(A: CoefficientField) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -93,30 +93,6 @@ class ParabolicCube:
             x = x[:, None]
         inside = np.all(np.abs(x - self.center_x) < self.side, axis=-1)
         return inside & (np.abs(np.asarray(t) - self.center_t) < self.side ** 2)
-
-
-class _TabulatedFunction:
-    """Piecewise-linear interpolant of a scalar function on a uniform grid."""
-
-    def __init__(self, grids: Sequence[np.ndarray], values: np.ndarray):
-        self.grids = [np.asarray(g, dtype=float) for g in grids]
-        self.values = np.asarray(values, dtype=float)
-        self.values.flags.writeable = False
-        if len(self.grids) == 1:
-            self._interp = None
-        else:
-            from scipy.interpolate import RegularGridInterpolator
-
-            self._interp = RegularGridInterpolator(
-                self.grids, self.values, method="linear",
-                bounds_error=False, fill_value=None)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if len(self.grids) == 1:
-            return np.interp(x.reshape(-1), self.grids[0], self.values
-                             ).reshape(x.shape[:-1] if x.ndim > 1 else x.shape)
-        return self._interp(x)
 
 
 @dataclass(frozen=True)
@@ -208,7 +184,11 @@ class GraphDomain:
 
     @classmethod
     def from_json(cls, spec) -> "GraphDomain":
-        """Load from {"phi": {"kind": ..., ...}, "m": float, "box": [...]}."""
+        """Load from {"phi": {"kind": ..., ...}, "m": float, "box": [...]}.
+
+        A "table" phi ({"grids": [...], "values": [...]}) is read by one
+        linear `RegularGridInterpolator` in any dimension.
+        """
         if isinstance(spec, str):
             spec = json.loads(spec)
         box = [tuple(iv) for iv in spec["box"]]
@@ -223,13 +203,13 @@ class GraphDomain:
             fn = compile_expression(pspec["expr"], len(box))
             return cls(m=m, box=box, phi=lambda x: fn(np.asarray(x)))
         if kind == "table":
+            from scipy.interpolate import RegularGridInterpolator
+
             grids = [np.asarray(g, dtype=float) for g in pspec["grids"]]
-            vals = np.asarray(pspec["values"], dtype=float)
-            tab = _TabulatedFunction(grids, vals)
-            if len(grids) == 1:
-                return cls(m=m, box=box, phi=lambda x: tab(np.asarray(x)[..., 0]),
-                           table_resolution=max(65, grids[0].size))
-            return cls(m=m, box=box, phi=tab,
+            phi = RegularGridInterpolator(
+                grids, np.asarray(pspec["values"], dtype=float),
+                method="linear", bounds_error=False, fill_value=None)
+            return cls(m=m, box=box, phi=phi,
                        table_resolution=max(65, grids[0].size))
         raise ValueError(f"unknown phi kind {kind!r}")
 

@@ -220,10 +220,8 @@ def _face_max(u: ScalarField, eta: float, m: float,
         raise ValueError(
             f"cone opening {eta} must exceed the Lipschitz constant {m}")
     grid = u.grid
-    if not grid.is_uniform:
-        raise ValueError("the cone scan needs a uniform grid")
     axis, side = face.key
-    h = list(grid.h)
+    h = list(grid.h)                # a graded grid raises ValueError here
     h_depth = h.pop(axis)
     lam = (np.arange(grid.shape[axis]) + 0.5) * h_depth
     nlayers = lam.size if face.r0 is None else int(np.sum(lam < face.r0))

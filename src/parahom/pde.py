@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coeffs import CoefficientField, _ellipticity, _require_elliptic
+from .coeffs import CoefficientField, _require_elliptic
 from .geometry import GraphDomain, LipschitzCylinder, ParabolicCube, flatten_pullback
 
 __all__ = [
@@ -164,9 +164,11 @@ def composite_axis(segments, lo: float, hi: float) -> np.ndarray:
 class SpaceTimeGrid:
     """Cell-centered tensor grid on a box, uniform time step.
 
-    Either uniform (lo/hi/shape) or built from explicit per-axis face
-    arrays.  nt time steps cover (t0, t1].  Graph and chart domains are
-    flattened to exact boxes before gridding, so every cell is inside.
+    Every grid stores one increasing face array per axis: the given ones
+    (`from_faces`, graded or not), or np.linspace(lo, hi, shape + 1) on
+    each axis.  lo, hi and shape are read back from the faces.  nt time
+    steps cover (t0, t1].  Graph and chart domains are flattened to exact
+    boxes before gridding, so every cell is inside.
     """
 
     lo: tuple
@@ -178,30 +180,22 @@ class SpaceTimeGrid:
     faces: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.faces is not None:
-            faces = tuple(np.asarray(f, dtype=float) for f in self.faces)
-            for f in faces:
-                if f.ndim != 1 or f.size < 2 or np.any(np.diff(f) <= 0):
-                    raise ValueError("face arrays must be increasing")
-                f.flags.writeable = False
-            object.__setattr__(self, "faces", faces)
-            object.__setattr__(self, "lo", tuple(float(f[0]) for f in faces))
-            object.__setattr__(self, "hi", tuple(float(f[-1]) for f in faces))
-            object.__setattr__(self, "shape",
-                               tuple(int(f.size - 1) for f in faces))
-        else:
-            lo = tuple(float(v) for v in self.lo)
-            hi = tuple(float(v) for v in self.hi)
-            shape = tuple(int(s) for s in self.shape)
-            if not (len(lo) == len(hi) == len(shape)):
+        faces = self.faces
+        if faces is None:
+            if not len(self.lo) == len(self.hi) == len(self.shape):
                 raise ValueError("lo, hi, shape must share one length")
-            if any(b <= a for a, b in zip(lo, hi)):
-                raise ValueError("box intervals must be nonempty")
-            if any(s < 1 for s in shape):
-                raise ValueError("grid needs at least one cell per axis")
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
-            object.__setattr__(self, "shape", shape)
+            faces = [np.linspace(float(a), float(b), int(s) + 1)
+                     for a, b, s in zip(self.lo, self.hi, self.shape)]
+        faces = tuple(np.asarray(f, dtype=float) for f in faces)
+        for f in faces:
+            if f.ndim != 1 or f.size < 2 or np.any(np.diff(f) <= 0):
+                raise ValueError("each axis needs increasing faces with at "
+                                 "least one cell between them")
+            f.flags.writeable = False
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "lo", tuple(float(f[0]) for f in faces))
+        object.__setattr__(self, "hi", tuple(float(f[-1]) for f in faces))
+        object.__setattr__(self, "shape", tuple(f.size - 1 for f in faces))
         if self.nt < 1 or self.t1 <= self.t0:
             raise ValueError("time interval must be nonempty with nt >= 1")
         object.__setattr__(self, "t0", float(self.t0))
@@ -210,29 +204,19 @@ class SpaceTimeGrid:
 
     @classmethod
     def from_faces(cls, faces, t0, t1, nt) -> "SpaceTimeGrid":
-        faces = tuple(np.asarray(f, dtype=float) for f in faces)
-        return cls(tuple(f[0] for f in faces), tuple(f[-1] for f in faces),
-                   tuple(f.size - 1 for f in faces), t0, t1, nt, faces=faces)
+        return cls((), (), (), t0, t1, nt, faces=tuple(faces))
 
     @property
     def d(self) -> int:
         return len(self.shape)
 
     @property
-    def is_uniform(self) -> bool:
-        if self.faces is None:
-            return True
-        return all(np.allclose(np.diff(f), np.diff(f)[0]) for f in self.faces)
-
-    @property
     def h(self) -> tuple:
-        """Uniform spacings; only meaningful on uniform grids."""
-        if self.faces is None:
-            return tuple((b - a) / s
-                         for a, b, s in zip(self.lo, self.hi, self.shape))
-        if not self.is_uniform:
+        """Uniform spacings (f[-1] - f[0]) / cells; a graded axis raises
+        ValueError."""
+        if not all(np.allclose(np.diff(f), f[1] - f[0]) for f in self.faces):
             raise ValueError("grid is graded; use axis_spacings")
-        return tuple(float(np.diff(f)[0]) for f in self.faces)
+        return tuple(float((f[-1] - f[0]) / (f.size - 1)) for f in self.faces)
 
     @property
     def dt(self) -> float:
@@ -242,17 +226,12 @@ class SpaceTimeGrid:
     def ncells(self) -> int:
         return int(np.prod(self.shape))
 
-    def axis_faces(self, k: int) -> np.ndarray:
-        if self.faces is not None:
-            return self.faces[k]
-        return np.linspace(self.lo[k], self.hi[k], self.shape[k] + 1)
-
     def axis_centers(self, k: int) -> np.ndarray:
-        f = self.axis_faces(k)
+        f = self.faces[k]
         return 0.5 * (f[:-1] + f[1:])
 
     def axis_spacings(self, k: int) -> np.ndarray:
-        return np.diff(self.axis_faces(k))
+        return np.diff(self.faces[k])
 
     def cell_volumes(self) -> np.ndarray:
         """Flat per-cell volumes (C order)."""
@@ -263,8 +242,6 @@ class SpaceTimeGrid:
 
     @property
     def cell_volume(self) -> float:
-        if not self.is_uniform:
-            raise ValueError("grid is graded; use cell_volumes")
         return float(np.prod(self.h))
 
     def _mesh(self, axes) -> np.ndarray:
@@ -378,8 +355,8 @@ def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
     """Finite-volume operator of Afield on grid, with its face groups.
 
     The values evaluated at the cell centers and on each boundary face are
-    checked by the ellipticity rule of `coeffs.check_ellipticity` against
-    Afield.lam; a breach raises ValueError naming the cells or the face.
+    checked by `coeffs._require_elliptic` against Afield.lam; a breach
+    raises ValueError naming the cells or the face.
     """
     d = grid.d
     shape = grid.shape
@@ -388,7 +365,7 @@ def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
 
     pts = grid.centers()
     Avals = Afield(pts)                       # (nc, d, d)
-    _require_elliptic(Afield, _ellipticity(Afield, pts, Avals), "cell-center")
+    _require_elliptic(Afield, pts, Avals, "cell-center")
     volumes = grid.cell_volumes()
 
     spac = [grid.axis_spacings(k) for k in range(d)]
@@ -438,8 +415,7 @@ def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
             face_pts = pts[cells].copy()
             face_pts[:, k] = grid.lo[k] if side == 0 else grid.hi[k]
             face_vals = Afield(face_pts)
-            _require_elliptic(Afield, _ellipticity(Afield, face_pts, face_vals),
-                              f"face {(k, side)}")
+            _require_elliptic(Afield, face_pts, face_vals, f"face {(k, side)}")
             a_face = face_vals[:, k, k]
             tb = a_face * area_cell[cells] / (0.5 * spac_cell[k][cells])
             rows.append(cells)
@@ -762,9 +738,8 @@ def q_difference(u: ScalarField, period: float) -> ScalarField:
     if s < 1 or s >= grid.shape[-1]:
         raise ValueError("grid does not extend one period above the region")
     vals = u.values[..., s:] - u.values[..., :-s]
-    faces = [grid.axis_faces(k) for k in range(grid.d - 1)]
-    faces.append(grid.axis_faces(grid.d - 1)[:-s])
-    ng = SpaceTimeGrid.from_faces(faces, grid.t0, grid.t1, grid.nt)
+    ng = SpaceTimeGrid.from_faces(grid.faces[:-1] + (grid.faces[-1][:-s],),
+                                  grid.t0, grid.t1, grid.nt)
     return ScalarField(ng, vals, dict(u.meta, q_period=period))
 
 
@@ -791,8 +766,8 @@ def save_field(u: ScalarField, path: str) -> None:
         fh.write(struct.pack("<I", g.d))
         fh.write(struct.pack("<I", g.nt))
         fh.write(struct.pack(f"<{g.d}I", *g.shape))
-        for k in range(g.d):
-            fh.write(np.ascontiguousarray(g.axis_faces(k), dtype="<f8").tobytes())
+        for f in g.faces:
+            fh.write(np.ascontiguousarray(f, dtype="<f8").tobytes())
         fh.write(struct.pack("<2d", g.t0, g.t1))
         fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
     meta = {k: v for k, v in u.meta.items() if not isinstance(v, np.ndarray)}

@@ -186,8 +186,7 @@ def _measure_grid(pole: ParabolicPoint, cube: ParabolicCube,
 
 def _require_pole_clearance(grid: SpaceTimeGrid, pole: ParabolicPoint,
                             cells: int = 4):
-    for k in range(grid.d):
-        f = grid.axis_faces(k)
+    for k, f in enumerate(grid.faces):
         below = int(np.searchsorted(f, pole.X[k]))
         if below < cells or f.size - 1 - below < cells:
             what = "boundary" if k == grid.d - 1 else "truncation face"
@@ -202,12 +201,11 @@ def _require_pole_clearance(grid: SpaceTimeGrid, pole: ParabolicPoint,
 
 @dataclass(frozen=True)
 class MeasureEstimate:
-    """omega^{pole}(cube) with its smoothing error; flags holds
-    "causal-zero" when the cube lies after the pole."""
+    """omega^{pole}(cube) with its smoothing error; both are 0 when the
+    cube lies after the pole."""
 
     value: float
     smoothing_error: float
-    flags: tuple = ()
 
 
 def _fine_spacing(grid: SpaceTimeGrid) -> float:
@@ -276,11 +274,12 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
     sit on cell faces and time levels (as on the measure grids of the sweep's
     cubes), both widths sample the same data values, so smoothing_error is
     0 up to roundoff.  That is the true smoothing error, not a bound on the
-    discretization error.
+    discretization error.  A cube that starts after the pole gets value and
+    smoothing_error 0 with no solve.
     """
     r = cube.side
     if cube.center_t - r * r >= pole.t:
-        return MeasureEstimate(0.0, 0.0, ("causal-zero",))
+        return MeasureEstimate(0.0, 0.0)
 
     return _cube_measure(_pole_kernel(A, dom, pole, cube, cfg), cube)
 

@@ -111,7 +111,9 @@ def _fields():
 
 
 def _attribute_reads():
-    """Names loaded as attributes in CALLERS, outside `__post_init__`."""
+    """Names loaded as attributes in CALLERS, outside `__post_init__` and
+    outside the `x.flags` of an `x.flags.writeable = ...` store, so that
+    freezing an array cannot pass for reading a field named flags."""
     reads = set()
     for path in CALLERS:
         tree = ast.parse(path.read_text())
@@ -120,6 +122,10 @@ def _attribute_reads():
             if isinstance(node, ast.FunctionDef) \
                     and node.name == "__post_init__":
                 skip.update(map(id, ast.walk(node)))
+            elif isinstance(node, ast.Attribute) \
+                    and node.attr == "writeable" \
+                    and isinstance(node.ctx, ast.Store):
+                skip.add(id(node.value))
         reads.update(node.attr for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute)
                      and isinstance(node.ctx, ast.Load)

@@ -406,3 +406,14 @@ def test_convergence_error_of_one_direction_surfaces(monkeypatch):
         effective_matrix(preset("laminate"), 16)
     assert err.value.iterations == 0
     assert threading.active_count() == before
+
+
+def test_roundoff_loads_are_solved_as_zero():
+    # trig varies in y3 alone: the loads of e1 and e2 are roundoff (about
+    # 5e-17 and 2e-17 before the floor), and CG ran 15 iterations on each
+    em = effective_matrix(preset("trig", d=3), 16)
+    assert em.iterations.tolist()[:2] == [0, 0]
+    assert em.residuals.tolist()[:2] == [0.0, 0.0]
+    assert em.iterations[2] > 0
+    # with chi = 0 those columns are the element mean of 2 + sin, i.e. 2
+    assert np.allclose(np.diag(em.Abar)[:2], 2.0, rtol=1e-14, atol=0.0)

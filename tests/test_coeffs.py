@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from parahom.coeffs import (AsymmetricFieldError, CoefficientField, PRESETS,
-                            DiniModulus, check_ellipticity,
+                            DiniModulus, _require_elliptic,
                             check_periodicity, compile_expression,
                             constant_matrix_field, dini_integral,
                             dini_modulus, field_from_json, preset,
@@ -22,26 +22,34 @@ def scalar_field(cfun, d=2, **kw):
     return CoefficientField(ev, d=d, **kw)
 
 
+PTS = np.random.default_rng(0).uniform(0.0, 1.0, size=(200, 2))
+
+
+def require_elliptic(A):
+    _require_elliptic(A, PTS, A(PTS), "sampled")
+
+
 class TestEllipticity:
     def test_identity(self):
-        rep = check_ellipticity(preset("constant", d=2))
-        assert rep.passed
-        assert rep.min_eig == pytest.approx(1.0)
-        assert rep.max_eig == pytest.approx(1.0)
+        require_elliptic(preset("constant", d=2))
+        # lam = 1 leaves no slack: 1.01 I declared with lam = 1 is refused
+        A = CoefficientField(lambda X: 1.01 * preset("constant", d=2)(X), d=2,
+                             lam=1.0)
+        with pytest.raises(ValueError, match=r"span \[1\.01, 1\.01\]"):
+            require_elliptic(A)
 
     def test_diag_within_declared(self):
         A = constant_matrix_field(np.diag([0.5, 3.0]))
         assert A.lam == 3.0
-        rep = check_ellipticity(A)
-        assert rep.passed
-        assert rep.min_eig == pytest.approx(0.5)
-        assert rep.max_eig == pytest.approx(3.0)
+        require_elliptic(A)
 
     def test_diag_exceeding_declared(self):
         A = dataclasses.replace(constant_matrix_field(np.diag([0.5, 3.0])),
                                 lam=2.0)
-        rep = check_ellipticity(A)
-        assert not rep.passed
+        with pytest.raises(ValueError, match=r"lam = 2: sampled eigenvalues "
+                           r"span \[0\.5, 3\], outside \[1/lam, lam\] = "
+                           r"\[0\.5, 2\]"):
+            require_elliptic(A)
 
     def test_asymmetric_hard_error(self):
         def ev(X):
@@ -53,13 +61,12 @@ class TestEllipticity:
             return out
         A = CoefficientField(ev, d=2, lam=2.0)
         with pytest.raises(AsymmetricFieldError) as ei:
-            check_ellipticity(A)
+            require_elliptic(A)
         assert ei.value.point.shape == (2,)
 
     def test_all_presets_pass(self):
         for name in PRESETS:
-            rep = check_ellipticity(preset(name, d=2))
-            assert rep.passed, name
+            field_from_json(name)
 
 
 class TestPeriodicity:
@@ -191,6 +198,30 @@ class TestExpressionGrammar:
         fn = compile_expression("max(abs(x1), min(x2, 0.5))", 2)
         assert fn(np.array([[-2.0, 3.0]]))[0] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("expr, numpy", [
+        ("x1 - x2", lambda x1, x2: x1 - x2),
+        ("x1 / (2 + x2)", lambda x1, x2: x1 / (2.0 + x2)),
+        ("x2 ** 3", lambda x1, x2: x2 ** 3.0),
+        ("-x1 + +x2", lambda x1, x2: -x1 + x2),
+        ("x * lam", lambda x1, x2: x1 * x2)],
+        ids=["sub", "div", "pow", "unary", "x-alias"])
+    def test_operators_match_numpy(self, expr, numpy):
+        X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2))
+        assert np.array_equal(compile_expression(expr, 2)(X),
+                              numpy(X[:, 0], X[:, 1]))
+
+    @pytest.mark.parametrize("expr, match", [
+        ("x1 + 'a'", "bad literal 'a'"),
+        ("x9", "coordinate x9 out of range"),
+        ("y + 1", "unknown name 'y'"),
+        ("x1 % 2", "unsupported operator"),
+        ("~x1", "unsupported unary operator"),
+        ("x1 if 1 else 2", "unsupported syntax IfExp")],
+        ids=["literal", "x9", "name", "mod", "invert", "ifexp"])
+    def test_rejections(self, expr, match):
+        with pytest.raises(ValueError, match=match):
+            compile_expression(expr, 2)
+
     def test_rejects_calls(self):
         with pytest.raises(ValueError):
             compile_expression("__import__('os')", 2)
@@ -201,13 +232,19 @@ class TestExpressionGrammar:
         A = field_from_json({"expr": "2+sin(2*pi*lam)", "lam": 3.0,
                              "period": "axis"})
         assert check_periodicity(A) <= 1e-12
-        assert check_ellipticity(A).passed
+        require_elliptic(A)
 
     def test_field_from_json_matrix(self):
         A = field_from_json({"entries": [["2", "0.5"], ["0.5", "2"]],
                              "lam": 3.0})
         M = A(np.zeros(2))
         assert np.allclose(M, [[2.0, 0.5], [0.5, 2.0]])
+
+    def test_field_from_json_preset_with_arguments(self):
+        A = field_from_json({"preset": "laminate", "a_high": 9.0, "d": 3})
+        assert (A.d, A.lam) == (3, 9.0)
+        M = A(np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.5]]))
+        assert np.array_equal(M, [9.0 * np.eye(3), np.eye(3)])
 
     def test_preset_by_name(self):
         assert field_from_json("laminate").label == "laminate"

@@ -180,8 +180,7 @@ class TestSweep:
 
         def traced(A, dom, grid, probes, key):
             keys.append((A.label, id(dom), grid.t0, grid.t1, grid.nt,
-                         *(grid.axis_faces(k).tobytes()
-                           for k in range(grid.d)),
+                         *(f.tobytes() for f in grid.faces),
                          np.asarray(probes, dtype=float).tobytes()))
             return march(A, dom, grid, probes, key)
 
@@ -390,6 +389,29 @@ class TestCli:
             lines = fh.read().strip().splitlines()
         assert lines[0] == "check,value,error_bar,pass,watermark"
         assert lines[1].startswith("caloric-measure,")
+
+    @pytest.mark.parametrize("check,rows", [
+        ("doubling", ["doubling"]),
+        ("rh", ["rh"]),
+        ("green-sym", ["green-sym"]),
+        ("green-measure", ["green-measure-lower", "green-measure-upper"])],
+        ids=["doubling", "rh", "green-sym", "green-measure"])
+    def test_diagnose_checks(self, tmp_path, check, rows):
+        from parahom.cli import main
+
+        out = tmp_path / "diag.csv"
+        rc = main(["diagnose", "--check", check, "--coeff", "constant",
+                   "--pole", "[0, 1, 5]", "--cube", "[0, 0, 0.5]",
+                   "--out", str(out)])
+        assert rc == 0
+        header, *lines = out.read_text().splitlines()
+        assert header == "check,value,error_bar,pass,watermark"
+        table = [line.split(",") for line in lines]
+        assert [row[0] for row in table] == rows
+        for name, value, err, ok, watermark in table:
+            assert np.isfinite(float(value))
+            assert err == "" or np.isfinite(float(err))
+            assert (ok, watermark) == ("1", "0")
 
     @pytest.mark.parametrize("flag,value,layout", [
         ("--pole", "[1, 5]", "[x..., lam, tau]"),

@@ -6,8 +6,9 @@ from parahom.coeffs import preset, scale_field
 from parahom.geometry import GraphDomain, LipschitzCylinder
 from parahom.maximal import (BoundaryField, boundary_data_norm,
                              lp_boundary_norm, nontangential_max)
-from parahom.pde import (BoundaryData, ScalarField, SpaceTimeGrid, halfspace,
-                         lateral_faces, solve_dirichlet)
+from parahom.pde import (BoundaryData, ScalarField, SpaceTimeGrid,
+                         graded_axis, halfspace, lateral_faces,
+                         solve_dirichlet)
 
 HALF = GraphDomain(m=0.0, box=((-4.0, 4.0),))
 BOTTOM = (1, 0)             # the one lateral face of a graph domain, d = 2
@@ -90,6 +91,14 @@ class TestNontangentialMax:
         for eta in (np.inf, np.nan):
             with pytest.raises(ValueError, match="eta must be finite"):
                 nontangential_max(u, eta, HALF)
+
+    def test_graded_grid_refused(self):
+        f = graded_axis(-1.0, 1.0, 0.25, -4.0, 4.0)
+        g = SpaceTimeGrid.from_faces([f, np.linspace(0.0, 2.0, 9)],
+                                     0.0, 1.0, 4)
+        u = ScalarField(g, np.ones((g.nt + 1,) + g.shape))
+        with pytest.raises(ValueError, match="graded"):
+            nontangential_max(u, 1.0, HALF)
 
     def test_cylinder_cones_need_a_positive_opening(self):
         g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (8, 8), 0.0, 0.5, 4)

@@ -54,8 +54,19 @@ class TestGrid:
         inner = f[(f >= -1) & (f <= 1)]
         assert np.allclose(np.diff(inner), 0.125)
         g = SpaceTimeGrid.from_faces([f, np.linspace(0, 1, 9)], 0.0, 1.0, 4)
-        assert not g.is_uniform
+        with pytest.raises(ValueError, match="graded"):
+            g.h
+        with pytest.raises(ValueError, match="graded"):
+            g.cell_volume
         assert g.cell_volumes().sum() == pytest.approx(12.0 * 1.0)
+
+    def test_uniform_grid_stores_its_faces(self):
+        g = small_grid(nx=8, nlam=4)
+        u = SpaceTimeGrid.from_faces(g.faces, g.t0, g.t1, g.nt)
+        assert np.array_equal(g.faces[0], np.linspace(-4.0, 4.0, 9))
+        assert (g.lo, g.hi, g.shape) == (u.lo, u.hi, u.shape)
+        assert g.h == u.h == ((4.0 - -4.0) / 8, 2.0 / 4)
+        assert not g.faces[1].flags.writeable
 
     def test_validation(self):
         with pytest.raises(ValueError):

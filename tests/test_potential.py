@@ -54,7 +54,7 @@ class TestCaloricMeasure:
         cube = ParabolicCube(np.zeros(1), 10.0, 0.5)   # entirely after pole
         est = caloric_measure(A_CONST, HALF, POLE, cube, CFG)
         assert est.value == 0.0
-        assert "causal-zero" in est.flags
+        assert est.smoothing_error == 0.0
 
     def test_pole_clearance_enforced(self):
         shallow = ParabolicPoint(np.array([0.0, 0.001]), 5.0)
