@@ -22,10 +22,13 @@ discrete caloric kernel of the probes on one face group (one solve per step
 for each probe, and no symmetry of the operator), so the final probe values
 of any data on that face are a sum of the kernel against the data.
 
-The scheme uses distance-weighted harmonic face averaging for the diagonal
-part of A (exact for laminates aligned with faces) and centered tangential
-differences for off-diagonal entries; with diagonal coefficient tensors the
-step matrix is an M-matrix, which makes the discrete maximum principle
+The operator is in divergence form, the discrete divergence of the face
+fluxes: S = sum_k D_k^T F_k + B, with D_k the difference across the k-faces
+and B the boundary faces, every factor a Kronecker product of 1-d operators
+(`_assemble`).  The flux F_k uses distance-weighted harmonic face averaging
+of a_kk (exact for laminates aligned with faces) and centered tangential
+differences for the off-diagonal entries; with diagonal coefficient tensors
+the step matrix is an M-matrix, which makes the discrete maximum principle
 exact.
 """
 
@@ -233,12 +236,17 @@ class SpaceTimeGrid:
     def axis_spacings(self, k: int) -> np.ndarray:
         return np.diff(self.faces[k])
 
-    def cell_volumes(self) -> np.ndarray:
-        """Flat per-cell volumes (C order)."""
-        v = self.axis_spacings(0)
-        for k in range(1, self.d):
-            v = np.multiply.outer(v, self.axis_spacings(k))
-        return v.reshape(-1)
+    def cell_volumes(self, masks=None) -> np.ndarray:
+        """Cell volumes of the sub-grid on the axes of `masks`, shape (*m).
+
+        masks maps axes, in increasing order, to a boolean mask over that
+        axis' cells (None keeps the whole axis); the default is every axis
+        whole.  The volumes are the outer product of the axis spacings.
+        """
+        masks = dict.fromkeys(range(self.d)) if masks is None else masks
+        spacings = [self.axis_spacings(k) if m is None
+                    else self.axis_spacings(k)[m] for k, m in masks.items()]
+        return reduce(np.multiply.outer, spacings, np.ones(()))
 
     @property
     def cell_volume(self) -> float:
@@ -328,11 +336,9 @@ class ScalarField:
         (values, volume_weights) with shapes (mt, *m) and (*m).
         """
         g = self.grid
+        w = g.cell_volumes(dict(enumerate(masks)))
         masks = [np.ones(g.shape[k], dtype=bool) if m is None else m
                  for k, m in enumerate(masks)]
-        w = g.axis_spacings(0)[masks[0]]
-        for k in range(1, g.d):
-            w = np.multiply.outer(w, g.axis_spacings(k)[masks[k]])
         return self.values[np.ix_(t_mask, *masks)], w
 
 
@@ -354,102 +360,92 @@ class _Operator(NamedTuple):
 def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
     """Finite-volume operator of Afield on grid, with its face groups.
 
+    S is the divergence of the interior face fluxes plus the boundary
+    diagonal,
+
+        S = sum_k D_k^T (T_k D_k + sum_{j != k} diag(a_kj area) avg_k C_j) + B,
+
+    with D_k, avg_k and C_j Kronecker products of 1-d operators along the
+    axes.  D_k is the (k-faces x cells) difference u_hi - u_lo along axis k.
+    T_k holds the two-point transmissibilities
+    area / (h_lo/2a_kk,lo + h_hi/2a_kk,hi).
+    avg_k is the mean of the two cells beside a k-face; a_kj and area are
+    such means too.  C_j is the centered difference along axis j, with no
+    entries on the first and last j cells, where it would leave the box (an
+    O(h) consistency loss on a measure-h set); a pair (k, j) enters where
+    some |a_kj| exceeds 1e-14.  B is a_kk(face) area / (h/2) on the cells of
+    each boundary face, kept as that face's group.  The terms are stacked
+    as S = L^T diag(w) R and summed in one sparse product, which stores no
+    entry that sums to exactly 0.
+
     The values evaluated at the cell centers and on each boundary face are
     checked by `coeffs._require_elliptic` against Afield.lam; a breach
     raises ValueError naming the cells or the face.
     """
-    d = grid.d
-    shape = grid.shape
-    nc = grid.ncells
-    strides = np.array([int(np.prod(shape[k + 1:])) for k in range(d)])
-
+    d, shape = grid.d, grid.shape
     pts = grid.centers()
-    Avals = Afield(pts)                       # (nc, d, d)
+    Avals = Afield(pts)                       # (ncells, d, d)
     _require_elliptic(Afield, pts, Avals, "cell-center")
+    a = Avals.reshape(shape + (d, d))
     volumes = grid.cell_volumes()
 
-    spac = [grid.axis_spacings(k) for k in range(d)]
-    centers = [grid.axis_centers(k) for k in range(d)]
+    def along(ops):
+        """ops[k] on axis k, the identity on every other axis."""
+        return reduce(partial(sp.kron, format="coo"),   # BSR would store 0s
+                      [ops.get(k, sp.identity(n))
+                       for k, n in enumerate(shape)]).tocsr()
 
-    def cellwise(arrs, k):
-        """Broadcast a per-axis array over the cell grid, flattened."""
-        shp = [1] * d
-        shp[k] = -1
-        return np.broadcast_to(np.asarray(arrs).reshape(shp), shape).reshape(-1)
+    def sides(x, k):
+        """x on the lower and on the upper cell of each interior k-face."""
+        pre = (slice(None),) * k
+        return (x[pre + (slice(None, -1),)].reshape(-1),
+                x[pre + (slice(1, None),)].reshape(-1))
 
-    spac_cell = [cellwise(spac[k], k) for k in range(d)]
+    trace = sp.identity(grid.ncells, format="csr")  # trace[cells]: u there
+    lefts, weights, rights, groups = [], [], [], {}   # S = L^T diag(w) R
+    for k, n in enumerate(shape):
+        h = grid.axis_spacings(k).reshape((-1,) + (1,) * (d - 1 - k))
+        area = volumes / h                    # per-cell k-face area
+        area_lo, area_hi = sides(area, k)
+        r_lo, r_hi = sides(0.5 * h / a[..., k, k], k)
+        D = along({k: sp.diags([-1.0, 1.0], [0, 1], shape=(n - 1, n))})
+        lefts.append(D)
+        weights.append(area_lo / (r_lo + r_hi))
+        rights.append(D)
 
-    rows, cols, vals = [], [], []
-    groups = {}
-    cell_idx = np.arange(nc).reshape(shape)
-    multi = np.indices(shape)
-
-    cross_pairs = []
-    for k in range(d):
-        for j in range(d):
-            if j != k and np.abs(Avals[:, k, j]).max() > 1e-14:
-                cross_pairs.append((k, j))
-
-    for k in range(d):
-        akk = Avals[:, k, k]
-        area_cell = volumes / spac_cell[k]     # per-cell k-face area
-
-        # interior two-point fluxes
-        sl_L = tuple(slice(None) if a != k else slice(0, shape[k] - 1)
-                     for a in range(d))
-        L = cell_idx[sl_L].reshape(-1)
-        R = L + strides[k]
-        dL = 0.5 * spac_cell[k][L]
-        dR = 0.5 * spac_cell[k][R]
-        tf = area_cell[L] / (dL / akk[L] + dR / akk[R])
-        rows += [L, R, L, R]
-        cols += [L, R, R, L]
-        vals += [tf, tf, -tf, -tf]
-
-        # boundary faces
+        index = np.arange(n).reshape(h.shape)      # axis-k index of the cells
         for side in (0, 1):
-            sl_B = tuple(slice(None) if a != k else
-                         (slice(0, 1) if side == 0 else slice(shape[k] - 1, shape[k]))
-                         for a in range(d))
-            cells = cell_idx[sl_B].reshape(-1)
-            face_pts = pts[cells].copy()
-            face_pts[:, k] = grid.lo[k] if side == 0 else grid.hi[k]
+            cells = np.flatnonzero(
+                np.broadcast_to(index == side * (n - 1), shape))
+            E = trace[cells]
+            face_pts = pts[cells]
+            face_pts[:, k] = grid.faces[k][-side]
             face_vals = Afield(face_pts)
             _require_elliptic(Afield, face_pts, face_vals, f"face {(k, side)}")
-            a_face = face_vals[:, k, k]
-            tb = a_face * area_cell[cells] / (0.5 * spac_cell[k][cells])
-            rows.append(cells)
-            cols.append(cells)
-            vals.append(tb)
+            tb = face_vals[:, k, k] * area.reshape(-1)[cells] \
+                / (0.5 * grid.axis_spacings(k)[side * (n - 1)])
+            lefts.append(E)
+            weights.append(tb)
+            rights.append(E)
             groups[(k, side)] = _BoundaryGroup(cells, tb)
 
-        # cross-derivative fluxes on interior k-faces; faces whose
-        # tangential stencil would leave the box are skipped (O(h)
-        # consistency loss on a measure-h set).
-        for kk, j in cross_pairs:
-            if kk != k:
-                continue
-            ij = multi[j][sl_L].reshape(-1)
-            ok = (ij >= 1) & (ij <= shape[j] - 2)
-            Lv = L[ok]
-            Rv = Lv + strides[k]
-            akj = 0.5 * (Avals[Lv, k, j] + Avals[Rv, k, j])
-            area = 0.5 * (area_cell[Lv] + area_cell[Rv])
-            cj = cellwise(centers[j], j)
-            for base, other in ((Lv, Rv), (Rv, Lv)):
-                span = cj[base + strides[j]] - cj[base - strides[j]]
-                w = 0.5 * akj * area / span
-                for col, s in ((base + strides[j], -1.0),
-                               (base - strides[j], 1.0)):
-                    rows += [Lv, Rv]
-                    cols += [col, col]
-                    vals += [s * w, -s * w]
+        for j in range(d):
+            if j != k and np.abs(a[..., k, j]).max() > 1e-14:
+                c = grid.axis_centers(j)
+                inv = np.zeros(c.size)
+                inv[1:-1] = 1.0 / (c[2:] - c[:-2])
+                C = sp.diags([-inv[1:], inv[:-1]], [-1, 1],
+                             shape=(c.size, c.size))
+                lefts.append(D)
+                weights.append(0.5 * np.add(*sides(a[..., k, j], k))
+                               * (0.5 * (area_lo + area_hi)))
+                rights.append(along({
+                    k: sp.diags([0.5, 0.5], [0, 1], shape=(n - 1, n)), j: C}))
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    S = sp.coo_matrix((vals, (rows, cols)), shape=(nc, nc)).tocsr()
-    return _Operator(S, groups, volumes)
+    R = sp.vstack(rights, format="csr")
+    R.data *= np.repeat(np.concatenate(weights), np.diff(R.indptr))  # w R
+    S = (sp.vstack(lefts, format="csr").T @ R).tocsr()
+    return _Operator(S, groups, volumes.reshape(-1))
 
 
 def _field_for(dom, A: CoefficientField) -> CoefficientField:
@@ -484,7 +480,7 @@ def lateral_faces(grid: SpaceTimeGrid, dom) -> list:
     for axis in [grid.d - 1] if graph else range(grid.d):
         tang = [k for k in range(grid.d) if k != axis]
         x = grid._mesh(tang)
-        w = reduce(np.multiply.outer, [grid.axis_spacings(k) for k in tang])
+        w = grid.cell_volumes(dict.fromkeys(tang))
         if graph:
             g = dom.grad_phi(x)
             area = np.sqrt(1.0 + np.sum(g * g, axis=1)).reshape(w.shape)
@@ -550,33 +546,24 @@ def _march(op: _Operator, u, dt: float, nsteps: int, t0: float,
     return u
 
 
-def _probe_weights(grid: SpaceTimeGrid, probes) -> sp.csr_matrix:
-    """Sparse multilinear interpolation weights at spatial probe points."""
+def _probe_weights(grid: SpaceTimeGrid, probes) -> np.ndarray:
+    """Multilinear interpolation weights at spatial probe points, shape
+    (cells, probes): for each probe the outer product of one hat vector per
+    axis, weights 1 - frac and frac on the two centers around it."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    d = grid.d
-    rows, cols, vals = [], [], []
-    strides = [int(np.prod(grid.shape[k + 1:])) for k in range(d)]
+    out = np.empty((grid.ncells, len(probes)))
     for p, X in enumerate(probes):
-        idx0, wgt = [], []
-        for k in range(d):
+        hats = []
+        for k in range(grid.d):
             c = grid.axis_centers(k)
             x = np.clip(X[k], c[0], c[-1])
-            i = int(np.clip(np.searchsorted(c, x) - 1, 0, max(len(c) - 2, 0)))
-            frac = (x - c[i]) / (c[i + 1] - c[i]) if len(c) > 1 else 0.0
-            idx0.append(i)
-            wgt.append(frac)
-        for corner in range(1 << d):
-            flat = 0
-            w = 1.0
-            for k in range(d):
-                bit = (corner >> k) & 1
-                flat += (idx0[k] + bit) * strides[k]
-                w *= wgt[k] if bit else (1.0 - wgt[k])
-            rows.append(p)
-            cols.append(flat)
-            vals.append(w)
-    return sp.csr_matrix((vals, (rows, cols)),
-                         shape=(len(probes), grid.ncells))
+            i = int(np.clip(np.searchsorted(c, x) - 1, 0, max(c.size - 2, 0)))
+            frac = (x - c[i]) / (c[i + 1] - c[i]) if c.size > 1 else 0.0
+            hat = np.zeros(c.size + 1)    # spare slot for the i + 1 of n = 1
+            hat[i], hat[i + 1] = 1.0 - frac, frac
+            hats.append(hat[:-1])
+        out[:, p] = reduce(np.multiply.outer, hats).reshape(-1)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -641,7 +628,7 @@ def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid, probes,
     """
     op = _assemble(_field_for(dom, A), grid)
     g = op.groups[tuple(key)]
-    z = _probe_weights(grid, probes).T.toarray()
+    z = _probe_weights(grid, probes)
     out = np.empty((grid.nt, g.cells.size, z.shape[1]))
     mass, M, lu = _factor(op, grid.dt)
     for step in range(grid.nt, 0, -1):
@@ -672,7 +659,7 @@ def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,
         idx.append(i)
     idx = tuple(idx)
     u0 = np.zeros(grid.shape)
-    u0[idx] = 1.0 / grid.cell_volumes().reshape(grid.shape)[idx]
+    u0[idx] = 1.0 / grid.cell_volumes()[idx]
     return _solve_field(A, dom, None, grid, u0.reshape(-1),
                         {"pole_X": pole_X.tolist(), "pole_t": pole_t})
 
@@ -727,11 +714,7 @@ def q_difference(u: ScalarField, period: float) -> ScalarField:
     same period.
     """
     grid = u.grid
-    lam_sp = grid.axis_spacings(grid.d - 1)
-    if not np.allclose(lam_sp, lam_sp[0]):
-        raise ValueError("q_difference needs a uniform lam axis")
-    h = float(lam_sp[0])
-    s = period / h
+    s = period / grid.h[-1]
     if abs(s - round(s)) > 1e-9:
         raise ValueError("period must be an integer number of lam cells")
     s = int(round(s))

@@ -530,12 +530,9 @@ def local_solvability_ratio(u: ScalarField, cube: ParabolicCube) -> float:
     if grid.t0 > t0 - 4 * r * r or grid.t1 < t0 + 4 * r * r:
         raise ValueError("grid time levels do not cover T_2r")
     rich = nt_trace_ratio(u, cube)   # enforces the 4x-cube trace hypothesis
-    n = grid.d - 1
-    wx = np.ones(1)
-    for k in range(n):
-        sel = np.abs(grid.axis_centers(k) - cube.center_x[k]) < r
-        wx = np.multiply.outer(wx, grid.axis_spacings(k)[sel])
-    wx = wx.reshape(-1)
+    wx = grid.cell_volumes(
+        {k: np.abs(grid.axis_centers(k) - cube.center_x[k]) < r
+         for k in range(grid.d - 1)}).reshape(-1)
     lhs = float(np.sum(rich ** 2 * wx[None, :]) * grid.dt)
     v, w = _t_window(u, cube.center_x, cube.center_t, 2 * r)
     mass = float(np.sum(v * v * w[None]) * grid.dt)

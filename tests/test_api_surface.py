@@ -1,10 +1,11 @@
-"""Every public name and every result field is reached by the program.
+"""Every public name, result field and method is reached by the program.
 
 A name in a module's `__all__` must be referenced outside its own
 definition: in `src/parahom`, in `perfbench/` or in the acceptance module.
-Every annotated field of a class in `src/parahom` must be read there too.
-Unit tests do not count, so public code that only its own tests call is
-deleted rather than kept.  The few names and fields kept for tests alone
+Every annotated field of a class in `src/parahom` must be read there too,
+and every public method or property must be read there outside its own
+body.  Unit tests do not count, so public code that only its own tests call
+is deleted rather than kept.  The few names and fields kept for tests alone
 are listed in KEPT and KEPT_FIELDS, each with its reason, and neither list
 may go stale.
 """
@@ -143,3 +144,28 @@ def test_every_result_field_has_a_reader():
     assert sorted(unread - set(KEPT_FIELDS)) == []
     assert sorted(set(KEPT_FIELDS) - unread) == [], \
         "KEPT_FIELDS lists read fields"
+
+
+def test_every_public_method_has_a_caller():
+    """A public method or property (any decorator) of a class in the
+    package is reached when some `x.<name>` outside its own body loads it.
+    Matched by name, like the fields."""
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    loads = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.attr, []).append(node)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) \
+                        and not fn.name.startswith("_"):
+                    own = set(map(id, ast.walk(fn)))
+                    if all(id(node) in own for node in loads.get(fn.name, [])):
+                        unread.append(f"{cls.name}.{fn.name}")
+    assert unread == []

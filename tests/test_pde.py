@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from parahom import pde
-from parahom.coeffs import preset, scale_field
-from parahom.geometry import GraphDomain, LipschitzCylinder, ParabolicCube
+from parahom.coeffs import (CoefficientField, field_from_json, preset,
+                            scale_field)
+from parahom.geometry import (GraphDomain, LipschitzCylinder, ParabolicCube,
+                              flatten_pullback)
 from parahom.pde import (BoundaryData, IncompatibleDataError, ScalarField,
                          SpaceTimeGrid, graded_axis, adjoint_trace, halfspace,
                          lateral_faces, load_field, nt_trace_ratio,
@@ -302,6 +305,153 @@ class TestFactor:
         assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
 
 
+def _coo_assemble(A, grid):
+    """Flat-index COO assembly of the finite-volume operator, duplicates
+    summed by `tocsr`: an independent reference for `pde._assemble`.
+    Returns (S, {(axis, side): (cells, weights)})."""
+    d, shape, nc = grid.d, grid.shape, grid.ncells
+    strides = np.array([int(np.prod(shape[k + 1:])) for k in range(d)])
+    pts = grid.centers()
+    Avals = A(pts)
+    volumes = grid.cell_volumes().reshape(-1)
+    cell_idx = np.arange(nc).reshape(shape)
+    multi = np.indices(shape)
+
+    def cellwise(arr, k):
+        shp = [1] * d
+        shp[k] = -1
+        return np.broadcast_to(np.reshape(arr, shp), shape).reshape(-1)
+
+    rows, cols, vals, groups = [], [], [], {}
+    for k in range(d):
+        spac = cellwise(grid.axis_spacings(k), k)
+        akk = Avals[:, k, k]
+        area = volumes / spac
+        lower = tuple(slice(0, -1) if a == k else slice(None)
+                      for a in range(d))
+        L = cell_idx[lower].reshape(-1)
+        R = L + strides[k]
+        tf = area[L] / (0.5 * spac[L] / akk[L] + 0.5 * spac[R] / akk[R])
+        rows += [L, R, L, R]
+        cols += [L, R, R, L]
+        vals += [tf, tf, -tf, -tf]
+        for side in (0, 1):
+            cells = np.take(cell_idx, -side, axis=k).reshape(-1)
+            face_pts = pts[cells].copy()
+            face_pts[:, k] = (grid.lo, grid.hi)[side][k]
+            tb = A(face_pts)[:, k, k] * area[cells] / (0.5 * spac[cells])
+            rows.append(cells)
+            cols.append(cells)
+            vals.append(tb)
+            groups[(k, side)] = (cells, tb)
+        for j in range(d):
+            if j == k or not np.abs(Avals[:, k, j]).max() > 1e-14:
+                continue
+            ij = multi[j][lower].reshape(-1)
+            ok = (ij >= 1) & (ij <= shape[j] - 2)
+            Lv = L[ok]
+            Rv = Lv + strides[k]
+            akj = 0.5 * (Avals[Lv, k, j] + Avals[Rv, k, j])
+            area_f = 0.5 * (area[Lv] + area[Rv])
+            cj = cellwise(grid.axis_centers(j), j)
+            for base in (Lv, Rv):
+                span = cj[base + strides[j]] - cj[base - strides[j]]
+                w = 0.5 * akj * area_f / span
+                for col, s in ((base + strides[j], -1.0),
+                               (base - strides[j], 1.0)):
+                    rows += [Lv, Rv]
+                    cols += [col, col]
+                    vals += [s * w, -s * w]
+    S = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(nc, nc)).tocsr()
+    return S, groups
+
+
+def assert_matches_coo_reference(A, grid):
+    """The same stored pattern (so the MMD column order and the LU fill
+    hold), entries within 1e-14 max|S|, and bitwise-equal face groups."""
+    op = pde._assemble(A, grid)
+    S_ref, groups_ref = _coo_assemble(A, grid)
+    assert np.array_equal(op.S.indptr, S_ref.indptr)
+    assert np.array_equal(op.S.indices, S_ref.indices)
+    assert np.abs(op.S.data - S_ref.data).max() \
+        <= 1e-14 * np.abs(S_ref.data).max()
+    assert op.groups.keys() == groups_ref.keys()
+    for key, (cells, weights) in groups_ref.items():
+        assert np.array_equal(op.groups[key].cells, cells), key
+        assert op.groups[key].weights.tobytes() == weights.tobytes(), key
+    assert op.volumes.tobytes() == grid.cell_volumes().tobytes()
+
+
+def _random_field(d, seed, coupling):
+    """A smooth symmetric field, eigenvalues in [1.1, 2.9], its off-diagonal
+    entries scaled by coupling: 0 and roundoff (1e-16, below the 1e-14 at
+    which a pair enters) give the 2d + 1 point stencil, 1 the full one."""
+    rng = np.random.default_rng(seed)
+    amp = rng.uniform(-0.1, 0.1, (d, d, d))
+    phase = rng.uniform(0.0, 1.0, (d, d, d))
+    amp, phase = (0.5 * (x + x.transpose(1, 0, 2)) for x in (amp, phase))
+    amp *= np.where(np.eye(d, dtype=bool), 1.0, coupling)[..., None]
+
+    def ev(X):
+        waves = np.sin(2 * np.pi * (X[..., None, None, :] + phase))
+        return 2.0 * np.eye(d) + (amp * waves).sum(axis=-1)
+    return CoefficientField(ev, d=d, lam=4.0)
+
+
+class TestAssembly:
+    """`_assemble` against the flat-index COO reference."""
+
+    def test_homogenize_step_operator(self):
+        grid = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (128, 128), 0.0, 1.0, 192)
+        assert_matches_coo_reference(
+            scale_field(preset("laminate", d=2), 1 / 16), grid)
+
+    def test_trig_half_space(self):
+        assert_matches_coo_reference(
+            preset("trig", d=2),
+            halfspace(-4.0, 4.0, 2.0, 0.0, 1.0, (224, 96), 8))
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_flattened_wavy_graph(self, graded):
+        grid = small_grid()
+        if graded:
+            grid = SpaceTimeGrid.from_faces(
+                [graded_axis(-1.0, 1.0, 0.125, -4.0, 4.0),
+                 graded_axis(0.0, 0.5, 0.0625, 0.0, 2.0)], 0.0, 1.0, 8)
+        assert_matches_coo_reference(
+            flatten_pullback(WAVY, preset("trig", d=2)), grid)
+
+    def test_full_matrix_in_three_dimensions(self):
+        # the middle axis has 3 cells: C_1 has one row
+        grid = SpaceTimeGrid((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0), (6, 3, 5),
+                             0.0, 1.0, 4)
+        A = field_from_json({"entries": [
+            ["2+0.3*sin(x1)", "0.3*cos(x2+x3)", "0.2*sin(x1*x3)"],
+            ["0.3*cos(x2+x3)", "2.5+0.2*cos(x3)", "0.25*sin(x2)"],
+            ["0.2*sin(x1*x3)", "0.25*sin(x2)", "3+0.4*sin(x1+x2)"]],
+            "lam": 4.0}, d=3)
+        assert_matches_coo_reference(A, grid)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(d=st.sampled_from([2, 3]), data=st.data(),
+           seed=st.integers(0, 2 ** 16),
+           coupling=st.sampled_from([0.0, 1e-16, 1.0]))
+    def test_random_grids(self, d, data, seed, coupling):
+        # graded axes of 1 to 5 cells: 1 and 2 cells leave C_j empty, 3
+        # cells give it its one row
+        rng = np.random.default_rng(seed)
+        faces = []
+        for k in range(d):
+            n = data.draw(st.integers(1, 5), label=f"cells on axis {k}")
+            h = rng.uniform(0.2, 1.0, n)
+            faces.append(rng.uniform(-1.0, 1.0) + np.append(0.0, np.cumsum(h)))
+        grid = SpaceTimeGrid.from_faces(faces, 0.0, 1.0, 4)
+        assert_matches_coo_reference(_random_field(d, seed, coupling), grid)
+
+
 class TestNTTrace:
     def test_linear_field(self):
         grid = small_grid()
@@ -369,6 +519,37 @@ class TestQDifference:
         with pytest.raises(ValueError):
             q_difference(u, 0.3)
 
+    def test_graded_lam_axis_refused(self):
+        # the uniformity rule of SpaceTimeGrid.h, the one every reader uses
+        grid = SpaceTimeGrid.from_faces(
+            [np.linspace(-1.0, 1.0, 9),
+             graded_axis(0.0, 2.0, 0.0625, 0.0, 4.0)], 0.0, 1.0, 8)
+        u = ScalarField(grid, np.zeros((9,) + grid.shape), {})
+        with pytest.raises(ValueError, match="graded"):
+            q_difference(u, 1.0)
+
+
+class TestProbeWeights:
+    def test_one_cell_axis(self):
+        # the zero-weight upper neighbour of a one-cell axis lies past it
+        g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (8, 1), 0.0, 1.0, 4)
+        P = pde._probe_weights(g, [[0.99, 0.5], [0.5, 0.2]])
+        assert P.shape == (8, 2)
+        assert np.array_equal(P[:, 0], np.eye(8)[7])      # clipped to c[-1]
+        assert np.array_equal(P[:, 1], 0.5 * (np.eye(8)[3] + np.eye(8)[4]))
+
+    def test_reproduces_affine_functions(self):
+        g = SpaceTimeGrid.from_faces(
+            [graded_axis(-1.0, 1.0, 0.25, -3.0, 3.0), np.linspace(0.0, 1.0, 6),
+             np.linspace(-1.0, 0.0, 4)], 0.0, 1.0, 4)
+        probes = np.random.default_rng(3).uniform(
+            [-2.5, 0.1, -0.8], [2.5, 0.9, -0.2], (7, 3))
+        P = pde._probe_weights(g, probes)
+        assert np.abs(P.sum(axis=0) - 1.0).max() <= 1e-15
+        affine = g.centers() @ np.array([0.7, -1.3, 2.1]) + 0.4
+        assert np.abs(P.T @ affine - (probes @ [0.7, -1.3, 2.1] + 0.4)).max() \
+            <= 1e-14
+
 
 class TestFieldIO:
     def test_roundtrip(self, tmp_path):
@@ -399,5 +580,5 @@ class TestFieldIO:
         grid = halfspace(-2.0, 2.0, 2.0, 0.0, 0.5, (32, 16), 16)
         u = solve_impulse(preset("constant", d=2), HALF,
                           np.array([0.0, 1.0]), 0.0, grid)
-        mass0 = (u.values[0].reshape(-1) * grid.cell_volumes()).sum()
+        mass0 = (u.values[0] * grid.cell_volumes()).sum()
         assert mass0 == pytest.approx(1.0, rel=1e-12)
