@@ -70,6 +70,10 @@ def _cmd_solve(args):
     grid = _grid_from_args(args, d)
     u = solve_dirichlet(A, dom, f, grid)
     save_field(u, args.out)
+    with open(args.out + ".json", "w") as fh:     # the inputs, as given
+        json.dump({k: v for k, v in vars(args).items() if k != "fn"}, fh,
+                  sort_keys=True, indent=2)
+        fh.write("\n")
     print(f"field written to {args.out} (+ .json sidecar)")
     return 0
 

@@ -315,14 +315,18 @@ def _require_elliptic(A: CoefficientField, pts, vals, where: str) -> None:
     raises AsymmetricFieldError carrying its point; eigenvalues outside
     [1/lam - 1e-10, lam + 1e-10] raise ValueError naming their span and
     lam, with `where` naming the samples ("sampled", "cell-center", ...).
+    A non-finite value raises ValueError first.
     """
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"coefficient field {A.label} has non-finite "
+                         f"{where} values")
     asym = np.abs(vals - np.swapaxes(vals, -1, -2)).max(axis=(-1, -2))
     scale = max(1.0, float(np.abs(vals).max()))
     worst = int(np.argmax(asym))
     if asym[worst] > 1e-12 * scale:
         raise AsymmetricFieldError(pts[worst], asym[worst])
-    eigs = np.linalg.eigvalsh(0.5 * (vals + np.swapaxes(vals, -1, -2)))
-    lo, hi = float(eigs.min()), float(eigs.max())
+    lo, hi = _eig_extremes(0.5 * (vals + np.swapaxes(vals, -1, -2)))
+    lo, hi = float(lo.min()), float(hi.max())
     if lo < 1.0 / A.lam - 1e-10 or hi > A.lam + 1e-10:
         raise ValueError(
             f"coefficient field {A.label} is not uniformly elliptic with the "
@@ -367,16 +371,19 @@ class DiniModulus:
             object.__setattr__(self, name, arr)
 
 
-def _spectral_norm_sym(M: np.ndarray) -> np.ndarray:
+def _eig_extremes(M: np.ndarray):
+    """(smallest, largest) eigenvalue of each symmetric matrix in the batch
+    M, shape (..., d, d): closed form for d <= 2, which avoids eigvalsh on
+    huge batches, and eigvalsh otherwise."""
     if M.shape[-1] == 1:
-        return np.abs(M[..., 0, 0])
+        return M[..., 0, 0], M[..., 0, 0]
     if M.shape[-1] == 2:
-        # closed form, avoids eigvalsh on huge batches
         a, b, c = M[..., 0, 0], M[..., 1, 1], M[..., 0, 1]
         half_tr = 0.5 * (a + b)
         disc = np.sqrt(0.25 * (a - b) ** 2 + c * c)
-        return np.maximum(np.abs(half_tr + disc), np.abs(half_tr - disc))
-    return np.abs(np.linalg.eigvalsh(M)).max(axis=-1)
+        return half_tr - disc, half_tr + disc
+    eigs = np.linalg.eigvalsh(M)
+    return eigs[..., 0], eigs[..., -1]
 
 
 def dini_modulus(A: CoefficientField) -> DiniModulus:
@@ -410,7 +417,8 @@ def dini_modulus(A: CoefficientField) -> DiniModulus:
         # include the extreme offsets exactly
         off[: pairs // 4, -1] = rho
         off[pairs // 4: pairs // 2, -1] = -rho
-        dev = _spectral_norm_sym(A(base + off) - A(base))
+        lo, hi = _eig_extremes(A(base + off) - A(base))
+        dev = np.maximum(np.abs(hi), np.abs(lo))       # spectral norm
         top2 = np.partition(dev, dev.size - 2)[-2:]
         theta[i] = top2[1]
         half_width[i] = 0.5 * (top2[1] - top2[0])

@@ -133,7 +133,7 @@ def data_from_json(spec, d: int = 2) -> BoundaryData:
             gt = 1.0 - np.exp(-(max(t, 0.0) / ramp) ** 2)
             return gt * np.exp(-r2 / width ** 2)
 
-        return BoundaryData(ev, label="bump")
+        return BoundaryData(ev)
     if kind == "expr":
         from .coeffs import compile_expression
 
@@ -147,7 +147,7 @@ def data_from_json(spec, d: int = 2) -> BoundaryData:
             gt = 1.0 - np.exp(-(max(t, 0.0) / ramp) ** 2)
             return gt * fn(pad)
 
-        return BoundaryData(ev2, label=f"expr({spec['expr']})")
+        return BoundaryData(ev2)
     raise ValueError(f"unknown data kind {kind!r}")
 
 

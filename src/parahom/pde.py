@@ -34,7 +34,7 @@ exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Callable, NamedTuple, Optional
 
@@ -287,33 +287,47 @@ class BoundaryData:
     """
 
     evaluator: Callable
-    label: str = "data"
 
     def __call__(self, points, t):
         return np.asarray(self.evaluator(points, t), dtype=float)
 
     @staticmethod
     def zero():
-        return BoundaryData(lambda pts, t: np.zeros(len(np.atleast_1d(pts))),
-                            label="zero")
+        return BoundaryData(lambda pts, t: np.zeros(len(np.atleast_1d(pts))))
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Discrete field on a SpaceTimeGrid: values[k] at time level k."""
+    """Discrete field on a SpaceTimeGrid: values[k] at time level k.
+
+    bottom_trace is the Dirichlet data the solve applied on the bottom face
+    lam = lo: bottom_trace[k] at time level k, one value per bottom cell in
+    the order of `grid.tangential_centers()`.  The grid gives its points and
+    times.  It is None for a field no solve recorded data for (a loaded
+    field, a difference of fields, a field built by hand).
+    """
 
     grid: SpaceTimeGrid
     values: np.ndarray            # (nt+1, *shape)
-    meta: dict = field(default_factory=dict)
+    bottom_trace: Optional[np.ndarray] = None   # (nt+1, bottom cells)
 
     def __post_init__(self):
+        g = self.grid
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.nt + 1,) + self.grid.shape:
+        if v.shape != (g.nt + 1,) + g.shape:
             raise ValueError("values shape does not match grid")
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+        if self.bottom_trace is not None:
+            b = np.asarray(self.bottom_trace, dtype=float)
+            want = (g.nt + 1, g.ncells // g.shape[-1])
+            if b.shape != want:
+                raise ValueError(f"bottom trace shape {b.shape} does not "
+                                 f"match grid: expected {want}")
+            b.flags.writeable = False
+            object.__setattr__(self, "bottom_trace", b)
 
     def interpolator(self):
         from scipy.interpolate import RegularGridInterpolator
@@ -571,11 +585,11 @@ def _probe_weights(grid: SpaceTimeGrid, probes) -> np.ndarray:
 
 
 def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
-                 u0: np.ndarray, extra=None) -> ScalarField:
+                 u0: np.ndarray) -> ScalarField:
     """Full-field march from the flat state u0; f = None is zero data.
 
     f is bound to the data points of `lateral_faces(grid, dom)`.  The data
-    applied on the bottom face is recorded as meta["bottom_data"].
+    applied on the bottom face is the field's `bottom_trace`.
     """
     op = _assemble(_field_for(dom, A), grid)
     bound = f if f is not None else BoundaryData.zero()
@@ -592,12 +606,7 @@ def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
         bottom[step] = gvals[(grid.d - 1, 0)]
 
     _march(op, u0, grid.dt, grid.nt, grid.t0, data, record)
-    meta = {"coeff": A.label, "domain": type(dom).__name__,
-            "data": getattr(f, "label", None),
-            "nt_trace_convention":
-                "first interior layer with second-layer Richardson correction",
-            **(extra or {}), "bottom_data": bottom}
-    return ScalarField(grid, out.reshape((grid.nt + 1,) + grid.shape), meta)
+    return ScalarField(grid, out.reshape((grid.nt + 1,) + grid.shape), bottom)
 
 
 def solve_dirichlet(A: CoefficientField, dom, f: BoundaryData,
@@ -660,8 +669,7 @@ def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,
     idx = tuple(idx)
     u0 = np.zeros(grid.shape)
     u0[idx] = 1.0 / grid.cell_volumes()[idx]
-    return _solve_field(A, dom, None, grid, u0.reshape(-1),
-                        {"pole_X": pole_X.tolist(), "pole_t": pole_t})
+    return _solve_field(A, dom, None, grid, u0.reshape(-1))
 
 
 # ----------------------------------------------------------------------
@@ -677,14 +685,14 @@ def nt_trace_ratio(u: ScalarField, cube: ParabolicCube) -> np.ndarray:
     levels in the patch by tangential cells in the patch, C order.
     Requires the boundary data of the solve to vanish on the concentric
     4x cube (the trace hypothesis: |f| <= 1e-10 there); the field must
-    carry the bottom trace recorded by its solve, meta["bottom_data"].
+    carry the bottom trace recorded by its solve, `u.bottom_trace`.
     The check sees only the time levels the grid holds: a field whose
     march stopped early is checked up to its last level.
     """
     grid = u.grid
-    if "bottom_data" not in u.meta:
+    bd = u.bottom_trace                 # (nt+1, m_bottom)
+    if bd is None:
         raise ValueError("field has no recorded bottom boundary data")
-    bd = u.meta["bottom_data"]          # (nt+1, m_bottom)
     big = cube.scaled(4.0)
     n = grid.d - 1
     tang0 = grid.tangential_centers()
@@ -711,7 +719,8 @@ def q_difference(u: ScalarField, period: float) -> ScalarField:
     Needs a lam axis that is uniform with spacing dividing the period and
     one period of headroom above the evaluation region; the coefficient
     field of the originating solve is expected to be lam-periodic with the
-    same period.
+    same period.  Qu carries no bottom trace: its bottom layer holds
+    differences of u, not data a solve applied.
     """
     grid = u.grid
     s = period / grid.h[-1]
@@ -723,7 +732,7 @@ def q_difference(u: ScalarField, period: float) -> ScalarField:
     vals = u.values[..., s:] - u.values[..., :-s]
     ng = SpaceTimeGrid.from_faces(grid.faces[:-1] + (grid.faces[-1][:-s],),
                                   grid.t0, grid.t1, grid.nt)
-    return ScalarField(ng, vals, dict(u.meta, q_period=period))
+    return ScalarField(ng, vals)
 
 
 # ----------------------------------------------------------------------
@@ -734,13 +743,12 @@ _FIELD_MAGIC = b"PARAHOM1"
 
 
 def save_field(u: ScalarField, path: str) -> None:
-    """Write a field as little-endian binary plus a JSON metadata sidecar.
+    """Write a field's grid and values as one little-endian binary file.
 
     Layout: 8-byte magic, uint32 d, uint32 nt, uint32 shape[d], then the
     f64 face arrays per axis, f64 t0, t1, then the (nt+1) x cells payload
-    in C order.
+    in C order.  The bottom trace is not written, and no sidecar is.
     """
-    import json as _json
     import struct
 
     g = u.grid
@@ -753,15 +761,11 @@ def save_field(u: ScalarField, path: str) -> None:
             fh.write(np.ascontiguousarray(f, dtype="<f8").tobytes())
         fh.write(struct.pack("<2d", g.t0, g.t1))
         fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
-    meta = {k: v for k, v in u.meta.items() if not isinstance(v, np.ndarray)}
-    with open(path + ".json", "w") as fh:
-        _json.dump({"grid": {"lo": g.lo, "hi": g.hi, "shape": g.shape,
-                             "t0": g.t0, "t1": g.t1, "nt": g.nt},
-                    "meta": meta}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def load_field(path: str) -> ScalarField:
+    """Read a file written by `save_field`.  The file holds no bottom
+    trace, so the field returned has none."""
     import struct
 
     with open(path, "rb") as fh:
@@ -783,4 +787,4 @@ def load_field(path: str) -> ScalarField:
         vals = np.frombuffer(read(count * 8), dtype="<f8").reshape(
             (nt + 1,) + shape)
     grid = SpaceTimeGrid.from_faces(faces, t0, t1, nt)
-    return ScalarField(grid, vals.copy(), {"loaded_from": path})
+    return ScalarField(grid, vals.copy())

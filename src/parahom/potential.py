@@ -293,8 +293,7 @@ def caloric_measure_field(A: CoefficientField, dom: GraphDomain,
     def indicator(pts, t):
         px, pt = _cube_profiles(cube, pts, t, w_x, w_t)
         return px * pt
-    return solve_dirichlet(A, dom, BoundaryData(indicator,
-                                                label="measure-cube"), grid)
+    return solve_dirichlet(A, dom, BoundaryData(indicator), grid)
 
 
 # ----------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_criterion_2_heat_kernel_oracle_suite():
     vals = np.empty((grid.nt + 1,) + grid.shape)
     for k, t in enumerate(grid.times()):
         vals[k] = gauss_heat_kernel(pts - pole_X, t - tau).reshape(grid.shape)
-    hres = harnack_ratio(ScalarField(grid, vals, {}), np.zeros(1), 0.0, r)
+    hres = harnack_ratio(ScalarField(grid, vals), np.zeros(1), 0.0, r)
     xs = np.linspace(-r, r, 201)
     ls = np.linspace(1e-4, r, 201)
     P = np.stack(np.meshgrid(xs, ls, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -188,7 +188,7 @@ def test_criterion_6_solver_contracts():
             return c[0] * gt * np.exp(-(pts[:, 0] - c[1]) ** 2 / c[2])
 
         u = solve_dirichlet(A, HALF, BoundaryData(ev), grid)
-        fmax = u.meta["bottom_data"].max()
+        fmax = u.bottom_trace.max()
         worst_low = max(worst_low, -float(u.values.min()) / max(fmax, 1e-30))
         worst_high = max(worst_high,
                          (float(u.values.max()) - fmax) / max(fmax, 1e-30))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from parahom.coeffs import (AsymmetricFieldError, CoefficientField, PRESETS,
-                            DiniModulus, _require_elliptic,
+                            DiniModulus, _eig_extremes, _require_elliptic,
                             check_periodicity, compile_expression,
                             constant_matrix_field, dini_integral,
                             dini_modulus, field_from_json, preset,
@@ -63,6 +63,50 @@ class TestEllipticity:
         with pytest.raises(AsymmetricFieldError) as ei:
             require_elliptic(A)
         assert ei.value.point.shape == (2,)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_eig_extremes_match_eigvalsh(self, d):
+        G = np.random.default_rng(d).normal(size=(500, d, d))
+        M = G + np.swapaxes(G, -1, -2)
+        lo, hi = _eig_extremes(M)
+        eigs = np.linalg.eigvalsh(M)
+        scale = np.abs(eigs).max(axis=-1)
+        assert np.all(np.abs(lo - eigs[:, 0]) <= 1e-14 * scale)
+        assert np.all(np.abs(hi - eigs[:, -1]) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("eig, refused", [
+        (0.5 - 2e-10, True), (0.5 - 0.5e-10, False),
+        (2.0 + 2e-10, True), (2.0 + 0.5e-10, False)])
+    def test_band_margin(self, d, eig, refused):
+        # one eigenvalue just outside [1/lam, lam] = [0.5, 2], the others
+        # inside, in a rotated frame so that every entry is nonzero
+        Q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(d, d)))
+        M = Q @ np.diag([eig] + [1.0] * (d - 1)) @ Q.T
+        M = 0.5 * (M + M.T)
+        A = CoefficientField(
+            lambda X: np.broadcast_to(M, np.shape(X)[:-1] + (d, d)).copy(),
+            d=d, lam=2.0)
+        pts = PTS[:, :1].repeat(d, axis=1)
+        if refused:
+            with pytest.raises(ValueError, match="not uniformly elliptic"):
+                _require_elliptic(A, pts, A(pts), "sampled")
+        else:
+            _require_elliptic(A, pts, A(pts), "sampled")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_refused(self, d, bad):
+        # eigvalsh answers NaN input with zeros, NaN or LinAlgError by
+        # dimension; the closed form would let NaN through the band check
+        def ev(X):
+            out = preset("constant", d=d)(X)
+            out[..., -1, -1] = bad
+            return out
+        A = CoefficientField(ev, d=d, lam=2.0)
+        pts = PTS[:, :1].repeat(d, axis=1)
+        with pytest.raises(ValueError, match="non-finite sampled values"):
+            _require_elliptic(A, pts, A(pts), "sampled")
 
     def test_all_presets_pass(self):
         for name in PRESETS:

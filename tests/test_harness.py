@@ -315,6 +315,15 @@ class TestCli:
 
         u = load_field(field)
         assert u.grid.shape == (32, 16)
+        with open(field + ".json") as fh:
+            inputs = json.load(fh)
+        assert inputs["cmd"] == "solve" and inputs["coeff"] == "constant"
+        assert inputs["domain"] == '{"kind": "halfspace", "box": [[-4, 4]]}'
+        assert inputs["grid"] == "32,16"
+        assert inputs["box"] == "[[-4, 4], [0, 2]]"
+        assert (inputs["t0"], inputs["t1"], inputs["nt"], inputs["d"]) \
+            == (0.0, 0.5, 16, 2)
+        assert inputs["data"] is None and inputs["out"] == field
 
         csv_out = str(tmp_path / "N.csv")
         rc = main(["maximal", "--coeff", "constant",

@@ -22,7 +22,7 @@ def bump(width=0.5, center=0.0, amp=1.0):
     def ev(pts, t):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return amp * ramp(t) * np.exp(-(pts[:, 0] - center) ** 2 / width ** 2)
-    return BoundaryData(ev, label=f"bump({center},{width})")
+    return BoundaryData(ev)
 
 
 def grid(nx=96, nlam=24, nt=64, height=2.0, t1=1.0):
@@ -32,7 +32,7 @@ def grid(nx=96, nlam=24, nt=64, height=2.0, t1=1.0):
 def synthetic(g, fn):
     pts = g.centers().reshape(g.shape + (2,))
     vals = np.broadcast_to(fn(pts), (g.nt + 1,) + g.shape).copy()
-    return ScalarField(g, vals, {})
+    return ScalarField(g, vals)
 
 
 class TestNontangentialMax:
@@ -59,7 +59,7 @@ class TestNontangentialMax:
         A = preset("constant", d=2)
         u = solve_dirichlet(A, HALF, bump(), g)
         v = solve_dirichlet(A, HALF, bump(center=1.0, width=0.3), g)
-        w = ScalarField(g, u.values + v.values, {})
+        w = ScalarField(g, u.values + v.values)
         Nu = nontangential_max(u, 1.0, HALF)[BOTTOM]
         Nv = nontangential_max(v, 1.0, HALF)[BOTTOM]
         Nw = nontangential_max(w, 1.0, HALF)[BOTTOM]
@@ -190,7 +190,7 @@ class TestSolvabilityConstant:
     def test_ramp_ratio_near_one(self):
         # constant-in-x data: N(u) approaches |f| at the vertex limit
         f = BoundaryData(lambda pts, t: np.full(len(np.atleast_2d(pts)),
-                                                ramp(t)), label="ramp1")
+                                                ramp(t)))
         g = halfspace(-6.0, 6.0, 2.0, 0.0, 2.0, (96, 24), 96)
         dom = GraphDomain(m=0.0, box=((-6.0, 6.0),))
         assert solvability_ratio(preset("constant", d=2), dom, f, g) >= 0.9

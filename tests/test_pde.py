@@ -28,7 +28,7 @@ def bump_data(width=0.5, tau=0.15, center=0.0):
     def ev(pts, t):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return ramp(t, tau) * np.exp(-(pts[:, 0] - center) ** 2 / width ** 2)
-    return BoundaryData(ev, label="bump")
+    return BoundaryData(ev)
 
 
 def small_grid(nx=64, nlam=24, nt=48, t1=1.0):
@@ -81,7 +81,7 @@ class TestGrid:
 class TestSolveDirichlet:
     def test_maximum_principle_and_saturation(self):
         f = BoundaryData(lambda pts, t: np.full(len(np.atleast_2d(pts)),
-                                                ramp(t)), label="ramp1")
+                                                ramp(t)))
         u = solve_dirichlet(preset("trig", d=2), HALF, f,
                             halfspace(-8.0, 8.0, 2.0, 0.0, 6.0, (96, 24), 96))
         assert u.values.min() >= -1e-12
@@ -95,7 +95,7 @@ class TestSolveDirichlet:
         # (first layer) the truncation influence is small and u tracks x1.
         def ev(pts, t):
             return ramp(t, 0.05) * np.atleast_2d(pts)[:, 0]
-        f = BoundaryData(ev, label="x1")
+        f = BoundaryData(ev)
         L = 1.0
         grid = halfspace(-4.0, 4.0, L, 0.0, 2.0, (128, 16), 128)
         u = solve_dirichlet(preset("constant", d=2), HALF, f, grid)
@@ -109,8 +109,7 @@ class TestSolveDirichlet:
         assert np.abs(late[:, 0] - xs[sel]).max() <= 0.05  # near-trace ~ x1
 
     def test_incompatible_data_rejected(self):
-        f = BoundaryData(lambda pts, t: np.ones(len(np.atleast_2d(pts))),
-                         label="const1")
+        f = BoundaryData(lambda pts, t: np.ones(len(np.atleast_2d(pts))))
         with pytest.raises(IncompatibleDataError):
             solve_dirichlet(preset("constant", d=2), HALF, f, small_grid())
 
@@ -127,7 +126,7 @@ class TestSolveDirichlet:
                 pts = np.atleast_2d(np.asarray(pts, dtype=float))
                 return c[0] * ramp(t) * np.exp(-(pts[:, 0] - c[1]) ** 2 / c[2])
             u = solve_dirichlet(A, HALF, BoundaryData(ev), grid)
-            fmax = u.meta["bottom_data"].max()
+            fmax = u.bottom_trace.max()
             assert u.values.min() >= -1e-12 * max(1.0, fmax)
             assert u.values.max() <= fmax * (1 + 1e-12) + 1e-12
 
@@ -457,8 +456,7 @@ class TestNTTrace:
         grid = small_grid()
         lam = grid.axis_centers(1)
         vals = np.broadcast_to(lam, (grid.nt + 1,) + grid.shape).copy()
-        u = ScalarField(grid, vals,
-                        {"bottom_data": np.zeros((grid.nt + 1, 64))})
+        u = ScalarField(grid, vals, np.zeros((grid.nt + 1, 64)))
         rich = nt_trace_ratio(u, ParabolicCube(np.zeros(1), 0.5, 0.5))
         assert np.abs(rich - 1.0).max() <= 1e-12
 
@@ -466,11 +464,19 @@ class TestNTTrace:
         grid = small_grid()
         lam = grid.axis_centers(1)
         vals = np.broadcast_to(lam ** 2, (grid.nt + 1,) + grid.shape).copy()
-        u = ScalarField(grid, vals,
-                        {"bottom_data": np.zeros((grid.nt + 1, 64))})
+        u = ScalarField(grid, vals, np.zeros((grid.nt + 1, 64)))
         rich = nt_trace_ratio(u, ParabolicCube(np.zeros(1), 0.5, 0.5))
         # Richardson removes the linear bias exactly for u = lam^2
         assert np.abs(rich).max() <= 1e-12
+
+    def test_trace_shape_checked(self):
+        grid = small_grid()
+        vals = np.zeros((grid.nt + 1,) + grid.shape)
+        u = ScalarField(grid, vals, np.zeros((grid.nt + 1, 64)))
+        assert not u.bottom_trace.flags.writeable
+        for shape in [(grid.nt + 1, 24), (grid.nt, 64), (grid.nt + 1, 64, 1)]:
+            with pytest.raises(ValueError, match="bottom trace shape"):
+                ScalarField(grid, vals, np.zeros(shape))
 
     def test_trace_hypothesis_enforced(self):
         u = solve_dirichlet(preset("constant", d=2), HALF, bump_data(),
@@ -483,7 +489,7 @@ class TestWindow:
     def test_values_and_weights(self):
         grid = halfspace([-1.0], [1.0], 2.0, 0.0, 1.0, (8, 4), 4)
         vals = np.arange(5 * 8 * 4, dtype=float).reshape(5, 8, 4)
-        u = ScalarField(grid, vals, {})
+        u = ScalarField(grid, vals)
         mx = grid.axis_centers(0) > 0
         ml = np.array([True, False, True, False])
         mt = np.array([False, True, True, False, True])
@@ -501,7 +507,7 @@ class TestQDifference:
         lam = grid.axis_centers(1)
         vals = np.broadcast_to(np.sin(2 * np.pi * lam),
                                (grid.nt + 1,) + grid.shape).copy()
-        u = ScalarField(grid, vals, {})
+        u = ScalarField(grid, vals)
         qu = q_difference(u, 1.0)
         assert np.abs(qu.values).max() <= 1e-12
 
@@ -509,13 +515,24 @@ class TestQDifference:
         grid = halfspace(-1.0, 1.0, 4.0, 0.0, 1.0, (8, 64), 8)
         lam = grid.axis_centers(1)
         vals = np.broadcast_to(lam, (grid.nt + 1,) + grid.shape).copy()
-        u = ScalarField(grid, vals, {})
+        u = ScalarField(grid, vals)
         qu = q_difference(u, 1.0)
         assert np.abs(qu.values - 1.0).max() <= 1e-12
 
+    def test_difference_has_no_trace(self):
+        # Qu's bottom layer is u(., lam + 1) - u, not the zero data of u's
+        # solve, so the trace hypothesis cannot be checked on Qu
+        grid = halfspace(-2.0, 2.0, 3.0, 0.0, 0.25, (16, 24), 8)
+        u = solve_impulse(preset("laminate", d=2), HALF,
+                          np.array([0.0, 1.0]), 0.0, grid)
+        qu = q_difference(u, 1.0)
+        assert np.abs(qu.values[1:, :, 0]).max() > 0.1
+        with pytest.raises(ValueError, match="no recorded bottom"):
+            nt_trace_ratio(qu, ParabolicCube(np.zeros(1), 0.125, 0.125))
+
     def test_alignment_required(self):
         grid = halfspace(-1.0, 1.0, 4.0, 0.0, 1.0, (8, 64), 8)
-        u = ScalarField(grid, np.zeros((9,) + grid.shape), {})
+        u = ScalarField(grid, np.zeros((9,) + grid.shape))
         with pytest.raises(ValueError):
             q_difference(u, 0.3)
 
@@ -524,7 +541,7 @@ class TestQDifference:
         grid = SpaceTimeGrid.from_faces(
             [np.linspace(-1.0, 1.0, 9),
              graded_axis(0.0, 2.0, 0.0625, 0.0, 4.0)], 0.0, 1.0, 8)
-        u = ScalarField(grid, np.zeros((9,) + grid.shape), {})
+        u = ScalarField(grid, np.zeros((9,) + grid.shape))
         with pytest.raises(ValueError, match="graded"):
             q_difference(u, 1.0)
 
@@ -560,7 +577,10 @@ class TestFieldIO:
         v = load_field(path)
         assert np.array_equal(u.values, v.values)
         assert v.grid.shape == u.grid.shape
-        assert v.grid.t1 == u.grid.t1
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(v.grid.faces, u.grid.faces))
+        assert (v.grid.t0, v.grid.t1) == (u.grid.t0, u.grid.t1)
+        assert u.bottom_trace is not None and v.bottom_trace is None
 
     @pytest.mark.parametrize("keep", [14, 60, -8])
     def test_truncated_file_rejected(self, tmp_path, keep):

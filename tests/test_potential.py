@@ -309,8 +309,7 @@ class TestLocalSolvability:
         lam = grid.axis_centers(1)
         vals = np.broadcast_to(lam, (grid.nt + 1,) + grid.shape).copy()
         nb = grid.shape[0]
-        return ScalarField(grid, vals,
-                           {"bottom_data": np.zeros((grid.nt + 1, nb))})
+        return ScalarField(grid, vals, np.zeros((grid.nt + 1, nb)))
 
     def test_linear_profile_closed_form(self):
         # u = lam: trace ratio is exactly 1, so the quantity reduces to
@@ -334,7 +333,7 @@ class TestLocalSolvability:
 
     def test_zero_field_guarded(self):
         u = self._synthetic_linear()
-        z = ScalarField(u.grid, np.zeros_like(u.values), dict(u.meta))
+        z = ScalarField(u.grid, np.zeros_like(u.values), u.bottom_trace)
         assert local_solvability_ratio(
             z, ParabolicCube(np.zeros(1), 0.0, 0.5)) == 0.0
 
@@ -351,7 +350,7 @@ class TestLocalSolvability:
         cube = ParabolicCube(np.zeros(1), 0.0, 0.5)
         r1 = local_solvability_ratio(u, cube)
         r2 = local_solvability_ratio(
-            ScalarField(u.grid, 7.3 * u.values, dict(u.meta)), cube)
+            ScalarField(u.grid, 7.3 * u.values, u.bottom_trace), cube)
         assert abs(r1 - r2) <= 1e-13 * abs(r1)
 
 
@@ -370,7 +369,7 @@ def _measure_pair(r=0.5, nx=256, nt=520, seed_cubes=((3.0, 0.8), (-3.0, 0.8))):
 class TestHarnack:
     def test_constant_field(self):
         grid = halfspace(-2.0, 2.0, 2.0, -4.0, 4.0, (32, 16), 32)
-        u = ScalarField(grid, np.full((grid.nt + 1,) + grid.shape, 2.5), {})
+        u = ScalarField(grid, np.full((grid.nt + 1,) + grid.shape, 2.5))
         assert harnack_ratio(u, np.zeros(1), 0.0, 0.4) == pytest.approx(1.0)
 
     def test_gaussian_oracle(self):
@@ -385,7 +384,7 @@ class TestHarnack:
         for k, t in enumerate(grid.times()):
             vals[k] = gauss_heat_kernel(pts - pole_X, t - tau).reshape(
                 grid.shape)
-        u = ScalarField(grid, vals, {})
+        u = ScalarField(grid, vals)
         ratio = harnack_ratio(u, np.zeros(1), 0.0, r)
 
         xs = np.linspace(-r, r, 201)
@@ -405,14 +404,14 @@ class TestHarnack:
 
     def test_negativity_rejected(self):
         grid = halfspace(-2.0, 2.0, 2.0, -4.0, 4.0, (16, 8), 16)
-        u = ScalarField(grid, np.full((grid.nt + 1,) + grid.shape, -1.0), {})
+        u = ScalarField(grid, np.full((grid.nt + 1,) + grid.shape, -1.0))
         with pytest.raises(ValueError, match="nonnegative"):
             harnack_ratio(u, np.zeros(1), 0.0, 0.4)
 
     def test_scalar_invariance(self):
         u, _ = _measure_pair(nx=128, nt=260)
         r1 = harnack_ratio(u, np.zeros(1), 0.0, 0.5)
-        r2 = harnack_ratio(ScalarField(u.grid, 3.7 * u.values, dict(u.meta)),
+        r2 = harnack_ratio(ScalarField(u.grid, 3.7 * u.values, u.bottom_trace),
                            np.zeros(1), 0.0, 0.5)
         assert abs(r1 - r2) <= 1e-13 * r1
 
