@@ -58,7 +58,7 @@ def _grid_from_args(args, d):
     box = _load_spec(args.box) if args.box else [[-4.0, 4.0]] * (d - 1) + [[0.0, 4.0]]
     lo = tuple(b[0] for b in box)
     hi = tuple(b[1] for b in box)
-    return SpaceTimeGrid(lo, hi, shape, args.t0, args.t1, args.nt)
+    return SpaceTimeGrid.uniform(lo, hi, shape, args.t0, args.t1, args.nt)
 
 
 def _cmd_solve(args):

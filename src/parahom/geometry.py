@@ -75,6 +75,9 @@ class ParabolicCube:
 
     def __post_init__(self):
         cx = np.atleast_1d(np.asarray(self.center_x, dtype=float))
+        if not (np.all(np.isfinite(cx)) and np.isfinite(self.center_t)
+                and np.isfinite(self.side)):
+            raise ValueError("cube center and side must be finite")
         if self.side <= 0:
             raise ValueError("side must be positive")
         cx.flags.writeable = False

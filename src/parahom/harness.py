@@ -201,9 +201,10 @@ def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     if not isinstance(dom, LipschitzCylinder):
         raise ValueError("the homogenization experiment runs on cylinders")
     f = data_from_json(cfg.data, d=d)
-    grid = _capped(SpaceTimeGrid(tuple(lo for lo, _ in dom.base_box),
-                                 tuple(hi for _, hi in dom.base_box),
-                                 (cfg.resolution,) * d, 0.0, dom.T, cfg.nt))
+    grid = _capped(SpaceTimeGrid.uniform(tuple(lo for lo, _ in dom.base_box),
+                                         tuple(hi for _, hi in dom.base_box),
+                                         (cfg.resolution,) * d, 0.0, dom.T,
+                                         cfg.nt))
 
     em = effective_matrix(A, cfg.cell_resolution)
     Abar_field = constant_matrix_field(em.Abar, label="Abar")
@@ -374,8 +375,9 @@ def q_decay_constant(A: CoefficientField, R_cells: int) -> dict:
     R = R_cells * h
     nx = int(round(4 * R / h))
     nlam = int(round(4 * R / h))
-    grid = _capped(SpaceTimeGrid((-2 * R, 0.0), (2 * R, 4 * R), (nx, nlam),
-                                 -2 * R * R, 8 * R * R, 160))
+    grid = _capped(SpaceTimeGrid.uniform((-2 * R, 0.0), (2 * R, 4 * R),
+                                         (nx, nlam), -2 * R * R, 8 * R * R,
+                                         160))
     dom = GraphDomain(m=0.0, box=((-2 * R, 2 * R),))
     u = solve_impulse(A, dom, np.asarray([0.0, 3 * R]), -2 * R * R, grid)
     qu = q_difference(u, 1.0)
@@ -390,7 +392,7 @@ def q_decay_constant(A: CoefficientField, R_cells: int) -> dict:
     sel_t8 = (times > 0) & (times <= 8 * R * R)
     sel_m = lamc < 3 * R
     v, _ = u.window([None, sel_m], sel_t8)
-    mass = float(np.sum(v * v) * grid.cell_volume * grid.dt)
+    mass = float(np.sum(v * v) * np.prod(grid.h) * grid.dt)
     n = grid.d - 1
     denom = np.sqrt(mass / R ** (n + 3))
     return {"R_cells": R_cells, "R": R, "sup_Q": sup_q, "mass": mass,
@@ -418,8 +420,8 @@ def local_solvability_at_scale(A: CoefficientField, r: float) -> float:
     t_hi = 16.5 * r * r
     shape = (int(np.ceil((hi[0] - lo[0]) / h)), int(np.ceil(height / h)))
     nt = int(np.ceil((t_hi - t_lo) / dt))
-    full = _capped(SpaceTimeGrid(lo + (0.0,), hi + (height,), shape,
-                                 t_lo, t_hi, nt))
+    full = _capped(SpaceTimeGrid.uniform(lo + (0.0,), hi + (height,), shape,
+                                         t_lo, t_hi, nt))
     # t1 is one of the full grid's own levels, which keeps dt and every
     # kept level bitwise equal to the full grid's
     times = full.times()

@@ -53,7 +53,6 @@ __all__ = [
     "lateral_faces",
     "IncompatibleDataError",
     "graded_axis",
-    "composite_axis",
     "solve_dirichlet",
     "solve_impulse",
     "adjoint_trace",
@@ -73,41 +72,50 @@ class IncompatibleDataError(ValueError):
     """Lateral data does not vanish at the initial time."""
 
 
-def graded_axis(core_lo: float, core_hi: float, h_core: float,
-                lo: float, hi: float,
-                h_max: Optional[float] = None) -> np.ndarray:
-    """Face positions: uniform core, cells growing by 1.3x to the box ends,
-    at most h_max (default 16 h_core)."""
-    if not (lo <= core_lo < core_hi <= hi):
-        raise ValueError("core must sit inside the outer interval")
-    ncore = max(1, int(round((core_hi - core_lo) / h_core)))
-    faces = list(np.linspace(core_lo, core_hi, ncore + 1))
-    h_max = h_max if h_max is not None else 16.0 * h_core
-    h = h_core
-    while faces[-1] < hi - 1e-12 * max(1.0, abs(hi)):
-        h = min(h * _GROWTH, h_max, hi - faces[-1])
-        if hi - (faces[-1] + h) < 0.5 * h_core:
-            h = hi - faces[-1]
-        faces.append(faces[-1] + h)
-    h = h_core
-    while faces[0] > lo + 1e-12 * max(1.0, abs(lo)):
-        h = min(h * _GROWTH, h_max, faces[0] - lo)
-        if (faces[0] - h) - lo < 0.5 * h_core:
-            h = faces[0] - lo
-        faces.insert(0, faces[0] - h)
-    return np.asarray(faces)
+def _margin(start: float, h: float, wall: float, h_max: float) -> list:
+    """Faces after start up to wall > start: cells grow by 1.3x from h, at
+    most h_max, and a last cell under h / 2 joins the one before it."""
+    faces, step = [start], h
+    while faces[-1] < wall - 1e-12 * max(1.0, abs(wall)):
+        step = min(step * _GROWTH, h_max, wall - faces[-1])
+        if wall - (faces[-1] + step) < 0.5 * h:
+            step = wall - faces[-1]
+        faces.append(faces[-1] + step)
+    return faces[1:]
 
 
-def composite_axis(segments, lo: float, hi: float) -> np.ndarray:
-    """Graded axis with several uniform fine segments (lo_i, hi_i, h_i).
+def _gap(a: float, b: float, ha: float, hb: float, h_max: float) -> list:
+    """Faces strictly between a and b, growing by 1.3x from ha at a and hb
+    at b, at most h_max."""
+    L, R = [a], [b]
+    hl, hr = ha, hb
+    while R[-1] - L[-1] > 0.75 * (min(hl * _GROWTH, h_max)
+                                  + min(hr * _GROWTH, h_max)):
+        if hl <= hr:
+            hl = min(hl * _GROWTH, h_max)
+            L.append(L[-1] + hl)
+        else:
+            hr = min(hr * _GROWTH, h_max)
+            R.append(R[-1] - hr)
+    if R[-1] - L[-1] <= 1e-12 * max(1.0, abs(b) + abs(a)):
+        R.pop()
+    return (L + R[::-1])[1:-1]
 
-    Gaps between segments and the outer margins grow by 1.3x per cell from
-    both ends, up to max(16 x the coarsest segment spacing, (hi - lo)/64);
-    overlapping segments merge at the finer spacing.
+
+def graded_axis(segments, lo: float, hi: float, h_max: float) -> np.ndarray:
+    """Faces of [lo, hi] with uniform fine segments (a_i, b_i, h_i).
+
+    Segments are clipped to [lo, hi], and ones that overlap or lie within
+    1e-12 of each other merge at the finer spacing.  Each segment is
+    uniform at its spacing; the gaps between segments grow by 1.3x per cell
+    from both ends and the margins from the outer segments to lo and hi,
+    every such cell at most h_max.  The low margin is the high one's loop
+    run on negated coordinates, which negation leaves exact.  A face within
+    1e-9 x the axis scale of the one before it is dropped.
     """
-    segs = sorted((float(a), float(b), float(h)) for a, b, h in segments)
     merged = []
-    for a, b, h in segs:
+    for a, b, h in sorted((float(a), float(b), float(h))
+                          for a, b, h in segments):
         a, b = max(a, lo), min(b, hi)
         if b <= a:
             continue
@@ -118,47 +126,15 @@ def composite_axis(segments, lo: float, hi: float) -> np.ndarray:
             merged.append((a, b, h))
     if not merged:
         raise ValueError("no segment intersects the axis interval")
-    h_max = max(16.0 * max(h for _, _, h in merged), (hi - lo) / 64.0)
-
-    def uniform(a, b, h):
-        n = max(1, int(round((b - a) / h)))
-        return np.linspace(a, b, n + 1)
-
-    def gap(a, b, ha, hb):
-        """Interior faces between a and b, growing from both ends."""
-        L, R = [a], [b]
-        hl, hr = ha, hb
-        while R[-1] - L[-1] > 0.75 * (min(hl * _GROWTH, h_max)
-                                      + min(hr * _GROWTH, h_max)):
-            if hl <= hr:
-                hl = min(hl * _GROWTH, h_max)
-                L.append(L[-1] + hl)
-            else:
-                hr = min(hr * _GROWTH, h_max)
-                R.append(R[-1] - hr)
-        mid = R[-1] - L[-1]
-        if mid > 1e-12 * max(1.0, abs(b) + abs(a)):
-            out = L + list(reversed(R))
-        else:
-            out = L + list(reversed(R[:-1]))
-        return np.asarray(out[1:-1])
-
-    pieces = []
-    a0, b0, h0 = merged[0]
-    if a0 > lo + 1e-12 * max(1.0, abs(lo)):
-        left = graded_axis(a0, b0, h0, lo, b0, h_max)
-        pieces.append(left[left <= a0 + 1e-15])
+    (a0, _, h0), (_, b1, h1) = merged[0], merged[-1]
+    pieces = [[-f for f in reversed(_margin(-a0, h0, -lo, h_max))]]
     for i, (a, b, h) in enumerate(merged):
-        pieces.append(uniform(a, b, h))
-        if i + 1 < len(merged):
-            na, nb, nh = merged[i + 1]
-            pieces.append(gap(b, na, h, nh))
-    a1, b1, h1 = merged[-1]
-    if b1 < hi - 1e-12 * max(1.0, abs(hi)):
-        right = graded_axis(a1, b1, h1, a1, hi, h_max)
-        pieces.append(right[right >= b1 - 1e-15][1:])
-    faces = np.concatenate([np.atleast_1d(p) for p in pieces if len(p)])
-    faces = np.unique(faces)
+        if i:
+            pb, ph = merged[i - 1][1:]
+            pieces.append(_gap(pb, a, ph, h, h_max))
+        pieces.append(np.linspace(a, b, max(1, int(round((b - a) / h))) + 1))
+    pieces.append(_margin(b1, h1, hi, h_max))
+    faces = np.concatenate(pieces)
     keep = np.append(True, np.diff(faces) > 1e-9 * max(1.0, np.abs(faces).max()))
     return faces[keep]
 
@@ -167,38 +143,34 @@ def composite_axis(segments, lo: float, hi: float) -> np.ndarray:
 class SpaceTimeGrid:
     """Cell-centered tensor grid on a box, uniform time step.
 
-    Every grid stores one increasing face array per axis: the given ones
-    (`from_faces`, graded or not), or np.linspace(lo, hi, shape + 1) on
-    each axis.  lo, hi and shape are read back from the faces.  nt time
-    steps cover (t0, t1].  Graph and chart domains are flattened to exact
-    boxes before gridding, so every cell is inside.
+    A grid is its faces: one finite, increasing face array per axis, at
+    least one axis, graded (`graded_axis`) or uniform (`uniform`, which
+    lays np.linspace(lo, hi, shape + 1) on each axis).  lo, hi and shape
+    are read from the faces.  nt time steps cover (t0, t1], both finite.
+    Graph and chart domains are flattened to exact boxes before gridding,
+    so every cell is inside.
     """
 
-    lo: tuple
-    hi: tuple
-    shape: tuple
+    faces: tuple
     t0: float
     t1: float
     nt: int
-    faces: Optional[tuple] = None
 
     def __post_init__(self):
-        faces = self.faces
-        if faces is None:
-            if not len(self.lo) == len(self.hi) == len(self.shape):
-                raise ValueError("lo, hi, shape must share one length")
-            faces = [np.linspace(float(a), float(b), int(s) + 1)
-                     for a, b, s in zip(self.lo, self.hi, self.shape)]
-        faces = tuple(np.asarray(f, dtype=float) for f in faces)
-        for f in faces:
-            if f.ndim != 1 or f.size < 2 or np.any(np.diff(f) <= 0):
-                raise ValueError("each axis needs increasing faces with at "
-                                 "least one cell between them")
+        faces = tuple(np.asarray(f, dtype=float) for f in self.faces)
+        if not faces:
+            raise ValueError("a grid needs at least one axis")
+        for k, f in enumerate(faces):
+            if f.ndim != 1 or f.size < 2:
+                raise ValueError(f"axis {k} needs a 1-d array of >= 2 faces")
+            if not np.all(np.isfinite(f)):
+                raise ValueError(f"axis {k} has non-finite faces")
+            if np.any(np.diff(f) <= 0):
+                raise ValueError(f"axis {k} faces must strictly increase")
             f.flags.writeable = False
         object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "lo", tuple(float(f[0]) for f in faces))
-        object.__setattr__(self, "hi", tuple(float(f[-1]) for f in faces))
-        object.__setattr__(self, "shape", tuple(f.size - 1 for f in faces))
+        if not (np.isfinite(self.t0) and np.isfinite(self.t1)):
+            raise ValueError(f"t0 = {self.t0}, t1 = {self.t1} must be finite")
         if self.nt < 1 or self.t1 <= self.t0:
             raise ValueError("time interval must be nonempty with nt >= 1")
         object.__setattr__(self, "t0", float(self.t0))
@@ -206,12 +178,28 @@ class SpaceTimeGrid:
         object.__setattr__(self, "nt", int(self.nt))
 
     @classmethod
-    def from_faces(cls, faces, t0, t1, nt) -> "SpaceTimeGrid":
-        return cls((), (), (), t0, t1, nt, faces=tuple(faces))
+    def uniform(cls, lo, hi, shape, t0, t1, nt) -> "SpaceTimeGrid":
+        """Uniform grid: shape[k] equal cells from lo[k] to hi[k]."""
+        if not len(lo) == len(hi) == len(shape):
+            raise ValueError("lo, hi, shape must share one length")
+        return cls(tuple(np.linspace(float(a), float(b), int(s) + 1)
+                         for a, b, s in zip(lo, hi, shape)), t0, t1, nt)
+
+    @property
+    def lo(self) -> tuple:
+        return tuple(float(f[0]) for f in self.faces)
+
+    @property
+    def hi(self) -> tuple:
+        return tuple(float(f[-1]) for f in self.faces)
+
+    @property
+    def shape(self) -> tuple:
+        return tuple(f.size - 1 for f in self.faces)
 
     @property
     def d(self) -> int:
-        return len(self.shape)
+        return len(self.faces)
 
     @property
     def h(self) -> tuple:
@@ -248,10 +236,6 @@ class SpaceTimeGrid:
                     else self.axis_spacings(k)[m] for k, m in masks.items()]
         return reduce(np.multiply.outer, spacings, np.ones(()))
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.h))
-
     def _mesh(self, axes) -> np.ndarray:
         mesh = np.meshgrid(*[self.axis_centers(k) for k in axes], indexing="ij")
         return np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
@@ -274,7 +258,7 @@ def halfspace(x_lo, x_hi, height, t0, t1, shape, nt) -> SpaceTimeGrid:
     x_hi = np.atleast_1d(np.asarray(x_hi, dtype=float))
     lo = tuple(x_lo) + (0.0,)
     hi = tuple(x_hi) + (float(height),)
-    return SpaceTimeGrid(lo, hi, tuple(shape), t0, t1, nt)
+    return SpaceTimeGrid.uniform(lo, hi, tuple(shape), t0, t1, nt)
 
 
 @dataclass(frozen=True)
@@ -730,8 +714,8 @@ def q_difference(u: ScalarField, period: float) -> ScalarField:
     if s < 1 or s >= grid.shape[-1]:
         raise ValueError("grid does not extend one period above the region")
     vals = u.values[..., s:] - u.values[..., :-s]
-    ng = SpaceTimeGrid.from_faces(grid.faces[:-1] + (grid.faces[-1][:-s],),
-                                  grid.t0, grid.t1, grid.nt)
+    ng = SpaceTimeGrid(grid.faces[:-1] + (grid.faces[-1][:-s],),
+                       grid.t0, grid.t1, grid.nt)
     return ScalarField(ng, vals)
 
 
@@ -786,5 +770,5 @@ def load_field(path: str) -> ScalarField:
         count = (nt + 1) * int(np.prod(shape))
         vals = np.frombuffer(read(count * 8), dtype="<f8").reshape(
             (nt + 1,) + shape)
-    grid = SpaceTimeGrid.from_faces(faces, t0, t1, nt)
+    grid = SpaceTimeGrid(faces, t0, t1, nt)
     return ScalarField(grid, vals.copy())

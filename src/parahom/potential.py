@@ -73,7 +73,10 @@ class PotentialConfig:
     support, pole, elapsed time) to size the truncation margin of the
     half-space box.  Fixed: the measure and Green grids refuse axes above
     768 cells, the noise floor is 1e-8, the Green-measure region condition
-    is |(x0,0) - (x,lam)|^2 <= |t - t0|, and margins grade by 1.3x per cell.
+    is |(x0,0) - (x,lam)|^2 <= |t - t0|, and margins and the gaps between
+    fine segments grade by 1.3x per cell (`pde.graded_axis`), up to
+    max(16 h, extent / 64) on a measure-grid axis and 16 h on a Green-grid
+    axis.
     """
 
     cells_per_r: float = 16.0
@@ -161,27 +164,30 @@ def _capped(grid: SpaceTimeGrid) -> SpaceTimeGrid:
 def _measure_grid(pole: ParabolicPoint, cube: ParabolicCube,
                   cfg: PotentialConfig) -> SpaceTimeGrid:
     """Graded half-space grid: fine cells over the cube and around the pole,
-    geometrically growing cells across gaps and the truncation margin."""
-    from .pde import composite_axis
+    geometrically growing cells across gaps and the truncation margin.
 
+    On each axis the growing cells stop at h_max = max(16 h, (hi - lo)/64),
+    h the fine spacing and [lo, hi] the axis' extent.
+    """
     r = cube.side
     n = cube.center_x.size
     h = r / cfg.cells_per_r
     dt = r * r / cfg.steps_per_r2
     t_start = min(cube.center_t - r * r, pole.t) - 2 * dt
     margin = cfg.margin_mult * _config_diameter(cube, pole, t_start)
-    faces = []
+    axes = []
     for k in range(n):
-        segs = [(cube.center_x[k] - 1.5 * r, cube.center_x[k] + 1.5 * r, h)]
-        segs.append((pole.X[k] - r, pole.X[k] + r, h))
-        lo = min(s[0] for s in segs) - margin
-        hi = max(s[1] for s in segs) + margin
-        faces.append(composite_axis(segs, lo, hi))
-    lam_segs = [(0.0, 2.0 * r, h), (max(0.0, pole.X[-1] - r),
-                                    pole.X[-1] + r, h)]
-    faces.append(composite_axis(lam_segs, 0.0, pole.X[-1] + r + margin))
+        segs = [(cube.center_x[k] - 1.5 * r, cube.center_x[k] + 1.5 * r, h),
+                (pole.X[k] - r, pole.X[k] + r, h)]
+        axes.append((segs, min(s[0] for s in segs) - margin,
+                     max(s[1] for s in segs) + margin))
+    axes.append(([(0.0, 2.0 * r, h),
+                  (max(0.0, pole.X[-1] - r), pole.X[-1] + r, h)],
+                 0.0, pole.X[-1] + r + margin))
+    faces = [graded_axis(segs, lo, hi, max(16.0 * h, (hi - lo) / 64.0))
+             for segs, lo, hi in axes]
     nt = max(8, int(np.ceil((pole.t - t_start) / dt)))
-    return _capped(SpaceTimeGrid.from_faces(faces, t_start, pole.t, nt))
+    return _capped(SpaceTimeGrid(faces, t_start, pole.t, nt))
 
 
 def _require_pole_clearance(grid: SpaceTimeGrid, pole: ParabolicPoint,
@@ -385,7 +391,8 @@ class GreenField:
 
 def _green_grid(pole: ParabolicPoint, horizon: float, extra_pts,
                 cfg: PotentialConfig) -> SpaceTimeGrid:
-    """Graded grid sized by the diffusion scale sqrt(horizon).
+    """Graded grid sized by the diffusion scale sqrt(horizon), its growing
+    margin cells capped at 16 h.
 
     The core axes are aligned so the pole lands exactly on a cell center:
     the discrete impulse then carries no placement offset.
@@ -402,16 +409,16 @@ def _green_grid(pole: ParabolicPoint, horizon: float, extra_pts,
         core_lo, core_hi = min(vals) - scale, max(vals) + scale
         core_lo += (((pole.X[k] - core_lo) / h) % 1.0 - 0.5) * h
         core_hi = core_lo + np.ceil((core_hi - core_lo) / h) * h
-        faces.append(graded_axis(core_lo, core_hi, h,
-                                 core_lo - margin, core_hi + margin))
+        faces.append(graded_axis([(core_lo, core_hi, h)], core_lo - margin,
+                                 core_hi + margin, 16.0 * h))
     lam_core = max(p[-1] for p in xs) + scale
     m_lam = max(1, int(round(pole.X[-1] / h - 0.5)))
     h_lam = pole.X[-1] / (m_lam + 0.5)
     lam_core = np.ceil(lam_core / h_lam) * h_lam
-    faces.append(graded_axis(0.0, lam_core, h_lam, 0.0, lam_core + margin))
+    faces.append(graded_axis([(0.0, lam_core, h_lam)], 0.0,
+                             lam_core + margin, 16.0 * h_lam))
     nt = max(16, int(np.ceil(horizon / dt)))
-    return _capped(SpaceTimeGrid.from_faces(faces, pole.t, pole.t + horizon,
-                                            nt))
+    return _capped(SpaceTimeGrid(faces, pole.t, pole.t + horizon, nt))
 
 
 def greens_function(A: CoefficientField, dom: GraphDomain,

@@ -220,7 +220,8 @@ def test_criterion_6_solver_contracts():
     def solve_at(n):
         from parahom.pde import SpaceTimeGrid
 
-        gr = SpaceTimeGrid((-2.0, 0.0), (2.0, 2.0), (n, n // 2), 0.0, 1.0, n)
+        gr = SpaceTimeGrid.uniform((-2.0, 0.0), (2.0, 2.0), (n, n // 2),
+                                    0.0, 1.0, n)
         return solve_dirichlet(A2, dom, bump(0.5, 0.0), gr)
 
     u1, u2, u3 = solve_at(32), solve_at(64), solve_at(128)

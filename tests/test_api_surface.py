@@ -137,8 +137,7 @@ def _attribute_reads():
 def test_every_result_field_has_a_reader():
     """Matches by attribute name, not by type: a field is read when any
     `x.<field>` loads it.  Names shared between classes (pole, cube, x, t,
-    shift, cell_volume) can hide an unread field, so such fields are
-    checked by hand."""
+    shift) can hide an unread field, so such fields are checked by hand."""
     reads = _attribute_reads()
     unread = {f"{cls}.{name}" for cls, name in _fields() if name not in reads}
     assert sorted(unread - set(KEPT_FIELDS)) == []

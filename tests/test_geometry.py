@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parahom.coeffs import preset
-from parahom.geometry import (GraphDomain, LipschitzCylinder, flatten_pullback,
-                              parabolic_norm)
+from parahom.geometry import (GraphDomain, LipschitzCylinder, ParabolicCube,
+                              flatten_pullback, parabolic_norm)
 
 
 def rho_bisect(X, t):
@@ -65,6 +65,21 @@ class TestParabolicNorm:
     def test_zero_iff_origin(self):
         assert parabolic_norm(np.zeros(2), 0.0) == 0.0
         assert parabolic_norm(np.array([1e-30, 0.0]), 0.0) > 0.0
+
+
+class TestParabolicCube:
+    @pytest.mark.parametrize("center_x, center_t, side, match", [
+        ([0.0], 0.0, np.nan, "finite"),
+        ([0.0], 0.0, np.inf, "finite"),
+        ([np.nan], 0.0, 1.0, "finite"),
+        ([0.0, -np.inf], 0.0, 1.0, "finite"),
+        ([0.0], np.nan, 1.0, "finite"),
+        ([0.0], np.inf, 1.0, "finite"),
+        ([0.0], 0.0, 0.0, "positive"),
+    ])
+    def test_bad_input_refused(self, center_x, center_t, side, match):
+        with pytest.raises(ValueError, match=match):
+            ParabolicCube(np.asarray(center_x), center_t, side)
 
 
 class TestGraphDomain:

@@ -302,6 +302,22 @@ class TestCli:
                       "--grid", "16,8", "--nt", "8", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, match", [
+        (["--t1", "inf"], "must be finite"),
+        (["--t1", "nan"], "must be finite"),
+        (["--box", "[[-4, 4], [0, NaN]]"], "axis 1 has non-finite"),
+    ], ids=["t1-inf", "t1-nan", "box-nan"])
+    def test_solve_rejects_a_non_finite_grid(self, tmp_path, monkeypatch,
+                                             flags, match):
+        from parahom import cli
+
+        monkeypatch.setattr(cli, "solve_dirichlet", _no_solve)
+        out = tmp_path / "u.bin"
+        with pytest.raises(ValueError, match=match):
+            cli.main(["solve", "--coeff", "constant", "--grid", "8,4",
+                      "--nt", "4", "--out", str(out)] + flags)
+        assert not out.exists()
+
     def test_solve_and_maximal_commands(self, tmp_path):
         from parahom.cli import main
 

@@ -93,15 +93,14 @@ class TestNontangentialMax:
                 nontangential_max(u, eta, HALF)
 
     def test_graded_grid_refused(self):
-        f = graded_axis(-1.0, 1.0, 0.25, -4.0, 4.0)
-        g = SpaceTimeGrid.from_faces([f, np.linspace(0.0, 2.0, 9)],
-                                     0.0, 1.0, 4)
+        f = graded_axis([(-1.0, 1.0, 0.25)], -4.0, 4.0, 4.0)
+        g = SpaceTimeGrid((f, np.linspace(0.0, 2.0, 9)), 0.0, 1.0, 4)
         u = ScalarField(g, np.ones((g.nt + 1,) + g.shape))
         with pytest.raises(ValueError, match="graded"):
             nontangential_max(u, 1.0, HALF)
 
     def test_cylinder_cones_need_a_positive_opening(self):
-        g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (8, 8), 0.0, 0.5, 4)
+        g = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (8, 8), 0.0, 0.5, 4)
         u = ScalarField(g, np.ones((g.nt + 1,) + g.shape))
         for eta in (0.0, -1.0):
             with pytest.raises(ValueError, match="exceed"):
@@ -111,7 +110,7 @@ class TestNontangentialMax:
         # r0 = 0.05, and the faces normal to x1 have their first layer at
         # depth 0.0625: no cone reaches a cell there
         dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 0.1)), T=0.5)
-        g = SpaceTimeGrid((0.0, 0.0), (1.0, 0.1), (8, 8), 0.0, 0.5, 4)
+        g = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 0.1), (8, 8), 0.0, 0.5, 4)
         u = ScalarField(g, np.ones((g.nt + 1,) + g.shape))
         with pytest.raises(ValueError, match=r"face \(0, 0\).*r0 = 0.05"
                            r".*depth 0.0625"):
@@ -216,7 +215,8 @@ UNIT_SQUARE = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=0.5)
 
 class TestDataNorm:
     def test_constant_data_on_cylinder(self):
-        g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (24, 24), 0.0, 0.5, 24)
+        g = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (24, 24),
+                                  0.0, 0.5, 24)
         f = BoundaryData(lambda pts, t: np.full(len(pts), ramp(t)))
         for p in (1.5, 2.0, 3.0):
             exact = (4 * g.dt * sum(ramp(t) ** p for t in g.times())) ** (1 / p)
@@ -235,7 +235,8 @@ class TestDataNorm:
 
 class TestCylinderCones:
     def test_cones_stop_at_chart_height(self):
-        g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (24, 24), 0.0, 0.5, 24)
+        g = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (24, 24),
+                                  0.0, 0.5, 24)
         vals = np.zeros((g.nt + 1,) + g.shape)
         vals[:, :, 0] = 1.0                 # bottom cell layer, face (1, 0)
         fields = nontangential_max(ScalarField(g, vals), 1.0, UNIT_SQUARE)
@@ -249,7 +250,8 @@ class TestCylinderCones:
         dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=0.5)
         from parahom.pde import SpaceTimeGrid
 
-        g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (24, 24), 0.0, 0.5, 24)
+        g = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (24, 24),
+                                  0.0, 0.5, 24)
 
         def ev(pts, t):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -359,8 +361,8 @@ class TestConeOracle:
     def test_cylinder_faces(self, eta, t1, shape=(6, 5, 4)):
         dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.3),
                                           (0.0, 0.9)), T=t1)
-        g = SpaceTimeGrid((0.0, 0.0, 0.0), (1.0, 1.3, 0.9), shape,
-                          0.0, t1, 8)
+        g = SpaceTimeGrid.uniform((0.0, 0.0, 0.0), (1.0, 1.3, 0.9), shape,
+                                  0.0, t1, 8)
         u = self.field(g, 1)
         fields = nontangential_max(u, eta, dom)
         faces = lateral_faces(g, dom)
@@ -378,7 +380,7 @@ class TestConeOracle:
         self.test_cylinder_faces(eta, t1, shape=(3, 13, 5))
 
     def test_two_dimensional_cylinder(self):
-        g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (9, 7), 0.0, 0.5, 12)
+        g = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (9, 7), 0.0, 0.5, 12)
         u = self.field(g, 2)
         fields = nontangential_max(u, 1.3, UNIT_SQUARE)
         for face in lateral_faces(g, UNIT_SQUARE):
@@ -400,8 +402,8 @@ class TestConeOracle:
         # cut None: a graph face through the whole depth; otherwise every
         # face of a cylinder with r0 = cut above all first layers
         t1 = nt * dt_h2 * (lengths[0] / shape[0]) ** 2
-        g = SpaceTimeGrid((0.0,) * d, tuple(lengths[:d]), tuple(shape[:d]),
-                          0.0, t1, nt)
+        g = SpaceTimeGrid.uniform((0.0,) * d, tuple(lengths[:d]),
+                                  tuple(shape[:d]), 0.0, t1, nt)
         u = self.field(g, seed)
         cut = data.draw(st.one_of(st.none(), st.floats(1.01, 6.0)),
                         label="cut / max first-layer depth")

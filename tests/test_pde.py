@@ -35,12 +35,119 @@ def small_grid(nx=64, nlam=24, nt=48, t1=1.0):
     return halfspace(-4.0, 4.0, 2.0, 0.0, t1, (nx, nlam), nt)
 
 
+# The two face builders that `graded_axis` replaced, kept verbatim as the
+# reference it must match bitwise (one uniform core; several segments).
+_GROWTH = 1.3
+
+
+def _graded_axis_reference(core_lo, core_hi, h_core, lo, hi, h_max=None):
+    if not (lo <= core_lo < core_hi <= hi):
+        raise ValueError("core must sit inside the outer interval")
+    ncore = max(1, int(round((core_hi - core_lo) / h_core)))
+    faces = list(np.linspace(core_lo, core_hi, ncore + 1))
+    h_max = h_max if h_max is not None else 16.0 * h_core
+    h = h_core
+    while faces[-1] < hi - 1e-12 * max(1.0, abs(hi)):
+        h = min(h * _GROWTH, h_max, hi - faces[-1])
+        if hi - (faces[-1] + h) < 0.5 * h_core:
+            h = hi - faces[-1]
+        faces.append(faces[-1] + h)
+    h = h_core
+    while faces[0] > lo + 1e-12 * max(1.0, abs(lo)):
+        h = min(h * _GROWTH, h_max, faces[0] - lo)
+        if (faces[0] - h) - lo < 0.5 * h_core:
+            h = faces[0] - lo
+        faces.insert(0, faces[0] - h)
+    return np.asarray(faces)
+
+
+def _composite_axis_reference(segments, lo, hi):
+    segs = sorted((float(a), float(b), float(h)) for a, b, h in segments)
+    merged = []
+    for a, b, h in segs:
+        a, b = max(a, lo), min(b, hi)
+        if b <= a:
+            continue
+        if merged and a <= merged[-1][1] + 1e-12:
+            pa, pb, ph = merged[-1]
+            merged[-1] = (pa, max(pb, b), min(ph, h))
+        else:
+            merged.append((a, b, h))
+    if not merged:
+        raise ValueError("no segment intersects the axis interval")
+    h_max = max(16.0 * max(h for _, _, h in merged), (hi - lo) / 64.0)
+
+    def uniform(a, b, h):
+        n = max(1, int(round((b - a) / h)))
+        return np.linspace(a, b, n + 1)
+
+    def gap(a, b, ha, hb):
+        """Interior faces between a and b, growing from both ends."""
+        L, R = [a], [b]
+        hl, hr = ha, hb
+        while R[-1] - L[-1] > 0.75 * (min(hl * _GROWTH, h_max)
+                                      + min(hr * _GROWTH, h_max)):
+            if hl <= hr:
+                hl = min(hl * _GROWTH, h_max)
+                L.append(L[-1] + hl)
+            else:
+                hr = min(hr * _GROWTH, h_max)
+                R.append(R[-1] - hr)
+        mid = R[-1] - L[-1]
+        if mid > 1e-12 * max(1.0, abs(b) + abs(a)):
+            out = L + list(reversed(R))
+        else:
+            out = L + list(reversed(R[:-1]))
+        return np.asarray(out[1:-1])
+
+    pieces = []
+    a0, b0, h0 = merged[0]
+    if a0 > lo + 1e-12 * max(1.0, abs(lo)):
+        left = _graded_axis_reference(a0, b0, h0, lo, b0, h_max)
+        pieces.append(left[left <= a0 + 1e-15])
+    for i, (a, b, h) in enumerate(merged):
+        pieces.append(uniform(a, b, h))
+        if i + 1 < len(merged):
+            na, nb, nh = merged[i + 1]
+            pieces.append(gap(b, na, h, nh))
+    a1, b1, h1 = merged[-1]
+    if b1 < hi - 1e-12 * max(1.0, abs(hi)):
+        right = _graded_axis_reference(a1, b1, h1, a1, hi, h_max)
+        pieces.append(right[right >= b1 - 1e-15][1:])
+    faces = np.concatenate([np.atleast_1d(p) for p in pieces if len(p)])
+    faces = np.unique(faces)
+    keep = np.append(True, np.diff(faces) > 1e-9 * max(1.0, np.abs(faces).max()))
+    return faces[keep]
+
+
+@st.composite
+def axis_segments(draw):
+    """1-3 segments sharing one spacing h, as `_measure_grid` lays them,
+    with lo/hi margins that may be empty or clip the segments, and the
+    second segment optionally starting at the end of the first: exactly,
+    overlapping or apart by 1e-13 (these merge), or apart by 5e-12 (these
+    do not, and the near-duplicate filter drops one face)."""
+    h = draw(st.floats(0.01, 0.5), label="h")
+    segs = []
+    for i in range(draw(st.integers(1, 3), label="segments")):
+        a = draw(st.floats(-8.0, 8.0), label=f"start {i}")
+        segs.append((a, a + draw(st.floats(0.05, 4.0), label=f"length {i}"), h))
+    touch = draw(st.sampled_from([None, 0.0, 1e-13, -1e-13, 5e-12]),
+                 label="second segment start - first segment end")
+    if touch is not None and len(segs) > 1:
+        a = segs[0][1] + touch
+        segs[1] = (a, a + segs[1][1] - segs[1][0], h)
+    pad = st.one_of(st.just(0.0), st.floats(-3.0, 20.0))
+    lo = min(a for a, _, _ in segs) - draw(pad, label="low margin")
+    hi = max(b for _, b, _ in segs) + draw(pad, label="high margin")
+    return segs, lo, hi
+
+
 class TestGrid:
     def test_geometry(self):
         g = small_grid()
         assert g.d == 2
         assert g.ncells == 64 * 24
-        assert g.cell_volume == pytest.approx((8 / 64) * (2 / 24))
 
     def test_tangential_centers(self):
         g = small_grid(nx=8, nlam=4)
@@ -51,21 +158,19 @@ class TestGrid:
             tc, g.centers().reshape(8, 4, 2)[:, 0, :1])
 
     def test_graded_axis(self):
-        f = graded_axis(-1.0, 1.0, 0.125, -5.0, 7.0)
+        f = graded_axis([(-1.0, 1.0, 0.125)], -5.0, 7.0, 2.0)
         assert f[0] == pytest.approx(-5.0)
         assert f[-1] == pytest.approx(7.0)
         inner = f[(f >= -1) & (f <= 1)]
         assert np.allclose(np.diff(inner), 0.125)
-        g = SpaceTimeGrid.from_faces([f, np.linspace(0, 1, 9)], 0.0, 1.0, 4)
+        g = SpaceTimeGrid((f, np.linspace(0, 1, 9)), 0.0, 1.0, 4)
         with pytest.raises(ValueError, match="graded"):
             g.h
-        with pytest.raises(ValueError, match="graded"):
-            g.cell_volume
         assert g.cell_volumes().sum() == pytest.approx(12.0 * 1.0)
 
     def test_uniform_grid_stores_its_faces(self):
         g = small_grid(nx=8, nlam=4)
-        u = SpaceTimeGrid.from_faces(g.faces, g.t0, g.t1, g.nt)
+        u = SpaceTimeGrid(g.faces, g.t0, g.t1, g.nt)
         assert np.array_equal(g.faces[0], np.linspace(-4.0, 4.0, 9))
         assert (g.lo, g.hi, g.shape) == (u.lo, u.hi, u.shape)
         assert g.h == u.h == ((4.0 - -4.0) / 8, 2.0 / 4)
@@ -73,9 +178,72 @@ class TestGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SpaceTimeGrid((0.0,), (0.0,), (4,), 0.0, 1.0, 4)
+            SpaceTimeGrid.uniform((0.0,), (0.0,), (4,), 0.0, 1.0, 4)
         with pytest.raises(ValueError):
-            SpaceTimeGrid((0.0,), (1.0,), (4,), 0.0, 0.0, 4)
+            SpaceTimeGrid.uniform((0.0,), (1.0,), (4,), 0.0, 0.0, 4)
+        with pytest.raises(ValueError, match="axis 1 has non-finite"):
+            SpaceTimeGrid.uniform((-4.0, 0.0), (4.0, np.nan), (8, 4),
+                                  0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="at least one axis"):
+            SpaceTimeGrid.uniform((), (), (), 0.0, 1.0, 4)
+
+    @pytest.mark.parametrize("faces, t0, t1, match", [
+        ((), 0.0, 1.0, "at least one axis"),
+        ((np.array([0.0, np.nan, 1.0]),), 0.0, 1.0, "axis 0 has non-finite"),
+        ((np.linspace(0.0, 1.0, 5), np.array([0.0, np.inf])), 0.0, 1.0,
+         "axis 1 has non-finite"),
+        ((np.array([0.0, 1.0, 1.0]),), 0.0, 1.0, "axis 0 faces must strictly"),
+        ((np.linspace(0.0, 1.0, 5),), 0.0, np.inf, "must be finite"),
+        ((np.linspace(0.0, 1.0, 5),), 0.0, np.nan, "must be finite"),
+        ((np.linspace(0.0, 1.0, 5),), -np.inf, 1.0, "must be finite"),
+    ], ids=["no-axis", "nan-face", "inf-face", "flat-cell", "t1-inf",
+            "t1-nan", "t0-inf"])
+    def test_refuses_axisless_and_non_finite(self, faces, t0, t1, match):
+        with pytest.raises(ValueError, match=match):
+            SpaceTimeGrid(faces, t0, t1, 4)
+
+
+class TestGradedAxis:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(axis=axis_segments())
+    def test_matches_composite_reference(self, axis):
+        segs, lo, hi = axis
+        h = segs[0][2]
+        try:
+            want = _composite_axis_reference(segs, lo, hi)
+        except ValueError:
+            with pytest.raises(ValueError, match="no segment"):
+                graded_axis(segs, lo, hi, 16.0 * h)
+            return
+        got = graded_axis(segs, lo, hi, max(16.0 * h, (hi - lo) / 64.0))
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(a=st.floats(-8.0, 8.0), length=st.floats(0.05, 4.0),
+           h=st.floats(0.01, 0.5),
+           pads=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.01, 20.0))] * 2))
+    def test_matches_single_core_reference(self, a, length, h, pads):
+        b = a + length
+        lo, hi = a - pads[0], b + pads[1]
+        assert np.array_equal(graded_axis([(a, b, h)], lo, hi, 16.0 * h),
+                              _graded_axis_reference(a, b, h, lo, hi))
+
+    def test_segments_uniform_and_cells_capped(self):
+        segs = [(-3.0, -1.0, 0.1), (2.0, 3.0, 0.05)]
+        f = graded_axis(segs, -10.0, 12.0, 0.5)
+        assert (f[0], f[-1]) == (-10.0, 12.0)
+        assert np.all(np.diff(f) > 0)
+        outside = np.ones(f.size - 1, dtype=bool)
+        for a, b, h in segs:
+            i, j = np.searchsorted(f, [a, b])
+            assert (f[i], f[j]) == (a, b)
+            assert np.allclose(np.diff(f[i:j + 1]), h, rtol=1e-12)
+            outside[i:j] = False
+        margin_and_gap = np.diff(f)[outside]
+        assert margin_and_gap.size > 0
+        assert margin_and_gap.max() <= 0.5 * (1 + 1e-12)   # face roundoff
 
 
 class TestSolveDirichlet:
@@ -155,7 +323,8 @@ class TestSolveDirichlet:
         f = bump_data()
 
         def solve_at(n):
-            g = SpaceTimeGrid((-2.0, 0.0), (2.0, 2.0), (n, n // 2), 0.0, 1.0, n)
+            g = SpaceTimeGrid.uniform((-2.0, 0.0), (2.0, 2.0), (n, n // 2),
+                                      0.0, 1.0, n)
             return solve_dirichlet(A, dom, f, g)
 
         u1, u2, u3 = solve_at(32), solve_at(64), solve_at(128)
@@ -169,7 +338,8 @@ class TestSolveDirichlet:
 
     def test_cylinder_solve(self):
         dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=0.5)
-        grid = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (32, 32), 0.0, 0.5, 32)
+        grid = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (32, 32),
+                                     0.0, 0.5, 32)
 
         def ev(pts, t):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -266,13 +436,15 @@ class TestSolveDirichlet:
         monkeypatch.setattr(pde, "_factor", no_factor)
         A = field_from_json({"expr": "1.2+0.3*x1"})
         dom = domain_from_json({"kind": "halfspace", "box": [[-8, 8]]})
-        grid = SpaceTimeGrid((-8.0, 0.0), (8.0, 2.0), (30, 8), 0.0, 1.0, 8)
+        grid = SpaceTimeGrid.uniform((-8.0, 0.0), (8.0, 2.0), (30, 8),
+                                     0.0, 1.0, 8)
         with pytest.raises(ValueError, match=r"lam = 2: cell-center "
                            r"eigenvalues span \[-1.12, 3.52\]"):
             solve_dirichlet(A, dom, data_from_json(None), grid)
         # on [-2.4, 2.4] the cell centers hold 0.57..1.83, in [1/2, 2], but
         # the lo face x1 = -2.4 holds 0.48
-        grid = SpaceTimeGrid((-2.4, 0.0), (2.4, 2.0), (8, 8), 0.0, 1.0, 8)
+        grid = SpaceTimeGrid.uniform((-2.4, 0.0), (2.4, 2.0), (8, 8),
+                                     0.0, 1.0, 8)
         face, = lateral_faces(grid, dom)
         with pytest.raises(ValueError, match=r"face \(0, 0\) eigenvalues "
                            r"span \[0.48, 0.48\]"):
@@ -297,7 +469,8 @@ class TestFactor:
     def test_fill_reducing_order(self):
         # the default homogenize step matrix: 128^2 cells on the unit square,
         # laminate at eps = 1/16, dt = 1/192
-        grid = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (128, 128), 0.0, 1.0, 192)
+        grid = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (128, 128),
+                                     0.0, 1.0, 192)
         op = pde._assemble(scale_field(preset("laminate", d=2), 1 / 16), grid)
         mass, *_, lu = pde._factor(op, grid.dt)
         default = spla.splu((sp.diags(mass) + op.S).tocsc())
@@ -403,7 +576,8 @@ class TestAssembly:
     """`_assemble` against the flat-index COO reference."""
 
     def test_homogenize_step_operator(self):
-        grid = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (128, 128), 0.0, 1.0, 192)
+        grid = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (128, 128),
+                                     0.0, 1.0, 192)
         assert_matches_coo_reference(
             scale_field(preset("laminate", d=2), 1 / 16), grid)
 
@@ -416,16 +590,16 @@ class TestAssembly:
     def test_flattened_wavy_graph(self, graded):
         grid = small_grid()
         if graded:
-            grid = SpaceTimeGrid.from_faces(
-                [graded_axis(-1.0, 1.0, 0.125, -4.0, 4.0),
-                 graded_axis(0.0, 0.5, 0.0625, 0.0, 2.0)], 0.0, 1.0, 8)
+            grid = SpaceTimeGrid(
+                (graded_axis([(-1.0, 1.0, 0.125)], -4.0, 4.0, 2.0),
+                 graded_axis([(0.0, 0.5, 0.0625)], 0.0, 2.0, 1.0)), 0.0, 1.0, 8)
         assert_matches_coo_reference(
             flatten_pullback(WAVY, preset("trig", d=2)), grid)
 
     def test_full_matrix_in_three_dimensions(self):
         # the middle axis has 3 cells: C_1 has one row
-        grid = SpaceTimeGrid((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0), (6, 3, 5),
-                             0.0, 1.0, 4)
+        grid = SpaceTimeGrid.uniform((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0),
+                                     (6, 3, 5), 0.0, 1.0, 4)
         A = field_from_json({"entries": [
             ["2+0.3*sin(x1)", "0.3*cos(x2+x3)", "0.2*sin(x1*x3)"],
             ["0.3*cos(x2+x3)", "2.5+0.2*cos(x3)", "0.25*sin(x2)"],
@@ -447,7 +621,7 @@ class TestAssembly:
             n = data.draw(st.integers(1, 5), label=f"cells on axis {k}")
             h = rng.uniform(0.2, 1.0, n)
             faces.append(rng.uniform(-1.0, 1.0) + np.append(0.0, np.cumsum(h)))
-        grid = SpaceTimeGrid.from_faces(faces, 0.0, 1.0, 4)
+        grid = SpaceTimeGrid(faces, 0.0, 1.0, 4)
         assert_matches_coo_reference(_random_field(d, seed, coupling), grid)
 
 
@@ -538,9 +712,9 @@ class TestQDifference:
 
     def test_graded_lam_axis_refused(self):
         # the uniformity rule of SpaceTimeGrid.h, the one every reader uses
-        grid = SpaceTimeGrid.from_faces(
-            [np.linspace(-1.0, 1.0, 9),
-             graded_axis(0.0, 2.0, 0.0625, 0.0, 4.0)], 0.0, 1.0, 8)
+        grid = SpaceTimeGrid(
+            (np.linspace(-1.0, 1.0, 9),
+             graded_axis([(0.0, 2.0, 0.0625)], 0.0, 4.0, 1.0)), 0.0, 1.0, 8)
         u = ScalarField(grid, np.zeros((9,) + grid.shape))
         with pytest.raises(ValueError, match="graded"):
             q_difference(u, 1.0)
@@ -549,16 +723,16 @@ class TestQDifference:
 class TestProbeWeights:
     def test_one_cell_axis(self):
         # the zero-weight upper neighbour of a one-cell axis lies past it
-        g = SpaceTimeGrid((0.0, 0.0), (1.0, 1.0), (8, 1), 0.0, 1.0, 4)
+        g = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (8, 1), 0.0, 1.0, 4)
         P = pde._probe_weights(g, [[0.99, 0.5], [0.5, 0.2]])
         assert P.shape == (8, 2)
         assert np.array_equal(P[:, 0], np.eye(8)[7])      # clipped to c[-1]
         assert np.array_equal(P[:, 1], 0.5 * (np.eye(8)[3] + np.eye(8)[4]))
 
     def test_reproduces_affine_functions(self):
-        g = SpaceTimeGrid.from_faces(
-            [graded_axis(-1.0, 1.0, 0.25, -3.0, 3.0), np.linspace(0.0, 1.0, 6),
-             np.linspace(-1.0, 0.0, 4)], 0.0, 1.0, 4)
+        g = SpaceTimeGrid(
+            (graded_axis([(-1.0, 1.0, 0.25)], -3.0, 3.0, 4.0),
+             np.linspace(0.0, 1.0, 6), np.linspace(-1.0, 0.0, 4)), 0.0, 1.0, 4)
         probes = np.random.default_rng(3).uniform(
             [-2.5, 0.1, -0.8], [2.5, 0.9, -0.2], (7, 3))
         P = pde._probe_weights(g, probes)
@@ -595,6 +769,16 @@ class TestFieldIO:
             fh.write(data[:keep])
         with pytest.raises(ValueError, match="truncated"):
             load_field(path)
+
+    def test_axisless_header_rejected(self, tmp_path):
+        import struct
+
+        path = tmp_path / "field.bin"
+        path.write_bytes(b"PARAHOM1" + struct.pack("<2I", 0, 1)
+                         + struct.pack("<2d", 0.0, 1.0)
+                         + np.zeros(2, dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match="at least one axis"):
+            load_field(str(path))
 
     def test_impulse_mass(self):
         grid = halfspace(-2.0, 2.0, 2.0, 0.0, 0.5, (32, 16), 16)

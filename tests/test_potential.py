@@ -357,8 +357,8 @@ class TestLocalSolvability:
 def _measure_pair(r=0.5, nx=256, nt=520, seed_cubes=((3.0, 0.8), (-3.0, 0.8))):
     """Two caloric-measure fields of disjoint cubes, vanishing near 0."""
     dom = GraphDomain(m=0.0, box=((-8.0, 8.0),))
-    grid = SpaceTimeGrid((-8.0, 0.0), (8.0, 6.0), (nx, 96), -4.70,
-                         16 * r * r, nt)
+    grid = SpaceTimeGrid.uniform((-8.0, 0.0), (8.0, 6.0), (nx, 96), -4.70,
+                                 16 * r * r, nt)
     out = []
     for cx, cr in seed_cubes:
         cube = ParabolicCube(np.asarray([cx]), -4.0, cr)
