@@ -48,13 +48,14 @@ def parabolic_norm(X, t):
 
 @dataclass(frozen=True)
 class ParabolicPoint:
-    """Point (X, t) with X in R^d, d = n+1 spatial coordinates."""
+    """Point (X, t) with X in R^d, d = n+1 spatial coordinates; X is a
+    frozen copy of the coordinates given."""
 
     X: np.ndarray
     t: float
 
     def __post_init__(self):
-        X = np.atleast_1d(np.asarray(self.X, dtype=float))
+        X = np.atleast_1d(np.array(self.X, dtype=float))
         if X.ndim != 1 or X.size < 1:
             raise ValueError("X must be a 1-d coordinate vector")
         if not (np.all(np.isfinite(X)) and np.isfinite(self.t)):
@@ -67,14 +68,15 @@ class ParabolicPoint:
 @dataclass(frozen=True)
 class ParabolicCube:
     """Boundary parabolic cube Q_r(x, t): |y_i - x_i| < r, |s - t| < r^2,
-    with its center x in R^n on the boundary plane."""
+    with its center x in R^n on the boundary plane; center_x is a frozen
+    copy of the center given."""
 
     center_x: np.ndarray
     center_t: float
     side: float
 
     def __post_init__(self):
-        cx = np.atleast_1d(np.asarray(self.center_x, dtype=float))
+        cx = np.atleast_1d(np.array(self.center_x, dtype=float))
         if not (np.all(np.isfinite(cx)) and np.isfinite(self.center_t)
                 and np.isfinite(self.side)):
             raise ValueError("cube center and side must be finite")

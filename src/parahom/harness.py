@@ -188,7 +188,9 @@ def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     on the same grid as the effective problem (cancelling discretization
     bias), the sup distance is measured on the compact interior K, and the
     lateral maximal-function norm ratio is recorded.  Like the potential
-    grids, no axis may exceed 768 cells.
+    grids, no axis may exceed 768 cells.  At most one whole space-time
+    field is alive at a time: the effective field is dropped once it is
+    restricted to K, and each eps field once its row is computed.
     """
     if cfg.resolution < cfg.required_resolution():
         raise ValueError(
@@ -209,8 +211,6 @@ def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     em = effective_matrix(A, cfg.cell_resolution)
     Abar_field = constant_matrix_field(em.Abar, label="Abar")
 
-    ubar = solve_dirichlet(Abar_field, dom, f, grid)
-
     K_box, K_t = default_compact_subcylinder(dom)
     sel = []
     for k in range(d):
@@ -222,19 +222,18 @@ def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     def restrict(u):
         return u.window(sel, sel_t)[0]
 
-    ubar_K = restrict(ubar)
+    ubar_K = restrict(solve_dirichlet(Abar_field, dom, f, grid))
     p = cfg.p_list[0]
     f_norm = boundary_data_norm(f, dom, grid, p)
 
-    rows = []
-    for eps in sorted(cfg.eps_list, reverse=True):
-        Aeps = scale_field(A, eps)
-        ueps = solve_dirichlet(Aeps, dom, f, grid)
+    def row(eps):
+        ueps = solve_dirichlet(scale_field(A, eps), dom, f, grid)
         n_norm = lp_boundary_norm(nontangential_max(ueps, cfg.eta, dom), p)
         dist = float(np.abs(restrict(ueps) - ubar_K).max())
-        rows.append({"eps": eps, "distance": dist,
-                     "nt_norm": n_norm, "nt_ratio": n_norm / f_norm,
-                     "distance_over_eps": dist / eps})
+        return {"eps": eps, "distance": dist, "nt_norm": n_norm,
+                "nt_ratio": n_norm / f_norm, "distance_over_eps": dist / eps}
+
+    rows = [row(eps) for eps in sorted(cfg.eps_list, reverse=True)]
     last = [r["distance"] for r in rows[-3:]]
     verdict = all(a > b for a, b in zip(last, last[1:]))
     return ConvergenceReport(
@@ -406,10 +405,16 @@ def local_solvability_at_scale(A: CoefficientField, r: float) -> float:
     outside Q_4r, so the trace vanishes on the 4x cube while mass flows
     over T_4r.  The step is set by a grid reaching t = 16.5 r^2, but the
     march stops at that grid's first time level at or past 4 r^2: the
-    ratio reads no later level.  So the trace check sees only the kept
-    levels; the data's x-support [4.5 r, 6.5 r] lies outside |x| < 4 r at
-    every level anyway.  Like the potential grids, no axis may exceed 768
-    cells.
+    ratio reads no later level.  Like the potential grids, no axis may
+    exceed 768 cells.
+
+    The march records only the window the ratio reads: the cells with
+    |x| < 4 r and those whose lower lam face is below 4 r, at every kept
+    level.  Those x cells are every center the 4x-cube trace check tests
+    (the rest lie outside |x| < 4 r), so the check sees every point it
+    would see on the whole field, and the window reaches the height 4 r
+    exactly when the solve grid does.  The data's x-support [4.5 r, 6.5 r]
+    lies outside |x| < 4 r at every level anyway.
     """
     h = min(r / 8.0, 0.25)
     dt = r * r / 12.0
@@ -427,9 +432,14 @@ def local_solvability_at_scale(A: CoefficientField, r: float) -> float:
     times = full.times()
     k = int(np.searchsorted(times, 4.0 * r * r))
     grid = replace(full, t1=times[k], nt=k)
+    x_in = np.flatnonzero(np.abs(grid.axis_centers(0)) < 4.0 * r)
+    lam_in = np.count_nonzero(grid.faces[1][:-1] < 4.0 * r)
+    window = SpaceTimeGrid((grid.faces[0][x_in[0]:x_in[-1] + 2],
+                            grid.faces[1][:lam_in + 1]),
+                           grid.t0, grid.t1, grid.nt)
     dom = GraphDomain(m=0.0, box=((lo[0], hi[0]),))
     data_cube = ParabolicCube(np.asarray([5.5 * r]), -16.0 * r * r, r)
-    u = caloric_measure_field(A, dom, data_cube, grid)
+    u = caloric_measure_field(A, dom, data_cube, grid, window)
     return local_solvability_ratio(u, ParabolicCube(np.zeros(1), 0.0, r))
 
 

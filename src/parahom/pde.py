@@ -145,8 +145,9 @@ class SpaceTimeGrid:
 
     A grid is its faces: one finite, increasing face array per axis, at
     least one axis, graded (`graded_axis`) or uniform (`uniform`, which
-    lays np.linspace(lo, hi, shape + 1) on each axis).  lo, hi and shape
-    are read from the faces.  nt time steps cover (t0, t1], both finite.
+    lays np.linspace(lo, hi, shape + 1) on each axis), stored as frozen
+    copies of the arrays given.  lo, hi and shape are read from the faces.
+    nt time steps cover (t0, t1], both finite.
     Graph and chart domains are flattened to exact boxes before gridding,
     so every cell is inside.
     """
@@ -157,7 +158,7 @@ class SpaceTimeGrid:
     nt: int
 
     def __post_init__(self):
-        faces = tuple(np.asarray(f, dtype=float) for f in self.faces)
+        faces = tuple(np.array(f, dtype=float) for f in self.faces)
         if not faces:
             raise ValueError("a grid needs at least one axis")
         for k, f in enumerate(faces):
@@ -167,12 +168,13 @@ class SpaceTimeGrid:
                 raise ValueError(f"axis {k} has non-finite faces")
             if np.any(np.diff(f) <= 0):
                 raise ValueError(f"axis {k} faces must strictly increase")
-            f.flags.writeable = False
-        object.__setattr__(self, "faces", faces)
         if not (np.isfinite(self.t0) and np.isfinite(self.t1)):
             raise ValueError(f"t0 = {self.t0}, t1 = {self.t1} must be finite")
         if self.nt < 1 or self.t1 <= self.t0:
             raise ValueError("time interval must be nonempty with nt >= 1")
+        for f in faces:
+            f.flags.writeable = False
+        object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "t1", float(self.t1))
         object.__setattr__(self, "nt", int(self.nt))
@@ -289,6 +291,11 @@ class ScalarField:
     the order of `grid.tangential_centers()`.  The grid gives its points and
     times.  It is None for a field no solve recorded data for (a loaded
     field, a difference of fields, a field built by hand).
+
+    values is a read-only view of the float array given, not a copy: a
+    field is the largest array here, so it is never duplicated, and a
+    caller that later writes to its own array writes to the field.  The
+    bottom trace is a frozen copy.  A refused input is left as it was.
     """
 
     grid: SpaceTimeGrid
@@ -302,16 +309,18 @@ class ScalarField:
             raise ValueError("values shape does not match grid")
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        if self.bottom_trace is not None:
-            b = np.asarray(self.bottom_trace, dtype=float)
+        b = self.bottom_trace
+        if b is not None:
+            b = np.array(b, dtype=float)
             want = (g.nt + 1, g.ncells // g.shape[-1])
             if b.shape != want:
                 raise ValueError(f"bottom trace shape {b.shape} does not "
                                  f"match grid: expected {want}")
             b.flags.writeable = False
-            object.__setattr__(self, "bottom_trace", b)
+        v = v.view()
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "bottom_trace", b)
 
     def interpolator(self):
         from scipy.interpolate import RegularGridInterpolator
@@ -568,29 +577,60 @@ def _probe_weights(grid: SpaceTimeGrid, probes) -> np.ndarray:
 # public solves
 
 
-def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
-                 u0: np.ndarray) -> ScalarField:
-    """Full-field march from the flat state u0; f = None is zero data.
+def _cells_of(grid: SpaceTimeGrid, window: SpaceTimeGrid) -> tuple:
+    """Slices of grid's cells, one per axis, that make up window.
 
-    f is bound to the data points of `lateral_faces(grid, dom)`.  The data
-    applied on the bottom face is the field's `bottom_trace`.
+    Each window axis must be a run of consecutive grid faces, bit for bit,
+    and the time levels must be the grid's (same t0, t1 and nt); anything
+    else raises ValueError.
     """
+    if window.d != grid.d or (window.t0, window.t1, window.nt) \
+            != (grid.t0, grid.t1, grid.nt):
+        raise ValueError("window must have the grid's axes and time levels")
+    cells = []
+    for k, (f, w) in enumerate(zip(grid.faces, window.faces)):
+        i = int(np.searchsorted(f, w[0]))
+        if not np.array_equal(f[i:i + w.size], w):
+            raise ValueError(f"window axis {k} is not a run of grid faces")
+        cells.append(slice(i, i + w.size - 1))
+    return tuple(cells)
+
+
+def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
+                 window: SpaceTimeGrid, u0: np.ndarray) -> ScalarField:
+    """March on grid from the flat state u0 and record window at every level;
+    f = None is zero data.
+
+    window is a sub-grid of grid: contiguous runs of its faces on every
+    axis, starting at the bottom lam face, and the same time levels, so its
+    centers, volumes, times and dt are bitwise the grid's (`_cells_of`);
+    anything else raises ValueError.  Only its cells are stored, so a
+    caller that reads a box sees the full march's values there and pays
+    memory for the box alone; `solve_dirichlet` and `solve_impulse` pass
+    the whole grid.  f is bound to the data points of
+    `lateral_faces(grid, dom)`.  The data applied on the window's bottom
+    cells is the field's `bottom_trace`.
+    """
+    cells = _cells_of(grid, window)
+    if cells[-1].start:
+        raise ValueError("window must keep the grid's bottom lam layer")
     op = _assemble(_field_for(dom, A), grid)
     bound = f if f is not None else BoundaryData.zero()
     data = {face.key: partial(bound, face.points)
             for face in lateral_faces(grid, dom)}
     for key, fn in data.items():
         _check_vanishing(fn(grid.t0), grid.t0, f"face {key}")
-    out = np.empty((grid.nt + 1, grid.ncells))
-    out[0] = u0
-    bottom = np.zeros((grid.nt + 1, grid.ncells // grid.shape[-1]))
+    out = np.empty((grid.nt + 1,) + window.shape)
+    out[0] = u0.reshape(grid.shape)[cells]
+    bottom = np.zeros((grid.nt + 1,) + window.shape[:-1])
 
     def record(step, u, gvals):
-        out[step] = u
-        bottom[step] = gvals[(grid.d - 1, 0)]
+        out[step] = u.reshape(grid.shape)[cells]
+        bottom[step] = gvals[(grid.d - 1, 0)].reshape(
+            grid.shape[:-1])[cells[:-1]]
 
     _march(op, u0, grid.dt, grid.nt, grid.t0, data, record)
-    return ScalarField(grid, out.reshape((grid.nt + 1,) + grid.shape), bottom)
+    return ScalarField(window, out, bottom.reshape(grid.nt + 1, -1))
 
 
 def solve_dirichlet(A: CoefficientField, dom, f: BoundaryData,
@@ -601,7 +641,7 @@ def solve_dirichlet(A: CoefficientField, dom, f: BoundaryData,
     lives on {lam > 0}.  Cylinders use the grid box as the base and carry f
     on every lateral face.  Data must vanish at t0.
     """
-    return _solve_field(A, dom, f, grid, np.zeros(grid.ncells))
+    return _solve_field(A, dom, f, grid, grid, np.zeros(grid.ncells))
 
 
 def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid, probes,
@@ -653,7 +693,7 @@ def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,
     idx = tuple(idx)
     u0 = np.zeros(grid.shape)
     u0[idx] = 1.0 / grid.cell_volumes()[idx]
-    return _solve_field(A, dom, None, grid, u0.reshape(-1))
+    return _solve_field(A, dom, None, grid, grid, u0.reshape(-1))
 
 
 # ----------------------------------------------------------------------

@@ -33,8 +33,8 @@ import numpy as np
 from .coeffs import CoefficientField
 from .geometry import GraphDomain, ParabolicCube, ParabolicPoint, parabolic_norm
 from .pde import (BoundaryData, ScalarField, SpaceTimeGrid, _check_vanishing,
-                  adjoint_trace, graded_axis, lateral_faces, nt_trace_ratio,
-                  solve_dirichlet, solve_impulse)
+                  _solve_field, adjoint_trace, graded_axis, lateral_faces,
+                  nt_trace_ratio, solve_impulse)
 
 __all__ = [
     "PotentialConfig",
@@ -291,15 +291,24 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
 
 
 def caloric_measure_field(A: CoefficientField, dom: GraphDomain,
-                          cube: ParabolicCube,
-                          grid: SpaceTimeGrid) -> ScalarField:
-    """Full space-time field u(X, t) = omega^{(X, t)}(cube) on a given grid."""
+                          cube: ParabolicCube, grid: SpaceTimeGrid,
+                          window: SpaceTimeGrid) -> ScalarField:
+    """u(X, t) = omega^{(X, t)}(cube), marched on grid, recorded on window.
+
+    The data is the cube's indicator mollified by one fine cell of grid and
+    one step.  window is a sub-grid of grid (runs of its faces, the same
+    time levels; see `pde._solve_field`): the field holds the march's
+    values on the window's cells alone, bit for bit, and the data on the
+    window's bottom cells as its bottom trace.  Pass grid itself to keep
+    the whole field.
+    """
     w_x, w_t = _fine_spacing(grid), grid.dt
 
     def indicator(pts, t):
         px, pt = _cube_profiles(cube, pts, t, w_x, w_t)
         return px * pt
-    return solve_dirichlet(A, dom, BoundaryData(indicator), grid)
+    return _solve_field(A, dom, BoundaryData(indicator), grid, window,
+                        np.zeros(grid.ncells))
 
 
 # ----------------------------------------------------------------------

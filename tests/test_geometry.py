@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from parahom.coeffs import preset
 from parahom.geometry import (GraphDomain, LipschitzCylinder, ParabolicCube,
-                              flatten_pullback, parabolic_norm)
+                              ParabolicPoint, flatten_pullback,
+                              parabolic_norm)
 
 
 def rho_bisect(X, t):
@@ -80,6 +81,19 @@ class TestParabolicCube:
     def test_bad_input_refused(self, center_x, center_t, side, match):
         with pytest.raises(ValueError, match=match):
             ParabolicCube(np.asarray(center_x), center_t, side)
+
+    def test_coordinates_are_frozen_copies(self):
+        # a point or cube that is built and one that is refused both leave
+        # the caller's array writable; their own arrays are read-only
+        x = np.array([0.5, 1.0])
+        cube, point = ParabolicCube(x, 0.0, 1.0), ParabolicPoint(x, 2.0)
+        with pytest.raises(ValueError, match="positive"):
+            ParabolicCube(x, 0.0, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ParabolicPoint(x, np.nan)
+        x[0] = 7.0
+        assert cube.center_x[0] == point.X[0] == 0.5
+        assert not (cube.center_x.flags.writeable or point.X.flags.writeable)
 
 
 class TestGraphDomain:

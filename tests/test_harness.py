@@ -20,6 +20,38 @@ def _no_solve(*args):
     raise AssertionError("solved before the input was checked")
 
 
+def _traced_peak(run):
+    """Peak bytes traced by tracemalloc (numpy's buffers included) during
+    a second call of run, after a warm first one."""
+    import tracemalloc
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _whole_field_ratio(A, dom, cube, grid, r):
+    """The local-solvability field and ratio through a whole-grid
+    solve_dirichlet with the mollified indicator of cube: the route before
+    the march recorded a window, kept as a reference."""
+    from parahom.geometry import ParabolicCube
+    from parahom.pde import BoundaryData, solve_dirichlet
+    from parahom.potential import (_cube_profiles, _fine_spacing,
+                                   local_solvability_ratio)
+
+    w_x, w_t = _fine_spacing(grid), grid.dt
+
+    def indicator(pts, t):
+        px, pt = _cube_profiles(cube, pts, t, w_x, w_t)
+        return px * pt
+    u = solve_dirichlet(A, dom, BoundaryData(indicator), grid)
+    return u, local_solvability_ratio(u, ParabolicCube(np.zeros(1), 0.0, r))
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
@@ -128,6 +160,16 @@ class TestHomogenization:
         assert eps == sorted(eps, reverse=True)
         assert all(r["distance"] >= 0 for r in small_report.rows)
 
+    def test_one_field_alive_at_a_time(self):
+        # the effective field dies once restricted to K and each eps field
+        # with its row: the traced peak is one field plus the cone scan's
+        # temporaries, 1.71 fields, against 3.54 with three alive
+        cfg = ExperimentConfig(coeff="laminate", eps_list=(0.5, 0.25),
+                               resolution=64, nt=64, cell_resolution=16)
+        field = (cfg.nt + 1) * cfg.resolution ** 2 * 8
+        peak = _traced_peak(lambda: homogenization_experiment(cfg))
+        assert peak < 2.5 * field
+
     def test_constant_coefficients_collapse(self):
         cfg = ExperimentConfig(coeff="constant", eps_list=(0.5, 0.25),
                                resolution=32, nt=24, cell_resolution=16)
@@ -210,21 +252,96 @@ class TestSweep:
             grids.append(grid)
             return grid
 
-        def record(A, dom, cube, grid):
-            grids.append(grid)
+        def record(A, dom, cube, grid, window):
+            grids.extend((grid, window))
             raise RuntimeError("recorded")
 
         monkeypatch.setattr(harness, "_capped", capped)
         monkeypatch.setattr(harness, "caloric_measure_field", record)
         with pytest.raises(RuntimeError, match="recorded"):
             local_solvability_at_scale(preset("trig", d=2), r)
-        full, grid = grids
+        full, grid, window = grids
         assert full.t1 == 16.5 * r * r
         assert (grid.lo, grid.hi, grid.shape) == (full.lo, full.hi,
                                                   full.shape)
         assert grid.dt == full.dt
         assert np.array_equal(grid.times(), full.times()[:grid.nt + 1])
         assert grid.times()[-1] >= 4 * r * r > grid.times()[-2]
+        # the recorded window is runs of the full grid's faces on the kept
+        # levels, bit for bit: |x| < 4 r, and lam cells up to 4 r
+        for f, w in zip(full.faces, window.faces):
+            i = int(np.searchsorted(f, w[0]))
+            assert f[i:i + w.size].tobytes() == w.tobytes()
+        xc = full.axis_centers(0)
+        assert window.axis_centers(0).tobytes() \
+            == xc[np.abs(xc) < 4 * r].tobytes()
+        assert window.faces[1][0] == 0.0
+        assert window.faces[1][-2] < 4 * r <= window.faces[1][-1]
+        assert (window.t0, window.t1, window.nt) == (grid.t0, grid.t1,
+                                                     grid.nt)
+        assert window.times().tobytes() \
+            == full.times()[:grid.nt + 1].tobytes()
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
+    def test_windowed_march_matches_the_whole_field(self, monkeypatch, r):
+        # the reference is the whole-grid route: solve_dirichlet with the
+        # same mollified indicator data, every cell stored
+        import parahom.harness as harness
+
+        march = harness.caloric_measure_field
+        seen = []
+
+        def windowed(*args):
+            seen.append(args)
+            seen.append(march(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(harness, "caloric_measure_field", windowed)
+        ratio = local_solvability_at_scale(preset("trig", d=2), r)
+        (A, dom, cube, grid, _), u = seen
+        whole, whole_ratio = _whole_field_ratio(A, dom, cube, grid, r)
+        assert ratio == whole_ratio
+        x0 = int(np.searchsorted(grid.faces[0], u.grid.faces[0][0]))
+        cells = (slice(None), slice(x0, x0 + u.grid.shape[0]),
+                 slice(0, u.grid.shape[1]))
+        assert u.values.tobytes() == whole.values[cells].tobytes()
+
+    def test_windowed_trace_check_sees_the_4x_cube_edge(self, monkeypatch):
+        # data moved inside the 4x cube, onto its outermost cell column
+        # alone (centers 3.9375 and 3.8125 at r = 1, the ramp starts at
+        # 3.8375), still fails the trace check
+        import parahom.harness as harness
+        from parahom.geometry import ParabolicCube
+
+        march = harness.caloric_measure_field
+
+        def moved(A, dom, cube, grid, window):
+            inside = ParabolicCube(np.asarray([4.4]), -8.0, 0.5)
+            return march(A, dom, inside, grid, window)
+
+        monkeypatch.setattr(harness, "caloric_measure_field", moved)
+        with pytest.raises(ValueError, match="does not vanish on the 4x"):
+            local_solvability_at_scale(preset("trig", d=2), 1.0)
+
+    def test_local_solvability_stores_its_window_alone(self,
+                                                             monkeypatch):
+        # the march stores the 4x-cube window, 0.38 of the whole field at
+        # r = 1; with the solve and ratio temporaries the traced peak is
+        # 0.52 of the field's bytes, and 1.19 when every cell is stored
+        import parahom.harness as harness
+
+        march = harness.caloric_measure_field
+        grids = []
+
+        def seen(A, dom, cube, grid, window):
+            grids.append(grid)
+            return march(A, dom, cube, grid, window)
+
+        monkeypatch.setattr(harness, "caloric_measure_field", seen)
+        A = preset("trig", d=2)
+        peak = _traced_peak(lambda: local_solvability_at_scale(A, 1.0))
+        grid = grids[-1]
+        assert peak < 0.6 * (grid.nt + 1) * grid.ncells * 8
 
     def test_dat_columns_parse(self, tmp_path):
         # a missing error bar is nan and flags are 0/1, so columns line up

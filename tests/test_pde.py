@@ -202,6 +202,17 @@ class TestGrid:
         with pytest.raises(ValueError, match=match):
             SpaceTimeGrid(faces, t0, t1, 4)
 
+    def test_faces_are_frozen_copies(self):
+        # neither a grid that is built nor one refused after its faces are
+        # checked freezes the caller's arrays; the grid's own are read-only
+        f, lam = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3)
+        g = SpaceTimeGrid((f, lam), 0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="must be finite"):
+            SpaceTimeGrid((f, lam), 0.0, np.nan, 4)
+        f[0] = lam[0] = -1.0
+        assert g.faces[0][0] == g.faces[1][0] == 0.0
+        assert not any(a.flags.writeable for a in g.faces)
+
 
 class TestGradedAxis:
     @settings(max_examples=300, deadline=None, derandomize=True,
@@ -673,6 +684,46 @@ class TestWindow:
         assert w.sum() == pytest.approx(4 * 0.25 * 2 * 0.5)
         v_all, _ = u.window([None, ml], mt)
         assert v_all.shape == (3, 8, 2)
+
+
+class TestScalarField:
+    def test_values_are_a_frozen_view_and_the_trace_a_copy(self):
+        # a field is never copied: values shares the caller's memory
+        # through a read-only view, and the caller's arrays stay writable
+        grid = halfspace([-1.0], [1.0], 2.0, 0.0, 1.0, (8, 4), 4)
+        vals, trace = np.zeros((5, 8, 4)), np.zeros((5, 8))
+        u = ScalarField(grid, vals, trace)
+        assert np.shares_memory(u.values, vals)
+        assert not np.shares_memory(u.bottom_trace, trace)
+        assert not (u.values.flags.writeable
+                    or u.bottom_trace.flags.writeable)
+        vals[0, 0, 0] = trace[0, 0] = 1.0
+        assert u.values[0, 0, 0] == 1.0 and u.bottom_trace[0, 0] == 0.0
+
+    def test_refused_input_stays_writable(self):
+        grid = halfspace([-1.0], [1.0], 2.0, 0.0, 1.0, (8, 4), 4)
+        vals, trace = np.zeros((5, 8, 4)), np.zeros((5, 8))
+        with pytest.raises(ValueError, match="bottom trace shape"):
+            ScalarField(grid, vals, np.zeros((5, 3)))
+        bad = np.full((5, 8, 4), np.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            ScalarField(grid, bad, trace)
+        vals[0, 0, 0] = bad[0, 0, 0] = trace[0, 0] = 1.0
+
+
+    @pytest.mark.parametrize("window, match", [
+        (lambda g: SpaceTimeGrid((g.faces[0][2:6], g.faces[1][1:]),
+                                 g.t0, g.t1, g.nt), "bottom lam layer"),
+        (lambda g: SpaceTimeGrid((g.faces[0][2:6] + 1e-3, g.faces[1]),
+                                 g.t0, g.t1, g.nt), "axis 0 is not a run"),
+        (lambda g: SpaceTimeGrid(g.faces, g.t0, g.t1, g.nt - 1),
+         "time levels"),
+    ], ids=["off-bottom", "off-faces", "other-levels"])
+    def test_recorded_window_must_be_a_sub_grid(self, window, match):
+        grid = small_grid(nx=8, nlam=4, nt=4)
+        with pytest.raises(ValueError, match=match):
+            pde._solve_field(preset("constant", d=2), HALF, None, grid,
+                             window(grid), np.zeros(grid.ncells))
 
 
 class TestQDifference:
