@@ -237,10 +237,12 @@ class LipschitzCylinder:
             raise ValueError("base box bounds must be finite")
         if any(hi <= lo for lo, hi in box):
             raise ValueError("base box intervals must be nonempty")
-        if self.T <= 0:
-            raise ValueError("final time T must be positive")
+        T = float(self.T)
+        if not (np.isfinite(T) and T > 0):
+            raise ValueError(f"final time T must be finite and positive, "
+                             f"got {T}")
         object.__setattr__(self, "base_box", box)
-        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "T", T)
 
     @property
     def d(self) -> int:

@@ -28,6 +28,10 @@ width is not bounded by a corner's step, the filter's cost does not grow
 with that width, and perfbench counts cone-scan work by that call.
 Offsets on the other tangential axes (d = 3) shift whole rows of the
 staircase max.
+
+scipy.ndimage is imported on the first cone scan, inside this module's
+`maximum_filter1d`, so `import parahom` does not load it for runs that
+never scan a cone (`parahom cell`, for one).
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from itertools import product
 from typing import Dict, Sequence
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .geometry import GraphDomain
 from .pde import (BoundaryData, LateralFace, ScalarField, SpaceTimeGrid,
@@ -141,6 +144,18 @@ def _corners(rho: float, dx2_lead: float, h: float, n: int, dt: float,
             corners.pop()
         corners.append((o, w))
     return corners
+
+
+def maximum_filter1d(a, **kwargs):
+    """scipy.ndimage.maximum_filter1d, imported on its first call.
+
+    It stays a module-level name that `_staircase` looks up in this
+    module's globals, so perfbench's wrapper of `maximal.maximum_filter1d`
+    still sees every call.
+    """
+    from scipy.ndimage import maximum_filter1d as filter1d
+
+    return filter1d(a, **kwargs)
 
 
 def _staircase(layer: np.ndarray, corners: list, bufs) -> np.ndarray:

@@ -4,13 +4,17 @@ Everything here is independent of the grid solver: free-space Gaussian
 kernels, the image-subtracted half-space Green function, the half-space
 boundary kernel density and its cube integrals by erf-reduced quadrature.
 These anchor the accuracy tests of the discrete caloric-measure pipeline.
+
+scipy.integrate (`quad`) and scipy.special (`erf`) are imported inside the
+functions that call them, not at module level.  scipy.integrate pulls in
+scipy.optimize, spatial, fft and constants, and of the CLI runs only the
+sweep's oracle rows reach this code, so `import parahom` does not load
+them and `parahom cell` and `parahom homogenize` never load scipy.integrate.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf
 
 __all__ = [
     "gauss_heat_kernel",
@@ -79,6 +83,8 @@ def halfspace_kernel(z, lam, tau, y, s):
 
 def _erf_box_factor(z, x0, r, dt):
     """Product over tangential axes of the x-integrated Gaussian factor."""
+    from scipy.special import erf
+
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     w = np.sqrt(4.0 * dt)
@@ -90,6 +96,8 @@ def _erf_box_factor(z, x0, r, dt):
 
 def halfspace_measure(z, lam, tau, x0, t0, r):
     """omega^{(Z, tau)}(Q_r(x0, t0)) by exact-in-x erf reduction + 1d quadrature."""
+    from scipy.integrate import quad
+
     s_lo = t0 - r * r
     s_hi = min(t0 + r * r, tau)
     if s_hi <= s_lo:

@@ -206,8 +206,15 @@ class SpaceTimeGrid:
     @property
     def h(self) -> tuple:
         """Uniform spacings (f[-1] - f[0]) / cells; a graded axis raises
-        ValueError."""
-        if not all(np.allclose(np.diff(f), f[1] - f[0]) for f in self.faces):
+        ValueError.
+
+        An axis is uniform when every spacing equals the first up to the
+        roundoff of the axis' coordinates, 8 eps max|f|.  The rule has no
+        absolute scale, so an axis reads the same at every zoom and offset.
+        """
+        eps = np.finfo(float).eps
+        if any(np.abs(np.diff(f) - (f[1] - f[0])).max()
+               > 8 * eps * np.abs(f).max() for f in self.faces):
             raise ValueError("grid is graded; use axis_spacings")
         return tuple(float((f[-1] - f[0]) / (f.size - 1)) for f in self.faces)
 
@@ -790,24 +797,35 @@ def save_field(u: ScalarField, path: str) -> None:
 def load_field(path: str) -> ScalarField:
     """Read a file written by `save_field`.  The file holds no bottom
     trace, so the field returned has none."""
+    import math
+    import os
     import struct
 
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
         def read(n):
-            buf = fh.read(n)
-            if len(buf) != n:
-                raise ValueError(f"field file {path} is truncated: expected "
-                                 f"{n} more bytes, found {len(buf)}")
-            return buf
+            # checked against the file's size first: a corrupt header word
+            # must not make fh.read allocate terabytes
+            if fh.tell() + n > size:
+                raise ValueError(f"field file {path} is truncated: reading on "
+                                 f"needs {fh.tell() + n} bytes, the file "
+                                 f"holds {size}")
+            return fh.read(n)
 
         if fh.read(8) != _FIELD_MAGIC:
             raise ValueError("not a parahom field file")
         d, nt = struct.unpack("<2I", read(8))
         shape = struct.unpack(f"<{d}I", read(4 * d))
+        count = (nt + 1) * math.prod(shape)
+        need = fh.tell() + 8 * (sum(shape) + d) + 16 + 8 * count
+        if need != size:
+            what = "is truncated" if need > size else "has trailing bytes"
+            raise ValueError(f"field file {path} {what}: its header implies "
+                             f"{need} bytes, the file holds {size}")
         faces = [np.frombuffer(read(8 * (shape[k] + 1)), dtype="<f8")
                  for k in range(d)]
         t0, t1 = struct.unpack("<2d", read(16))
-        count = (nt + 1) * int(np.prod(shape))
         vals = np.frombuffer(read(count * 8), dtype="<f8").reshape(
             (nt + 1,) + shape)
     grid = SpaceTimeGrid(faces, t0, t1, nt)

@@ -188,6 +188,14 @@ class TestCylinder:
         with pytest.raises(ValueError, match="finite"):
             LipschitzCylinder(base_box=box, T=1.0)
 
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_nonfinite_T_rejected(self, T):
+        with pytest.raises(ValueError, match="final time T"):
+            LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=T)
+        with pytest.raises(ValueError, match="final time T"):
+            LipschitzCylinder.from_json({"base_box": [[0, 1], [0, 1]],
+                                         "T": T})
+
     def test_json(self):
         dom = LipschitzCylinder.from_json(
             {"base_box": [[0, 1], [0, 1]], "T": 2.0})

@@ -168,6 +168,19 @@ class TestGrid:
             g.h
         assert g.cell_volumes().sum() == pytest.approx(12.0 * 1.0)
 
+    @pytest.mark.parametrize("faces", [[0.0, 1e-9, 4e-9],
+                                       [1e6, 1e6 + 1.0, 1e6 + 2.00001]],
+                             ids=["tiny", "offset"])
+    def test_uniformity_rule_is_scale_free(self, faces):
+        # each graded axis passes an absolute-tolerance closeness test;
+        # linspace axes over the same span must still read uniform
+        lo, hi = faces[0], faces[-1]
+        for n in (1, 3, 128, 1000):
+            g = SpaceTimeGrid.uniform((lo,), (hi,), (n,), 0.0, 1.0, 4)
+            assert g.h == ((hi - lo) / n,)
+        with pytest.raises(ValueError, match="graded"):
+            SpaceTimeGrid((np.array(faces),), 0.0, 1.0, 4).h
+
     def test_uniform_grid_stores_its_faces(self):
         g = small_grid(nx=8, nlam=4)
         u = SpaceTimeGrid(g.faces, g.t0, g.t1, g.nt)
@@ -807,9 +820,19 @@ class TestFieldIO:
         assert (v.grid.t0, v.grid.t1) == (u.grid.t0, u.grid.t1)
         assert u.bottom_trace is not None and v.bottom_trace is None
 
-    @pytest.mark.parametrize("keep", [14, 60, -8])
-    def test_truncated_file_rejected(self, tmp_path, keep):
+    @pytest.mark.parametrize("corrupt", [
         # cut inside the header (d/nt words, face arrays) and the payload
+        pytest.param(lambda data: data[:14], id="14"),
+        pytest.param(lambda data: data[:60], id="60"),
+        pytest.param(lambda data: data[:-8], id="-8"),
+        # whole file, but nt or shape[1] set to 2**32 - 1: the header
+        # promises terabytes, to be refused before anything is read
+        pytest.param(lambda data: data[:12] + b"\xff" * 4 + data[16:],
+                     id="nt"),
+        pytest.param(lambda data: data[:20] + b"\xff" * 4 + data[24:],
+                     id="shape"),
+    ])
+    def test_truncated_file_rejected(self, tmp_path, corrupt):
         u = solve_dirichlet(preset("constant", d=2), HALF, bump_data(),
                             small_grid(nx=16, nlam=8, nt=8))
         path = str(tmp_path / "field.bin")
@@ -817,9 +840,19 @@ class TestFieldIO:
         with open(path, "rb") as fh:
             data = fh.read()
         with open(path, "wb") as fh:
-            fh.write(data[:keep])
+            fh.write(corrupt(data))
         with pytest.raises(ValueError, match="truncated"):
             load_field(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # a header that promises less than the file holds is corrupt too
+        u = solve_dirichlet(preset("constant", d=2), HALF, bump_data(),
+                            small_grid(nx=16, nlam=8, nt=8))
+        path = tmp_path / "field.bin"
+        save_field(u, str(path))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_field(str(path))
 
     def test_axisless_header_rejected(self, tmp_path):
         import struct
