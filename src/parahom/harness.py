@@ -116,15 +116,25 @@ def domain_from_json(spec, d: int = 2):
     raise ValueError(f"unknown domain kind {spec.get('kind')!r}")
 
 
+def _positive(spec, key: str, default: float) -> float:
+    """spec[key] (default if absent) as a finite positive float."""
+    val = float(spec.get(key, default))
+    if not (np.isfinite(val) and val > 0):
+        raise ValueError(f"data {key!r} must be finite and positive, "
+                         f"got {val}")
+    return val
+
+
 def data_from_json(spec, d: int = 2) -> BoundaryData:
-    """Boundary data from a config dict; default is a smooth ramped bump."""
+    """Boundary data from a config dict; default is a smooth ramped bump.
+    The time ramp and the bump's width must be finite and positive."""
     if spec is None:
         spec = {"kind": "bump"}
     kind = spec.get("kind", "bump")
     if kind == "bump":
         center = np.asarray(spec.get("center", [0.5] + [0.0] * (d - 1)), dtype=float)
-        width = float(spec.get("width", 0.25))
-        ramp = float(spec.get("ramp", 0.1))
+        width = _positive(spec, "width", 0.25)
+        ramp = _positive(spec, "ramp", 0.1)
 
         def ev(pts, t):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -138,7 +148,7 @@ def data_from_json(spec, d: int = 2) -> BoundaryData:
         from .coeffs import compile_expression
 
         fn = compile_expression(spec["expr"], d)
-        ramp = float(spec.get("ramp", 0.1))
+        ramp = _positive(spec, "ramp", 0.1)
 
         def ev2(pts, t):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))

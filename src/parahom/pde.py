@@ -21,6 +21,9 @@ march of the same step matrix, the exact discrete adjoint: it records the
 discrete caloric kernel of the probes on one face group (one solve per step
 for each probe, and no symmetry of the operator), so the final probe values
 of any data on that face are a sum of the kernel against the data.
+The probe weights P of that read (`_probe_weights`, multilinear between
+cell centers) are the one point-read rule: `ScalarField.value_at` applies
+the same P to the two time levels around t.
 
 The operator is in divergence form, the discrete divergence of the face
 fluxes: S = sum_k D_k^T F_k + B, with D_k the difference across the k-faces
@@ -329,18 +332,24 @@ class ScalarField:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "bottom_trace", b)
 
-    def interpolator(self):
-        from scipy.interpolate import RegularGridInterpolator
-
-        axes = (self.grid.times(),) + tuple(
-            self.grid.axis_centers(k) for k in range(self.grid.d))
-        return RegularGridInterpolator(axes, self.values, method="linear",
-                                       bounds_error=False, fill_value=None)
-
     def value_at(self, X, t) -> float:
+        """u(X, t): the probe weights P of `adjoint_trace` (`_probe_weights`,
+        multilinear between cell centers, holding the edge cell's value
+        within half a cell of a face) on the two time levels around t,
+        linear in t.  X outside [lo, hi] or t outside [t0, t1] raises
+        ValueError."""
+        g = self.grid
         X = np.atleast_1d(np.asarray(X, dtype=float))
-        pt = np.concatenate([[t], X])[None, :]
-        return float(self.interpolator()(pt)[0])
+        if X.shape != (g.d,) or not (np.all(X >= g.lo) and np.all(X <= g.hi)
+                                     and g.t0 <= t <= g.t1):
+            raise ValueError(f"point X={X.tolist()}, t={t} lies outside the "
+                             f"grid {g.lo}..{g.hi} x [{g.t0}, {g.t1}]")
+        times = g.times()
+        k = int(np.clip(np.searchsorted(times, t) - 1, 0, g.nt - 1))
+        frac = (t - times[k]) / (times[k + 1] - times[k])
+        w = _probe_weights(g, X)[:, 0]
+        lo, hi = self.values[k:k + 2].reshape(2, -1) @ w
+        return float((1.0 - frac) * lo + frac * hi)
 
     def window(self, masks, t_mask):
         """Values and cell volumes on a box window.
@@ -508,9 +517,10 @@ def lateral_faces(grid: SpaceTimeGrid, dom) -> list:
 
 
 def _check_vanishing(values, t0: float, where: str) -> None:
-    """Data values at the initial time t0 must vanish (compatibility)."""
+    """Data values at the initial time t0 must vanish (compatibility);
+    NaN values are refused like large ones."""
     v = np.abs(np.asarray(values, dtype=float))
-    if v.size and v.max() > _COMPAT_TOL:
+    if v.size and not v.max() <= _COMPAT_TOL:
         raise IncompatibleDataError(
             f"data must vanish at the initial time t0={t0}; "
             f"max |f| = {v.max():.3e} on {where}")

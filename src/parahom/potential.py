@@ -2,16 +2,20 @@
 diagnostic battery: doubling, reverse Holder, local solvability, Harnack,
 Green-measure equivalence.
 
-Conventions.  The Green field is propagated forward from a discrete unit
-impulse at the pole time.  Each pole diagnostic reads one discrete caloric
-kernel: the adjoint trace of the pole on the bottom face of its measure
-grid (`pde.adjoint_trace`, the transposed step matrix, which needs no
-symmetry of the operator; flattened graph domains do not give one).  The
-measure of separable lateral data pt(t) px(x) is then pt^T K px: measures
-take the mollified indicator of a cube (width one grid cell and one time
-step), and halving the mollification bounds the smoothing error; kernel
-densities are sub-cube measure ratios from tent partitions of the cube,
-and a kernel estimate carries the whole cube's measure from its kernel.
+Conventions.  `greens_function(A, dom, pole, points)` returns G at each
+read point: one forward propagation of a discrete unit impulse from the
+pole time, on a grid whose horizon and core the read points fix, read with
+the probe weights of `pde.adjoint_trace` (`ScalarField.value_at`); a
+point at or before the pole time reads 0.  Each pole diagnostic reads one
+discrete caloric kernel: the adjoint trace of the pole on the bottom face of
+its measure grid (`pde.adjoint_trace`, the transposed step matrix, which
+needs no symmetry of the operator; flattened graph domains do not give
+one).  The measure of separable lateral data pt(t) px(x) is then
+pt^T K px: measures take the mollified indicator of a cube (width one grid
+cell and one time step), and halving the mollification bounds the
+smoothing error; kernel densities are sub-cube measure ratios from tent
+partitions of the cube, and a kernel estimate carries the whole cube's
+measure from its kernel.
 Admissibility windows are enforced as preconditions with explicit margins;
 inadmissible exploratory runs are allowed but watermarked in the results.
 
@@ -40,7 +44,6 @@ __all__ = [
     "PotentialConfig",
     "MeasureEstimate",
     "KernelEstimate",
-    "GreenField",
     "caloric_measure",
     "caloric_measure_field",
     "kernel_estimate",
@@ -385,19 +388,6 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
 # Green functions
 
 
-@dataclass(frozen=True)
-class GreenField:
-    """Forward Green field with pole (Z, tau); zero before the pole time."""
-
-    pole: ParabolicPoint
-    field: ScalarField
-
-    def value_at(self, X, t) -> float:
-        if t < self.pole.t:
-            return 0.0
-        return self.field.value_at(X, t)
-
-
 def _green_grid(pole: ParabolicPoint, horizon: float, extra_pts,
                 cfg: PotentialConfig) -> SpaceTimeGrid:
     """Graded grid sized by the diffusion scale sqrt(horizon), its growing
@@ -410,7 +400,7 @@ def _green_grid(pole: ParabolicPoint, horizon: float, extra_pts,
     h = scale / cfg.cells_per_r
     dt = horizon / (cfg.steps_per_r2 * 4)
     margin = cfg.margin_mult * scale
-    xs = [pole.X] + [np.asarray(p, dtype=float) for p in extra_pts]
+    xs = [pole.X, *extra_pts]
     n = pole.X.size - 1
     faces = []
     for k in range(n):
@@ -431,16 +421,28 @@ def _green_grid(pole: ParabolicPoint, horizon: float, extra_pts,
 
 
 def greens_function(A: CoefficientField, dom: GraphDomain,
-                    pole: ParabolicPoint, horizon: float,
-                    extra_pts: Sequence = (),
-                    cfg: PotentialConfig = DEFAULT_CONFIG) -> GreenField:
-    """Green function by forward propagation of a discrete unit impulse,
-    on the graded grid of the pole sized by sqrt(horizon)."""
+                    pole: ParabolicPoint, points: Sequence,
+                    cfg: PotentialConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Green function G(X, t; pole) at each ParabolicPoint (X, t) of points.
+
+    A point at or before the pole time reads 0.  The others are read
+    (`ScalarField.value_at`) off one forward propagation of a discrete unit
+    impulse, on the graded grid of the pole whose core covers every read
+    point and whose horizon is 1.05 x the latest read's time since the pole.
+    """
     if pole.X[-1] <= 0:
         raise ValueError("pole must lie strictly inside the half space")
-    grid = _green_grid(pole, horizon, extra_pts, cfg)
+    out = np.zeros(len(points))
+    later = [k for k, p in enumerate(points) if p.t > pole.t]
+    if not later:
+        return out
+    horizon = max((points[k].t - pole.t) * 1.05 for k in later)
+    grid = _green_grid(pole, horizon, [points[k].X for k in later], cfg)
     _require_pole_clearance(grid, pole, cells=2)
-    return GreenField(pole, solve_impulse(A, dom, pole.X, pole.t, grid))
+    field = solve_impulse(A, dom, pole.X, pole.t, grid)
+    for k in later:
+        out[k] = field.value_at(points[k].X, points[k].t)
+    return out
 
 
 def green_symmetry_check(A: CoefficientField, dom: GraphDomain,
@@ -456,12 +458,10 @@ def green_symmetry_check(A: CoefficientField, dom: GraphDomain,
     """
     if point.t <= pole.t:
         raise ValueError("the evaluation time must come after the pole time")
-    horizon = (point.t - pole.t) * 1.05
-    g1 = greens_function(A, dom, pole, horizon, extra_pts=[point.X], cfg=cfg)
-    v1 = g1.value_at(point.X, point.t)
-    pole2 = ParabolicPoint(point.X, pole.t + shift)
-    g2 = greens_function(A, dom, pole2, horizon, extra_pts=[pole.X], cfg=cfg)
-    v2 = g2.value_at(pole.X, point.t + shift)
+    v1 = float(greens_function(A, dom, pole, [point], cfg)[0])
+    v2 = float(greens_function(A, dom, ParabolicPoint(point.X, pole.t + shift),
+                               [ParabolicPoint(pole.X, point.t + shift)],
+                               cfg)[0])
     return abs(v1 - v2) / max(abs(v1), abs(v2), 1e-300)
 
 
@@ -492,14 +492,15 @@ class ReverseHolderResult:
 
 def reverse_holder_ratio(K: KernelEstimate, q: float = 2.0
                          ) -> ReverseHolderResult:
-    """Power-mean over mean of the kernel density on the cube partition.
+    """Power-mean over mean of the kernel density on the cube partition;
+    q must be finite and >= 2.
 
     Admissibility window: |(x0, 0) - Z|^2 <= |t0 - tau| and tau - t0 >= 4 r^2.
     Inadmissible poles are computed anyway but watermarked (with a warning),
     for exploration.
     """
-    if q < 2.0:
-        raise ValueError("exponent must be >= 2")
+    if not (np.isfinite(q) and q >= 2.0):
+        raise ValueError(f"exponent q = {q} must be finite and >= 2")
     cube, pole = K.cube, K.pole
     r = cube.side
     sep2 = float(np.sum((cube.center_x - pole.X[:-1]) ** 2) + pole.X[-1] ** 2)
@@ -590,9 +591,12 @@ def green_measure_equivalence(A: CoefficientField, dom: GraphDomain,
     """Sandwich ratios between omega(Q_{rho/2}) and pole-shifted Green values.
 
     G_plus has pole ((x0, rho), t0 + rho^2), G_minus ((x0, rho), t0 - rho^2);
-    both are read at the observation point.  The admissibility window is
+    both are read at the observation point, which must come after both
+    poles (checked before any solve).  The admissibility window is
     t - t0 >= 4 rho^2 and |(x0, 0) - (x, lam)|^2 <= t - t0.
     """
+    if obs.t <= t0 + rho * rho:
+        raise ValueError("observation time precedes the shifted pole")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.size
     sep2 = float(np.sum((obs.X[:-1] - x0) ** 2) + obs.X[-1] ** 2)
@@ -604,16 +608,10 @@ def green_measure_equivalence(A: CoefficientField, dom: GraphDomain,
     half_cube = ParabolicCube(x0, t0, rho / 2.0)
     omega = caloric_measure(A, dom, obs, half_cube, cfg).value
     pole_X = np.append(x0, rho)
-    horizon_p = obs.t - (t0 + rho * rho)
-    horizon_m = obs.t - (t0 - rho * rho)
-    if horizon_p <= 0:
-        raise ValueError("observation time precedes the shifted pole")
-    gp = greens_function(A, dom, ParabolicPoint(pole_X, t0 + rho * rho),
-                         horizon_p * 1.05, extra_pts=[obs.X], cfg=cfg)
-    gm = greens_function(A, dom, ParabolicPoint(pole_X, t0 - rho * rho),
-                         horizon_m * 1.05, extra_pts=[obs.X], cfg=cfg)
-    vp = gp.value_at(obs.X, obs.t)
-    vm = gm.value_at(obs.X, obs.t)
+    vp = float(greens_function(A, dom, ParabolicPoint(pole_X, t0 + rho * rho),
+                               [obs], cfg)[0])
+    vm = float(greens_function(A, dom, ParabolicPoint(pole_X, t0 - rho * rho),
+                               [obs], cfg)[0])
     scale = rho ** (n + 1)
     if vp <= _NOISE_FLOOR * scale or vm <= _NOISE_FLOOR * scale:
         raise MeasureBelowNoiseError("Green values below the noise floor")

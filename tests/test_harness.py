@@ -138,6 +138,15 @@ class TestSpecs:
         # tangential points of a graph domain carry x2 = 0
         assert np.array_equal(f(np.array([[0.5]]), 10.0), [1.0])
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"ramp": 0.0}, "ramp"), ({"ramp": float("nan")}, "ramp"),
+        ({"width": -0.5}, "width"), ({"width": float("inf")}, "width"),
+        ({"kind": "expr", "expr": "1", "ramp": 0.0}, "ramp"),
+        ({"kind": "expr", "expr": "1", "ramp": float("inf")}, "ramp")])
+    def test_data_ramp_and_width_checked_at_load(self, spec, key):
+        with pytest.raises(ValueError, match=key):
+            data_from_json(spec)
+
     def test_compact_K(self):
         dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=1.0)
         box, t_min = default_compact_subcylinder(dom)

@@ -2,7 +2,9 @@
 
 scipy.ndimage loads on the first cone scan, and scipy.integrate (which
 pulls in scipy.optimize) and scipy.special on the first images-oracle call,
-so `parahom cell` and `parahom homogenize` never load them.
+so `parahom cell` and `parahom homogenize` never load them.  Point reads
+of a field (`ScalarField.value_at`, `greens_function`) never load
+scipy.interpolate, which only tabulated graphs use.
 """
 
 import os
@@ -23,3 +25,26 @@ def test_import_leaves_deferred_scipy_unloaded():
                          capture_output=True, text=True, check=True,
                          timeout=120)
     assert out.stdout.split() == []
+
+
+def test_point_reads_leave_scipy_interpolate_unloaded():
+    # value_at and greens_function read through the probe weights alone
+    code = (
+        "import sys\nimport numpy as np\n"
+        "from parahom.coeffs import preset\n"
+        "from parahom.geometry import GraphDomain, ParabolicPoint\n"
+        "from parahom.pde import ScalarField, halfspace\n"
+        "from parahom.potential import PotentialConfig, greens_function\n"
+        "g = halfspace([-1.0], [1.0], 1.0, 0.0, 1.0, (4, 2), 2)\n"
+        "ScalarField(g, np.zeros((3, 4, 2))).value_at([0.1, 0.5], 0.3)\n"
+        "pole = ParabolicPoint([0.0, 1.0], 0.0)\n"
+        "greens_function(preset('constant', d=2),"
+        " GraphDomain(m=0.0, box=((-8.0, 8.0),)), pole,"
+        " [ParabolicPoint([0.5, 0.5], 0.5)],"
+        " PotentialConfig(cells_per_r=4, steps_per_r2=4))\n"
+        "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.split() == ["False"]

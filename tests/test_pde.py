@@ -35,6 +35,11 @@ def small_grid(nx=64, nlam=24, nt=48, t1=1.0):
     return halfspace(-4.0, 4.0, 2.0, 0.0, t1, (nx, nlam), nt)
 
 
+def read(u, pts):
+    """u.value_at at each row (t, X) of pts."""
+    return np.array([u.value_at(p[1:], p[0]) for p in pts])
+
+
 # The two face builders that `graded_axis` replaced, kept verbatim as the
 # reference it must match bitwise (one uniform core; several segments).
 _GROWTH = 1.3
@@ -301,9 +306,12 @@ class TestSolveDirichlet:
         assert np.abs(late[:, 0] - xs[sel]).max() <= 0.05  # near-trace ~ x1
 
     def test_incompatible_data_rejected(self):
-        f = BoundaryData(lambda pts, t: np.ones(len(np.atleast_2d(pts))))
-        with pytest.raises(IncompatibleDataError):
-            solve_dirichlet(preset("constant", d=2), HALF, f, small_grid())
+        # a datum that is 1 at t0, and one that is NaN there
+        for value in (1.0, np.nan):
+            f = BoundaryData(
+                lambda pts, t, v=value: np.full(len(np.atleast_2d(pts)), v))
+            with pytest.raises(IncompatibleDataError):
+                solve_dirichlet(preset("constant", d=2), HALF, f, small_grid())
 
     def test_discrete_maximum_principle_randomized(self):
         rng = np.random.default_rng(7)
@@ -356,8 +364,8 @@ class TestSolveDirichlet:
                                       np.linspace(-1.2, 1.2, 9),
                                       np.linspace(0.2, 1.5, 7),
                                       indexing="ij"), axis=-1).reshape(-1, 3)
-        d12 = np.abs(u1.interpolator()(probes) - u2.interpolator()(probes)).max()
-        d23 = np.abs(u2.interpolator()(probes) - u3.interpolator()(probes)).max()
+        d12 = np.abs(read(u1, probes) - read(u2, probes)).max()
+        d23 = np.abs(read(u2, probes) - read(u3, probes)).max()
         assert d12 / d23 >= 1.7
 
     def test_cylinder_solve(self):
@@ -389,7 +397,7 @@ class TestSolveDirichlet:
         final = np.einsum("kfp,kfc->pc", K, np.stack([g, -3.0 * g], axis=-1))
         u = solve_dirichlet(A, dom, f, grid)
         pts = np.column_stack([np.full(len(probes), grid.t1), probes])
-        ref = u.interpolator()(pts)
+        ref = read(u, pts)
         scale = np.abs(u.values).max()
         assert np.abs(final[:, 0] - ref).max() <= 1e-12 * scale
         assert np.abs(final[:, 1] + 3.0 * ref).max() <= 3e-12 * scale
@@ -420,7 +428,7 @@ class TestSolveDirichlet:
             # P u_N = sum_k K[k-1]^T g(t_k)
             final = sum(K[k - 1].T @ f(face.points, t)
                         for k, t in enumerate(grid.times()) if k > 0)
-            ref = solve_dirichlet(A, dom, f, grid).interpolator()(pts)
+            ref = read(solve_dirichlet(A, dom, f, grid), pts)
             assert np.abs(ref).max() > 0.0
             assert np.abs(final - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -723,6 +731,32 @@ class TestScalarField:
             ScalarField(grid, bad, trace)
         vals[0, 0, 0] = bad[0, 0, 0] = trace[0, 0] = 1.0
 
+    @staticmethod
+    def _affine_field():
+        # u = 4 t + 2 x - lam at every cell center of every level
+        grid = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (4, 4),
+                                     0.0, 1.0, 4)
+        c = grid.centers() @ [2.0, -1.0]
+        return ScalarField(grid, (4.0 * grid.times()[:, None] + c)
+                           .reshape(5, 4, 4))
+
+    def test_value_at_is_multilinear_and_holds_the_edge_cell(self):
+        u = self._affine_field()
+        for X, t in [([0.3, 0.7], 0.55), ([0.125, 0.875], 1.0),
+                     ([0.6, 0.2], 0.0)]:
+            assert u.value_at(X, t) == pytest.approx(
+                4.0 * t + 2.0 * X[0] - X[1], abs=1e-14)
+        # within half a cell of a face: the edge cell's value, no slope
+        assert u.value_at([0.0, 1.0], 0.5) == pytest.approx(
+            u.value_at([0.125, 0.875], 0.5), abs=1e-15)
+
+    @pytest.mark.parametrize("X, t", [
+        ([0.5, 0.5], 3.0), ([0.5, 0.5], 1.0 + 1e-9), ([0.5, 0.5], -0.1),
+        ([1.5, 0.5], 0.5), ([0.5, -1e-9], 0.5), ([0.5, np.nan], 0.5),
+        ([0.5], 0.5)])
+    def test_value_at_refuses_points_outside_the_grid(self, X, t):
+        with pytest.raises(ValueError, match="outside the grid"):
+            self._affine_field().value_at(X, t)
 
     @pytest.mark.parametrize("window, match", [
         (lambda g: SpaceTimeGrid((g.faces[0][2:6], g.faces[1][1:]),

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from parahom import potential
 from parahom.coeffs import preset
 from parahom.geometry import GraphDomain, ParabolicCube, ParabolicPoint
 from parahom.oracles import (gauss_heat_kernel, halfspace_green,
                              halfspace_kernel, halfspace_kernel_cell_average,
                              halfspace_measure)
 from parahom.pde import (IncompatibleDataError, ScalarField, SpaceTimeGrid,
-                         halfspace)
+                         halfspace, solve_impulse)
 from parahom.potential import (KernelEstimate, MeasureBelowNoiseError,
-                               PotentialConfig, _measure_grid, _PoleKernel,
-                               caloric_measure, caloric_measure_field,
+                               PotentialConfig, _green_grid, _measure_grid,
+                               _PoleKernel, caloric_measure,
+                               caloric_measure_field,
                                doubling_ratio, green_measure_equivalence,
                                green_symmetry_check, greens_function,
                                harnack_ratio, kernel_estimate,
@@ -163,8 +165,9 @@ class TestReverseHolder:
 
     def test_exponent_validated(self):
         K = self._synthetic(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            reverse_holder_ratio(K, 1.5)
+        for q in (1.5, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                reverse_holder_ratio(K, q)
 
 
 class TestDoubling:
@@ -201,11 +204,16 @@ class TestDoubling:
                            PotentialConfig(cells_per_r=8, steps_per_r2=8))
 
 
+def green_field(pole, horizon, extra_pts, cfg):
+    """The impulse field that `greens_function` reads, for a given horizon."""
+    grid = _green_grid(pole, horizon, extra_pts, cfg)
+    return solve_impulse(A_CONST, HALF, pole.X, pole.t, grid)
+
+
 class TestGreen:
     def test_free_space_agreement(self):
         pole = ParabolicPoint(np.array([0.0, 6.0]), 0.0)
-        G = greens_function(A_CONST, HALF, pole, horizon=1.0,
-                            extra_pts=[np.array([0.5, 6.5])], cfg=GREEN_CFG)
+        G = green_field(pole, 1.0, [np.array([0.5, 6.5])], GREEN_CFG)
         for probe, t in [((0.5, 6.5), 0.5), ((0.3, 5.8), 0.25),
                          ((0.0, 6.0), 0.7)]:
             val = G.value_at(np.array(probe), t)
@@ -214,14 +222,29 @@ class TestGreen:
 
     def test_boundary_trace_and_positivity(self):
         pole = ParabolicPoint(np.array([0.0, 1.0]), 0.0)
-        G = greens_function(A_CONST, HALF, pole, horizon=2.0, cfg=CFG)
-        assert G.field.values.min() >= -1e-13
-        assert G.value_at(np.array([0.3, 0.3]), -1.0) == 0.0  # before pole
+        assert green_field(pole, 2.0, [], CFG).values.min() >= -1e-13
+        before = [ParabolicPoint(np.array([0.3, 0.3]), -1.0),
+                  ParabolicPoint(np.array([0.3, 0.3]), 0.0)]
+        assert np.array_equal(greens_function(A_CONST, HALF, pole, before,
+                                              CFG), [0.0, 0.0])
+
+    def test_reads_the_derived_field(self):
+        # horizon 1.05 x the latest read's elapsed time, core over the
+        # points read after the pole; the earlier point reads 0
+        pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
+        pts = [ParabolicPoint(np.array([0.8, 0.8]), 1.5),
+               ParabolicPoint(np.array([0.3, 0.2]), -0.4),
+               ParabolicPoint(np.array([-1.1, 0.5]), 0.7)]
+        G = greens_function(A_CONST, HALF, pole, pts, CFG)
+        field = green_field(pole, (1.5 - pole.t) * 1.05,
+                            [pts[0].X, pts[2].X], CFG)
+        want = [field.value_at(pts[0].X, pts[0].t), 0.0,
+                field.value_at(pts[2].X, pts[2].t)]
+        assert np.array_equal(G, want)
 
     def test_halfspace_images_values(self):
         pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
-        G = greens_function(A_CONST, HALF, pole, horizon=2.0,
-                            extra_pts=[np.array([0.8, 0.8])], cfg=GREEN_CFG)
+        G = green_field(pole, 2.0, [np.array([0.8, 0.8])], GREEN_CFG)
         val = G.value_at(np.array([0.8, 0.8]), 1.5)
         oracle = float(halfspace_green(np.array([0.8]), 0.8, 1.5,
                                        np.array([0.0]), 1.5, 0.0))
@@ -233,8 +256,7 @@ class TestGreen:
         pole = ParabolicPoint(np.array([0.0, 4.0]), 0.0)
 
         def fitted_C(cfg):
-            G = greens_function(A_CONST, HALF, pole, horizon=4.0, cfg=cfg)
-            g = G.field
+            g = green_field(pole, 4.0, [], cfg)
             pts = g.grid.centers()
             best = 0.0
             for frac in (0.3, 0.6, 0.9):
@@ -257,8 +279,7 @@ class TestGreen:
         # G(x, t, lam; x0, t0, r) >= c r^{-n-1} on the standard region
         r = 1.0
         pole = ParabolicPoint(np.array([0.0, r]), 0.0)
-        G = greens_function(A_CONST, HALF, pole, horizon=12.0 * r * r,
-                            cfg=CFG)
+        G = green_field(pole, 12.0 * r * r, [], CFG)
         rng = np.random.default_rng(3)
         worst = np.inf
         for _ in range(40):
@@ -431,6 +452,17 @@ class TestGreenMeasure:
                                          0.0, g * 0.5, CFG)
         assert res2.lower_ratio == pytest.approx(res.lower_ratio, rel=0.05)
         assert res2.upper_ratio == pytest.approx(res.upper_ratio, rel=0.05)
+
+    def test_pole_order_checked_before_any_solve(self, monkeypatch):
+        # the observation time 0.2 precedes the shifted pole at 0.25
+        def no_solve(*args):
+            raise AssertionError("solved before the input was checked")
+
+        monkeypatch.setattr(potential, "adjoint_trace", no_solve)
+        obs = ParabolicPoint(np.array([0.2, 0.7]), 0.2)
+        with pytest.raises(ValueError, match="precedes"):
+            green_measure_equivalence(A_CONST, HALF, obs, np.zeros(1),
+                                      0.0, 0.5, CFG)
 
     def test_inadmissible_watermark(self):
         obs = ParabolicPoint(np.array([5.0, 0.7]), 2.0)   # violates region
