@@ -48,8 +48,7 @@ from .linalg import pcg
 # solve near 30 iterations at any resolution
 _CG_MAXITER = 2000
 
-__all__ = ["CorrectorField", "EffectiveMatrix", "solve_corrector",
-           "effective_matrix", "voigt_reuss_bounds"]
+__all__ = ["EffectiveMatrix", "effective_matrix", "voigt_reuss_bounds"]
 
 
 @lru_cache(maxsize=8)
@@ -156,23 +155,6 @@ def _element_avg_gradient(chi: np.ndarray, N: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CorrectorField:
-    """Mean-zero periodic part chi_alpha = w_alpha - alpha . y on the torus."""
-
-    values: np.ndarray      # node values, shape (N,)*d
-    resolution: int
-    residual: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        scale = max(np.abs(v).max(), 1e-300)
-        if abs(v.mean()) > 1e-10 * scale:
-            raise ValueError("corrector is not mean-zero")
-
-
-@dataclass(frozen=True)
 class EffectiveMatrix:
     """Abar with the CG relative residual and iteration count per direction."""
 
@@ -268,33 +250,30 @@ def _workers(d: int) -> int:
     return min(d, cores)
 
 
-def solve_corrector(A: CoefficientField, alpha, N: int,
-                    tol: float = 1e-10) -> CorrectorField:
-    """Solve the periodic cell problem for direction alpha at resolution N."""
+def _correctors(A: CoefficientField, N: int, tol: float):
+    """The d coordinate correctors of A at resolution N, solved concurrently
+    (see the module docstring), after the tol, resolution and period checks.
+
+    Returns (Avals, solves): the element coefficients of the unit-periodic
+    field and one (chi, iterations, relres) per direction e_j, chi the
+    mean-zero node values in C order.
+    """
     _check_tol(tol)
     A = _prepared(A, N)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (A.d,):
-        raise ValueError(f"alpha must be a vector in R^{A.d}")
     S, loads, Avals = _assemble(A, N)
-    x, _, relres = _solve_one(S, alpha @ loads, _reference_inverse(Avals, N),
-                              _constant_mode(N ** A.d), tol)
-    return CorrectorField(x.reshape((N,) * A.d), N, relres)
+    precond = _reference_inverse(Avals, N)
+    mode = _constant_mode(N ** A.d)
+    with ThreadPoolExecutor(_workers(A.d)) as pool:
+        solves = list(pool.map(
+            lambda b: _solve_one(S, b, precond, mode, tol), loads))
+    return Avals, solves
 
 
 def effective_matrix(A: CoefficientField, N: int,
                      tol: float = 1e-10) -> EffectiveMatrix:
-    """Assemble Abar column by column from the d coordinate correctors,
-    solved concurrently (see the module docstring)."""
-    _check_tol(tol)
-    A = _prepared(A, N)
+    """Assemble Abar column by column from the d coordinate correctors."""
+    Avals, solves = _correctors(A, N, tol)
     d = A.d
-    S, loads, Avals = _assemble(A, N)
-    precond = _reference_inverse(Avals, N)
-    mode = _constant_mode(N ** d)
-    with ThreadPoolExecutor(_workers(d)) as pool:
-        solves = list(pool.map(
-            lambda b: _solve_one(S, b, precond, mode, tol), loads))
     Abar_T = np.zeros((d, d))
     for j, (chi, _, _) in enumerate(solves):
         grad = _element_avg_gradient(chi.reshape((N,) * d), N)

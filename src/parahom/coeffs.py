@@ -4,8 +4,8 @@ A field is a symmetric (d x d) matrix-valued map on R^d together with a
 declared ellipticity constant and periodicity.  Nothing here assumes the
 declarations are true: they are verified by sampling.  Ellipticity has one
 check, `_require_elliptic`, which raises on fields read from configs and on
-the values the solver assembles; the other checkers quantify periodicity
-and the Dini-type oscillation conditions.
+the values the solver assembles; `check_periodicity` quantifies the
+declared periodicity.
 
 Evaluators must be pure and re-entrant; every operation is safe under
 concurrent calls.
@@ -23,11 +23,7 @@ import numpy as np
 __all__ = [
     "CoefficientField",
     "AsymmetricFieldError",
-    "DiniModulus",
-    "DiniIntegral",
     "check_periodicity",
-    "dini_modulus",
-    "dini_integral",
     "scale_field",
     "preset",
     "PRESETS",
@@ -67,12 +63,14 @@ class CoefficientField:
     label: str = "field"
 
     def __post_init__(self):
-        if self.lam < 1.0:
-            raise ValueError("ellipticity constant must be >= 1")
+        if not (math.isfinite(self.lam) and self.lam >= 1.0):
+            raise ValueError("ellipticity constant must be finite and >= 1, "
+                             f"got {self.lam!r}")
         if self.period not in ("none", "axis", "lattice"):
             raise ValueError(f"unknown period kind {self.period!r}")
-        if self.period_scale <= 0:
-            raise ValueError("period_scale must be positive")
+        if not (math.isfinite(self.period_scale) and self.period_scale > 0):
+            raise ValueError("period_scale must be finite and positive, "
+                             f"got {self.period_scale!r}")
 
     def __call__(self, X) -> np.ndarray:
         """Evaluate at points X of shape (..., d); returns (..., d, d)."""
@@ -351,26 +349,6 @@ def check_periodicity(A: CoefficientField) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class DiniModulus:
-    """Sampled oscillation modulus rho -> theta(rho) in the last coordinate.
-
-    theta is monotone nondecreasing by construction (running max over the
-    grid).  half_width estimates the sampling error from the gap between
-    the two largest samples at each rho.
-    """
-
-    rho: np.ndarray
-    theta: np.ndarray
-    half_width: np.ndarray
-
-    def __post_init__(self):
-        for name in ("rho", "theta", "half_width"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
 def _eig_extremes(M: np.ndarray):
     """(smallest, largest) eigenvalue of each symmetric matrix in the batch
     M, shape (..., d, d): closed form for d <= 2, which avoids eigvalsh on
@@ -384,69 +362,6 @@ def _eig_extremes(M: np.ndarray):
         return half_tr - disc, half_tr + disc
     eigs = np.linalg.eigvalsh(M)
     return eigs[..., 0], eigs[..., -1]
-
-
-def dini_modulus(A: CoefficientField) -> DiniModulus:
-    """Estimate theta(rho) = sup |A(X) - A(Y)| over pairs whose offset runs
-    along the last coordinate, |X - Y| <= rho.
-
-    rho runs over the geometric grid 2^-20 ... 1 of ratio 2^{1/4}, which
-    resolves the log-divergent borderline.  The sup is approximated over
-    10,000 quasi-random pairs per rho (a scrambled Halton sequence with
-    seed 0), a quarter of them at offset exactly +rho and a quarter at -rho
-    (which realize the sup for monotone profiles).  Matrix size is measured
-    in the spectral norm, so scalar fields c * I report |c1 - c2|
-    independent of dimension.
-    """
-    rho_grid = 2.0 ** (-20 + np.arange(81) / 4.0)
-    pairs = 10000
-
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=A.d + A.d, seed=0, scramble=True)
-    raw = sampler.random(pairs)
-    span = A.period_scale if A.period != "none" else 2.0
-    base = raw[:, :A.d] * span
-    unit = raw[:, A.d:] * 2.0 - 1.0             # offset directions in [-1,1]^d
-
-    theta = np.empty(rho_grid.size)
-    half_width = np.empty(rho_grid.size)
-    for i, rho in enumerate(rho_grid):
-        off = np.zeros_like(base)
-        off[:, -1] = unit[:, -1] * rho
-        # include the extreme offsets exactly
-        off[: pairs // 4, -1] = rho
-        off[pairs // 4: pairs // 2, -1] = -rho
-        lo, hi = _eig_extremes(A(base + off) - A(base))
-        dev = np.maximum(np.abs(hi), np.abs(lo))       # spectral norm
-        top2 = np.partition(dev, dev.size - 2)[-2:]
-        theta[i] = top2[1]
-        half_width[i] = 0.5 * (top2[1] - top2[0])
-    theta = np.maximum.accumulate(theta)
-    return DiniModulus(rho_grid, theta, half_width)
-
-
-@dataclass(frozen=True)
-class DiniIntegral:
-    """Quadrature of theta(rho)^2 / rho with a divergence indicator.
-
-    tail_indicator = theta(rho_min)^2 * |log rho_min|, with rho_min the
-    first sample, grows without bound exactly when the integral diverges
-    logarithmically, making the borderline visible in reports.
-    """
-
-    value: float
-    tail_indicator: float
-    rho_min: float
-
-
-def dini_integral(mod: DiniModulus) -> DiniIntegral:
-    """Trapezoid integral of theta^2/rho over the samples, from the first
-    sample rho_min to the last."""
-    rho, th = mod.rho, mod.theta
-    value = float(np.trapezoid(th * th / rho, rho))
-    tail = float(th[0] ** 2 * abs(np.log(rho[0])))
-    return DiniIntegral(value, tail, float(rho[0]))
 
 
 def scale_field(A: CoefficientField, eps: float) -> CoefficientField:

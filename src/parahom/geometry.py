@@ -117,8 +117,9 @@ class GraphDomain:
     table_resolution: int = 257
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("Lipschitz constant must be nonnegative")
+        if not (np.isfinite(self.m) and self.m >= 0):
+            raise ValueError("Lipschitz constant must be finite and "
+                             f"nonnegative, got {self.m!r}")
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
         if any(hi <= lo for lo, hi in box):
             raise ValueError("box intervals must be nonempty")

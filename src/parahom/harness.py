@@ -79,6 +79,12 @@ class ExperimentConfig:
         if not (self.eta > 0 and np.isfinite(self.eta)):
             raise ValueError("cone opening eta must be positive and "
                              f"finite, got {self.eta}")
+        for name in ("resolution", "nt", "cell_resolution", "n"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) \
+                    or v < 1:
+                raise ValueError(f"{name} must be a positive int, got {v!r}")
+            setattr(self, name, int(v))
 
     def required_resolution(self) -> int:
         eps_min = min(self.eps_list)

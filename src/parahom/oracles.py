@@ -1,8 +1,10 @@
 """Closed-form constant-coefficient references (method of images).
 
-Everything here is independent of the grid solver: free-space Gaussian
-kernels, the image-subtracted half-space Green function, the half-space
-boundary kernel density and its cube integrals by erf-reduced quadrature.
+Everything here is independent of the grid solver: the free-space Gaussian
+kernel, and the half-space caloric measure of a cube and its cell average
+by erf-reduced quadrature.  The half-space Green function and boundary
+kernel density are closed forms of the Gaussian (source minus mirror
+image, and lam / (tau - s) times the Gaussian at the boundary point).
 These anchor the accuracy tests of the discrete caloric-measure pipeline.
 
 scipy.integrate (`quad`) and scipy.special (`erf`) are imported inside the
@@ -18,8 +20,6 @@ import numpy as np
 
 __all__ = [
     "gauss_heat_kernel",
-    "halfspace_green",
-    "halfspace_kernel",
     "halfspace_measure",
     "halfspace_kernel_cell_average",
 ]
@@ -38,47 +38,6 @@ def gauss_heat_kernel(X, t):
                        * np.exp(-r2 / (4.0 * np.maximum(t, 1e-300))),
                        0.0)
     return val
-
-
-def halfspace_green(x, lam, t, z, mu, tau):
-    """Dirichlet Green function of {lam > 0}: source minus mirror image.
-
-    x, z are the tangential coordinates (arrays with matching last axis,
-    or scalars for n = 1); lam, mu the heights; t, tau the times.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    dt = np.asarray(t, dtype=float) - np.asarray(tau, dtype=float)
-    dx2 = np.sum((x - z) ** 2, axis=-1)
-    n = x.shape[-1]
-    d = n + 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tt = np.maximum(dt, 1e-300)
-        direct = np.exp(-(dx2 + (lam - mu) ** 2) / (4.0 * tt))
-        mirror = np.exp(-(dx2 + (lam + mu) ** 2) / (4.0 * tt))
-        val = (4.0 * np.pi * tt) ** (-d / 2.0) * (direct - mirror)
-    return np.where(dt > 0, val, 0.0)
-
-
-def halfspace_kernel(z, lam, tau, y, s):
-    """Caloric-measure density of the half space at boundary point (y, s).
-
-    K(Z, tau; y, s) = lam / (tau - s) * (4 pi (tau - s))^{-(n+1)/2}
-                      * exp(-(|z - y|^2 + lam^2) / (4 (tau - s)))
-    for s < tau, zero otherwise.  Integrates to one over the boundary:
-    constants are caloric.  (Equivalently the boundary trace limit
-    G(Z, tau; y, s, mu)/mu as mu -> 0.)
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    dt = np.asarray(tau, dtype=float) - np.asarray(s, dtype=float)
-    dx2 = np.sum((z - y) ** 2, axis=-1)
-    n = z.shape[-1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tt = np.maximum(dt, 1e-300)
-        val = lam / tt * (4.0 * np.pi * tt) ** (-(n + 1) / 2.0) \
-            * np.exp(-(dx2 + lam * lam) / (4.0 * tt))
-    return np.where(dt > 0, val, 0.0)
 
 
 def _erf_box_factor(z, x0, r, dt):

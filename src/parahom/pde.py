@@ -21,9 +21,10 @@ march of the same step matrix, the exact discrete adjoint: it records the
 discrete caloric kernel of the probes on one face group (one solve per step
 for each probe, and no symmetry of the operator), so the final probe values
 of any data on that face are a sum of the kernel against the data.
-The probe weights P of that read (`_probe_weights`, multilinear between
-cell centers) are the one point-read rule: `ScalarField.value_at` applies
-the same P to the two time levels around t.
+The probe weights P of that read (`_probe_weights`, the outer product of
+one multilinear `_hat` per axis) are the one point-read rule:
+`ScalarField.value_at` contracts the same hats with the 2^d cells around
+the point on the two time levels around t.
 
 The operator is in divergence form, the discrete divergence of the face
 fluxes: S = sum_k D_k^T F_k + B, with D_k the difference across the k-faces
@@ -333,11 +334,11 @@ class ScalarField:
         object.__setattr__(self, "bottom_trace", b)
 
     def value_at(self, X, t) -> float:
-        """u(X, t): the probe weights P of `adjoint_trace` (`_probe_weights`,
-        multilinear between cell centers, holding the edge cell's value
-        within half a cell of a face) on the two time levels around t,
-        linear in t.  X outside [lo, hi] or t outside [t0, t1] raises
-        ValueError."""
+        """u(X, t): the probe weights P of `adjoint_trace` (the `_hat` of
+        each axis, multilinear between cell centers, holding the edge cell's
+        value within half a cell of a face) on the two time levels around
+        t, linear in t; only the 2 x 2^d values the hats touch are read.
+        X outside [lo, hi] or t outside [t0, t1] raises ValueError."""
         g = self.grid
         X = np.atleast_1d(np.asarray(X, dtype=float))
         if X.shape != (g.d,) or not (np.all(X >= g.lo) and np.all(X <= g.hi)
@@ -347,8 +348,11 @@ class ScalarField:
         times = g.times()
         k = int(np.clip(np.searchsorted(times, t) - 1, 0, g.nt - 1))
         frac = (t - times[k]) / (times[k + 1] - times[k])
-        w = _probe_weights(g, X)[:, 0]
-        lo, hi = self.values[k:k + 2].reshape(2, -1) @ w
+        hats = [_hat(g.axis_centers(j), X[j]) for j in range(g.d)]
+        block = self.values[(slice(k, k + 2),)
+                            + tuple(slice(i, i + w.size) for i, w in hats)]
+        weights = reduce(np.multiply.outer, [w for _, w in hats])
+        lo, hi = block.reshape(2, -1) @ weights.reshape(-1)
         return float((1.0 - frac) * lo + frac * hi)
 
     def window(self, masks, t_mask):
@@ -570,22 +574,32 @@ def _march(op: _Operator, u, dt: float, nsteps: int, t0: float,
     return u
 
 
+def _hat(centers: np.ndarray, x: float):
+    """(i, w): the multilinear weights w = (1 - frac, frac) of x on the
+    centers i and i + 1 around it, x clamped to [centers[0], centers[-1]];
+    w holds one weight on an axis of one cell."""
+    if centers.size == 1:
+        return 0, np.ones(1)
+    x = np.clip(x, centers[0], centers[-1])
+    i = int(np.clip(np.searchsorted(centers, x) - 1, 0, centers.size - 2))
+    frac = (x - centers[i]) / (centers[i + 1] - centers[i])
+    return i, np.array([1.0 - frac, frac])
+
+
 def _probe_weights(grid: SpaceTimeGrid, probes) -> np.ndarray:
     """Multilinear interpolation weights at spatial probe points, shape
-    (cells, probes): for each probe the outer product of one hat vector per
-    axis, weights 1 - frac and frac on the two centers around it."""
+    (cells, probes): for each probe the outer product of one `_hat` vector
+    per axis."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     out = np.empty((grid.ncells, len(probes)))
     for p, X in enumerate(probes):
         hats = []
         for k in range(grid.d):
             c = grid.axis_centers(k)
-            x = np.clip(X[k], c[0], c[-1])
-            i = int(np.clip(np.searchsorted(c, x) - 1, 0, max(c.size - 2, 0)))
-            frac = (x - c[i]) / (c[i + 1] - c[i]) if c.size > 1 else 0.0
-            hat = np.zeros(c.size + 1)    # spare slot for the i + 1 of n = 1
-            hat[i], hat[i + 1] = 1.0 - frac, frac
-            hats.append(hat[:-1])
+            i, w = _hat(c, X[k])
+            hat = np.zeros(c.size)
+            hat[i:i + w.size] = w
+            hats.append(hat)
         out[:, p] = reduce(np.multiply.outer, hats).reshape(-1)
     return out
 

@@ -325,7 +325,8 @@ class KernelEstimate:
     measure is omega(cube) on the same pole kernel, with its smoothing
     error: what `caloric_measure` returns on that kernel's grid, so a
     caller holding the estimate needs no second march for the cube.  The
-    masses sum to measure.value up to roundoff (the tents telescope).
+    masses K_i |Q_i| sum to measure.value up to roundoff (the tents
+    telescope).
     """
 
     pole: ParabolicPoint
@@ -333,7 +334,6 @@ class KernelEstimate:
     centers_x: np.ndarray          # (mx, n) tangential centers
     centers_t: np.ndarray          # (mt,)
     K: np.ndarray                  # (mt, mx)
-    masses: np.ndarray             # omega(Q_i), same shape as K
     error_bar: np.ndarray          # coarse-fine gap per cell
     measure: MeasureEstimate       # omega(cube) on the same kernel
 
@@ -380,8 +380,7 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
 
     centers_x = 0.5 * (ex[:-1] + ex[1:])[:, None]
     centers_t = 0.5 * (et[:-1] + et[1:])
-    return KernelEstimate(pole, cube, centers_x, centers_t, K, masses, err,
-                          measure)
+    return KernelEstimate(pole, cube, centers_x, centers_t, K, err, measure)
 
 
 # ----------------------------------------------------------------------

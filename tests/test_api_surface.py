@@ -5,9 +5,9 @@ definition: in `src/parahom`, in `perfbench/` or in the acceptance module.
 Every annotated field of a class in `src/parahom` must be read there too,
 and every public method or property must be read there outside its own
 body.  Unit tests do not count, so public code that only its own tests call
-is deleted rather than kept.  The few names and fields kept for tests alone
-are listed in KEPT and KEPT_FIELDS, each with its reason, and neither list
-may go stale.
+is deleted rather than kept.  The one name and one field kept without such
+a reader are listed in KEPT and KEPT_FIELDS, each with its reason, and
+neither list may go stale.
 """
 
 import ast
@@ -20,19 +20,7 @@ CALLERS = (sorted(PACKAGE.glob("*.py"))
            + [ROOT / "tests" / "test_acceptance.py"])
 
 KEPT = {
-    "cell.solve_corrector": "the only pointwise check of the corrector "
-                            "that effective_matrix builds (laminate gradient "
-                            "oracle, energy identity by independent "
-                            "quadrature)",
     "pde.load_field": "reads the field files that `parahom solve` writes",
-    "oracles.halfspace_green": "closed-form reference the unit tests compare "
-                               "against",
-    "oracles.halfspace_kernel": "closed-form reference the unit tests compare "
-                                "against",
-    # the paper's Dini hypothesis on A: the only way to reach it from the
-    # program adds an option (a `parahom diagnose` check)
-    "coeffs.dini_modulus": "checks the Dini condition on A",
-    "coeffs.dini_integral": "checks the square-Dini condition on A",
 }
 
 
@@ -89,14 +77,8 @@ def test_every_public_name_has_a_caller():
 
 
 KEPT_FIELDS = {
-    "CorrectorField.residual": "the corrector's CG contract",
     "EffectiveMatrix.iterations": "the N-independence test of the CG "
                                   "iteration count, and its per-run stats",
-    "KernelEstimate.masses": "the sub-cube masses sum to the cube's measure",
-    # the Dini pair's reason in KEPT
-    "DiniModulus.half_width": "sampling error of the Dini modulus",
-    "DiniIntegral.tail_indicator": "makes the Dini borderline visible",
-    "DiniIntegral.rho_min": "lower end of the Dini quadrature",
 }
 
 

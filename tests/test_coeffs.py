@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from parahom.coeffs import (AsymmetricFieldError, CoefficientField, PRESETS,
-                            DiniModulus, _eig_extremes, _require_elliptic,
+                            _eig_extremes, _require_elliptic,
                             check_periodicity, compile_expression,
-                            constant_matrix_field, dini_integral,
-                            dini_modulus, field_from_json, preset,
+                            constant_matrix_field, field_from_json, preset,
                             scale_field)
 
 
@@ -133,72 +132,18 @@ class TestPeriodicity:
             check_periodicity(A)
 
 
-class TestDiniModulus:
-    def test_constant_is_zero(self):
-        mod = dini_modulus(preset("constant", d=2))
-        assert np.all(mod.theta == 0.0)
+class TestDeclarations:
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lam_refused(self, lam):
+        # eigenvalue 50 passed the band test of a NaN or infinite lam
+        with pytest.raises(ValueError, match="ellipticity constant"):
+            field_from_json({"expr": "50", "lam": lam})
 
-    def test_trig_bounds(self):
-        A = preset("trig", d=2)
-        mod = dini_modulus(A)
-        assert np.all(mod.theta <= np.minimum(2.0, 2 * np.pi * mod.rho) + 1e-9)
-        small = mod.rho <= 0.1
-        assert np.all(mod.theta[small] >= 1.9 * mod.rho[small])
-
-    def test_jump_detected_at_moderate_scales(self):
-        A = scalar_field(lambda X: 1.0 + ((X[..., -1] % 1.0) >= 0.5),
-                         lam=2.0, period="axis")
-        mod = dini_modulus(A)
-        moderate = mod.rho >= 2.0 ** -8
-        assert moderate.sum() == 33
-        assert np.all(mod.theta[moderate] >= 0.99)  # pairs straddle the jump
-
-    def test_monotone_and_bounded(self):
-        A = preset("trig2d", d=2)
-        mod = dini_modulus(A)
-        assert np.all(np.diff(mod.theta) >= 0)
-        assert np.all(mod.theta <= 2 * A.lam)
-
-
-class TestDiniIntegral:
-    def test_zero_modulus(self):
-        mod = dini_modulus(preset("constant", d=2))
-        assert dini_integral(mod).value == 0.0
-
-    def test_linear_modulus_analytic(self):
-        rho = 2.0 ** (np.arange(0, 81) / 4.0 - 20)
-        mod = DiniModulus(rho, rho.copy(), np.zeros_like(rho))
-        out = dini_integral(mod)
-        exact = 0.5 * (1 - rho[0] ** 2)
-        assert out.value == pytest.approx(exact, abs=1e-6)
-
-    def test_constant_modulus_log_divergence(self):
-        c = 0.7
-        vals = []
-        for k in (6, 12, 18):
-            rho = 2.0 ** (np.arange(0, 4 * k + 1) / 4.0 - k)
-            mod = DiniModulus(rho, np.full_like(rho, c), np.zeros_like(rho))
-            out = dini_integral(mod)
-            vals.append(out.value)
-            assert out.tail_indicator == pytest.approx(
-                c * c * k * np.log(2.0), rel=1e-12)
-        # grows like c^2 |log rho_min|
-        growth = (vals[2] - vals[1]) / (vals[1] - vals[0])
-        assert growth == pytest.approx(1.0, rel=0.02)
-
-    def test_lipschitz_uniform_bound(self):
-        # theta <= L rho gives integral <= L^2 / 2 for every rho_min
-        L = 2 * np.pi
-        A = preset("trig", d=2)
-        mod = dini_modulus(A)
-        for rho_min in (2.0 ** -20, 2.0 ** -10, 2.0 ** -4):
-            keep = mod.rho >= rho_min
-            out = dini_integral(DiniModulus(mod.rho[keep], mod.theta[keep],
-                                            mod.half_width[keep]))
-            assert out.rho_min == rho_min
-            # theta saturates at 2 above rho ~ 1/3, which only lowers theta^2
-            # relative to (L rho)^2; the bound holds uniformly
-            assert out.value <= L * L / 2 + 1e-6
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_period_scale_refused(self, scale):
+        with pytest.raises(ValueError, match="period_scale"):
+            CoefficientField(preset("trig").evaluator, d=2, lam=3.0,
+                             period="lattice", period_scale=scale)
 
 
 class TestScaleField:

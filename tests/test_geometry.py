@@ -102,6 +102,14 @@ class TestGraphDomain:
             GraphDomain(m=0.1, box=((-1.0, 1.0),),
                         phi=lambda x: np.asarray(x)[..., 0])
 
+    @pytest.mark.parametrize("m", ["NaN", "Infinity"])
+    def test_non_finite_lipschitz_constant_refused(self, m):
+        # a NaN or infinite m let a graph of slope 100 pass the check
+        spec = ('{"kind": "graph", "m": %s, "box": [[-1, 1]], "phi": '
+                '{"kind": "closed_form", "expr": "100*x"}}' % m)
+        with pytest.raises(ValueError, match="Lipschitz constant"):
+            GraphDomain.from_json(spec)
+
     def test_json_roundtrip(self):
         dom = GraphDomain.from_json(
             {"phi": {"kind": "closed_form", "expr": "0.25*sin(x1)"},

@@ -80,6 +80,19 @@ class TestConfig:
             with pytest.raises(ValueError, match="eta"):
                 ExperimentConfig(eta=bad)
 
+    @pytest.mark.parametrize("name", ["resolution", "nt", "cell_resolution",
+                                      "n"])
+    @pytest.mark.parametrize("bad", [128.9, 2.0, "64", True, 0, -4])
+    def test_counts_must_be_positive_ints(self, name, bad):
+        # 128.9 ran 128 cells while the report echoed 128.9
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig.from_json({name: bad})
+
+    def test_numpy_int_counts_accepted(self):
+        cfg = ExperimentConfig(resolution=np.int64(64), nt=np.int32(32))
+        assert (cfg.resolution, cfg.nt) == (64, 32)
+        assert type(cfg.to_jsonable()["resolution"]) is int
+
     def test_from_json_ignores_unknown(self):
         cfg = ExperimentConfig.from_json(
             {"coeff": "trig", "resolution": 64, "bogus": 1})

@@ -4,9 +4,11 @@ scipy.ndimage loads on the first cone scan, and scipy.integrate (which
 pulls in scipy.optimize) and scipy.special on the first images-oracle call,
 so `parahom cell` and `parahom homogenize` never load them.  Point reads
 of a field (`ScalarField.value_at`, `greens_function`) never load
-scipy.interpolate, which only tabulated graphs use.
+scipy.interpolate, which only tabulated graphs use.  The package imports
+no scipy subpackage beyond those README's import list names.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,6 +17,29 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEFERRED = ("scipy.ndimage", "scipy.integrate", "scipy.optimize",
             "scipy.special")
+# the subpackages README's import list names
+NAMED = {"scipy.sparse", "scipy.sparse.linalg", "scipy.ndimage",
+         "scipy.integrate", "scipy.special", "scipy.interpolate"}
+
+
+def _scipy_imports(path):
+    """Every scipy module an import statement of path names, eager or not."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] if node.module != "scipy" else \
+                [f"scipy.{alias.name}" for alias in node.names]
+        else:
+            continue
+        yield from (n for n in names if n.split(".")[0] == "scipy")
+
+
+def test_scipy_imports_are_the_ones_readme_names():
+    found = {f"{path.name}: {name}"
+             for path in sorted((SRC / "parahom").glob("*.py"))
+             for name in _scipy_imports(path) if name not in NAMED}
+    assert sorted(found) == []
 
 
 def test_import_leaves_deferred_scipy_unloaded():

@@ -4,8 +4,7 @@ import pytest
 from parahom import potential
 from parahom.coeffs import preset
 from parahom.geometry import GraphDomain, ParabolicCube, ParabolicPoint
-from parahom.oracles import (gauss_heat_kernel, halfspace_green,
-                             halfspace_kernel, halfspace_kernel_cell_average,
+from parahom.oracles import (gauss_heat_kernel, halfspace_kernel_cell_average,
                              halfspace_measure)
 from parahom.pde import (IncompatibleDataError, ScalarField, SpaceTimeGrid,
                          halfspace, solve_impulse)
@@ -24,6 +23,13 @@ POLE = ParabolicPoint(np.array([0.0, 1.0]), 5.0)
 CUBE = ParabolicCube(np.zeros(1), 0.0, 0.5)
 CFG = PotentialConfig()
 GREEN_CFG = PotentialConfig(steps_per_r2=96.0)
+
+
+def sub_cube_volume(K):
+    """|Q_i| of the n = 1 partition of K: side 2r / mx by 2r^2 / mt."""
+    mt, mx = K.K.shape
+    r = K.cube.side
+    return (2 * r / mx) * (2 * r * r / mt)
 
 
 def oracle_measure(pole, cube):
@@ -87,7 +93,7 @@ class TestKernelEstimate:
         K = kernel_estimate(A_CONST, HALF, POLE, CUBE, depth=2, cfg=CFG)
         # nonnegative densities, exact mass consistency
         assert np.all(K.K >= 0.0)
-        assert abs(K.masses.sum() - K.measure.value) <= 1e-10
+        assert abs(K.K.sum() * sub_cube_volume(K) - K.measure.value) <= 1e-10
         oracle = np.empty_like(K.K)
         sub_r = CUBE.side / K.K.shape[1]
         for i, tc in enumerate(K.centers_t):
@@ -101,8 +107,10 @@ class TestKernelEstimate:
         # the images density matches the cell averages as cells shrink
         v1 = halfspace_kernel_cell_average(POLE.X[:-1], POLE.X[-1], POLE.t,
                                            [0.1], 0.0, 0.01)
-        v2 = float(halfspace_kernel(POLE.X[:-1], POLE.X[-1], POLE.t,
-                                    np.array([0.1]), 0.0))
+        # K(Z, tau; y, s) = lam / (tau - s) * Gamma((z - y, lam), tau - s)
+        elapsed = POLE.t - 0.0
+        v2 = POLE.X[-1] / elapsed * float(
+            gauss_heat_kernel(POLE.X - np.array([0.1, 0.0]), elapsed))
         assert v1 == pytest.approx(v2, rel=1e-3)
 
     def test_error_bars_present(self):
@@ -115,8 +123,8 @@ class TestKernelEstimate:
         # slabs and sub-cubes finer than the default grid: the grid is
         # refined so every tent spans a time step and a fine cell
         K = kernel_estimate(A_CONST, HALF, POLE, CUBE, depth=depth, cfg=CFG)
-        assert K.masses.shape == (4 ** depth, 2 ** depth)
-        assert abs(K.masses.sum() - K.measure.value) \
+        assert K.K.shape == (4 ** depth, 2 ** depth)
+        assert abs(K.K.sum() * sub_cube_volume(K) - K.measure.value) \
             <= 1e-12 * K.measure.value
 
     def test_time_profile_must_vanish(self):
@@ -131,7 +139,7 @@ class TestReverseHolder:
     def _synthetic(self, values):
         values = np.asarray(values, dtype=float)
         return KernelEstimate(POLE, CUBE, np.zeros((values.shape[1], 1)),
-                              np.zeros(values.shape[0]), values, values,
+                              np.zeros(values.shape[0]), values,
                               np.zeros_like(values), float(values.sum()))
 
     def test_constant_kernel_is_equality_case(self):
@@ -246,8 +254,11 @@ class TestGreen:
         pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
         G = green_field(pole, 2.0, [np.array([0.8, 0.8])], GREEN_CFG)
         val = G.value_at(np.array([0.8, 0.8]), 1.5)
-        oracle = float(halfspace_green(np.array([0.8]), 0.8, 1.5,
-                                       np.array([0.0]), 1.5, 0.0))
+        # G = Gamma(X - Z, t - tau) - Gamma(X - Z*, t - tau), Z* the mirror
+        # image of the pole across lam = 0
+        X, elapsed = np.array([0.8, 0.8]), 1.5 - pole.t
+        oracle = float(gauss_heat_kernel(X - pole.X, elapsed)
+                       - gauss_heat_kernel(X - pole.X * [1.0, -1.0], elapsed))
         assert val == pytest.approx(oracle, rel=0.02)
 
     def test_upper_bound_decay(self):
