@@ -1,10 +1,12 @@
 """Experiment orchestration: homogenization sweeps, diagnostic batteries,
 machine-readable reports.
 
-Reports are deterministic: identical config + seed produce byte-identical
+Reports are deterministic: identical configs produce byte-identical
 files.  Rows carry no wall-clock timings (they once had a `runtime` field,
-always serialized as null), and the config has no `diagnostics` list: the
-sweep runs a fixed set of checks.  Old configs that name it still load.
+always serialized as null).  The config has no `diagnostics` list (the
+sweep runs a fixed set of checks), no `seed` (no run draws random numbers)
+and no `min_cells_per_period` (the resolution floor is 8 cells per
+coefficient period).  Old configs that name any of them still load.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .coeffs import (CoefficientField, constant_matrix_field, field_from_json,
 from .geometry import GraphDomain, LipschitzCylinder, ParabolicCube, ParabolicPoint
 from .maximal import boundary_data_norm, lp_boundary_norm, nontangential_max
 from .oracles import halfspace_kernel_cell_average, halfspace_measure
-from .pde import BoundaryData, SpaceTimeGrid, solve_dirichlet
+from .pde import BoundaryData, SpaceTimeGrid, _run, solve_dirichlet
 from .potential import (PotentialConfig, _capped, caloric_measure,
                         caloric_measure_field, doubling_ratio, kernel_estimate,
                         local_solvability_ratio, reverse_holder_ratio)
@@ -44,6 +46,9 @@ __all__ = [
 ]
 
 
+_CELLS_PER_PERIOD = 8     # resolution floor of the homogenization grid
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs for the homogenization experiment and the diagnostic sweep."""
@@ -58,10 +63,8 @@ class ExperimentConfig:
     cell_resolution: int = 128
     eta: float = 1.0
     n: int = 1
-    seed: int = 0
     outdir: str = "."
     r_list: tuple = (0.25, 0.5, 1.0, 2.0, 4.0)
-    min_cells_per_period: int = 8
 
     def __post_init__(self):
         self.eps_list = tuple(float(e) for e in self.eps_list)
@@ -88,7 +91,7 @@ class ExperimentConfig:
 
     def required_resolution(self) -> int:
         eps_min = min(self.eps_list)
-        return int(np.ceil(self.min_cells_per_period / eps_min))
+        return int(np.ceil(_CELLS_PER_PERIOD / eps_min))
 
     @property
     def d(self) -> int:
@@ -205,14 +208,14 @@ def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     bias), the sup distance is measured on the compact interior K, and the
     lateral maximal-function norm ratio is recorded.  Like the potential
     grids, no axis may exceed 768 cells.  At most one whole space-time
-    field is alive at a time: the effective field is dropped once it is
-    restricted to K, and each eps field once its row is computed.
+    field is alive at a time: the effective field is dropped once its box
+    on K is copied out, and each eps field once its row is computed.
     """
     if cfg.resolution < cfg.required_resolution():
         raise ValueError(
             f"resolution {cfg.resolution} cannot resolve eps="
             f"{min(cfg.eps_list)}: need at least {cfg.required_resolution()} "
-            f"cells per axis ({cfg.min_cells_per_period} per period)")
+            f"cells per axis ({_CELLS_PER_PERIOD} per period)")
     d = cfg.d
     A = field_from_json(cfg.coeff, d=d)
     dom = domain_from_json(cfg.domain, d=d)
@@ -228,24 +231,18 @@ def homogenization_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     Abar_field = constant_matrix_field(em.Abar, label="Abar")
 
     K_box, K_t = default_compact_subcylinder(dom)
-    sel = []
-    for k in range(d):
-        c = grid.axis_centers(k)
-        sel.append((c >= K_box[k][0]) & (c <= K_box[k][1]))
-    times = grid.times()
-    sel_t = times >= K_t
-
-    def restrict(u):
-        return u.window(sel, sel_t)[0]
-
-    ubar_K = restrict(solve_dirichlet(Abar_field, dom, f, grid))
+    K = (_run(grid.times() >= K_t),) + tuple(
+        _run((grid.axis_centers(k) >= lo) & (grid.axis_centers(k) <= hi))
+        for k, (lo, hi) in enumerate(K_box))
+    # a copy, so that the effective field is not kept alive by a view
+    ubar_K = solve_dirichlet(Abar_field, dom, f, grid).values[K].copy()
     p = cfg.p_list[0]
     f_norm = boundary_data_norm(f, dom, grid, p)
 
     def row(eps):
         ueps = solve_dirichlet(scale_field(A, eps), dom, f, grid)
         n_norm = lp_boundary_norm(nontangential_max(ueps, cfg.eta, dom), p)
-        dist = float(np.abs(restrict(ueps) - ubar_K).max())
+        dist = float(np.abs(ueps.values[K] - ubar_K).max())
         return {"eps": eps, "distance": dist, "nt_norm": n_norm,
                 "nt_ratio": n_norm / f_norm, "distance_over_eps": dist / eps}
 
@@ -398,15 +395,12 @@ def q_decay_constant(A: CoefficientField, R_cells: int) -> dict:
     qu = q_difference(u, 1.0)
 
     times = grid.times()
-    lamc = grid.axis_centers(1)
-    xc = grid.axis_centers(0)
-    sel_t4 = (times > 0) & (times <= 4 * R * R)
-    sel_sup = (lamc[:qu.grid.shape[-1]] >= R) & (lamc[:qu.grid.shape[-1]] < 2 * R)
-    sup_q = float(np.abs(qu.window([None, sel_sup], sel_t4)[0]).max())
-
-    sel_t8 = (times > 0) & (times <= 8 * R * R)
-    sel_m = lamc < 3 * R
-    v, _ = u.window([None, sel_m], sel_t8)
+    lamc, qlamc = grid.axis_centers(1), qu.grid.axis_centers(1)
+    sup_q = float(np.abs(qu.values[_run((times > 0) & (times <= 4 * R * R)),
+                                   :, _run((qlamc >= R) & (qlamc < 2 * R))]
+                         ).max())
+    v = u.values[_run((times > 0) & (times <= 8 * R * R)), :,
+                 _run(lamc < 3 * R)]
     mass = float(np.sum(v * v) * np.prod(grid.h) * grid.dt)
     n = grid.d - 1
     denom = np.sqrt(mass / R ** (n + 3))
@@ -424,11 +418,11 @@ def local_solvability_at_scale(A: CoefficientField, r: float) -> float:
     ratio reads no later level.  Like the potential grids, no axis may
     exceed 768 cells.
 
-    The march records only the window the ratio reads: the cells with
+    The march stores only the box the ratio reads: the cells with
     |x| < 4 r and those whose lower lam face is below 4 r, at every kept
     level.  Those x cells are every center the 4x-cube trace check tests
     (the rest lie outside |x| < 4 r), so the check sees every point it
-    would see on the whole field, and the window reaches the height 4 r
+    would see on the whole field, and the box reaches the height 4 r
     exactly when the solve grid does.  The data's x-support [4.5 r, 6.5 r]
     lies outside |x| < 4 r at every level anyway.
     """
@@ -448,14 +442,11 @@ def local_solvability_at_scale(A: CoefficientField, r: float) -> float:
     times = full.times()
     k = int(np.searchsorted(times, 4.0 * r * r))
     grid = replace(full, t1=times[k], nt=k)
-    x_in = np.flatnonzero(np.abs(grid.axis_centers(0)) < 4.0 * r)
-    lam_in = np.count_nonzero(grid.faces[1][:-1] < 4.0 * r)
-    window = SpaceTimeGrid((grid.faces[0][x_in[0]:x_in[-1] + 2],
-                            grid.faces[1][:lam_in + 1]),
-                           grid.t0, grid.t1, grid.nt)
+    cells = (_run(np.abs(grid.axis_centers(0)) < 4.0 * r),
+             _run(grid.faces[1][:-1] < 4.0 * r))
     dom = GraphDomain(m=0.0, box=((lo[0], hi[0]),))
     data_cube = ParabolicCube(np.asarray([5.5 * r]), -16.0 * r * r, r)
-    u = caloric_measure_field(A, dom, data_cube, grid, window)
+    u = caloric_measure_field(A, dom, data_cube, grid, cells)
     return local_solvability_ratio(u, ParabolicCube(np.zeros(1), 0.0, r))
 
 

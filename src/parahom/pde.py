@@ -8,8 +8,11 @@ box: the geometry moves into the coefficients.  Lateral Dirichlet values
 enter through boundary-face fluxes; artificial truncation faces of
 half-space runs carry homogeneous data.
 
-Every field solve runs through one forward stepper, `_march`: backward-Euler
-steps of a fixed size from a flat state, one sparse LU factorization per call.
+Every field solve runs through one forward stepper, `_solve_field`:
+backward-Euler steps of a fixed size from a flat state, one sparse LU
+factorization per call.  A window is a box of cells, one slice per axis and
+one of time levels (`_run` turns a reader's threshold mask into its slice);
+a march stores only the box its caller reads.
 The factorization orders columns by minimum degree on the pattern of M^T + M
 (M the step matrix), which about halves the fill of SuperLU's default COLAMD
 order on these grid operators and keeps partial pivoting, so only roundoff
@@ -213,13 +216,18 @@ class SpaceTimeGrid:
         ValueError.
 
         An axis is uniform when every spacing equals the first up to the
-        roundoff of the axis' coordinates, 8 eps max|f|.  The rule has no
-        absolute scale, so an axis reads the same at every zoom and offset.
+        roundoff of the axis' coordinates, 8 eps max|f|, plus 1e-9 of that
+        spacing: a box cut from a wider uniform axis carries the roundoff
+        of the coordinates it was cut from, which can exceed its own.  The
+        rule has no absolute scale, so an axis reads the same at every zoom
+        and offset.
         """
         eps = np.finfo(float).eps
-        if any(np.abs(np.diff(f) - (f[1] - f[0])).max()
-               > 8 * eps * np.abs(f).max() for f in self.faces):
-            raise ValueError("grid is graded; use axis_spacings")
+        for f in self.faces:
+            dx = np.diff(f)
+            if np.abs(dx - dx[0]).max() > 8 * eps * np.abs(f).max() \
+                    + 1e-9 * dx[0]:
+                raise ValueError("grid is graded; use axis_spacings")
         return tuple(float((f[-1] - f[0]) / (f.size - 1)) for f in self.faces)
 
     @property
@@ -237,17 +245,18 @@ class SpaceTimeGrid:
     def axis_spacings(self, k: int) -> np.ndarray:
         return np.diff(self.faces[k])
 
-    def cell_volumes(self, masks=None) -> np.ndarray:
-        """Cell volumes of the sub-grid on the axes of `masks`, shape (*m).
+    def cell_volumes(self, cells=None) -> np.ndarray:
+        """Cell volumes of the box on the axes of `cells`, shape (*m).
 
-        masks maps axes, in increasing order, to a boolean mask over that
-        axis' cells (None keeps the whole axis); the default is every axis
+        cells maps axes, in increasing order, to a slice of that axis' cells
+        (slice(None) keeps the whole axis); the default is every axis
         whole.  The volumes are the outer product of the axis spacings.
         """
-        masks = dict.fromkeys(range(self.d)) if masks is None else masks
-        spacings = [self.axis_spacings(k) if m is None
-                    else self.axis_spacings(k)[m] for k, m in masks.items()]
-        return reduce(np.multiply.outer, spacings, np.ones(()))
+        cells = (dict.fromkeys(range(self.d), slice(None)) if cells is None
+                 else cells)
+        return reduce(np.multiply.outer,
+                      [self.axis_spacings(k)[s] for k, s in cells.items()],
+                      np.ones(()))
 
     def _mesh(self, axes) -> np.ndarray:
         mesh = np.meshgrid(*[self.axis_centers(k) for k in axes], indexing="ij")
@@ -355,18 +364,17 @@ class ScalarField:
         lo, hi = block.reshape(2, -1) @ weights.reshape(-1)
         return float((1.0 - frac) * lo + frac * hi)
 
-    def window(self, masks, t_mask):
-        """Values and cell volumes on a box window.
 
-        masks holds one boolean mask over the cell centers per spatial axis
-        (None keeps the whole axis); t_mask selects time levels.  Returns
-        (values, volume_weights) with shapes (mt, *m) and (*m).
-        """
-        g = self.grid
-        w = g.cell_volumes(dict(enumerate(masks)))
-        masks = [np.ones(g.shape[k], dtype=bool) if m is None else m
-                 for k, m in enumerate(masks)]
-        return self.values[np.ix_(t_mask, *masks)], w
+def _run(mask) -> slice:
+    """The slice of the one run of True in a boolean mask over cells or time
+    levels: a window box is one such slice per axis.  An empty mask gives
+    the empty slice(0, 0); a mask with a gap raises ValueError."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return slice(0, 0)
+    if idx[-1] - idx[0] + 1 != idx.size:
+        raise ValueError("mask is not one run of cells")
+    return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
 # ----------------------------------------------------------------------
@@ -507,7 +515,7 @@ def lateral_faces(grid: SpaceTimeGrid, dom) -> list:
     for axis in [grid.d - 1] if graph else range(grid.d):
         tang = [k for k in range(grid.d) if k != axis]
         x = grid._mesh(tang)
-        w = grid.cell_volumes(dict.fromkeys(tang))
+        w = grid.cell_volumes(dict.fromkeys(tang, slice(None)))
         if graph:
             g = dom.grad_phi(x)
             area = np.sqrt(1.0 + np.sum(g * g, axis=1)).reshape(w.shape)
@@ -549,31 +557,6 @@ def _check_residual(Mx: np.ndarray, b: np.ndarray) -> None:
                            f"{_RESIDUAL_TOL:g} x the rhs norm {scale:.3e}")
 
 
-def _march(op: _Operator, u, dt: float, nsteps: int, t0: float,
-           data: dict, record) -> np.ndarray:
-    """Backward-Euler steps of size dt from the flat state u at time t0.
-
-    The step matrix is factorized once per call, and the residual of the
-    last solve is checked.  data maps face-group keys (axis, side) to
-    callables t -> (faces,), added in its order (a corner cell takes data
-    from two faces); groups without an entry carry zero data.  After
-    each step, record(step, u, gvals) sees the new level and the data values
-    applied, keyed like data.  Returns the last state.
-    """
-    mass, M, lu = _factor(op, dt)
-    for step in range(1, nsteps + 1):
-        rhs = mass * u
-        gvals = {}
-        for key, fn in data.items():
-            g = op.groups[key]
-            gvals[key] = np.asarray(fn(t0 + step * dt), dtype=float)
-            rhs[g.cells] += g.weights * gvals[key]
-        u = lu.solve(rhs)
-        record(step, u, gvals)
-    _check_residual(M @ u, rhs)
-    return u
-
-
 def _hat(centers: np.ndarray, x: float):
     """(i, w): the multilinear weights w = (1 - frac, frac) of x on the
     centers i and i + 1 around it, x clamped to [centers[0], centers[-1]];
@@ -608,60 +591,55 @@ def _probe_weights(grid: SpaceTimeGrid, probes) -> np.ndarray:
 # public solves
 
 
-def _cells_of(grid: SpaceTimeGrid, window: SpaceTimeGrid) -> tuple:
-    """Slices of grid's cells, one per axis, that make up window.
-
-    Each window axis must be a run of consecutive grid faces, bit for bit,
-    and the time levels must be the grid's (same t0, t1 and nt); anything
-    else raises ValueError.
-    """
-    if window.d != grid.d or (window.t0, window.t1, window.nt) \
-            != (grid.t0, grid.t1, grid.nt):
-        raise ValueError("window must have the grid's axes and time levels")
-    cells = []
-    for k, (f, w) in enumerate(zip(grid.faces, window.faces)):
-        i = int(np.searchsorted(f, w[0]))
-        if not np.array_equal(f[i:i + w.size], w):
-            raise ValueError(f"window axis {k} is not a run of grid faces")
-        cells.append(slice(i, i + w.size - 1))
-    return tuple(cells)
-
-
 def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
-                 window: SpaceTimeGrid, u0: np.ndarray) -> ScalarField:
-    """March on grid from the flat state u0 and record window at every level;
-    f = None is zero data.
+                 cells: tuple, u0: np.ndarray) -> ScalarField:
+    """March on grid from the flat state u0 and store the box `cells` at
+    every level; f = None is zero data.
 
-    window is a sub-grid of grid: contiguous runs of its faces on every
-    axis, starting at the bottom lam face, and the same time levels, so its
-    centers, volumes, times and dt are bitwise the grid's (`_cells_of`);
-    anything else raises ValueError.  Only its cells are stored, so a
-    caller that reads a box sees the full march's values there and pays
-    memory for the box alone; `solve_dirichlet` and `solve_impulse` pass
-    the whole grid.  f is bound to the data points of
-    `lateral_faces(grid, dom)`.  The data applied on the window's bottom
-    cells is the field's `bottom_trace`.
+    cells holds one slice of grid's cells per axis (step 1, the last one
+    starting at the bottom lam layer; anything else raises ValueError).
+    The field's grid is cut from the runs of grid's faces around the box,
+    with grid's time levels, so its centers, volumes, times and dt are
+    bitwise the grid's: a caller that reads a box sees the whole march's
+    values there and pays memory for the box alone.  `solve_dirichlet` and
+    `solve_impulse` store every cell.
+
+    Backward-Euler steps of size grid.dt; the step matrix is factorized
+    once, and the residual of the last solve is checked.  f is bound to the
+    data points of `lateral_faces(grid, dom)` and added face by face in that
+    order (a corner cell sums data from two faces).  The data applied on
+    the box's bottom cells is the field's `bottom_trace`.
     """
-    cells = _cells_of(grid, window)
-    if cells[-1].start:
-        raise ValueError("window must keep the grid's bottom lam layer")
+    runs = [range(n)[s] for n, s in zip(grid.shape, cells, strict=True)]
+    if any(r.step != 1 for r in runs) or runs[-1].start:
+        raise ValueError("cells must be slices of step 1, the lam one from "
+                         "the grid's bottom lam layer")
+    box = SpaceTimeGrid(tuple(faces[r.start:r.stop + 1]
+                              for faces, r in zip(grid.faces, runs)),
+                        grid.t0, grid.t1, grid.nt)
     op = _assemble(_field_for(dom, A), grid)
     bound = f if f is not None else BoundaryData.zero()
     data = {face.key: partial(bound, face.points)
             for face in lateral_faces(grid, dom)}
     for key, fn in data.items():
         _check_vanishing(fn(grid.t0), grid.t0, f"face {key}")
-    out = np.empty((grid.nt + 1,) + window.shape)
+    out = np.empty((grid.nt + 1,) + box.shape)
     out[0] = u0.reshape(grid.shape)[cells]
-    bottom = np.zeros((grid.nt + 1,) + window.shape[:-1])
-
-    def record(step, u, gvals):
+    bottom = np.zeros((grid.nt + 1,) + box.shape[:-1])
+    mass, M, lu = _factor(op, grid.dt)
+    u = u0
+    for step in range(1, grid.nt + 1):
+        rhs = mass * u
+        for key, fn in data.items():
+            g = op.groups[key]
+            vals = np.asarray(fn(grid.t0 + step * grid.dt), dtype=float)
+            rhs[g.cells] += g.weights * vals
+            if key == (grid.d - 1, 0):
+                bottom[step] = vals.reshape(grid.shape[:-1])[cells[:-1]]
+        u = lu.solve(rhs)
         out[step] = u.reshape(grid.shape)[cells]
-        bottom[step] = gvals[(grid.d - 1, 0)].reshape(
-            grid.shape[:-1])[cells[:-1]]
-
-    _march(op, u0, grid.dt, grid.nt, grid.t0, data, record)
-    return ScalarField(window, out, bottom.reshape(grid.nt + 1, -1))
+    _check_residual(M @ u, rhs)
+    return ScalarField(box, out, bottom.reshape(grid.nt + 1, -1))
 
 
 def solve_dirichlet(A: CoefficientField, dom, f: BoundaryData,
@@ -672,7 +650,8 @@ def solve_dirichlet(A: CoefficientField, dom, f: BoundaryData,
     lives on {lam > 0}.  Cylinders use the grid box as the base and carry f
     on every lateral face.  Data must vanish at t0.
     """
-    return _solve_field(A, dom, f, grid, grid, np.zeros(grid.ncells))
+    return _solve_field(A, dom, f, grid, (slice(None),) * grid.d,
+                        np.zeros(grid.ncells))
 
 
 def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid, probes,
@@ -724,7 +703,8 @@ def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,
     idx = tuple(idx)
     u0 = np.zeros(grid.shape)
     u0[idx] = 1.0 / grid.cell_volumes()[idx]
-    return _solve_field(A, dom, None, grid, grid, u0.reshape(-1))
+    return _solve_field(A, dom, None, grid, (slice(None),) * grid.d,
+                        u0.reshape(-1))
 
 
 # ----------------------------------------------------------------------
@@ -756,12 +736,12 @@ def nt_trace_ratio(u: ScalarField, cube: ParabolicCube) -> np.ndarray:
     if np.abs(bd[inside]).max(initial=0.0) > 1e-10:
         raise ValueError("boundary data does not vanish on the 4x cube")
 
-    sel_x = [np.abs(grid.axis_centers(k) - cube.center_x[k]) < cube.side
-             for k in range(n)]
-    sel_t = np.abs(times - cube.center_t) < cube.side ** 2
+    box = (_run(np.abs(times - cube.center_t) < cube.side ** 2),) + tuple(
+        _run(np.abs(grid.axis_centers(k) - cube.center_x[k]) < cube.side)
+        for k in range(n))
     lamc = grid.axis_centers(grid.d - 1)
     lam1, lam2 = float(lamc[0]), float(lamc[1])
-    v, _ = u.window(sel_x + [None], sel_t)
+    v = u.values[box]
     r1 = v[..., 0] / lam1
     r2 = v[..., 1] / lam2
     rich = r1 - lam1 * (r2 - r1) / (lam2 - lam1)

@@ -37,8 +37,8 @@ import numpy as np
 from .coeffs import CoefficientField
 from .geometry import GraphDomain, ParabolicCube, ParabolicPoint, parabolic_norm
 from .pde import (BoundaryData, ScalarField, SpaceTimeGrid, _check_vanishing,
-                  _solve_field, adjoint_trace, graded_axis, lateral_faces,
-                  nt_trace_ratio, solve_impulse)
+                  _run, _solve_field, adjoint_trace, graded_axis,
+                  lateral_faces, nt_trace_ratio, solve_impulse)
 
 __all__ = [
     "PotentialConfig",
@@ -295,22 +295,22 @@ def caloric_measure(A: CoefficientField, dom: GraphDomain,
 
 def caloric_measure_field(A: CoefficientField, dom: GraphDomain,
                           cube: ParabolicCube, grid: SpaceTimeGrid,
-                          window: SpaceTimeGrid) -> ScalarField:
-    """u(X, t) = omega^{(X, t)}(cube), marched on grid, recorded on window.
+                          cells: tuple) -> ScalarField:
+    """u(X, t) = omega^{(X, t)}(cube), marched on grid, stored on a box.
 
     The data is the cube's indicator mollified by one fine cell of grid and
-    one step.  window is a sub-grid of grid (runs of its faces, the same
-    time levels; see `pde._solve_field`): the field holds the march's
-    values on the window's cells alone, bit for bit, and the data on the
-    window's bottom cells as its bottom trace.  Pass grid itself to keep
-    the whole field.
+    one step.  cells holds one slice of grid's cells per axis, the lam one
+    from the bottom (see `pde._solve_field`): the field holds the march's
+    values on the box alone, bit for bit, at every level, and the data on
+    the box's bottom cells as its bottom trace.  Pass slice(None) on every
+    axis to keep the whole field.
     """
     w_x, w_t = _fine_spacing(grid), grid.dt
 
     def indicator(pts, t):
         px, pt = _cube_profiles(cube, pts, t, w_x, w_t)
         return px * pt
-    return _solve_field(A, dom, BoundaryData(indicator), grid, window,
+    return _solve_field(A, dom, BoundaryData(indicator), grid, cells,
                         np.zeros(grid.ncells))
 
 
@@ -515,15 +515,15 @@ def reverse_holder_ratio(K: KernelEstimate, q: float = 2.0
     return ReverseHolderResult(mean_q / mean_1, not admissible)
 
 
-def _t_window(u: ScalarField, x0, t0: float, r: float):
-    """Values and volume weights of u on the open window
-    T_r = {|x - x0| < r, 0 < lam < r, |t - t0| < r^2}."""
-    grid = u.grid
-    masks = [np.abs(grid.axis_centers(k) - x0[k]) < r
-             for k in range(grid.d - 1)]
+def _t_window(grid: SpaceTimeGrid, x0, t0: float, r: float) -> tuple:
+    """The box of the open window T_r = {|x - x0| < r, 0 < lam < r,
+    |t - t0| < r^2} on grid: a slice of time levels, then one of cells per
+    axis."""
     lamc = grid.axis_centers(grid.d - 1)
-    masks.append((lamc > 0) & (lamc < r))
-    return u.window(masks, np.abs(grid.times() - t0) < r ** 2)
+    return ((_run(np.abs(grid.times() - t0) < r ** 2),)
+            + tuple(_run(np.abs(grid.axis_centers(k) - x0[k]) < r)
+                    for k in range(grid.d - 1))
+            + (_run((lamc > 0) & (lamc < r)),))
 
 
 def local_solvability_ratio(u: ScalarField, cube: ParabolicCube) -> float:
@@ -545,11 +545,12 @@ def local_solvability_ratio(u: ScalarField, cube: ParabolicCube) -> float:
     if grid.t0 > t0 - 4 * r * r or grid.t1 < t0 + 4 * r * r:
         raise ValueError("grid time levels do not cover T_2r")
     rich = nt_trace_ratio(u, cube)   # enforces the 4x-cube trace hypothesis
-    wx = grid.cell_volumes(
-        {k: np.abs(grid.axis_centers(k) - cube.center_x[k]) < r
-         for k in range(grid.d - 1)}).reshape(-1)
+    x_r = _t_window(grid, cube.center_x, t0, r)[1:-1]     # |x - x0| < r
+    wx = grid.cell_volumes(dict(enumerate(x_r))).reshape(-1)
     lhs = float(np.sum(rich ** 2 * wx[None, :]) * grid.dt)
-    v, w = _t_window(u, cube.center_x, cube.center_t, 2 * r)
+    box = _t_window(grid, cube.center_x, t0, 2 * r)
+    v = u.values[box]
+    w = grid.cell_volumes(dict(enumerate(box[1:])))
     mass = float(np.sum(v * v * w[None]) * grid.dt)
     if mass == 0.0:
         return 0.0
@@ -567,7 +568,7 @@ def harnack_ratio(u: ScalarField, x0, t0: float, r: float) -> float:
     if vmin < -1e-12 * max(1.0, float(np.abs(u.values).max())):
         raise ValueError(f"field is not nonnegative (min {vmin:.3e})")
 
-    sup_val = float(_t_window(u, x0, t0, r)[0].max())
+    sup_val = float(u.values[_t_window(u.grid, x0, t0, r)].max())
     base = u.value_at(np.append(x0, r), t0 + 2 * r * r)
     if base <= 0:
         raise ValueError("base value is not positive")

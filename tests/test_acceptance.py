@@ -255,7 +255,7 @@ def test_criterion_7_q_difference_decay():
 
 
 def test_criterion_8_byte_determinism(tmp_path):
-    cfg = ExperimentConfig(r_list=(0.5, 1.0), seed=7)
+    cfg = ExperimentConfig(r_list=(0.5, 1.0))
     pot = PotentialConfig(cells_per_r=10, steps_per_r2=12)
     paths = []
     for run in ("x", "y"):
@@ -266,7 +266,7 @@ def test_criterion_8_byte_determinism(tmp_path):
     assert b1 == b2
 
     cfg2 = ExperimentConfig(coeff="laminate", eps_list=(0.5, 0.25),
-                            resolution=32, nt=32, cell_resolution=16, seed=7)
+                            resolution=32, nt=32, cell_resolution=16)
     p2 = []
     for run in ("x", "y"):
         rep = homogenization_experiment(cfg2)

@@ -7,7 +7,8 @@ and every public method or property must be read there outside its own
 body.  Unit tests do not count, so public code that only its own tests call
 is deleted rather than kept.  The one name and one field kept without such
 a reader are listed in KEPT and KEPT_FIELDS, each with its reason, and
-neither list may go stale.
+neither list may go stale.  The counts of defaulted parameters, defaulted
+dataclass fields and `__all__` names may not rise above MAX_COUNTS.
 """
 
 import ast
@@ -150,3 +151,42 @@ def test_every_public_method_has_a_caller():
                     if all(id(node) in own for node in loads.get(fn.name, [])):
                         unread.append(f"{cls.name}.{fn.name}")
     assert unread == []
+
+
+# Upper bounds on the counts ROADMAP tracks, at their current values: a
+# change that adds a knob or a public name raises its bound in its own diff.
+MAX_COUNTS = {"defaulted parameters": 26,
+              "defaulted dataclass fields": 24,
+              "__all__ names": 66}
+
+
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def _counts():
+    """Defaulted parameters of every function and lambda, defaulted fields
+    of every dataclass, by an AST scan of the package; and `__all__`
+    names."""
+    params = fields = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                params += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += sum(isinstance(s, ast.AnnAssign)
+                              and s.value is not None for s in node.body)
+    return {"defaulted parameters": params,
+            "defaulted dataclass fields": fields,
+            "__all__ names": len(list(_public_names()))}
+
+
+def test_option_counts_stay_within_their_bounds():
+    counts = _counts()
+    over = {k: (v, MAX_COUNTS[k]) for k, v in counts.items()
+            if v > MAX_COUNTS[k]}
+    assert over == {}, "count above its bound: (count, bound)"

@@ -99,6 +99,16 @@ class TestConfig:
         assert cfg.coeff == "trig"
         assert cfg.resolution == 64
 
+    def test_old_configs_with_dropped_knobs_load(self):
+        # seed was read by no run, and a cells-per-period knob of 0 or less
+        # turned the resolution floor off; both keys load and are ignored
+        for old in ({"seed": 7}, {"min_cells_per_period": 0},
+                    {"min_cells_per_period": -3},
+                    {"min_cells_per_period": 2.5}):
+            cfg = ExperimentConfig.from_json(old)
+            assert cfg.required_resolution() == 128
+            assert not set(old) & set(cfg.to_jsonable())
+
     def test_grid_is_capped(self, monkeypatch):
         import parahom.harness as harness
 
@@ -223,7 +233,7 @@ class TestHomogenization:
 
 class TestSweep:
     def test_small_sweep_passes_and_is_deterministic(self, tmp_path):
-        cfg = ExperimentConfig(r_list=(0.5, 1.0), seed=3)
+        cfg = ExperimentConfig(r_list=(0.5, 1.0))
         pot = PotentialConfig(cells_per_r=10, steps_per_r2=12)
         rep1 = solvability_sweep(cfg, pot)
         rep2 = solvability_sweep(cfg, pot)
@@ -274,35 +284,29 @@ class TestSweep:
             grids.append(grid)
             return grid
 
-        def record(A, dom, cube, grid, window):
-            grids.extend((grid, window))
+        def record(A, dom, cube, grid, cells):
+            grids.extend((grid, cells))
             raise RuntimeError("recorded")
 
         monkeypatch.setattr(harness, "_capped", capped)
         monkeypatch.setattr(harness, "caloric_measure_field", record)
         with pytest.raises(RuntimeError, match="recorded"):
             local_solvability_at_scale(preset("trig", d=2), r)
-        full, grid, window = grids
+        full, grid, (x_cells, lam_cells) = grids
         assert full.t1 == 16.5 * r * r
         assert (grid.lo, grid.hi, grid.shape) == (full.lo, full.hi,
                                                   full.shape)
         assert grid.dt == full.dt
         assert np.array_equal(grid.times(), full.times()[:grid.nt + 1])
         assert grid.times()[-1] >= 4 * r * r > grid.times()[-2]
-        # the recorded window is runs of the full grid's faces on the kept
-        # levels, bit for bit: |x| < 4 r, and lam cells up to 4 r
-        for f, w in zip(full.faces, window.faces):
-            i = int(np.searchsorted(f, w[0]))
-            assert f[i:i + w.size].tobytes() == w.tobytes()
+        # the recorded box is runs of the full grid's cells, bit for bit:
+        # |x| < 4 r, and lam cells up to 4 r
+        assert x_cells.step is None and lam_cells.step is None
         xc = full.axis_centers(0)
-        assert window.axis_centers(0).tobytes() \
-            == xc[np.abs(xc) < 4 * r].tobytes()
-        assert window.faces[1][0] == 0.0
-        assert window.faces[1][-2] < 4 * r <= window.faces[1][-1]
-        assert (window.t0, window.t1, window.nt) == (grid.t0, grid.t1,
-                                                     grid.nt)
-        assert window.times().tobytes() \
-            == full.times()[:grid.nt + 1].tobytes()
+        assert xc[x_cells].tobytes() == xc[np.abs(xc) < 4 * r].tobytes()
+        assert lam_cells.start == 0
+        lam_faces = full.faces[1][:lam_cells.stop + 1]
+        assert lam_faces[-2] < 4 * r <= lam_faces[-1]
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
     def test_windowed_march_matches_the_whole_field(self, monkeypatch, r):
@@ -337,9 +341,9 @@ class TestSweep:
 
         march = harness.caloric_measure_field
 
-        def moved(A, dom, cube, grid, window):
+        def moved(A, dom, cube, grid, cells):
             inside = ParabolicCube(np.asarray([4.4]), -8.0, 0.5)
-            return march(A, dom, inside, grid, window)
+            return march(A, dom, inside, grid, cells)
 
         monkeypatch.setattr(harness, "caloric_measure_field", moved)
         with pytest.raises(ValueError, match="does not vanish on the 4x"):
@@ -355,9 +359,9 @@ class TestSweep:
         march = harness.caloric_measure_field
         grids = []
 
-        def seen(A, dom, cube, grid, window):
+        def seen(A, dom, cube, grid, cells):
             grids.append(grid)
-            return march(A, dom, cube, grid, window)
+            return march(A, dom, cube, grid, cells)
 
         monkeypatch.setattr(harness, "caloric_measure_field", seen)
         A = preset("trig", d=2)

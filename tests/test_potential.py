@@ -394,7 +394,8 @@ def _measure_pair(r=0.5, nx=256, nt=520, seed_cubes=((3.0, 0.8), (-3.0, 0.8))):
     out = []
     for cx, cr in seed_cubes:
         cube = ParabolicCube(np.asarray([cx]), -4.0, cr)
-        out.append(caloric_measure_field(A_CONST, dom, cube, grid, grid))
+        out.append(caloric_measure_field(A_CONST, dom, cube, grid,
+                                         (slice(None),) * grid.d))
     return out
 
 
