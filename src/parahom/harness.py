@@ -6,7 +6,9 @@ files.  Rows carry no wall-clock timings (they once had a `runtime` field,
 always serialized as null).  The config has no `diagnostics` list (the
 sweep runs a fixed set of checks), no `seed` (no run draws random numbers)
 and no `min_cells_per_period` (the resolution floor is 8 cells per
-coefficient period).  Old configs that name any of them still load.
+coefficient period).  Old configs that name any of them still load, and
+ignore them; any other key the config does not know raises ValueError
+before any solve, so a misspelt knob never runs with its default.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ __all__ = [
 
 
 _CELLS_PER_PERIOD = 8     # resolution floor of the homogenization grid
+# config keys that old configs carry and no run reads; they load, ignored
+_DROPPED_KEYS = frozenset({"diagnostics", "seed", "min_cells_per_period"})
 
 
 @dataclass
@@ -101,8 +105,11 @@ class ExperimentConfig:
     def from_json(cls, spec) -> "ExperimentConfig":
         if isinstance(spec, str):
             spec = json.loads(spec)
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in spec.items() if k in known})
+        unknown = set(spec) - set(cls.__dataclass_fields__) - _DROPPED_KEYS
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**{k: v for k, v in spec.items()
+                      if k not in _DROPPED_KEYS})
 
     def to_jsonable(self) -> dict:
         out = asdict(self)

@@ -13,16 +13,17 @@ face the cone of opening eta admits tangential offsets |dx| < rho and times
 face's chart height r0 (a graph face has none); a face with no cell layer
 below r0 raises ValueError.
 
-The cone supremum is a scan over grid layers.  Each face copies |u| on
-just the layers its cones reach into one slab laid out
-(layer, *tangential, time), time last.  At each height the parabolic cone
-section is an ellipse in (x, t); along the last tangential axis and time
-it is a staircase of boxes |o| <= k_i, |s| <= w_i, w falling as |o|
-grows.  A max filter over a union of boxes factors into one-dimensional
-running maxima (van Herk, Pattern Recogn. Lett. 13, 1992), so the
-staircase max is taken in Horner form, one corner at a time: a small time
-widening, a small tangential widening and one np.maximum, each widening a
-few flat np.maximum passes over the C-ordered layer.  The section's
+The cone supremum is a scan over grid layers.  Each face reads |u| on
+just the layers its cones reach, one layer at a time, into one reused
+buffer laid out (*tangential, time), time last.  At each height the
+parabolic cone section is an ellipse in (x, t); along the last tangential
+axis and time it is a staircase of boxes |o| <= k_i, |s| <= w_i, w
+falling as |o| grows.  A max filter over a union of boxes factors into
+one-dimensional running maxima (van Herk, Pattern Recogn. Lett. 13,
+1992), so the staircase max is taken in Horner form, one corner at a
+time: a small time widening, a small tangential widening and one
+np.maximum, each widening a few flat np.maximum passes over the C-ordered
+layer.  The section's
 common time window is one maximum_filter1d call: it is the one step whose
 width is not bounded by a corner's step, the filter's cost does not grow
 with that width, and perfbench counts cone-scan work by that call.
@@ -183,12 +184,15 @@ def _staircase(layer: np.ndarray, corners: list, bufs) -> np.ndarray:
                             output=bufs[3] if acc is bufs[2] else bufs[2])
 
 
-def _cone_sup(slab: np.ndarray, h_tang: Sequence[float], dt: float,
-              h_depth: float, eta: float) -> np.ndarray:
-    """Cone suprema over a (layer, *tang, nt+1) slab of |u|, time last.
+def _cone_sup(v: np.ndarray, nlayers: int, h_tang: Sequence[float],
+              dt: float, h_depth: float, eta: float) -> np.ndarray:
+    """Cone suprema of |u| over the first nlayers layers of a
+    (depth, *tang, nt+1) view v of u, time last.
 
-    Layer l sits at depth (l + 1/2) h_depth; its cone section admits
-    tangential offsets m with |m . h| < rho and times within
+    Layer l sits at depth (l + 1/2) h_depth; |v[l]| is written into one
+    C-ordered buffer, allocated once beside the four staircase buffers, so
+    the scan copies no more than one layer at a time.  Its cone section
+    admits tangential offsets m with |m . h| < rho and times within
     rho * sqrt(rho^2 - |dx|^2) of the vertex, rho = eta * depth.  Fixing
     the offsets on the tangential axes before the last (there are none
     when d = 2) leaves a staircase in the last axis and time, whose max
@@ -198,11 +202,12 @@ def _cone_sup(slab: np.ndarray, h_tang: Sequence[float], dt: float,
     the (*tang, nt+1) result for every sign.
     """
     *h_lead, h = h_tang
-    lead_shape = slab.shape[1:-2]
-    n, nt1 = slab.shape[-2:]
-    out = np.zeros(slab.shape[1:])
-    bufs = [np.empty(slab.shape[1:]) for _ in range(4)]
-    for l, layer in enumerate(slab):
+    lead_shape = v.shape[1:-2]
+    n, nt1 = v.shape[-2:]
+    out = np.zeros(v.shape[1:])
+    layer, *bufs = [np.empty(v.shape[1:]) for _ in range(5)]
+    for l in range(nlayers):
+        np.abs(v[l], out=layer)
         rho = eta * ((l + 0.5) * h_depth)
         max_off = [int(min(np.floor(rho / hl), nl - 1))
                    for hl, nl in zip(h_lead, lead_shape)]
@@ -229,7 +234,8 @@ def _face_max(u: ScalarField, eta: float, m: float,
 
     Cones open by eta, which must exceed the domain's Lipschitz constant m
     (0 for a cylinder), and stop at the face's chart height r0, which must
-    lie above the first cell layer.  Only the layers they reach are copied.
+    lie above the first cell layer.  Only the layers they reach are read,
+    one at a time, into `_cone_sup`'s reused layer buffer.
     """
     if eta <= m:
         raise ValueError(
@@ -247,8 +253,7 @@ def _face_max(u: ScalarField, eta: float, m: float,
     v = np.moveaxis(u.values, (1 + axis, 0), (0, -1))   # (depth, *tang, time)
     if side == 1:
         v = v[::-1]
-    vals = _cone_sup(np.abs(v[:nlayers], order="C"), h, grid.dt, h_depth,
-                     eta)
+    vals = _cone_sup(v, nlayers, h, grid.dt, h_depth, eta)
     # C order: np.sum in the L^p norms adds in memory order
     return BoundaryField(np.ascontiguousarray(np.moveaxis(vals, -1, 0)),
                          face.weights, grid.dt)

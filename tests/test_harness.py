@@ -93,11 +93,13 @@ class TestConfig:
         assert (cfg.resolution, cfg.nt) == (64, 32)
         assert type(cfg.to_jsonable()["resolution"]) is int
 
-    def test_from_json_ignores_unknown(self):
-        cfg = ExperimentConfig.from_json(
-            {"coeff": "trig", "resolution": 64, "bogus": 1})
+    def test_from_json_refuses_unknown_keys(self):
+        cfg = ExperimentConfig.from_json({"coeff": "trig", "resolution": 64})
         assert cfg.coeff == "trig"
         assert cfg.resolution == 64
+        with pytest.raises(ValueError, match="'bogus'"):
+            ExperimentConfig.from_json(
+                {"coeff": "trig", "resolution": 64, "bogus": 1})
 
     def test_old_configs_with_dropped_knobs_load(self):
         # seed was read by no run, and a cells-per-period knob of 0 or less
@@ -271,6 +273,15 @@ class TestSweep:
         # before any assembly
         with pytest.raises(ValueError, match="896 cells.*max_cells_per_axis"):
             local_solvability_at_scale(preset("trig", d=2), 16.0)
+
+    def test_local_solvability_is_scale_free(self):
+        # constant coefficients: h = r/8 and dt = r^2/12 scale by powers
+        # of 2, which floating point does exactly, so the ratio is bitwise
+        # equal across scales.  r = 4 is left out: h is capped at 0.25
+        A = preset("constant", d=2)
+        ratios = {local_solvability_at_scale(A, r)
+                  for r in (0.25, 0.5, 1.0, 2.0)}
+        assert ratios == {0.027061291004201533}
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_local_solvability_march_stops_at_4r2(self, monkeypatch, r):
@@ -609,6 +620,15 @@ class TestCli:
                    "--name", "homog"])
         assert os.path.exists(os.path.join(str(tmp_path), "homog.json"))
         assert rc in (0, 1)   # monotonicity not asserted at toy resolution
+
+    def test_homogenize_refuses_a_misspelt_key(self, monkeypatch):
+        # "resolutoin" once ran silently at the default 128 cells
+        import parahom.harness as harness
+        from parahom.cli import main
+
+        monkeypatch.setattr(harness, "effective_matrix", _no_solve)
+        with pytest.raises(ValueError, match="'resolutoin'"):
+            main(["homogenize", "--config", '{"resolutoin": 64}'])
 
     def test_config_from_file(self, tmp_path):
         from parahom.cli import main

@@ -267,6 +267,27 @@ class TestCylinderCones:
         for bf in fields.values():
             assert bf.values.max() <= u.values.max() + 1e-14
 
+    def test_scan_copies_one_layer_at_a_time(self):
+        # a face's cones reach 32 of the 64 layers, half of u; a scan that
+        # copies one layer at a time holds a few (64, 65) layers, 0.16 of u
+        import tracemalloc
+
+        from parahom.harness import data_from_json, field_from_json
+
+        g = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (64, 64),
+                                  0.0, 1.0, 64)
+        dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=1.0)
+        A = scale_field(field_from_json("laminate", d=2), 0.25)
+        u = solve_dirichlet(A, dom, data_from_json(None), g)
+        nontangential_max(u, 1.0, dom)      # warm: imports, first buffers
+        tracemalloc.start()
+        try:
+            nontangential_max(u, 1.0, dom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * u.values.nbytes
+
 
 def cone_oracle(u, eta, face, cut):
     """N(u) on one face by brute force over every vertex, layer, tangential
