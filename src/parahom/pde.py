@@ -19,15 +19,15 @@ order on these grid operators and keeps partial pivoting, so only roundoff
 moves.  The relative residual of the last solve of every march is checked
 against the 1e-10 contract, and a breach raises RuntimeError.  Boundary data enters as per-face-group callables,
 checked once for vanishing at the initial time.
-Probe values at the final time come from `adjoint_trace`, the transposed
-march of the same step matrix, the exact discrete adjoint: it records the
-discrete caloric kernel of the probes on one face group (one solve per step
-for each probe, and no symmetry of the operator), so the final probe values
-of any data on that face are a sum of the kernel against the data.
-The probe weights P of that read (`_probe_weights`, the outer product of
-one multilinear `_hat` per axis) are the one point-read rule:
-`ScalarField.value_at` contracts the same hats with the 2^d cells around
-the point on the two time levels around t.
+A probe's value at the final time comes from `adjoint_trace`, the
+transposed march of the same step matrix, the exact discrete adjoint: it
+records the discrete caloric kernel of the probe on one face group (one
+solve per step, and no symmetry of the operator), so the final probe value
+of any data on that face is a sum of the kernel against the data.
+`_probe` is the one point-read rule: the box of 2^d cells around the point
+and the outer product of one multilinear `_hat` per axis on it, the weights
+P of that read; `ScalarField.value_at` applies them on the two time levels
+around t.  `_window` is the one box of a parabolic window T_r.
 
 The operator is in divergence form, the discrete divergence of the face
 fluxes: S = sum_k D_k^T F_k + B, with D_k the difference across the k-faces
@@ -343,24 +343,20 @@ class ScalarField:
         object.__setattr__(self, "bottom_trace", b)
 
     def value_at(self, X, t) -> float:
-        """u(X, t): the probe weights P of `adjoint_trace` (the `_hat` of
-        each axis, multilinear between cell centers, holding the edge cell's
-        value within half a cell of a face) on the two time levels around
-        t, linear in t; only the 2 x 2^d values the hats touch are read.
+        """u(X, t): the probe weights of `_probe` (the `_hat` of each axis,
+        multilinear between cell centers, holding the edge cell's value
+        within half a cell of a face) on the two time levels around t,
+        linear in t; only the 2 x 2^d values the hats touch are read.
         X outside [lo, hi] or t outside [t0, t1] raises ValueError."""
         g = self.grid
-        X = np.atleast_1d(np.asarray(X, dtype=float))
-        if X.shape != (g.d,) or not (np.all(X >= g.lo) and np.all(X <= g.hi)
-                                     and g.t0 <= t <= g.t1):
-            raise ValueError(f"point X={X.tolist()}, t={t} lies outside the "
-                             f"grid {g.lo}..{g.hi} x [{g.t0}, {g.t1}]")
+        box, weights = _probe(g, X)
+        if not g.t0 <= t <= g.t1:
+            raise ValueError(f"time t={t} lies outside the grid's "
+                             f"[{g.t0}, {g.t1}]")
         times = g.times()
-        k = int(np.clip(np.searchsorted(times, t) - 1, 0, g.nt - 1))
+        k = min(max(int(np.searchsorted(times, t)) - 1, 0), g.nt - 1)
         frac = (t - times[k]) / (times[k + 1] - times[k])
-        hats = [_hat(g.axis_centers(j), X[j]) for j in range(g.d)]
-        block = self.values[(slice(k, k + 2),)
-                            + tuple(slice(i, i + w.size) for i, w in hats)]
-        weights = reduce(np.multiply.outer, [w for _, w in hats])
+        block = self.values[(slice(k, k + 2),) + box]
         lo, hi = block.reshape(2, -1) @ weights.reshape(-1)
         return float((1.0 - frac) * lo + frac * hi)
 
@@ -375,6 +371,17 @@ def _run(mask) -> slice:
     if idx[-1] - idx[0] + 1 != idx.size:
         raise ValueError("mask is not one run of cells")
     return slice(int(idx[0]), int(idx[-1]) + 1)
+
+
+def _window(grid: SpaceTimeGrid, x0, t0: float, r: float) -> tuple:
+    """The box of the open window T_r = {|x - x0| < r, 0 < lam < r,
+    |t - t0| < r^2} on grid: a slice of time levels, then one of cells per
+    axis."""
+    lamc = grid.axis_centers(grid.d - 1)
+    return ((_run(np.abs(grid.times() - t0) < r ** 2),)
+            + tuple(_run(np.abs(grid.axis_centers(k) - x0[k]) < r)
+                    for k in range(grid.d - 1))
+            + (_run((lamc > 0) & (lamc < r)),))
 
 
 # ----------------------------------------------------------------------
@@ -563,28 +570,27 @@ def _hat(centers: np.ndarray, x: float):
     w holds one weight on an axis of one cell."""
     if centers.size == 1:
         return 0, np.ones(1)
-    x = np.clip(x, centers[0], centers[-1])
-    i = int(np.clip(np.searchsorted(centers, x) - 1, 0, centers.size - 2))
+    x = min(max(x, centers[0]), centers[-1])
+    i = min(max(int(np.searchsorted(centers, x)) - 1, 0), centers.size - 2)
     frac = (x - centers[i]) / (centers[i + 1] - centers[i])
     return i, np.array([1.0 - frac, frac])
 
 
-def _probe_weights(grid: SpaceTimeGrid, probes) -> np.ndarray:
-    """Multilinear interpolation weights at spatial probe points, shape
-    (cells, probes): for each probe the outer product of one `_hat` vector
-    per axis."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    out = np.empty((grid.ncells, len(probes)))
-    for p, X in enumerate(probes):
-        hats = []
-        for k in range(grid.d):
-            c = grid.axis_centers(k)
-            i, w = _hat(c, X[k])
-            hat = np.zeros(c.size)
-            hat[i:i + w.size] = w
-            hats.append(hat)
-        out[:, p] = reduce(np.multiply.outer, hats).reshape(-1)
-    return out
+def _probe(grid: SpaceTimeGrid, X) -> tuple:
+    """(box, weights): the one point-read rule at the spatial point X.
+
+    box holds one slice of cells per axis around X, weights (the shape of
+    the box) the outer product of each axis' `_hat` weights on it.  X of
+    the wrong dimension, outside [lo, hi] or NaN raises ValueError.
+    """
+    X = np.atleast_1d(np.asarray(X, dtype=float))
+    if X.shape != (grid.d,) or not all(
+            f[0] <= x <= f[-1] for f, x in zip(grid.faces, X)):
+        raise ValueError(f"point X={X.tolist()} lies outside the grid "
+                         f"{grid.lo}..{grid.hi}")
+    hats = [_hat(grid.axis_centers(k), X[k]) for k in range(grid.d)]
+    return (tuple(slice(i, i + w.size) for i, w in hats),
+            reduce(np.multiply.outer, [w for _, w in hats]))
 
 
 # ----------------------------------------------------------------------
@@ -654,31 +660,35 @@ def solve_dirichlet(A: CoefficientField, dom, f: BoundaryData,
                         np.zeros(grid.ncells))
 
 
-def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid, probes,
+def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid, probe,
                   key) -> np.ndarray:
-    """Discrete caloric kernel of probe points on one face group.
+    """Discrete caloric kernel of one probe point on one face group.
 
     From zero initial data the forward march M u_k = D u_{k-1} + B g_k
     (D the mass diagonal, B the boundary-face transmissibilities) read at
-    t1 through the interpolation weights P is  P u_N = sum_k w_k^T B g_k,
+    t1 through the probe weights P of `_probe` is  P u_N = sum_k w_k^T B g_k,
     with w_N = M^-T P^T and w_{k-1} = M^-T D w_k.  Marching w backward takes
-    one transposed solve per step with one column per probe and needs no
-    symmetry of the step matrix.  Returns K of shape (nt, faces, nprobes)
-    with K[k-1] = B w_k on the face group key = (axis, side), faces in the
-    order of the `lateral_faces` data points: for data g on that face alone,
-    P u_N = sum_k K[k-1]^T g(t_k) up to roundoff.  The residual of the last
-    transposed solve is checked against the 1e-10 contract.
+    one transposed solve per step and needs no symmetry of the step matrix.
+    Returns K of shape (nt, faces) with K[k-1] = B w_k on the face group
+    key = (axis, side), faces in the order of the `lateral_faces` data
+    points: for data g on that face alone, P u_N = sum_k K[k-1] . g(t_k) up
+    to roundoff.  A probe outside the grid box raises ValueError; the
+    residual of the last transposed solve is checked against the 1e-10
+    contract.
     """
+    box, weights = _probe(grid, probe)
     op = _assemble(_field_for(dom, A), grid)
     g = op.groups[tuple(key)]
-    z = _probe_weights(grid, probes)
-    out = np.empty((grid.nt, g.cells.size, z.shape[1]))
+    z = np.zeros(grid.shape)
+    z[box] = weights
+    z = z.reshape(-1)
+    out = np.empty((grid.nt, g.cells.size))
     mass, M, lu = _factor(op, grid.dt)
     for step in range(grid.nt, 0, -1):
         rhs = z
         w = lu.solve(rhs, trans="T")
-        out[step - 1] = g.weights[:, None] * w[g.cells]
-        z = mass[:, None] * w
+        out[step - 1] = g.weights * w[g.cells]
+        z = mass * w
     _check_residual(M.T @ w, rhs)
     return out
 
@@ -729,16 +739,11 @@ def nt_trace_ratio(u: ScalarField, cube: ParabolicCube) -> np.ndarray:
     if bd is None:
         raise ValueError("field has no recorded bottom boundary data")
     big = cube.scaled(4.0)
-    n = grid.d - 1
-    tang0 = grid.tangential_centers()
-    times = grid.times()
-    inside = big.contains_xt(tang0, times[:, None])
+    inside = big.contains_xt(grid.tangential_centers(), grid.times()[:, None])
     if np.abs(bd[inside]).max(initial=0.0) > 1e-10:
         raise ValueError("boundary data does not vanish on the 4x cube")
 
-    box = (_run(np.abs(times - cube.center_t) < cube.side ** 2),) + tuple(
-        _run(np.abs(grid.axis_centers(k) - cube.center_x[k]) < cube.side)
-        for k in range(n))
+    box = _window(grid, cube.center_x, cube.center_t, cube.side)[:-1]
     lamc = grid.axis_centers(grid.d - 1)
     lam1, lam2 = float(lamc[0]), float(lamc[1])
     v = u.values[box]

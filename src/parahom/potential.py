@@ -5,17 +5,19 @@ Green-measure equivalence.
 Conventions.  `greens_function(A, dom, pole, points)` returns G at each
 read point: one forward propagation of a discrete unit impulse from the
 pole time, on a grid whose horizon and core the read points fix, read with
-the probe weights of `pde.adjoint_trace` (`ScalarField.value_at`); a
-point at or before the pole time reads 0.  Each pole diagnostic reads one
-discrete caloric kernel: the adjoint trace of the pole on the bottom face of
-its measure grid (`pde.adjoint_trace`, the transposed step matrix, which
-needs no symmetry of the operator; flattened graph domains do not give
-one).  The measure of separable lateral data pt(t) px(x) is then
-pt^T K px: measures take the mollified indicator of a cube (width one grid
-cell and one time step), and halving the mollification bounds the
-smoothing error; kernel densities are sub-cube measure ratios from tent
-partitions of the cube, and a kernel estimate carries the whole cube's
-measure from its kernel.
+the probe weights of `pde.adjoint_trace` (`pde._probe`, through
+`ScalarField.value_at`); a point at or before the pole time reads 0.  Each
+pole diagnostic reads one discrete caloric kernel: the adjoint trace of the
+pole on the bottom face of its measure grid (`pde.adjoint_trace`, the
+transposed step matrix, which needs no symmetry of the operator; flattened
+graph domains do not give one).  The measure of separable lateral data
+pt(t) px(x) is then pt^T K px: measures take the mollified indicator of a
+cube (width one grid cell and one time step), and halving the mollification
+bounds the smoothing error; kernel densities are sub-cube measure ratios
+from tent partitions of the cube, and a kernel estimate carries the whole
+cube's measure from its kernel.  Both are `_tents`: the cube's indicator is
+the one tent of its two edges per axis.  The windows T_r of the ratio
+diagnostics are `pde._window` boxes.
 Admissibility windows are enforced as preconditions with explicit margins;
 inadmissible exploratory runs are allowed but watermarked in the results.
 
@@ -37,7 +39,7 @@ import numpy as np
 from .coeffs import CoefficientField
 from .geometry import GraphDomain, ParabolicCube, ParabolicPoint, parabolic_norm
 from .pde import (BoundaryData, ScalarField, SpaceTimeGrid, _check_vanishing,
-                  _run, _solve_field, adjoint_trace, graded_axis,
+                  _solve_field, _window, adjoint_trace, graded_axis,
                   lateral_faces, nt_trace_ratio, solve_impulse)
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
 
 _NOISE_FLOOR = 1e-8         # measure and Green values below this are noise
 _MAX_CELLS_PER_AXIS = 768   # cap on every axis of a diagnostic grid
+_MARGIN_MULT = 4.0          # truncation margin / configuration diameter
 
 
 class MeasureBelowNoiseError(RuntimeError):
@@ -71,20 +74,19 @@ class PotentialConfig:
     """Resolution knobs shared by the diagnostics.
 
     cells_per_r and steps_per_r2 set the fine spacing h = r / cells_per_r
-    and the step dt = r^2 / steps_per_r2 of a scale-r grid.  margin_mult
-    multiplies the parabolic diameter of the active configuration (data
-    support, pole, elapsed time) to size the truncation margin of the
-    half-space box.  Fixed: the measure and Green grids refuse axes above
-    768 cells, the noise floor is 1e-8, the Green-measure region condition
-    is |(x0,0) - (x,lam)|^2 <= |t - t0|, and margins and the gaps between
-    fine segments grade by 1.3x per cell (`pde.graded_axis`), up to
-    max(16 h, extent / 64) on a measure-grid axis and 16 h on a Green-grid
-    axis.
+    and the step dt = r^2 / steps_per_r2 of a scale-r grid.  Fixed: the
+    truncation margin of the half-space box is 4x the parabolic diameter of
+    the active configuration (data support, pole, elapsed time) on a
+    measure grid and 4x the diffusion scale on a Green grid, the grids
+    refuse axes above 768 cells, the noise floor is 1e-8, the Green-measure
+    region condition is |(x0,0) - (x,lam)|^2 <= |t - t0|, and margins and
+    the gaps between fine segments grade by 1.3x per cell
+    (`pde.graded_axis`), up to max(16 h, extent / 64) on a measure-grid
+    axis and 16 h on a Green-grid axis.
     """
 
     cells_per_r: float = 16.0
     steps_per_r2: float = 24.0
-    margin_mult: float = 4.0
 
 
 DEFAULT_CONFIG = PotentialConfig()
@@ -94,14 +96,16 @@ DEFAULT_CONFIG = PotentialConfig()
 # mollified cube data
 
 
-def _edge_profile(s, edge, w, rising: bool):
-    if rising:
-        return np.clip((s - edge) / w + 0.5, 0.0, 1.0)
-    return np.clip((edge - s) / w + 0.5, 0.0, 1.0)
-
-
-def _interval_profile(s, a, b, w):
-    return _edge_profile(s, a, w, True) * _edge_profile(s, b, w, False)
+def _tents(s, edges, w):
+    """Tent partition over the sub-intervals of `edges`, shape
+    s.shape + (len(edges) - 1,): column i is the indicator of
+    [edges[i], edges[i+1]] mollified by width w, a product of two clipped
+    ramps.  The columns sum to the outer mollified indicator exactly
+    (shared internal ramps telescope)."""
+    s = np.asarray(s, dtype=float)[..., None]
+    e = np.asarray(edges, dtype=float)
+    return (np.clip((s - e[:-1]) / w + 0.5, 0.0, 1.0)
+            * np.clip((e[1:] - s) / w + 0.5, 0.0, 1.0))
 
 
 def _cube_profiles(cube: ParabolicCube, pts, t, w_x, w_t):
@@ -113,24 +117,11 @@ def _cube_profiles(cube: ParabolicCube, pts, t, w_x, w_t):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     px = np.ones(pts.shape[0])
     for k in range(cube.center_x.size):
-        a = cube.center_x[k] - cube.side
-        b = cube.center_x[k] + cube.side
-        px = px * _interval_profile(pts[:, k], a, b, w_x)
-    pt = _interval_profile(np.asarray(t, dtype=float),
-                           cube.center_t - cube.side ** 2,
-                           cube.center_t + cube.side ** 2, w_t)
+        c = cube.center_x[k]
+        px = px * _tents(pts[:, k], [c - cube.side, c + cube.side], w_x)[:, 0]
+    pt = _tents(t, [cube.center_t - cube.side ** 2,
+                    cube.center_t + cube.side ** 2], w_t)[..., 0]
     return px, pt
-
-
-def _partition_profiles(s, edges, w):
-    """Tent partition over the sub-intervals of `edges`; columns sum to the
-    outer mollified indicator exactly (shared internal ramps telescope)."""
-    m = len(edges) - 1
-    out = np.empty((len(s), m))
-    for i in range(m):
-        out[:, i] = _edge_profile(s, edges[i], w, True) \
-            * _edge_profile(s, edges[i + 1], w, False)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +168,7 @@ def _measure_grid(pole: ParabolicPoint, cube: ParabolicCube,
     h = r / cfg.cells_per_r
     dt = r * r / cfg.steps_per_r2
     t_start = min(cube.center_t - r * r, pole.t) - 2 * dt
-    margin = cfg.margin_mult * _config_diameter(cube, pole, t_start)
+    margin = _MARGIN_MULT * _config_diameter(cube, pole, t_start)
     axes = []
     for k in range(n):
         segs = [(cube.center_x[k] - 1.5 * r, cube.center_x[k] + 1.5 * r, h),
@@ -258,7 +249,7 @@ def _pole_kernel(A, dom, pole: ParabolicPoint, cube: ParabolicCube,
     grid = _measure_grid(pole, cube, cfg)
     _require_pole_clearance(grid, pole)
     face, = lateral_faces(grid, dom)
-    K = adjoint_trace(A, dom, grid, [pole.X], face.key)[..., 0]
+    K = adjoint_trace(A, dom, grid, pole.X, face.key)
     return _PoleKernel(K, face.points, grid.times(), _fine_spacing(grid),
                        grid.dt)
 
@@ -368,8 +359,8 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
     kern = _pole_kernel(A, dom, pole, cube, replace(
         cfg, steps_per_r2=max(cfg.steps_per_r2, 4 ** depth / 2),
         cells_per_r=max(cfg.cells_per_r, 2 ** depth / 2)))
-    masses = kern.mass(_partition_profiles(kern.t, et, kern.w_t),
-                       _partition_profiles(kern.x[:, 0], ex, kern.w_x))
+    masses = kern.mass(_tents(kern.t, et, kern.w_t),
+                       _tents(kern.x[:, 0], ex, kern.w_x))
     measure = _cube_measure(kern, cube)
     sub_vol = (2 * r / mx) * 2 * (r ** 2 / mt) * 2 ** (n - 1)
     K = masses / sub_vol
@@ -398,7 +389,7 @@ def _green_grid(pole: ParabolicPoint, horizon: float, extra_pts,
     scale = np.sqrt(horizon)
     h = scale / cfg.cells_per_r
     dt = horizon / (cfg.steps_per_r2 * 4)
-    margin = cfg.margin_mult * scale
+    margin = _MARGIN_MULT * scale
     xs = [pole.X, *extra_pts]
     n = pole.X.size - 1
     faces = []
@@ -515,17 +506,6 @@ def reverse_holder_ratio(K: KernelEstimate, q: float = 2.0
     return ReverseHolderResult(mean_q / mean_1, not admissible)
 
 
-def _t_window(grid: SpaceTimeGrid, x0, t0: float, r: float) -> tuple:
-    """The box of the open window T_r = {|x - x0| < r, 0 < lam < r,
-    |t - t0| < r^2} on grid: a slice of time levels, then one of cells per
-    axis."""
-    lamc = grid.axis_centers(grid.d - 1)
-    return ((_run(np.abs(grid.times() - t0) < r ** 2),)
-            + tuple(_run(np.abs(grid.axis_centers(k) - x0[k]) < r)
-                    for k in range(grid.d - 1))
-            + (_run((lamc > 0) & (lamc < r)),))
-
-
 def local_solvability_ratio(u: ScalarField, cube: ParabolicCube) -> float:
     """Boundary-flux over interior-mass ratio on the scale-r cube.
 
@@ -545,10 +525,10 @@ def local_solvability_ratio(u: ScalarField, cube: ParabolicCube) -> float:
     if grid.t0 > t0 - 4 * r * r or grid.t1 < t0 + 4 * r * r:
         raise ValueError("grid time levels do not cover T_2r")
     rich = nt_trace_ratio(u, cube)   # enforces the 4x-cube trace hypothesis
-    x_r = _t_window(grid, cube.center_x, t0, r)[1:-1]     # |x - x0| < r
+    x_r = _window(grid, cube.center_x, t0, r)[1:-1]     # |x - x0| < r
     wx = grid.cell_volumes(dict(enumerate(x_r))).reshape(-1)
     lhs = float(np.sum(rich ** 2 * wx[None, :]) * grid.dt)
-    box = _t_window(grid, cube.center_x, t0, 2 * r)
+    box = _window(grid, cube.center_x, t0, 2 * r)
     v = u.values[box]
     w = grid.cell_volumes(dict(enumerate(box[1:])))
     mass = float(np.sum(v * v * w[None]) * grid.dt)
@@ -568,7 +548,7 @@ def harnack_ratio(u: ScalarField, x0, t0: float, r: float) -> float:
     if vmin < -1e-12 * max(1.0, float(np.abs(u.values).max())):
         raise ValueError(f"field is not nonnegative (min {vmin:.3e})")
 
-    sup_val = float(u.values[_t_window(u.grid, x0, t0, r)].max())
+    sup_val = float(u.values[_window(u.grid, x0, t0, r)].max())
     base = u.value_at(np.append(x0, r), t0 + 2 * r * r)
     if base <= 0:
         raise ValueError("base value is not positive")

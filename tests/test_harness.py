@@ -254,11 +254,11 @@ class TestSweep:
         march = potential.adjoint_trace
         keys = []
 
-        def traced(A, dom, grid, probes, key):
+        def traced(A, dom, grid, probe, key):
             keys.append((A.label, id(dom), grid.t0, grid.t1, grid.nt,
                          *(f.tobytes() for f in grid.faces),
-                         np.asarray(probes, dtype=float).tobytes()))
-            return march(A, dom, grid, probes, key)
+                         np.asarray(probe, dtype=float).tobytes()))
+            return march(A, dom, grid, probe, key)
 
         monkeypatch.setattr(potential, "adjoint_trace", traced)
         rep = solvability_sweep(ExperimentConfig(r_list=(0.5,)),

@@ -35,6 +35,9 @@ def small_grid(nx=64, nlam=24, nt=48, t1=1.0):
     return halfspace(-4.0, 4.0, 2.0, 0.0, t1, (nx, nlam), nt)
 
 
+PROBES = ([0.1, 0.4], [-0.7, 1.1], [1.3, 0.2])
+
+
 def read(u, pts):
     """u.value_at at each row (t, X) of pts."""
     return np.array([u.value_at(p[1:], p[0]) for p in pts])
@@ -404,17 +407,17 @@ class TestSolveDirichlet:
         grid = small_grid(nx=32, nlam=12, nt=16)
         f = bump_data()
         face, = lateral_faces(grid, dom)
-        probes = np.array([[0.1, 0.4], [-0.7, 1.1], [1.3, 0.2]])
-        K = adjoint_trace(A, dom, grid, probes, face.key)
-        assert K.shape == (grid.nt, face.points.shape[0], len(probes))
         g = np.stack([f(face.points, t) for t in grid.times()[1:]])
-        final = np.einsum("kfp,kfc->pc", K, np.stack([g, -3.0 * g], axis=-1))
         u = solve_dirichlet(A, dom, f, grid)
-        pts = np.column_stack([np.full(len(probes), grid.t1), probes])
-        ref = read(u, pts)
         scale = np.abs(u.values).max()
-        assert np.abs(final[:, 0] - ref).max() <= 1e-12 * scale
-        assert np.abs(final[:, 1] + 3.0 * ref).max() <= 3e-12 * scale
+        for probe in PROBES:
+            K = adjoint_trace(A, dom, grid, probe, face.key)
+            assert K.shape == (grid.nt, face.points.shape[0])
+            final = np.einsum("kf,kfc->c", K,
+                              np.stack([g, -3.0 * g], axis=-1))
+            ref = u.value_at(probe, grid.t1)
+            assert abs(final[0] - ref) <= 1e-12 * scale
+            assert abs(final[1] + 3.0 * ref) <= 3e-12 * scale
 
     @pytest.mark.parametrize("name,dom", [
         ("constant", HALF), ("laminate", HALF), ("trig", HALF),
@@ -435,16 +438,27 @@ class TestSolveDirichlet:
             return BoundaryData(ev)
 
         face, = lateral_faces(grid, dom)
-        probes = np.array([[0.1, 0.4], [-0.7, 1.1], [1.3, 0.2]])
-        K = adjoint_trace(A, dom, grid, probes, face.key)
-        pts = np.column_stack([np.full(len(probes), grid.t1), probes])
+        Ks = [adjoint_trace(A, dom, grid, probe, face.key) for probe in PROBES]
         for f in (column(0.0, 1.0), column(1.2, -2.0)):
-            # P u_N = sum_k K[k-1]^T g(t_k)
-            final = sum(K[k - 1].T @ f(face.points, t)
-                        for k, t in enumerate(grid.times()) if k > 0)
-            ref = read(solve_dirichlet(A, dom, f, grid), pts)
+            # P u_N = sum_k K[k-1] . g(t_k)
+            final = np.array([sum(K[k - 1] @ f(face.points, t)
+                                  for k, t in enumerate(grid.times()) if k)
+                              for K in Ks])
+            u = solve_dirichlet(A, dom, f, grid)
+            ref = np.array([u.value_at(probe, grid.t1) for probe in PROBES])
             assert np.abs(ref).max() > 0.0
             assert np.abs(final - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("probe", [[100.0, -5.0], [0.1, 0.4, 0.0],
+                                       [0.1, np.nan]],
+                             ids=["outside", "three-coordinates", "nan"])
+    def test_probe_outside_the_grid_refused(self, probe):
+        # the edge cell's kernel is not the kernel of a point past the face
+        grid = small_grid(nx=16, nlam=8, nt=4)
+        face, = lateral_faces(grid, HALF)
+        with pytest.raises(ValueError, match="outside the grid"):
+            adjoint_trace(preset("constant", d=2), HALF, grid, probe,
+                          face.key)
 
     def test_residual_contract_checked(self, monkeypatch):
         # LU factors of the step matrix for 2 dt: every solve misses the
@@ -462,7 +476,7 @@ class TestSolveDirichlet:
             solve_dirichlet(A, HALF, bump_data(), grid)
         face, = lateral_faces(grid, HALF)
         with pytest.raises(RuntimeError, match="residual"):
-            adjoint_trace(A, HALF, grid, np.array([[0.1, 0.4]]), face.key)
+            adjoint_trace(A, HALF, grid, [0.1, 0.4], face.key)
 
     def test_zero_data_passes_residual_check(self):
         u = solve_dirichlet(preset("trig", d=2), HALF, BoundaryData.zero(),
@@ -494,7 +508,7 @@ class TestSolveDirichlet:
         face, = lateral_faces(grid, dom)
         with pytest.raises(ValueError, match=r"face \(0, 0\) eigenvalues "
                            r"span \[0.48, 0.48\]"):
-            adjoint_trace(A, dom, grid, np.array([[0.1, 0.4]]), face.key)
+            adjoint_trace(A, dom, grid, [0.1, 0.4], face.key)
 
     def test_flattened_graph_solve(self):
         dom = GraphDomain(m=0.5, box=((-4.0, 4.0),),
@@ -873,14 +887,24 @@ class TestQDifference:
             q_difference(u, 1.0)
 
 
-class TestProbeWeights:
+class TestProbe:
+    @staticmethod
+    def dense(g, X):
+        """The probe weights of X as one value per cell of g."""
+        box, weights = pde._probe(g, X)
+        P = np.zeros(g.shape)
+        P[box] = weights
+        return P.reshape(-1)
+
     def test_one_cell_axis(self):
         # the zero-weight upper neighbour of a one-cell axis lies past it
         g = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (8, 1), 0.0, 1.0, 4)
-        P = pde._probe_weights(g, [[0.99, 0.5], [0.5, 0.2]])
-        assert P.shape == (8, 2)
-        assert np.array_equal(P[:, 0], np.eye(8)[7])      # clipped to c[-1]
-        assert np.array_equal(P[:, 1], 0.5 * (np.eye(8)[3] + np.eye(8)[4]))
+        box, weights = pde._probe(g, [0.99, 0.5])
+        assert box == (slice(6, 8), slice(0, 1)) and weights.shape == (2, 1)
+        assert np.array_equal(self.dense(g, [0.99, 0.5]),
+                              np.eye(8)[7])       # clipped to c[-1]
+        assert np.array_equal(self.dense(g, [0.5, 0.2]),
+                              0.5 * (np.eye(8)[3] + np.eye(8)[4]))
 
     def test_reproduces_affine_functions(self):
         g = SpaceTimeGrid(
@@ -888,7 +912,7 @@ class TestProbeWeights:
              np.linspace(0.0, 1.0, 6), np.linspace(-1.0, 0.0, 4)), 0.0, 1.0, 4)
         probes = np.random.default_rng(3).uniform(
             [-2.5, 0.1, -0.8], [2.5, 0.9, -0.2], (7, 3))
-        P = pde._probe_weights(g, probes)
+        P = np.stack([self.dense(g, X) for X in probes], axis=1)
         assert np.abs(P.sum(axis=0) - 1.0).max() <= 1e-15
         affine = g.centers() @ np.array([0.7, -1.3, 2.1]) + 0.4
         assert np.abs(P.T @ affine - (probes @ [0.7, -1.3, 2.1] + 0.4)).max() \

@@ -80,11 +80,11 @@ class TestCaloricMeasure:
         large = caloric_measure(A_CONST, HALF, POLE, CUBE.scaled(1.5), CFG).value
         assert 0.0 <= small <= large <= 1.0 + 1e-9
 
-    def test_truncation_check(self):
+    def test_truncation_check(self, monkeypatch):
         # doubling the truncation margin moves the measure by under 1%
         est = caloric_measure(A_CONST, HALF, POLE, CUBE, CFG)
-        wide = caloric_measure(A_CONST, HALF, POLE, CUBE,
-                               PotentialConfig(margin_mult=8.0))
+        monkeypatch.setattr(potential, "_MARGIN_MULT", 8.0)
+        wide = caloric_measure(A_CONST, HALF, POLE, CUBE, PotentialConfig())
         assert abs(wide.value - est.value) <= 0.01 * max(est.value, 1e-12)
 
 
