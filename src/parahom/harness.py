@@ -475,8 +475,7 @@ def _jsonable(obj):
     return obj
 
 
-def emit_report(report, fmt: str = "json", outdir: str = ".",
-                name: str = "report") -> list:
+def emit_report(report, fmt: str, outdir: str, name: str) -> list:
     """Serialize a report deterministically; returns the written paths.
 
     json: canonical sorted-key JSON.  csv: one row per sweep/convergence

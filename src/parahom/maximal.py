@@ -7,28 +7,29 @@ key (d-1, 0), a cylinder every face of its box), and `lp_boundary_norm`
 takes such a dict, (sum_f ||f||_p^p)^(1/p).  So ||N(u)||_p and ||f||_p
 share faces, surface weights, time levels and summation.
 
-The scan below is the toolkit's one cone definition: at depth lam from a
-face the cone of opening eta admits tangential offsets |dx| < rho and times
-|s - t| <= rho sqrt(rho^2 - |dx|^2), rho = eta lam.  Cones stop at the
-face's chart height r0 (a graph face has none); a face with no cell layer
-below r0 raises ValueError.
+The scan below is the toolkit's one cone definition.  Its sections are
+balls of the parabolic max-norm max(|x|_inf, |t|^(1/2)): at depth lam from
+a face the cone of opening eta admits offsets |dx_i| < rho on every
+tangential axis and times |s - t| <= rho^2, rho = eta lam.  Cones built on
+equivalent parabolic norms give comparable L^p norms of N(u) (C. Fefferman
+and E. M. Stein, Acta Math. 129, 1972, section 7): this box holds the
+ellipse |dx|^2 < rho^2, |s - t| <= rho sqrt(rho^2 - |dx|^2) of the root
+norm, and lies in the ellipse of c rho, c = 1.28 for d = 2 and 1.56 for
+d = 3.  Cones stop at the face's chart height r0 (a graph face has none);
+a face with no cell layer below r0 raises ValueError.
 
-The cone supremum is a scan over grid layers.  Each face reads |u| on
-just the layers its cones reach, one layer at a time, into one reused
-buffer laid out (*tangential, time), time last.  At each height the
-parabolic cone section is an ellipse in (x, t); along the last tangential
-axis and time it is a staircase of boxes |o| <= k_i, |s| <= w_i, w
-falling as |o| grows.  A max filter over a union of boxes factors into
-one-dimensional running maxima (van Herk, Pattern Recogn. Lett. 13,
-1992), so the staircase max is taken in Horner form, one corner at a
-time: a small time widening, a small tangential widening and one
-np.maximum, each widening a few flat np.maximum passes over the C-ordered
-layer.  The section's
-common time window is one maximum_filter1d call: it is the one step whose
-width is not bounded by a corner's step, the filter's cost does not grow
-with that width, and perfbench counts cone-scan work by that call.
-Offsets on the other tangential axes (d = 3) shift whole rows of the
-staircase max.
+The cone supremum is a recursion over depth.  A box is a product of
+intervals, and running maxima over intervals of a clamped grid compose,
+their radii adding (a dilation by a Minkowski sum; J. Serra, Image
+Analysis and Mathematical Morphology, 1982): each layer's box is the box
+of the layer nearer the face grown by their difference.  Each face reads
+|u| on just the layers its cones reach, deepest first and one at a time,
+into reused C-ordered buffers laid out (*tangential, time), time last;
+the running max is dilated by each layer's growth of the box and joined
+with that layer.  A dilation along one axis is one maximum_filter1d call,
+whose cost does not grow with its radius (van Herk, Pattern Recogn.
+Lett. 13, 1992), so perfbench's `maximal.filter_calls` counts dilations:
+at most d per layer.
 
 scipy.ndimage is imported on the first cone scan, inside this module's
 `maximum_filter1d`, so `import parahom` does not load it for runs that
@@ -38,7 +39,6 @@ never scan a cone (`parahom cell`, for one).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Dict, Sequence
 
 import numpy as np
@@ -82,150 +82,59 @@ class BoundaryField:
         object.__setattr__(self, "weights", w)
 
 
-def _pass(y: np.ndarray, out: np.ndarray, n: int, inner: int, a: int,
-          b: int) -> np.ndarray:
-    """out[p] = max(y[p - a], y[p + b]) along an axis of n cells laid out
-    `inner` elements apart, indices clamped to the axis (a + b < n).
-
-    A shift along any axis of a C-ordered array is a fixed flat offset, so
-    one flat np.maximum does every cell; the a cells at the start and the b
-    at the end of each line, where that pass reads a neighbouring line,
-    are then redone from clamped indices.
-    """
-    yf, of = y.reshape(-1), out.reshape(-1)
-    s = (a + b) * inner
-    np.maximum(yf[:yf.size - s], yf[s:], out=of[a * inner:of.size - b * inner])
-    y3, o3 = y.reshape(-1, n, inner), out.reshape(-1, n, inner)
-    if a:
-        np.maximum(y3[:, :1], y3[:, b:a + b], out=o3[:, :a])
-    if b:
-        np.maximum(y3[:, n - a - b:n - a], y3[:, n - 1:], out=o3[:, n - b:])
-    return out
-
-
-def _widen(y: np.ndarray, bufs, n: int, inner: int, c: int,
-           r: int) -> np.ndarray:
-    """Max of y over r more cells on each side along one axis (laid out as
-    in `_pass`), where each window y holds reaches c cells to each side.
-
-    A window m cells wide grows by up to m more in one pass, so a widening
-    takes about log2 of its growth in passes; they alternate between the
-    two arrays of bufs.
-    """
-    lo = hi = 0
-    while lo < r or hi < r:
-        room = min(2 * c + 1 + lo + hi, 2 * r - lo - hi)
-        b = min(r - hi, room // 2)
-        a = min(r - lo, room - b)
-        b = min(r - hi, room - a)
-        y = _pass(y, bufs[1] if y is bufs[0] else bufs[0], n, inner, a, b)
-        lo, hi = lo + a, hi + b
-    return y
-
-
-def _corners(rho: float, dx2_lead: float, h: float, n: int, dt: float,
-             nt1: int) -> list:
-    """The staircase of a cone section along the last tangential axis.
-
-    Offsets o >= 0 on that axis, on top of the squared offset dx2_lead on
-    the others, are admitted while dx2 < rho^2 and see times within
-    w(o) = floor(rho sqrt(rho^2 - dx2) / dt) levels, capped at nt1 - 1.
-    w falls as o grows; each (k, w) returned is the last offset k of a run
-    of equal w, so the section is the union of boxes |o| <= k, |s| <= w.
-    Both floors are clamped before the int conversion, so an opening of
-    any finite size gives at most the whole grid.
-    """
-    corners = []
-    for o in range(int(min(np.floor(rho / h), n - 1)) + 1):
-        dx2 = dx2_lead + (o * h) ** 2
-        if dx2 >= rho * rho:
-            break
-        w = int(min(np.floor(rho * np.sqrt(rho * rho - dx2) / dt), nt1 - 1))
-        if corners and corners[-1][1] == w:
-            corners.pop()
-        corners.append((o, w))
-    return corners
-
-
 def maximum_filter1d(a, **kwargs):
     """scipy.ndimage.maximum_filter1d, imported on its first call.
 
-    It stays a module-level name that `_staircase` looks up in this
-    module's globals, so perfbench's wrapper of `maximal.maximum_filter1d`
-    still sees every call.
+    It stays a module-level name that `_cone_sup` looks up in this module's
+    globals, so perfbench's wrapper of `maximal.maximum_filter1d` sees
+    every call, one per dilation.
     """
     from scipy.ndimage import maximum_filter1d as filter1d
 
     return filter1d(a, **kwargs)
 
 
-def _staircase(layer: np.ndarray, corners: list, bufs) -> np.ndarray:
-    """Max of a (*tang, nt+1) layer over a staircase of `_corners`, in
-    Horner form: T_{w_m}(... T_{w_1 - w_2}(X_{k_1}) v X_{k_2} ... v X_{k_m}),
-    where X_k is the max within k cells along the last tangential axis and
-    T_w the max within w time levels.  Each corner widens the accumulator
-    in time by the step down in w, widens X by the step up in k, and joins
-    them with one np.maximum.  The last step, the section's common window
-    T_{w_m}, is one maximum_filter1d call (none when w_m = 0): no corner's
-    step bounds its width, and the filter's cost does not grow with it.
-    bufs holds four arrays of the layer's shape.
+def _cone_sup(v: np.ndarray, rho: Sequence[float], h_tang: Sequence[float],
+              dt: float) -> np.ndarray:
+    """Cone suprema of |u| over the layers of a (depth, *tang, nt+1) view v
+    of u, time last, layer l's cone having the radius rho[l] (not
+    decreasing with l).
+
+    Layer l's box section has the radius reach(l): the largest offset
+    o <= n_i - 1 with o * h_i < rho[l] on each tangential axis, and the
+    largest s <= nt with s * dt <= rho[l]^2 in time.  With D_r the box
+    dilation of radii r, G starts as |u| on the deepest layer,
+    G <- max(|u_l|, D_{reach(l+1) - reach(l)}(G)) on each layer up to the
+    face, and the result is D_{reach(0)}(G).  Each nonzero radius on an
+    axis is one maximum_filter1d call; |v[l]| and G live in three C-ordered
+    buffers of one layer's shape, so the scan copies no more than one layer
+    at a time.  A rho that underflows to 0 admits no cell: its layers,
+    the shallowest, are skipped.
     """
-    n, nt1 = layer.shape[-2:]
-    x, acc, k0, w0 = layer, None, 0, 0
-    for k, w in corners:
-        if acc is not None:
-            acc = _widen(acc, bufs[2:4], nt1, 1, 0, w0 - w)
-        x = _widen(x, bufs[:2], n, nt1, k0, k - k0)
-        acc = x if acc is None else np.maximum(acc, x, out=acc)
-        k0, w0 = k, w
-    if not w0:
-        return acc
-    return maximum_filter1d(acc, size=2 * w0 + 1, axis=-1, mode="nearest",
-                            output=bufs[3] if acc is bufs[2] else bufs[2])
+    *n_tang, nt1 = v.shape[1:]
+    reach = np.stack(
+        [np.searchsorted(np.arange(n) * h, rho) - 1
+         for n, h in zip(n_tang, h_tang)]
+        + [np.searchsorted(np.arange(nt1) * dt, [r * r for r in rho],
+                           side="right") - 1], axis=1)     # (layer, axis)
+    layer, *bufs = [np.empty(v.shape[1:]) for _ in range(3)]
 
+    def dilate(g, radii):
+        for axis, r in enumerate(radii):
+            if r:
+                g = maximum_filter1d(
+                    g, size=2 * r + 1, axis=axis, mode="nearest",
+                    output=bufs[1] if g is bufs[0] else bufs[0])
+        return g
 
-def _cone_sup(v: np.ndarray, nlayers: int, h_tang: Sequence[float],
-              dt: float, h_depth: float, eta: float) -> np.ndarray:
-    """Cone suprema of |u| over the first nlayers layers of a
-    (depth, *tang, nt+1) view v of u, time last.
-
-    Layer l sits at depth (l + 1/2) h_depth; |v[l]| is written into one
-    C-ordered buffer, allocated once beside the four staircase buffers, so
-    the scan copies no more than one layer at a time.  Its cone section
-    admits tangential offsets m with |m . h| < rho and times within
-    rho * sqrt(rho^2 - |dx|^2) of the vertex, rho = eta * depth.  Fixing
-    the offsets on the tangential axes before the last (there are none
-    when d = 2) leaves a staircase in the last axis and time, whose max
-    `_staircase` takes by flat passes and at most one maximum_filter1d
-    call, for the common time window.  The section is symmetric, so each
-    staircase is taken once per |offset| and shifted by whole rows into
-    the (*tang, nt+1) result for every sign.
-    """
-    *h_lead, h = h_tang
-    lead_shape = v.shape[1:-2]
-    n, nt1 = v.shape[-2:]
-    out = np.zeros(v.shape[1:])
-    layer, *bufs = [np.empty(v.shape[1:]) for _ in range(5)]
-    for l in range(nlayers):
-        np.abs(v[l], out=layer)
-        rho = eta * ((l + 0.5) * h_depth)
-        max_off = [int(min(np.floor(rho / hl), nl - 1))
-                   for hl, nl in zip(h_lead, lead_shape)]
-        for offs in product(*[range(mo + 1) for mo in max_off]):
-            corners = _corners(
-                rho, sum((o * hl) ** 2 for o, hl in zip(offs, h_lead)),
-                h, n, dt, nt1)
-            if not corners:
-                continue
-            section = _staircase(layer, corners, bufs)
-            for signed in product(*[(o, -o) if o else (0,) for o in offs]):
-                src, dst = [], []
-                for o, nl in zip(signed, lead_shape):
-                    src.append(slice(max(o, 0), nl + min(o, 0)))
-                    dst.append(slice(max(-o, 0), nl - max(o, 0)))
-                view = out[tuple(dst)]
-                np.maximum(view, section[tuple(src)], out=view)
-    return out
+    first = int(np.count_nonzero(reach.min(axis=1) < 0))
+    if first == len(rho):
+        return np.zeros(v.shape[1:])
+    g = np.abs(v[len(rho) - 1], out=bufs[0])
+    for l in range(len(rho) - 2, first - 1, -1):
+        g = dilate(g, reach[l + 1] - reach[l])
+        np.maximum(g, np.abs(v[l], out=layer), out=g)
+    return dilate(g, reach[first])
 
 
 def _face_max(u: ScalarField, eta: float, m: float,
@@ -235,7 +144,7 @@ def _face_max(u: ScalarField, eta: float, m: float,
     Cones open by eta, which must exceed the domain's Lipschitz constant m
     (0 for a cylinder), and stop at the face's chart height r0, which must
     lie above the first cell layer.  Only the layers they reach are read,
-    one at a time, into `_cone_sup`'s reused layer buffer.
+    one at a time, by `_cone_sup`'s recursion, with rho = eta lam per layer.
     """
     if eta <= m:
         raise ValueError(
@@ -253,7 +162,8 @@ def _face_max(u: ScalarField, eta: float, m: float,
     v = np.moveaxis(u.values, (1 + axis, 0), (0, -1))   # (depth, *tang, time)
     if side == 1:
         v = v[::-1]
-    vals = _cone_sup(v, nlayers, h, grid.dt, h_depth, eta)
+    vals = _cone_sup(v, [eta * x for x in lam[:nlayers].tolist()], h,
+                     grid.dt)
     # C order: np.sum in the L^p norms adds in memory order
     return BoundaryField(np.ascontiguousarray(np.moveaxis(vals, -1, 0)),
                          face.weights, grid.dt)
@@ -269,9 +179,11 @@ def nontangential_max(u: ScalarField, eta: float,
     and height dom.r0: lam is the distance into the domain from that face,
     and cones stop at lam = r0, so they never reach the opposite face.
     Corners still measure lam from the face, not the distance to the whole
-    boundary.  A face whose first cell layer sits at or above r0, and a
-    non-finite eta, raise ValueError; a finite eta of any size gives cones
-    that cover the whole grid.
+    boundary.  Each cone section is the box |dx_i| < rho, |s - t| <= rho^2,
+    rho = eta lam, and each face is scanned by one recursion over its
+    layers (see the module docstring).  A face whose first cell layer sits
+    at or above r0, and a non-finite eta, raise ValueError; a finite eta of
+    any size gives cones that cover the whole grid.
     """
     if not np.isfinite(eta):
         raise ValueError(f"cone opening eta must be finite, got {eta}")

@@ -698,10 +698,12 @@ def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,
     """Propagate a unit point mass released at (pole_X, pole_t).
 
     The impulse is a discrete delta: 1/volume on the cell nearest the pole,
-    with zero lateral data.  grid.t0 must equal pole_t.
+    with zero lateral data.  grid.t0 must equal pole_t, and pole_X passes
+    `_probe`'s check: grid.d coordinates inside the grid box.
     """
     if abs(grid.t0 - pole_t) > 1e-12 * max(1.0, abs(pole_t)):
         raise ValueError("grid must start at the pole time")
+    _probe(grid, pole_X)
     pole_X = np.atleast_1d(np.asarray(pole_X, dtype=float))
     idx = []
     for k in range(grid.d):

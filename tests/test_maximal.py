@@ -289,12 +289,38 @@ class TestCylinderCones:
         assert peak < 0.25 * u.values.nbytes
 
 
-def cone_oracle(u, eta, face, cut):
+def test_one_filter_call_per_dilation(monkeypatch):
+    # the recursion dilates by each layer's growth of the box: at most one
+    # maximum_filter1d call per axis and layer, and radii on each axis that
+    # add up to no more than the deepest box's on every face (n - 1 cells,
+    # nt levels)
+    from parahom import maximal
+
+    g = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (64, 64), 0.0, 1.0, 64)
+    u = ScalarField(g, np.random.default_rng(4).normal(
+        size=(g.nt + 1,) + g.shape))
+    calls = []                          # (axis, radius) of each call
+    real = maximal.maximum_filter1d
+
+    def counted(a, size, axis, **kwargs):
+        calls.append((axis % a.ndim, size // 2))
+        return real(a, size=size, axis=axis, **kwargs)
+
+    monkeypatch.setattr(maximal, "maximum_filter1d", counted)
+    dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=1.0)
+    faces = nontangential_max(u, 1.0, dom)
+    nlayers = int(np.sum(g.axis_centers(0) < dom.r0))
+    assert 0 < len(calls) <= len(faces) * g.d * nlayers
+    for axis, cap in enumerate((63, 64)):
+        assert sum(r for a, r in calls if a == axis) <= len(faces) * cap
+
+
+def brute_max(u, face, cut, admits):
     """N(u) on one face by brute force over every vertex, layer, tangential
-    offset and time, with the admission rule written out: layer l of the
-    face has depth lam = (l + 1/2) h, rho = eta lam, and (x + dx, s) is in
-    the cone of (x, t) when |dx|^2 < rho^2 and |s - t| <= rho sqrt(rho^2 -
-    |dx|^2).  Cones stop below depth `cut` (None: the whole depth)."""
+    offset and time: (x + dx, s) on the layer at depth lam = (l + 1/2) h
+    counts for the vertex (x, t) where admits(dx, |s - t|, lam) holds,
+    broadcast over (t, s, cell, axis).  Cones stop below depth `cut`
+    (None: the whole depth)."""
     g = u.grid
     axis, side = face.key
     v = np.moveaxis(np.abs(u.values), 1 + axis, 1)     # (nt+1, depth, *tang)
@@ -312,15 +338,58 @@ def cone_oracle(u, eta, face, cut):
         lam = (l + 0.5) * h_depth
         if cut is not None and lam >= cut:
             break
-        rho = eta * lam
         for i, x in enumerate(cells):
-            dx2 = np.sum(((cells - x) * h) ** 2, axis=1)
-            win = rho * np.sqrt(np.maximum(rho * rho - dx2, 0.0))
-            adm = (dx2 < rho * rho)[None, None, :] & \
-                (lag[:, :, None] <= win[None, None, :])
+            adm = admits(((cells - x) * h)[None, None], lag[:, :, None], lam)
             cone = np.where(adm, vals[None, :, l, :], 0.0)
             out[:, i] = np.maximum(out[:, i], cone.max(axis=(1, 2)))
     return out.reshape((g.nt + 1,) + tang)
+
+
+def cone_oracle(u, eta, face, cut):
+    """N(u) by `brute_max` with the box admission rule written out:
+    rho = eta lam, |dx_i| < rho on every tangential axis and
+    |s - t| <= rho^2."""
+    def admits(dx, lag, lam):
+        rho = eta * lam
+        return np.all(np.abs(dx) < rho, axis=-1) & (lag <= rho * rho)
+    return brute_max(u, face, cut, admits)
+
+
+def ellipse_oracle(u, eta, face, cut):
+    """N(u) by `brute_max` over the ellipse sections of the root parabolic
+    norm: rho = eta lam, |dx|^2 < rho^2 and
+    |s - t| <= rho sqrt(rho^2 - |dx|^2)."""
+    def admits(dx, lag, lam):
+        rho = eta * lam
+        dx2 = np.sum(dx ** 2, axis=-1)
+        return (dx2 < rho * rho) & (
+            lag <= rho * np.sqrt(np.maximum(rho * rho - dx2, 0.0)))
+    return brute_max(u, face, cut, admits)
+
+
+@st.composite
+def random_faces(draw):
+    """(u, dom, cut): a random field on a random uniform grid, d = 2 or 3,
+    and its domain.  dt is drawn against the square of a tangential
+    spacing, so time reaches grow by many levels per layer as well as by
+    none.  cut None: a graph face through the whole depth; otherwise every
+    face of a cylinder with r0 = cut above all first layers."""
+    d = draw(st.sampled_from([2, 3]))
+    shape = draw(st.lists(st.integers(1, 6), min_size=d, max_size=d))
+    lengths = draw(st.lists(st.sampled_from([0.3, 0.5, 1.0, 1.3]),
+                            min_size=d, max_size=d))
+    nt = draw(st.integers(1, 24))
+    t1 = nt * draw(st.floats(0.02, 2.0)) * (lengths[0] / shape[0]) ** 2
+    g = SpaceTimeGrid.uniform((0.0,) * d, tuple(lengths), tuple(shape),
+                              0.0, t1, nt)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    u = ScalarField(g, rng.normal(size=(g.nt + 1,) + g.shape))
+    cut = draw(st.one_of(st.none(), st.floats(1.01, 6.0)),
+               label="cut / max first-layer depth")
+    if cut is None:
+        return u, GraphDomain(m=0.0, box=((-1.0, 2.0),) * (d - 1)), None
+    cut *= 0.5 * max(g.h)
+    return u, LipschitzCylinder(base_box=((0.0, 2 * cut),) * d, T=t1), cut
 
 
 class TestConeOracle:
@@ -331,13 +400,14 @@ class TestConeOracle:
         rng = np.random.default_rng(seed)
         return ScalarField(g, rng.normal(size=(g.nt + 1,) + g.shape))
 
-    @pytest.mark.parametrize("eta", [0.7, 1.0, 2.5, 9.0, 1e300])
+    @pytest.mark.parametrize("eta", [0.7, 1.0, 2.5, 9.0, 1e300, 5e-324])
     @pytest.mark.parametrize("cut", [None, 0.33, 0.04])
     def test_graph_face(self, eta, cut, t1=2.0, nt=20):
         # cut None: the graph face, cones reach the whole depth; otherwise
         # the same face as the bottom (1, 0) of a cylinder with r0 = cut,
         # which must lie above the first layer (depth 0.05).  eta = 1e300
-        # overflows rho^2: every cone covers the whole grid.
+        # overflows rho^2: every cone covers the whole grid.  eta = 5e-324
+        # gives rho = 0, an empty cone, on every layer but the deepest.
         g = halfspace(-2.0, 2.0, 0.6, 0.0, t1, (12, 6), nt)
         u = self.field(g, 0)
         if cut is None:
@@ -359,18 +429,22 @@ class TestConeOracle:
     @pytest.mark.parametrize("eta", [0.7, 1.0, 2.5])
     @pytest.mark.parametrize("cut", [None, 0.33])
     def test_graph_face_fine_time_steps(self, eta, cut):
-        # dt = 0.01 is small against h^2 = 1/9: one tangential cell steps
-        # the time window down by several levels, and deep windows span
-        # more than half of the 41 time levels
+        # dt = 0.01 is small against the layer spacing squared, 0.01: the
+        # time reach grows by several levels from one layer to the next,
+        # and deep windows span more than half of the 41 time levels
         self.test_graph_face(eta, cut, t1=0.4, nt=40)
-        rho, h, dt = 0.7 * 0.55, 4.0 / 12, 0.01     # eta 0.7, layer 5
-        assert (rho * rho - rho * np.sqrt(rho * rho - h * h)) / dt > 2
+        dt = 0.01
+        w4, w5 = ((0.7 * lam) ** 2 // dt for lam in (0.45, 0.55))   # eta 0.7
+        assert w5 - w4 > 1
         assert 0.55 ** 2 / dt > 40 / 2              # eta 1.0, layer 5
 
     def test_cone_boundary_on_the_grid(self):
         # binary-exact spacings put cells on |dx| = rho (outside the cone)
-        # and times on |s - t| = rho sqrt(rho^2 - |dx|^2) (inside it)
-        g = halfspace(-1.0, 1.0, 0.5, 0.0, 0.625, (32, 4), 8)
+        # and time levels on |s - t| = rho^2 (inside it): on the first
+        # layer rho = 1/16 = h and rho^2 = 1/256 = dt
+        g = halfspace(-1.0, 1.0, 0.5, 0.0, 0.0625, (32, 4), 16)
+        rho = 1.0 * (0.5 * g.h[1])
+        assert 1 * g.h[0] == rho and 1 * g.dt == rho * rho
         u = self.field(g, 3)
         face, = lateral_faces(g, HALF)
         vals = cone_oracle(u, 1.0, face, None)
@@ -410,30 +484,27 @@ class TestConeOracle:
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
-    @given(d=st.sampled_from([2, 3]), data=st.data(),
-           shape=st.lists(st.integers(1, 6), min_size=3, max_size=3),
-           lengths=st.lists(st.sampled_from([0.3, 0.5, 1.0, 1.3]),
-                            min_size=3, max_size=3),
-           dt_h2=st.floats(0.02, 2.0), nt=st.integers(1, 24),
-           eta=st.floats(0.05, 30.0), seed=st.integers(0, 2 ** 16))
-    def test_random_grids(self, d, data, shape, lengths, dt_h2, nt, eta,
-                          seed):
-        # dt is drawn against the square of a tangential spacing, so time
-        # windows step down by many levels per cell as well as by none.
-        # cut None: a graph face through the whole depth; otherwise every
-        # face of a cylinder with r0 = cut above all first layers
-        t1 = nt * dt_h2 * (lengths[0] / shape[0]) ** 2
-        g = SpaceTimeGrid.uniform((0.0,) * d, tuple(lengths[:d]),
-                                  tuple(shape[:d]), 0.0, t1, nt)
-        u = self.field(g, seed)
-        cut = data.draw(st.one_of(st.none(), st.floats(1.01, 6.0)),
-                        label="cut / max first-layer depth")
-        if cut is None:
-            dom = GraphDomain(m=0.0, box=((-1.0, 2.0),) * (d - 1))
-        else:
-            cut *= 0.5 * max(g.h)
-            dom = LipschitzCylinder(base_box=((0.0, 2 * cut),) * d, T=t1)
+    @given(case=random_faces(), eta=st.floats(0.05, 30.0))
+    def test_random_grids(self, case, eta):
+        u, dom, cut = case
         fields = nontangential_max(u, eta, dom)
-        for face in lateral_faces(g, dom):
+        for face in lateral_faces(u.grid, dom):
             assert np.array_equal(fields[face.key].values,
                                   cone_oracle(u, eta, face, cut)), face.key
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(case=random_faces(), eta=st.floats(0.05, 30.0))
+    def test_box_cone_between_ellipse_cones(self, case, eta):
+        # the box |dx|_inf < rho, |s - t| <= rho^2 holds the ellipse of rho
+        # and lies in the ellipse of c rho when c^2 (c^2 - (d - 1)) > 1:
+        # c > sqrt(golden ratio) = 1.2720 for d = 2, sqrt(1 + sqrt 2) =
+        # 1.5538 for d = 3
+        u, dom, cut = case
+        c = {2: 1.28, 3: 1.56}[u.grid.d]
+        fields = nontangential_max(u, eta, dom)
+        for face in lateral_faces(u.grid, dom):
+            N = fields[face.key].values
+            assert np.all(ellipse_oracle(u, eta, face, cut) <= N), face.key
+            assert np.all(N <= ellipse_oracle(u, c * eta, face, cut)), \
+                face.key

@@ -977,6 +977,19 @@ class TestFieldIO:
         with pytest.raises(ValueError, match="at least one axis"):
             load_field(str(path))
 
+    def test_impulse_pole_is_checked_before_assembly(self, monkeypatch):
+        # a pole of the wrong dimension or a NaN one was cut to grid.d
+        # coordinates, died with an IndexError or read as an edge cell
+        def no_assembly(*args):
+            raise AssertionError("assembled for a bad pole")
+
+        monkeypatch.setattr(pde, "_assemble", no_assembly)
+        grid = halfspace(-2.0, 2.0, 2.0, 0.0, 0.5, (16, 8), 4)
+        for pole in ([0.1, 0.9, 55.0], [0.1], [0.1, np.nan]):
+            with pytest.raises(ValueError, match="outside the grid"):
+                solve_impulse(preset("constant", d=2), HALF, np.array(pole),
+                              0.0, grid)
+
     def test_impulse_mass(self):
         grid = halfspace(-2.0, 2.0, 2.0, 0.0, 0.5, (32, 16), 16)
         u = solve_impulse(preset("constant", d=2), HALF,
