@@ -14,11 +14,12 @@ The Galerkin structure makes the discrete energy identity alpha . Abar
 alpha = <(grad w)^T A grad w> exact up to solver tolerance, keeps Abar
 symmetric for symmetric A, and reproduces 1-d laminates exactly whenever
 the material interfaces fall on element boundaries.  The linear systems are
-solved by CG on the mean-zero subspace, preconditioned by the circulant Q1
-stiffness of one constant reference matrix A0 on the same grid, inverted by
-real FFTs (the discrete Galerkin form of FFT homogenization, Moulinec and
-Suquet 1998).  Element by element the two stiffness energies stay within
-the eigenvalue bounds of A relative to A0 whatever the mesh size, so the CG
+solved by this module's CG, `pcg`, on the mean-zero subspace to the fixed
+relative residual 1e-10, preconditioned by the circulant Q1 stiffness of
+one constant reference matrix A0 on the same grid, inverted by real FFTs
+(the discrete Galerkin form of FFT homogenization, Moulinec and Suquet
+1998).  Element by element the two stiffness energies stay within the
+eigenvalue bounds of A relative to A0 whatever the mesh size, so the CG
 iteration count does not grow with N.
 
 The d corrector solves run concurrently, on min(d, usable cores) threads.
@@ -42,13 +43,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coeffs import CoefficientField, check_periodicity, scale_field
-from .linalg import pcg
 
-# CG iteration cap, fixed in N: the circulant preconditioner keeps every
-# solve near 30 iterations at any resolution
+# CG stops at this relative residual, within an iteration cap fixed in N:
+# the circulant preconditioner keeps every solve near 30 iterations at any
+# resolution
+_CG_TOL = 1e-10
 _CG_MAXITER = 2000
 
-__all__ = ["EffectiveMatrix", "effective_matrix", "voigt_reuss_bounds"]
+__all__ = ["ConvergenceError", "EffectiveMatrix", "effective_matrix",
+           "voigt_reuss_bounds"]
 
 
 @lru_cache(maxsize=8)
@@ -171,19 +174,6 @@ class EffectiveMatrix:
             object.__setattr__(self, name, a)
 
 
-def _unit_periodize(A: CoefficientField) -> CoefficientField:
-    """Reduce to a 1-periodic field; Abar is invariant under this rescale."""
-    if A.period_scale == 1.0:
-        return A
-    s = A.period_scale
-    return scale_field(A, 1.0 / s)
-
-
-def _check_tol(tol: float):
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-
-
 def _prepared(A: CoefficientField, N: int) -> CoefficientField:
     """The checked unit-periodic field for a cell problem at resolution N.
 
@@ -196,7 +186,7 @@ def _prepared(A: CoefficientField, N: int) -> CoefficientField:
         raise ValueError("resolution must be at least 8")
     if A.period != "lattice":
         raise ValueError("cell problems need a lattice-periodic field")
-    A = _unit_periodize(A)
+    A = scale_field(A, 1.0 / A.period_scale)    # Abar is invariant
     dev = check_periodicity(A)
     if dev > 1e-8:
         raise ValueError(f"field is not periodic (deviation {dev:.3e})")
@@ -234,9 +224,85 @@ def _constant_mode(nn: int) -> np.ndarray:
     return np.full(nn, 1.0 / np.sqrt(nn))
 
 
-def _solve_one(S, b, precond, mode, tol):
-    x, its, relres = pcg(lambda v: S @ v, b, tol=tol, maxiter=_CG_MAXITER,
-                         precond=precond, deflate=mode)
+class ConvergenceError(RuntimeError):
+    """Raised by `pcg` when maxiter iterations miss the tolerance."""
+
+    def __init__(self, iterations, relres):
+        self.iterations = iterations
+        self.relres = relres
+        super().__init__(
+            f"CG did not reach tolerance after {iterations} iterations "
+            f"(relative residual {relres:.3e})")
+
+
+def pcg(matvec, b, tol, maxiter, precond, deflate):
+    """Preconditioned conjugate gradient for SPSD systems with a known
+    nullspace vector, started from zero.
+
+    matvec   -- callable v -> A v, a new array that pcg may overwrite
+    precond  -- callable r -> M^-1 r, likewise a new array (an identity
+                preconditioner returns a copy); one that shares memory
+                with its argument raises ValueError
+    deflate  -- unit-norm nullspace vector v (the normalized constant mode
+                of periodic problems); w - v (v . w) projects it out of b,
+                iterates and residuals.  It is read, never copied or
+                written, so one vector serves any number of solves, also
+                at once.  A vector whose norm is off 1 by more than 1e-12
+                raises ValueError.
+    Works in place: x, r, p and one projection buffer are allocated once
+    per call and updated in place, and b is copied, never written.  Stops
+    once the relative residual is at most tol.  Returns (x, iterations,
+    relres).  Raises ConvergenceError after maxiter iterations.
+    """
+    v = deflate
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
+        raise ValueError("deflate must be a unit vector")
+    scratch = np.empty_like(v)
+
+    def project(w):
+        np.multiply(v, v @ w, out=scratch)
+        return np.subtract(w, scratch, out=w)
+
+    def projected(apply, w):
+        out = apply(w)
+        if np.may_share_memory(out, w):
+            raise ValueError("matvec and precond must return new arrays")
+        return project(out)
+
+    r = project(np.array(b, dtype=float))
+    bnorm = np.linalg.norm(r)
+    if bnorm == 0.0:
+        return np.zeros_like(r), 0, 0.0
+    # r0 = b - A 0 is b; a second projection takes out the roundoff that
+    # the first one leaves along v
+    project(r)
+    x = np.zeros_like(r)
+    p = projected(precond, r)
+    rz = r @ p
+    relres = np.linalg.norm(r) / bnorm
+    # A p and M^-1 r are dropped once read, so that neither is kept alive
+    # while the other is made
+    for k in range(1, maxiter + 1):
+        Ap = projected(matvec, p)
+        alpha = rz / (p @ Ap)
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, Ap, out=Ap)
+        del Ap
+        relres = np.linalg.norm(r) / bnorm
+        if relres <= tol:
+            return project(x), k, relres
+        z = projected(precond, r)
+        rz_new = r @ z
+        p *= rz_new / rz
+        p += z
+        del z
+        rz = rz_new
+    raise ConvergenceError(maxiter, relres)
+
+
+def _solve_one(S, b, precond, mode):
+    x, its, relres = pcg(lambda v: S @ v, b, tol=_CG_TOL,
+                         maxiter=_CG_MAXITER, precond=precond, deflate=mode)
     x -= x.mean()
     return x, its, relres
 
@@ -250,29 +316,27 @@ def _workers(d: int) -> int:
     return min(d, cores)
 
 
-def _correctors(A: CoefficientField, N: int, tol: float):
+def _correctors(A: CoefficientField, N: int):
     """The d coordinate correctors of A at resolution N, solved concurrently
-    (see the module docstring), after the tol, resolution and period checks.
+    (see the module docstring), after the resolution and period checks.
 
     Returns (Avals, solves): the element coefficients of the unit-periodic
     field and one (chi, iterations, relres) per direction e_j, chi the
     mean-zero node values in C order.
     """
-    _check_tol(tol)
     A = _prepared(A, N)
     S, loads, Avals = _assemble(A, N)
     precond = _reference_inverse(Avals, N)
     mode = _constant_mode(N ** A.d)
     with ThreadPoolExecutor(_workers(A.d)) as pool:
         solves = list(pool.map(
-            lambda b: _solve_one(S, b, precond, mode, tol), loads))
+            lambda b: _solve_one(S, b, precond, mode), loads))
     return Avals, solves
 
 
-def effective_matrix(A: CoefficientField, N: int,
-                     tol: float = 1e-10) -> EffectiveMatrix:
+def effective_matrix(A: CoefficientField, N: int) -> EffectiveMatrix:
     """Assemble Abar column by column from the d coordinate correctors."""
-    Avals, solves = _correctors(A, N, tol)
+    Avals, solves = _correctors(A, N)
     d = A.d
     Abar_T = np.zeros((d, d))
     for j, (chi, _, _) in enumerate(solves):

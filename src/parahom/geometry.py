@@ -246,10 +246,6 @@ class LipschitzCylinder:
         object.__setattr__(self, "T", T)
 
     @property
-    def d(self) -> int:
-        return len(self.base_box)
-
-    @property
     def r0(self) -> float:
         return 0.5 * min(hi - lo for lo, hi in self.base_box)
 

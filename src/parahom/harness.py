@@ -2,13 +2,13 @@
 machine-readable reports.
 
 Reports are deterministic: identical configs produce byte-identical
-files.  Rows carry no wall-clock timings (they once had a `runtime` field,
-always serialized as null).  The config has no `diagnostics` list (the
-sweep runs a fixed set of checks), no `seed` (no run draws random numbers)
-and no `min_cells_per_period` (the resolution floor is 8 cells per
-coefficient period).  Old configs that name any of them still load, and
-ignore them; any other key the config does not know raises ValueError
-before any solve, so a misspelt knob never runs with its default.
+files.  Rows carry no wall-clock timings.  The config has no `diagnostics`
+list (the sweep runs a fixed set of checks), no `seed` (no run draws
+random numbers) and no `min_cells_per_period` (the resolution floor is 8
+cells per coefficient period).  Old configs that name any of them still
+load, and ignore them; any other key the config does not know raises
+ValueError before any solve, so a misspelt knob never runs with its
+default.
 """
 
 from __future__ import annotations
@@ -398,7 +398,7 @@ def q_decay_constant(A: CoefficientField, R_cells: int) -> dict:
                                          (nx, nlam), -2 * R * R, 8 * R * R,
                                          160))
     dom = GraphDomain(m=0.0, box=((-2 * R, 2 * R),))
-    u = solve_impulse(A, dom, np.asarray([0.0, 3 * R]), -2 * R * R, grid)
+    u = solve_impulse(A, dom, np.asarray([0.0, 3 * R]), grid)
     qu = q_difference(u, 1.0)
 
     times = grid.times()
@@ -432,8 +432,12 @@ def local_solvability_at_scale(A: CoefficientField, r: float) -> float:
     would see on the whole field, and the box reaches the height 4 r
     exactly when the solve grid does.  The data's x-support [4.5 r, 6.5 r]
     lies outside |x| < 4 r at every level anyway.
+
+    The spacing is r/8, capped at a quarter of A's period: A(x / eps) at
+    scale eps r then reads the ratio of A at scale r, bit for bit, when
+    eps is a power of 2.
     """
-    h = min(r / 8.0, 0.25)
+    h = min(r / 8.0, A.period_scale / 4.0)
     dt = r * r / 12.0
     lo = (-6.0 * r,)
     hi = (max(8.0 * r, 5.5 * r + 2.5 * r),)

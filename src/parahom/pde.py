@@ -297,10 +297,6 @@ class BoundaryData:
     def __call__(self, points, t):
         return np.asarray(self.evaluator(points, t), dtype=float)
 
-    @staticmethod
-    def zero():
-        return BoundaryData(lambda pts, t: np.zeros(len(np.atleast_1d(pts))))
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -580,12 +576,15 @@ def _probe(grid: SpaceTimeGrid, X) -> tuple:
     """(box, weights): the one point-read rule at the spatial point X.
 
     box holds one slice of cells per axis around X, weights (the shape of
-    the box) the outer product of each axis' `_hat` weights on it.  X of
-    the wrong dimension, outside [lo, hi] or NaN raises ValueError.
+    the box) the outer product of each axis' `_hat` weights on it.  X that
+    is not a vector of grid.d coordinates raises ValueError naming both
+    counts; X outside [lo, hi] or NaN raises ValueError, "outside the grid".
     """
     X = np.atleast_1d(np.asarray(X, dtype=float))
-    if X.shape != (grid.d,) or not all(
-            f[0] <= x <= f[-1] for f, x in zip(grid.faces, X)):
+    if X.shape != (grid.d,):
+        raise ValueError(f"point X={X.tolist()} has {X.size} coordinates; "
+                         f"the grid has d = {grid.d}")
+    if not all(f[0] <= x <= f[-1] for f, x in zip(grid.faces, X)):
         raise ValueError(f"point X={X.tolist()} lies outside the grid "
                          f"{grid.lo}..{grid.hi}")
     hats = [_hat(grid.axis_centers(k), X[k]) for k in range(grid.d)]
@@ -600,7 +599,7 @@ def _probe(grid: SpaceTimeGrid, X) -> tuple:
 def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
                  cells: tuple, u0: np.ndarray) -> ScalarField:
     """March on grid from the flat state u0 and store the box `cells` at
-    every level; f = None is zero data.
+    every level; f = None is zero data, and no face is bound to it.
 
     cells holds one slice of grid's cells per axis (step 1, the last one
     starting at the bottom lam layer; anything else raises ValueError).
@@ -624,9 +623,8 @@ def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
                               for faces, r in zip(grid.faces, runs)),
                         grid.t0, grid.t1, grid.nt)
     op = _assemble(_field_for(dom, A), grid)
-    bound = f if f is not None else BoundaryData.zero()
-    data = {face.key: partial(bound, face.points)
-            for face in lateral_faces(grid, dom)}
+    data = {} if f is None else {face.key: partial(f, face.points)
+                                 for face in lateral_faces(grid, dom)}
     for key, fn in data.items():
         _check_vanishing(fn(grid.t0), grid.t0, f"face {key}")
     out = np.empty((grid.nt + 1,) + box.shape)
@@ -693,16 +691,14 @@ def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid, probe,
     return out
 
 
-def solve_impulse(A: CoefficientField, dom, pole_X, pole_t,
+def solve_impulse(A: CoefficientField, dom, pole_X,
                   grid: SpaceTimeGrid) -> ScalarField:
-    """Propagate a unit point mass released at (pole_X, pole_t).
+    """Propagate a unit point mass released at (pole_X, grid.t0).
 
     The impulse is a discrete delta: 1/volume on the cell nearest the pole,
-    with zero lateral data.  grid.t0 must equal pole_t, and pole_X passes
-    `_probe`'s check: grid.d coordinates inside the grid box.
+    with zero lateral data.  pole_X passes `_probe`'s checks: grid.d
+    coordinates, inside the grid box, no NaN.
     """
-    if abs(grid.t0 - pole_t) > 1e-12 * max(1.0, abs(pole_t)):
-        raise ValueError("grid must start at the pole time")
     _probe(grid, pole_X)
     pole_X = np.atleast_1d(np.asarray(pole_X, dtype=float))
     idx = []

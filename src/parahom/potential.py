@@ -429,7 +429,7 @@ def greens_function(A: CoefficientField, dom: GraphDomain,
     horizon = max((points[k].t - pole.t) * 1.05 for k in later)
     grid = _green_grid(pole, horizon, [points[k].X for k in later], cfg)
     _require_pole_clearance(grid, pole, cells=2)
-    field = solve_impulse(A, dom, pole.X, pole.t, grid)
+    field = solve_impulse(A, dom, pole.X, grid)
     for k in later:
         out[k] = field.value_at(points[k].X, points[k].t)
     return out

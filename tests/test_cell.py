@@ -9,9 +9,9 @@ from parahom import cell
 from parahom.cell import (effective_matrix, voigt_reuss_bounds,
                           _element_avg_gradient, _element_coefficients,
                           _assemble, _constant_mode, _correctors,
-                          _q1_reference, _reference_inverse, _solve_one)
+                          _q1_reference, _reference_inverse, _solve_one,
+                          ConvergenceError, pcg)
 from parahom.coeffs import CoefficientField, preset, scale_field
-from parahom.linalg import ConvergenceError, pcg
 
 
 def laminate_profile_midpoint(N, a_low=1.0, a_high=4.0, lo=0.25, hi=0.75):
@@ -19,10 +19,10 @@ def laminate_profile_midpoint(N, a_low=1.0, a_high=4.0, lo=0.25, hi=0.75):
     return np.where((y >= lo) & (y < hi), a_high, a_low)
 
 
-def corrector(A, j, N, tol=1e-10):
+def corrector(A, j, N):
     """Node values (N,)*d of the e_j corrector that `effective_matrix`
     solves, and the relative residual of its solve."""
-    chi, _, relres = _correctors(A, N, tol)[1][j]
+    chi, _, relres = _correctors(A, N)[1][j]
     return chi.reshape((N,) * A.d), relres
 
 
@@ -31,11 +31,12 @@ class TestCorrector:
         chi, _ = corrector(preset("constant", d=2), 0, 16)
         assert np.abs(chi).max() <= 1e-12
 
-    def test_laminate_gradient_oracle(self):
+    def test_laminate_gradient_oracle(self, monkeypatch):
         # dw/dy1 = <a^-1>^-1 / a(y1) pointwise, from the 1-d quadrature oracle
+        monkeypatch.setattr(cell, "_CG_TOL", 1e-12)
         N = 32
         A = preset("laminate", d=2)
-        chi, _ = corrector(A, 0, N, tol=1e-12)
+        chi, _ = corrector(A, 0, N)
         a = laminate_profile_midpoint(N)
         target = (1.0 / np.mean(1.0 / a)) / a          # dw/dy1 per column
         grad = _element_avg_gradient(chi, N)
@@ -124,13 +125,14 @@ class TestEffectiveMatrix:
         em_b = effective_matrix(B, 32)
         assert np.abs(em_a.Abar - em_b.Abar).max() <= 1e-8
 
-    def test_energy_identity_independent_quadrature(self):
+    def test_energy_identity_independent_quadrature(self, monkeypatch):
         # alpha . Abar alpha equals the Gauss-quadrature energy of w_alpha
+        monkeypatch.setattr(cell, "_CG_TOL", 1e-12)
         N = 48
         A = preset("trig2d", d=2)
         alpha = np.array([1.0, 0.0])
-        em = effective_matrix(A, N, tol=1e-12)
-        vals, _ = corrector(A, 0, N, tol=1e-12)
+        em = effective_matrix(A, N)
+        vals, _ = corrector(A, 0, N)
 
         corners, G, E = _q1_reference(2)
         h = 1.0 / N
@@ -228,9 +230,10 @@ def test_pcg_raises_at_its_cap():
 
 @pytest.mark.parametrize("name,d,N", [("checker", 2, 64), ("trig", 3, 16)],
                          ids=["checker-d2-N64", "trig-d3-N16"])
-def test_matches_jacobi_reference(name, d, N):
+def test_matches_jacobi_reference(name, d, N, monkeypatch):
+    monkeypatch.setattr(cell, "_CG_TOL", 1e-12)
     A = preset(name, d=d)
-    em = effective_matrix(A, N, tol=1e-12)
+    em = effective_matrix(A, N)
     ref = _jacobi_effective_matrix(A, N, tol=1e-12)
     assert np.abs(em.Abar - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -314,22 +317,13 @@ def _unevaluable(X):
     raise AssertionError("coefficient evaluated before the input checks")
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf"), 1.0])
-def test_bad_tol_fails_before_any_evaluation(tol):
-    A = CoefficientField(_unevaluable, d=2, lam=1.0, period="lattice")
-    with pytest.raises(ValueError, match="tol"):
-        effective_matrix(A, 16, tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        _correctors(A, 16, tol)
-
-
 @pytest.mark.parametrize("N", [16.0, np.float64(16), "16", True])
 def test_non_integer_resolution_fails_before_any_evaluation(N):
     A = CoefficientField(_unevaluable, d=2, lam=1.0, period="lattice")
     with pytest.raises(ValueError, match="resolution"):
         effective_matrix(A, N)
     with pytest.raises(ValueError, match="resolution"):
-        _correctors(A, N, 1e-10)
+        _correctors(A, N)
 
 
 def test_numpy_integer_resolution_accepted():
@@ -350,7 +344,7 @@ def test_voigt_reuss_requires_lattice_periodicity():
         voigt_reuss_bounds(A, 16)
 
 
-def _serial_effective_matrix(A, N, tol=1e-10):
+def _serial_effective_matrix(A, N):
     """effective_matrix with its d solves run one after the other."""
     d = A.d
     S, loads, Avals = _assemble(A, N)
@@ -361,7 +355,7 @@ def _serial_effective_matrix(A, N, tol=1e-10):
     iterations = np.zeros(d, dtype=int)
     for j in range(d):
         chi, iterations[j], residuals[j] = _solve_one(S, loads[j], precond,
-                                                      mode, tol)
+                                                      mode)
         grad = _element_avg_gradient(chi.reshape((N,) * d), N)
         grad[:, j] += 1.0
         Abar_T[:, j] = np.einsum("elk,el->ek", Avals, grad).mean(axis=0)

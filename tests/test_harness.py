@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from parahom.coeffs import AsymmetricFieldError, preset
+from parahom.coeffs import AsymmetricFieldError, preset, scale_field
 from parahom.geometry import GraphDomain, LipschitzCylinder
 from parahom.harness import (ConvergenceReport, ExperimentConfig, SweepReport,
                              _row, data_from_json, default_compact_subcylinder,
@@ -277,11 +277,19 @@ class TestSweep:
     def test_local_solvability_is_scale_free(self):
         # constant coefficients: h = r/8 and dt = r^2/12 scale by powers
         # of 2, which floating point does exactly, so the ratio is bitwise
-        # equal across scales.  r = 4 is left out: h is capped at 0.25
+        # equal across scales.  r = 4 is left out: h is capped at a quarter
+        # of the field's period, 0.25 here
         A = preset("constant", d=2)
         ratios = {local_solvability_at_scale(A, r)
                   for r in (0.25, 0.5, 1.0, 2.0)}
         assert ratios == {0.027061291004201533}
+
+    def test_local_solvability_scales_with_the_period(self):
+        # A(x / 2) at scale 4 is A at scale 2: the h cap is a quarter of
+        # the field's period, so it scales with the field too
+        trig = preset("trig", d=2)
+        assert local_solvability_at_scale(scale_field(trig, 2.0), 4.0) \
+            == local_solvability_at_scale(trig, 2.0)
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_local_solvability_march_stops_at_4r2(self, monkeypatch, r):

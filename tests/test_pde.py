@@ -456,7 +456,8 @@ class TestSolveDirichlet:
         # the edge cell's kernel is not the kernel of a point past the face
         grid = small_grid(nx=16, nlam=8, nt=4)
         face, = lateral_faces(grid, HALF)
-        with pytest.raises(ValueError, match="outside the grid"):
+        match = "outside the grid" if len(probe) == 2 else "3 coordinates"
+        with pytest.raises(ValueError, match=match):
             adjoint_trace(preset("constant", d=2), HALF, grid, probe,
                           face.key)
 
@@ -479,7 +480,8 @@ class TestSolveDirichlet:
             adjoint_trace(A, HALF, grid, [0.1, 0.4], face.key)
 
     def test_zero_data_passes_residual_check(self):
-        u = solve_dirichlet(preset("trig", d=2), HALF, BoundaryData.zero(),
+        zero = BoundaryData(lambda pts, t: np.zeros(len(pts)))
+        u = solve_dirichlet(preset("trig", d=2), HALF, zero,
                             small_grid(nx=32, nlam=12, nt=8))
         assert not u.values.any()
 
@@ -829,7 +831,8 @@ class TestScalarField:
         ([1.5, 0.5], 0.5), ([0.5, -1e-9], 0.5), ([0.5, np.nan], 0.5),
         ([0.5], 0.5)])
     def test_value_at_refuses_points_outside_the_grid(self, X, t):
-        with pytest.raises(ValueError, match="outside the grid"):
+        match = "outside the grid" if len(X) == 2 else "1 coordinates"
+        with pytest.raises(ValueError, match=match):
             self._affine_field().value_at(X, t)
 
     @pytest.mark.parametrize("cells, match", [
@@ -865,7 +868,7 @@ class TestQDifference:
         # solve, so the trace hypothesis cannot be checked on Qu
         grid = halfspace(-2.0, 2.0, 3.0, 0.0, 0.25, (16, 24), 8)
         u = solve_impulse(preset("laminate", d=2), HALF,
-                          np.array([0.0, 1.0]), 0.0, grid)
+                          np.array([0.0, 1.0]), grid)
         qu = q_difference(u, 1.0)
         assert np.abs(qu.values[1:, :, 0]).max() > 0.1
         with pytest.raises(ValueError, match="no recorded bottom"):
@@ -979,20 +982,26 @@ class TestFieldIO:
 
     def test_impulse_pole_is_checked_before_assembly(self, monkeypatch):
         # a pole of the wrong dimension or a NaN one was cut to grid.d
-        # coordinates, died with an IndexError or read as an edge cell
+        # coordinates, died with an IndexError or read as an edge cell; a
+        # point of the wrong dimension is named as such, not as outside
         def no_assembly(*args):
             raise AssertionError("assembled for a bad pole")
 
         monkeypatch.setattr(pde, "_assemble", no_assembly)
         grid = halfspace(-2.0, 2.0, 2.0, 0.0, 0.5, (16, 8), 4)
-        for pole in ([0.1, 0.9, 55.0], [0.1], [0.1, np.nan]):
-            with pytest.raises(ValueError, match="outside the grid"):
+        u = ScalarField(grid, np.zeros((grid.nt + 1,) + grid.shape))
+        for pole, match in (([0.1, 0.9, 55.0], "has 3 coordinates.*d = 2"),
+                            ([0.1], "has 1 coordinates.*d = 2"),
+                            ([0.1, np.nan], "outside the grid")):
+            with pytest.raises(ValueError, match=match):
                 solve_impulse(preset("constant", d=2), HALF, np.array(pole),
-                              0.0, grid)
+                              grid)
+            with pytest.raises(ValueError, match=match):
+                u.value_at(pole, 0.25)
 
     def test_impulse_mass(self):
         grid = halfspace(-2.0, 2.0, 2.0, 0.0, 0.5, (32, 16), 16)
         u = solve_impulse(preset("constant", d=2), HALF,
-                          np.array([0.0, 1.0]), 0.0, grid)
+                          np.array([0.0, 1.0]), grid)
         mass0 = (u.values[0] * grid.cell_volumes()).sum()
         assert mass0 == pytest.approx(1.0, rel=1e-12)

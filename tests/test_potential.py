@@ -212,10 +212,25 @@ class TestDoubling:
                            PotentialConfig(cells_per_r=8, steps_per_r2=8))
 
 
+def test_measure_and_doubling_ratio_follow_the_scaling_law():
+    # u(X, t) solves the constant-A problem iff u(sX, s^2 t) does, and the
+    # measure grids carry no absolute length: scaling pole, cube and every
+    # spacing by a power of 2 is exact in floating point, so the measure
+    # and the doubling ratio repeat bit for bit
+    values = set()
+    for s in (0.5, 1.0, 2.0):
+        pole = ParabolicPoint(np.array([0.0, s]), 5.0 * s * s)
+        cube = ParabolicCube(np.zeros(1), 0.0, 0.5 * s)
+        values.add((caloric_measure(A_CONST, HALF, pole, cube).value,
+                    doubling_ratio(A_CONST, HALF, pole, cube)))
+    (measure, ratio), = values
+    assert 0.0 < measure < 1.0 and ratio > 1.0
+
+
 def green_field(pole, horizon, extra_pts, cfg):
     """The impulse field that `greens_function` reads, for a given horizon."""
     grid = _green_grid(pole, horizon, extra_pts, cfg)
-    return solve_impulse(A_CONST, HALF, pole.X, pole.t, grid)
+    return solve_impulse(A_CONST, HALF, pole.X, grid)
 
 
 class TestGreen:
