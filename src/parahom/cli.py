@@ -21,7 +21,7 @@ from .harness import (ExperimentConfig, data_from_json, domain_from_json,
                       solvability_sweep)
 from .maximal import lp_boundary_norm, nontangential_max
 from .pde import SpaceTimeGrid, save_field, solve_dirichlet
-from .potential import (PotentialConfig, caloric_measure, doubling_ratio,
+from .potential import (caloric_measure, doubling_ratio,
                         green_measure_equivalence, green_symmetry_check,
                         kernel_estimate, reverse_holder_ratio)
 
@@ -130,18 +130,17 @@ def _cmd_diagnose(args):
     cube = ParabolicCube(np.asarray(c[:-2]), c[-2], c[-1])
     dom = domain_from_json(_load_spec(args.domain) or {"kind": "halfspace"}, d=d)
     A = field_from_json(_load_spec(args.coeff), d=d)
-    pot = PotentialConfig()
     rows = []
     if args.check == "doubling":
-        rows.append(("doubling", doubling_ratio(A, dom, pole, cube, pot),
+        rows.append(("doubling", doubling_ratio(A, dom, pole, cube),
                      None, True, False))
     elif args.check == "rh":
-        K = kernel_estimate(A, dom, pole, cube, cfg=pot)
+        K = kernel_estimate(A, dom, pole, cube)
         res = reverse_holder_ratio(K, q=args.q)
         rows.append(("rh", res.ratio, float(K.error_bar.max()),
                      res.ratio >= 1.0, res.watermark))
     elif args.check == "caloric-measure":
-        res = caloric_measure(A, dom, pole, cube, pot)
+        res = caloric_measure(A, dom, pole, cube)
         rows.append(("caloric-measure", res.value, res.smoothing_error,
                      0.0 <= res.value <= 1.0 + 1e-6, False))
     elif args.check == "green-sym":
@@ -151,7 +150,7 @@ def _cmd_diagnose(args):
     elif args.check == "green-measure":
         obs = pole
         res = green_measure_equivalence(A, dom, obs, cube.center_x,
-                                        cube.center_t, cube.side, pot)
+                                        cube.center_t, cube.side)
         rows.append(("green-measure-lower", res.lower_ratio, None, True,
                      res.watermark))
         rows.append(("green-measure-upper", res.upper_ratio, None, True,

@@ -91,14 +91,6 @@ class ParabolicCube:
         return ParabolicCube(self.center_x, self.center_t,
                              self.side * factor)
 
-    def contains_xt(self, x, t) -> np.ndarray:
-        """Pointwise membership of boundary coordinates (x, t)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        inside = np.all(np.abs(x - self.center_x) < self.side, axis=-1)
-        return inside & (np.abs(np.asarray(t) - self.center_t) < self.side ** 2)
-
 
 @dataclass(frozen=True)
 class GraphDomain:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -284,7 +283,7 @@ class SweepReport:
         return all(r.get("passed", True) for r in self.rows)
 
 
-def _row(check, coeff, domain, params, value, error_bar=None, passed=True,
+def _row(check, coeff, domain, params, value, error_bar, passed,
          watermark=False):
     return {"check": check, "coeff": coeff, "domain": domain,
             "params": json.dumps(params, sort_keys=True), "value": value,
@@ -341,11 +340,9 @@ def solvability_sweep(cfg: ExperimentConfig,
 
     # watermark row: pole deliberately outside the admissibility window
     near_pole = ParabolicPoint(np.asarray([0.0] * (d - 1) + [1.0]), 0.6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        K_bad = kernel_estimate(A1, halfspace_dom, near_pole, cube, depth=1,
-                                cfg=pot_cfg)
-        rh_bad = reverse_holder_ratio(K_bad, q=2.0)
+    K_bad = kernel_estimate(A1, halfspace_dom, near_pole, cube, depth=1,
+                            cfg=pot_cfg)
+    rh_bad = reverse_holder_ratio(K_bad, q=2.0)
     rows.append(_row("rh-inadmissible", A1.label, "halfspace",
                      {"q": 2.0, "tau": near_pole.t}, rh_bad.ratio, None,
                      True, watermark=rh_bad.watermark))

@@ -342,19 +342,18 @@ class ScalarField:
         """u(X, t): the probe weights of `_probe` (the `_hat` of each axis,
         multilinear between cell centers, holding the edge cell's value
         within half a cell of a face) on the two time levels around t,
-        linear in t; only the 2 x 2^d values the hats touch are read.
+        weighted by the `_hat` of t on `grid.times()`; only the 2 x 2^d
+        values the hats touch are read.
         X outside [lo, hi] or t outside [t0, t1] raises ValueError."""
         g = self.grid
         box, weights = _probe(g, X)
         if not g.t0 <= t <= g.t1:
             raise ValueError(f"time t={t} lies outside the grid's "
                              f"[{g.t0}, {g.t1}]")
-        times = g.times()
-        k = min(max(int(np.searchsorted(times, t)) - 1, 0), g.nt - 1)
-        frac = (t - times[k]) / (times[k + 1] - times[k])
+        k, wt = _hat(g.times(), t)
         block = self.values[(slice(k, k + 2),) + box]
         lo, hi = block.reshape(2, -1) @ weights.reshape(-1)
-        return float((1.0 - frac) * lo + frac * hi)
+        return float(wt[0] * lo + wt[1] * hi)
 
 
 def _run(mask) -> slice:
@@ -562,8 +561,9 @@ def _check_residual(Mx: np.ndarray, b: np.ndarray) -> None:
 
 def _hat(centers: np.ndarray, x: float):
     """(i, w): the multilinear weights w = (1 - frac, frac) of x on the
-    centers i and i + 1 around it, x clamped to [centers[0], centers[-1]];
-    w holds one weight on an axis of one cell."""
+    sorted points centers[i] and centers[i + 1] around it (cell centers of
+    an axis, or time levels), x clamped to [centers[0], centers[-1]]; w
+    holds one weight when there is one point."""
     if centers.size == 1:
         return 0, np.ones(1)
     x = min(max(x, centers[0]), centers[-1])
@@ -727,7 +727,8 @@ def nt_trace_ratio(u: ScalarField, cube: ParabolicCube) -> np.ndarray:
     u = a lam + b lam^2).  Returns the estimate as an (mt, mx) array: time
     levels in the patch by tangential cells in the patch, C order.
     Requires the boundary data of the solve to vanish on the concentric
-    4x cube (the trace hypothesis: |f| <= 1e-10 there); the field must
+    4x cube, read as the time and tangential slices of the `_window` box
+    of T_4r (the trace hypothesis: |f| <= 1e-10 there); the field must
     carry the bottom trace recorded by its solve, `u.bottom_trace`.
     The check sees only the time levels the grid holds: a field whose
     march stopped early is checked up to its last level.
@@ -736,9 +737,9 @@ def nt_trace_ratio(u: ScalarField, cube: ParabolicCube) -> np.ndarray:
     bd = u.bottom_trace                 # (nt+1, m_bottom)
     if bd is None:
         raise ValueError("field has no recorded bottom boundary data")
-    big = cube.scaled(4.0)
-    inside = big.contains_xt(grid.tangential_centers(), grid.times()[:, None])
-    if np.abs(bd[inside]).max(initial=0.0) > 1e-10:
+    big = _window(grid, cube.center_x, cube.center_t, 4.0 * cube.side)[:-1]
+    bd = bd.reshape((grid.nt + 1,) + grid.shape[:-1])
+    if np.abs(bd[big]).max(initial=0.0) > 1e-10:
         raise ValueError("boundary data does not vanish on the 4x cube")
 
     box = _window(grid, cube.center_x, cube.center_t, cube.side)[:-1]

@@ -2,10 +2,11 @@
 diagnostic battery: doubling, reverse Holder, local solvability, Harnack,
 Green-measure equivalence.
 
-Conventions.  `greens_function(A, dom, pole, points)` returns G at each
-read point: one forward propagation of a discrete unit impulse from the
-pole time, on a grid whose horizon and core the read points fix, read with
-the probe weights of `pde.adjoint_trace` (`pde._probe`, through
+Conventions.  `greens_function(A, dom, pole, point)` returns G at one read
+point: one forward propagation of a discrete unit impulse from the pole
+time, on a grid whose horizon and core the read point fixes and whose
+spacing the constants `_GREEN_CELLS` and `_GREEN_STEPS` set, read with the
+probe weights of `pde.adjoint_trace` (`pde._probe`, through
 `ScalarField.value_at`); a point at or before the pole time reads 0.  Each
 pole diagnostic reads one discrete caloric kernel: the adjoint trace of the
 pole on the bottom face of its measure grid (`pde.adjoint_trace`, the
@@ -19,7 +20,8 @@ cube's measure from its kernel.  Both are `_tents`: the cube's indicator is
 the one tent of its two edges per axis.  The windows T_r of the ratio
 diagnostics are `pde._window` boxes.
 Admissibility windows are enforced as preconditions with explicit margins;
-inadmissible exploratory runs are allowed but watermarked in the results.
+inadmissible exploratory runs are allowed, and the `watermark` of their
+result is the one report of it (no warning is raised).
 
 Empirical constants are never asserted against book values; callers check
 uniformity and stability instead.
@@ -30,9 +32,8 @@ cubes can run concurrently since all shared inputs are immutable.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +64,8 @@ __all__ = [
 _NOISE_FLOOR = 1e-8         # measure and Green values below this are noise
 _MAX_CELLS_PER_AXIS = 768   # cap on every axis of a diagnostic grid
 _MARGIN_MULT = 4.0          # truncation margin / configuration diameter
+_GREEN_CELLS = 16.0         # Green grid: h = sqrt(horizon) / _GREEN_CELLS
+_GREEN_STEPS = 96.0         # Green grid: dt = horizon / _GREEN_STEPS
 
 
 class MeasureBelowNoiseError(RuntimeError):
@@ -71,16 +74,18 @@ class MeasureBelowNoiseError(RuntimeError):
 
 @dataclass(frozen=True)
 class PotentialConfig:
-    """Resolution knobs shared by the diagnostics.
+    """Resolution knobs of the measure grids.
 
     cells_per_r and steps_per_r2 set the fine spacing h = r / cells_per_r
-    and the step dt = r^2 / steps_per_r2 of a scale-r grid.  Fixed: the
-    truncation margin of the half-space box is 4x the parabolic diameter of
-    the active configuration (data support, pole, elapsed time) on a
-    measure grid and 4x the diffusion scale on a Green grid, the grids
-    refuse axes above 768 cells, the noise floor is 1e-8, the Green-measure
-    region condition is |(x0,0) - (x,lam)|^2 <= |t - t0|, and margins and
-    the gaps between fine segments grade by 1.3x per cell
+    and the step dt = r^2 / steps_per_r2 of a scale-r measure grid.  The
+    Green grids do not read them: their h = sqrt(horizon) / 16 and
+    dt = horizon / 96 are the constants `_GREEN_CELLS` and `_GREEN_STEPS`.
+    Fixed: the truncation margin of the half-space box is 4x the parabolic
+    diameter of the active configuration (data support, pole, elapsed
+    time) on a measure grid and 4x the diffusion scale on a Green grid, the
+    grids refuse axes above 768 cells, the noise floor is 1e-8, the
+    Green-measure region condition is |(x0,0) - (x,lam)|^2 <= |t - t0|, and
+    margins and the gaps between fine segments grade by 1.3x per cell
     (`pde.graded_axis`), up to max(16 h, extent / 64) on a measure-grid
     axis and 16 h on a Green-grid axis.
     """
@@ -378,19 +383,18 @@ def kernel_estimate(A: CoefficientField, dom: GraphDomain,
 # Green functions
 
 
-def _green_grid(pole: ParabolicPoint, horizon: float, extra_pts,
-                cfg: PotentialConfig) -> SpaceTimeGrid:
-    """Graded grid sized by the diffusion scale sqrt(horizon), its growing
-    margin cells capped at 16 h.
+def _green_grid(pole: ParabolicPoint, horizon: float, X) -> SpaceTimeGrid:
+    """Graded grid sized by the diffusion scale sqrt(horizon), its core over
+    the pole and the read point X, its growing margin cells capped at 16 h.
 
     The core axes are aligned so the pole lands exactly on a cell center:
     the discrete impulse then carries no placement offset.
     """
     scale = np.sqrt(horizon)
-    h = scale / cfg.cells_per_r
-    dt = horizon / (cfg.steps_per_r2 * 4)
+    h = scale / _GREEN_CELLS
+    dt = horizon / _GREEN_STEPS
     margin = _MARGIN_MULT * scale
-    xs = [pole.X, *extra_pts]
+    xs = [pole.X, X]
     n = pole.X.size - 1
     faces = []
     for k in range(n):
@@ -411,34 +415,31 @@ def _green_grid(pole: ParabolicPoint, horizon: float, extra_pts,
 
 
 def greens_function(A: CoefficientField, dom: GraphDomain,
-                    pole: ParabolicPoint, points: Sequence,
-                    cfg: PotentialConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Green function G(X, t; pole) at each ParabolicPoint (X, t) of points.
+                    pole: ParabolicPoint, point: ParabolicPoint) -> float:
+    """Green function G(X, t; pole) at the ParabolicPoint (X, t).
 
-    A point at or before the pole time reads 0.  The others are read
-    (`ScalarField.value_at`) off one forward propagation of a discrete unit
-    impulse, on the graded grid of the pole whose core covers every read
-    point and whose horizon is 1.05 x the latest read's time since the pole.
+    A point at or before the pole time reads 0 with no solve.  A later one
+    is read (`ScalarField.value_at`) off one forward propagation of a
+    discrete unit impulse, on the graded grid of the pole whose core covers
+    X and whose horizon is 1.05 x the time since the pole.  X must have the
+    pole's shape (checked before any grid is built).
     """
     if pole.X[-1] <= 0:
         raise ValueError("pole must lie strictly inside the half space")
-    out = np.zeros(len(points))
-    later = [k for k, p in enumerate(points) if p.t > pole.t]
-    if not later:
-        return out
-    horizon = max((points[k].t - pole.t) * 1.05 for k in later)
-    grid = _green_grid(pole, horizon, [points[k].X for k in later], cfg)
+    if point.X.shape != pole.X.shape:
+        raise ValueError(f"read point X={point.X.tolist()} has "
+                         f"{point.X.size} coordinates; the pole has "
+                         f"{pole.X.size}")
+    if point.t <= pole.t:
+        return 0.0
+    grid = _green_grid(pole, (point.t - pole.t) * 1.05, point.X)
     _require_pole_clearance(grid, pole, cells=2)
-    field = solve_impulse(A, dom, pole.X, grid)
-    for k in later:
-        out[k] = field.value_at(points[k].X, points[k].t)
-    return out
+    return solve_impulse(A, dom, pole.X, grid).value_at(point.X, point.t)
 
 
 def green_symmetry_check(A: CoefficientField, dom: GraphDomain,
                          pole: ParabolicPoint, point: ParabolicPoint,
-                         shift: float = 0.0,
-                         cfg: PotentialConfig = DEFAULT_CONFIG) -> float:
+                         shift: float = 0.0) -> float:
     """Space-symmetry / time-invariance deviation of the Green function.
 
     Compares G(X, t; Z, tau) against G(Z, t + t0; X, tau + t0): the first
@@ -448,10 +449,9 @@ def green_symmetry_check(A: CoefficientField, dom: GraphDomain,
     """
     if point.t <= pole.t:
         raise ValueError("the evaluation time must come after the pole time")
-    v1 = float(greens_function(A, dom, pole, [point], cfg)[0])
-    v2 = float(greens_function(A, dom, ParabolicPoint(point.X, pole.t + shift),
-                               [ParabolicPoint(pole.X, point.t + shift)],
-                               cfg)[0])
+    v1 = greens_function(A, dom, pole, point)
+    v2 = greens_function(A, dom, ParabolicPoint(point.X, pole.t + shift),
+                         ParabolicPoint(pole.X, point.t + shift))
     return abs(v1 - v2) / max(abs(v1), abs(v2), 1e-300)
 
 
@@ -486,8 +486,8 @@ def reverse_holder_ratio(K: KernelEstimate, q: float = 2.0
     q must be finite and >= 2.
 
     Admissibility window: |(x0, 0) - Z|^2 <= |t0 - tau| and tau - t0 >= 4 r^2.
-    Inadmissible poles are computed anyway but watermarked (with a warning),
-    for exploration.
+    Inadmissible poles are computed anyway, for exploration, and
+    watermarked.
     """
     if not (np.isfinite(q) and q >= 2.0):
         raise ValueError(f"exponent q = {q} must be finite and >= 2")
@@ -496,9 +496,6 @@ def reverse_holder_ratio(K: KernelEstimate, q: float = 2.0
     sep2 = float(np.sum((cube.center_x - pole.X[:-1]) ** 2) + pole.X[-1] ** 2)
     dt = pole.t - cube.center_t
     admissible = (sep2 <= abs(dt)) and (dt >= 4 * r * r)
-    if not admissible:
-        warnings.warn("reverse Holder pole outside the admissible window; "
-                      "result watermarked", stacklevel=2)
     mean_q = float(np.mean(np.abs(K.K) ** q) ** (1.0 / q))
     mean_1 = float(np.mean(np.abs(K.K)))
     if mean_1 == 0.0:
@@ -565,8 +562,7 @@ class GreenMeasureResult:
 
 
 def green_measure_equivalence(A: CoefficientField, dom: GraphDomain,
-                              obs: ParabolicPoint, x0, t0: float, rho: float,
-                              cfg: PotentialConfig = DEFAULT_CONFIG
+                              obs: ParabolicPoint, x0, t0: float, rho: float
                               ) -> GreenMeasureResult:
     """Sandwich ratios between omega(Q_{rho/2}) and pole-shifted Green values.
 
@@ -582,16 +578,10 @@ def green_measure_equivalence(A: CoefficientField, dom: GraphDomain,
     sep2 = float(np.sum((obs.X[:-1] - x0) ** 2) + obs.X[-1] ** 2)
     dt = obs.t - t0
     admissible = (dt >= 4 * rho * rho) and (sep2 <= dt)
-    if not admissible:
-        warnings.warn("Green-measure configuration outside the admissible "
-                      "window; result watermarked", stacklevel=2)
-    half_cube = ParabolicCube(x0, t0, rho / 2.0)
-    omega = caloric_measure(A, dom, obs, half_cube, cfg).value
+    omega = caloric_measure(A, dom, obs, ParabolicCube(x0, t0, rho / 2.0)).value
     pole_X = np.append(x0, rho)
-    vp = float(greens_function(A, dom, ParabolicPoint(pole_X, t0 + rho * rho),
-                               [obs], cfg)[0])
-    vm = float(greens_function(A, dom, ParabolicPoint(pole_X, t0 - rho * rho),
-                               [obs], cfg)[0])
+    vp = greens_function(A, dom, ParabolicPoint(pole_X, t0 + rho * rho), obs)
+    vm = greens_function(A, dom, ParabolicPoint(pole_X, t0 - rho * rho), obs)
     scale = rho ** (n + 1)
     if vp <= _NOISE_FLOOR * scale or vm <= _NOISE_FLOOR * scale:
         raise MeasureBelowNoiseError("Green values below the noise floor")

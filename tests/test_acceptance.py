@@ -101,7 +101,7 @@ def test_criterion_2_heat_kernel_oracle_suite():
 
     gs = green_symmetry_check(A, HALF, ParabolicPoint(np.array([0.0, 1.5]), 0.0),
                               ParabolicPoint(np.array([0.8, 0.8]), 1.5),
-                              shift=0.3, cfg=cfg)
+                              shift=0.3)
     devs["green_symmetry"] = gs
 
     elapsed = time.perf_counter() - t0

@@ -157,7 +157,7 @@ def test_every_public_method_has_a_caller():
 # Upper bounds on the counts ROADMAP tracks, at their current values: a
 # change that adds a knob or a public name raises its bound in its own diff.
 MAX_COUNTS = {"modules": 10,
-              "defaulted parameters": 22,
+              "defaulted parameters": 17,
               "defaulted dataclass fields": 23,
               "__all__ names": 65}
 

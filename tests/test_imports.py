@@ -59,14 +59,14 @@ def test_point_reads_leave_scipy_interpolate_unloaded():
         "from parahom.coeffs import preset\n"
         "from parahom.geometry import GraphDomain, ParabolicPoint\n"
         "from parahom.pde import ScalarField, halfspace\n"
-        "from parahom.potential import PotentialConfig, greens_function\n"
+        "from parahom import potential\n"
         "g = halfspace([-1.0], [1.0], 1.0, 0.0, 1.0, (4, 2), 2)\n"
         "ScalarField(g, np.zeros((3, 4, 2))).value_at([0.1, 0.5], 0.3)\n"
         "pole = ParabolicPoint([0.0, 1.0], 0.0)\n"
-        "greens_function(preset('constant', d=2),"
+        "potential._GREEN_CELLS, potential._GREEN_STEPS = 4.0, 16.0\n"
+        "potential.greens_function(preset('constant', d=2),"
         " GraphDomain(m=0.0, box=((-8.0, 8.0),)), pole,"
-        " [ParabolicPoint([0.5, 0.5], 0.5)],"
-        " PotentialConfig(cells_per_r=4, steps_per_r2=4))\n"
+        " ParabolicPoint([0.5, 0.5], 0.5))\n"
         "print('scipy.interpolate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code],
                          env=dict(os.environ, PYTHONPATH=str(SRC)),

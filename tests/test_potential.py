@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from parahom import potential
-from parahom.coeffs import preset
+from parahom.coeffs import preset, scale_field
 from parahom.geometry import GraphDomain, ParabolicCube, ParabolicPoint
 from parahom.oracles import (gauss_heat_kernel, halfspace_kernel_cell_average,
                              halfspace_measure)
@@ -22,7 +24,6 @@ HALF = GraphDomain(m=0.0, box=((-64.0, 64.0),))
 POLE = ParabolicPoint(np.array([0.0, 1.0]), 5.0)
 CUBE = ParabolicCube(np.zeros(1), 0.0, 0.5)
 CFG = PotentialConfig()
-GREEN_CFG = PotentialConfig(steps_per_r2=96.0)
 
 
 def sub_cube_volume(K):
@@ -167,7 +168,8 @@ class TestReverseHolder:
     def test_inadmissible_watermarked(self):
         near = ParabolicPoint(np.array([0.0, 1.0]), 0.6)   # tau - t0 < 4 r^2
         K = kernel_estimate(A_CONST, HALF, near, CUBE, depth=1, cfg=CFG)
-        with pytest.warns(UserWarning, match="admissible"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rh = reverse_holder_ratio(K, 2.0)
         assert rh.watermark
 
@@ -213,30 +215,40 @@ class TestDoubling:
 
 
 def test_measure_and_doubling_ratio_follow_the_scaling_law():
-    # u(X, t) solves the constant-A problem iff u(sX, s^2 t) does, and the
-    # measure grids carry no absolute length: scaling pole, cube and every
-    # spacing by a power of 2 is exact in floating point, so the measure
-    # and the doubling ratio repeat bit for bit
-    values = set()
-    for s in (0.5, 1.0, 2.0):
-        pole = ParabolicPoint(np.array([0.0, s]), 5.0 * s * s)
-        cube = ParabolicCube(np.zeros(1), 0.0, 0.5 * s)
-        values.add((caloric_measure(A_CONST, HALF, pole, cube).value,
-                    doubling_ratio(A_CONST, HALF, pole, cube)))
-    (measure, ratio), = values
-    assert 0.0 < measure < 1.0 and ratio > 1.0
+    # u(X, t) solves the problem of A iff u(sX, s^2 t) solves that of
+    # A(x / s), and the measure and Green grids carry no absolute length:
+    # scaling pole, cube, read point, every spacing and the field's period by
+    # a power of 2 is exact in floating point, so the measure, the doubling
+    # ratio, the depth-2 densities times r^{n+2} and s^d G repeat bit for bit
+    for name in ("constant", "trig", "laminate"):
+        values, densities = set(), []
+        for s in (0.5, 1.0, 2.0):
+            A = scale_field(preset(name, d=2), s)
+            pole = ParabolicPoint(np.array([0.0, s]), 5.0 * s * s)
+            cube = ParabolicCube(np.zeros(1), 0.0, 0.5 * s)
+            G = greens_function(A, HALF, ParabolicPoint([0.0, s], 0.0),
+                                ParabolicPoint([0.8 * s, 0.8 * s], 1.5 * s * s))
+            values.add((caloric_measure(A, HALF, pole, cube).value,
+                        doubling_ratio(A, HALF, pole, cube), s * s * G))
+            densities.append(kernel_estimate(A, HALF, pole, cube).K
+                             * (0.5 * s) ** 3)
+        (measure, ratio, green), = values
+        assert 0.0 < measure < 1.0 and ratio > 1.0 and green > 0.0, name
+        assert all(np.array_equal(k, densities[0]) for k in densities), name
 
 
-def green_field(pole, horizon, extra_pts, cfg):
-    """The impulse field that `greens_function` reads, for a given horizon."""
-    grid = _green_grid(pole, horizon, extra_pts, cfg)
+def green_field(pole, horizon, X):
+    """The impulse field that `greens_function` reads, for a given horizon
+    and read point X."""
+    grid = _green_grid(pole, horizon, X)
     return solve_impulse(A_CONST, HALF, pole.X, grid)
 
 
 class TestGreen:
-    def test_free_space_agreement(self):
+    def test_free_space_agreement(self, monkeypatch):
+        monkeypatch.setattr(potential, "_GREEN_STEPS", 384.0)
         pole = ParabolicPoint(np.array([0.0, 6.0]), 0.0)
-        G = green_field(pole, 1.0, [np.array([0.5, 6.5])], GREEN_CFG)
+        G = green_field(pole, 1.0, np.array([0.5, 6.5]))
         for probe, t in [((0.5, 6.5), 0.5), ((0.3, 5.8), 0.25),
                          ((0.0, 6.0), 0.7)]:
             val = G.value_at(np.array(probe), t)
@@ -245,29 +257,42 @@ class TestGreen:
 
     def test_boundary_trace_and_positivity(self):
         pole = ParabolicPoint(np.array([0.0, 1.0]), 0.0)
-        assert green_field(pole, 2.0, [], CFG).values.min() >= -1e-13
-        before = [ParabolicPoint(np.array([0.3, 0.3]), -1.0),
-                  ParabolicPoint(np.array([0.3, 0.3]), 0.0)]
-        assert np.array_equal(greens_function(A_CONST, HALF, pole, before,
-                                              CFG), [0.0, 0.0])
+        assert green_field(pole, 2.0, pole.X).values.min() >= -1e-13
+        for t in (-1.0, 0.0):
+            read = greens_function(A_CONST, HALF, pole,
+                                   ParabolicPoint(np.array([0.3, 0.3]), t))
+            assert read == 0.0 and type(read) is float
 
     def test_reads_the_derived_field(self):
-        # horizon 1.05 x the latest read's elapsed time, core over the
-        # points read after the pole; the earlier point reads 0
+        # horizon 1.05 x the read's elapsed time, core over the pole and the
+        # read point; a point before the pole reads 0
         pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
-        pts = [ParabolicPoint(np.array([0.8, 0.8]), 1.5),
-               ParabolicPoint(np.array([0.3, 0.2]), -0.4),
-               ParabolicPoint(np.array([-1.1, 0.5]), 0.7)]
-        G = greens_function(A_CONST, HALF, pole, pts, CFG)
-        field = green_field(pole, (1.5 - pole.t) * 1.05,
-                            [pts[0].X, pts[2].X], CFG)
-        want = [field.value_at(pts[0].X, pts[0].t), 0.0,
-                field.value_at(pts[2].X, pts[2].t)]
-        assert np.array_equal(G, want)
+        for pt in (ParabolicPoint(np.array([0.8, 0.8]), 1.5),
+                   ParabolicPoint(np.array([-1.1, 0.5]), 0.7)):
+            field = green_field(pole, (pt.t - pole.t) * 1.05, pt.X)
+            assert greens_function(A_CONST, HALF, pole, pt) == \
+                field.value_at(pt.X, pt.t)
+        assert greens_function(A_CONST, HALF, pole, ParabolicPoint(
+            np.array([0.3, 0.2]), -0.4)) == 0.0
 
-    def test_halfspace_images_values(self):
+    def test_read_point_shape_checked_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before the input was checked")
+
+        monkeypatch.setattr(potential, "solve_impulse", no_solve)
         pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
-        G = green_field(pole, 2.0, [np.array([0.8, 0.8])], GREEN_CFG)
+        for X in ([0.8, 0.8, 7.0], [0.8]):
+            point = ParabolicPoint(np.array(X), 1.5)
+            with pytest.raises(ValueError, match=f"has {len(X)} coordinates; "
+                               "the pole has 2"):
+                greens_function(A_CONST, HALF, pole, point)
+            with pytest.raises(ValueError, match=f"has {len(X)} coordinates"):
+                green_symmetry_check(A_CONST, HALF, pole, point)
+
+    def test_halfspace_images_values(self, monkeypatch):
+        monkeypatch.setattr(potential, "_GREEN_STEPS", 384.0)
+        pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
+        G = green_field(pole, 2.0, np.array([0.8, 0.8]))
         val = G.value_at(np.array([0.8, 0.8]), 1.5)
         # G = Gamma(X - Z, t - tau) - Gamma(X - Z*, t - tau), Z* the mirror
         # image of the pole across lam = 0
@@ -276,13 +301,14 @@ class TestGreen:
                        - gauss_heat_kernel(X - pole.X * [1.0, -1.0], elapsed))
         assert val == pytest.approx(oracle, rel=0.02)
 
-    def test_upper_bound_decay(self):
+    def test_upper_bound_decay(self, monkeypatch):
         # G <= C / ||(X - Z, t - tau)||^{n+1}: the fitted constant is stable
         # under refinement, which pins the decay exponent empirically
         pole = ParabolicPoint(np.array([0.0, 4.0]), 0.0)
 
-        def fitted_C(cfg):
-            g = green_field(pole, 4.0, [], cfg)
+        def fitted_C(cells):
+            monkeypatch.setattr(potential, "_GREEN_CELLS", cells)
+            g = green_field(pole, 4.0, pole.X)
             pts = g.grid.centers()
             best = 0.0
             for frac in (0.3, 0.6, 0.9):
@@ -296,8 +322,8 @@ class TestGreen:
                 best = max(best, float((vals[ok] * dist[ok] ** 2).max()))
             return best
 
-        c1 = fitted_C(PotentialConfig(cells_per_r=12))
-        c2 = fitted_C(PotentialConfig(cells_per_r=18))
+        c1 = fitted_C(12.0)
+        c2 = fitted_C(18.0)
         assert 0 < c1 and 0 < c2
         assert max(c1, c2) / min(c1, c2) <= 1.5
 
@@ -305,7 +331,7 @@ class TestGreen:
         # G(x, t, lam; x0, t0, r) >= c r^{-n-1} on the standard region
         r = 1.0
         pole = ParabolicPoint(np.array([0.0, r]), 0.0)
-        G = green_field(pole, 12.0 * r * r, [], CFG)
+        G = green_field(pole, 12.0 * r * r, pole.X)
         rng = np.random.default_rng(3)
         worst = np.inf
         for _ in range(40):
@@ -322,29 +348,27 @@ class TestGreenSymmetry:
     def test_identity_coefficients(self):
         pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
         pt = ParabolicPoint(np.array([0.8, 0.8]), 1.5)
-        dev = green_symmetry_check(A_CONST, HALF, pole, pt, shift=0.3,
-                                   cfg=CFG)
+        dev = green_symmetry_check(A_CONST, HALF, pole, pt, shift=0.3)
         assert dev <= 0.02
 
     def test_zero_shift_spatial_symmetry(self):
         pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
         pt = ParabolicPoint(np.array([-0.7, 1.0]), 1.2)
-        dev = green_symmetry_check(A_CONST, HALF, pole, pt, shift=0.0,
-                                   cfg=CFG)
+        dev = green_symmetry_check(A_CONST, HALF, pole, pt, shift=0.0)
         assert dev <= 0.02
 
-    def test_laminate_pairs(self):
+    def test_laminate_pairs(self, monkeypatch):
         # the time-independence + symmetry prediction for variable A
         rng = np.random.default_rng(5)
         A = preset("laminate", d=2)
-        cfg = PotentialConfig(cells_per_r=32.0)
+        monkeypatch.setattr(potential, "_GREEN_CELLS", 32.0)
         for _ in range(3):
             z = rng.uniform(-0.5, 0.5)
             pole = ParabolicPoint(np.array([z, rng.uniform(1.2, 1.8)]), 0.0)
             pt = ParabolicPoint(np.array([z + rng.uniform(0.4, 0.9),
                                           rng.uniform(0.7, 1.1)]),
                                 rng.uniform(1.2, 1.8))
-            dev = green_symmetry_check(A, HALF, pole, pt, shift=0.0, cfg=cfg)
+            dev = green_symmetry_check(A, HALF, pole, pt, shift=0.0)
             assert dev <= 0.03
 
 
@@ -468,7 +492,7 @@ class TestGreenMeasure:
     def test_sandwich_and_scaling_invariance(self):
         obs = ParabolicPoint(np.array([0.2, 0.7]), 2.0)
         res = green_measure_equivalence(A_CONST, HALF, obs, np.zeros(1),
-                                        0.0, 0.5, CFG)
+                                        0.0, 0.5)
         assert not res.watermark
         assert 0.1 <= res.lower_ratio <= 10.0
         assert 0.1 <= res.upper_ratio <= 10.0
@@ -476,7 +500,7 @@ class TestGreenMeasure:
         g = 2.0     # parabolic rescale of the whole configuration
         obs2 = ParabolicPoint(np.array([g * 0.2, g * 0.7]), g * g * 2.0)
         res2 = green_measure_equivalence(A_CONST, HALF, obs2, np.zeros(1),
-                                         0.0, g * 0.5, CFG)
+                                         0.0, g * 0.5)
         assert res2.lower_ratio == pytest.approx(res.lower_ratio, rel=0.05)
         assert res2.upper_ratio == pytest.approx(res.upper_ratio, rel=0.05)
 
@@ -489,13 +513,14 @@ class TestGreenMeasure:
         obs = ParabolicPoint(np.array([0.2, 0.7]), 0.2)
         with pytest.raises(ValueError, match="precedes"):
             green_measure_equivalence(A_CONST, HALF, obs, np.zeros(1),
-                                      0.0, 0.5, CFG)
+                                      0.0, 0.5)
 
     def test_inadmissible_watermark(self):
         obs = ParabolicPoint(np.array([5.0, 0.7]), 2.0)   # violates region
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = green_measure_equivalence(A_CONST, HALF, obs, np.zeros(1),
-                                            0.0, 0.5, CFG)
+                                            0.0, 0.5)
         assert res.watermark
 
 
