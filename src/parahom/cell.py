@@ -25,10 +25,11 @@ iteration count does not grow with N.
 The d corrector solves run concurrently, on min(d, usable cores) threads.
 Threads pay here because the CG time goes to numpy's FFTs and scipy's CSR
 matvec, which release the GIL, and each solve writes only its own state.
-The LU solves of the `pde` marches gain nothing this way: SuperLU holds the
-GIL, and on a 2-core machine 2 threads of 200 solves each took 1.36 s
-against 1.10 s in series.  The gradients and Abar columns follow in series,
-so their temporaries never sit beside a running solve.
+The LU solves of the `pde` marches stay serial: SuperLU's solve releases the
+GIL (scipy 1.17.1), but 2 threads of 200 solves ran 0.94-1.46x as fast as in
+series on 2 cores, and a second live field adds about 25 MB to homogenize's
+peak.  The gradients and Abar columns follow in series, so their temporaries
+never sit beside a running solve.
 """
 
 from __future__ import annotations

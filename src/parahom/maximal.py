@@ -24,12 +24,13 @@ their radii adding (a dilation by a Minkowski sum; J. Serra, Image
 Analysis and Mathematical Morphology, 1982): each layer's box is the box
 of the layer nearer the face grown by their difference.  Each face reads
 |u| on just the layers its cones reach, deepest first and one at a time,
-into reused C-ordered buffers laid out (*tangential, time), time last;
-the running max is dilated by each layer's growth of the box and joined
-with that layer.  A dilation along one axis is one maximum_filter1d call,
-whose cost does not grow with its radius (van Herk, Pattern Recogn.
-Lett. 13, 1992), so perfbench's `maximal.filter_calls` counts dilations:
-at most d per layer.
+into reused C-ordered buffers laid out (time, *tangential) like the N(u)
+they become (a layer of a face normal to the first axis is then one
+contiguous block of u); the running max is dilated by each layer's growth
+of the box and joined with that layer.  A dilation along one axis is one
+maximum_filter1d call, whose cost does not grow with its radius (van Herk,
+Pattern Recogn. Lett. 13, 1992), so perfbench's `maximal.filter_calls`
+counts dilations: at most d per layer.
 
 scipy.ndimage is imported on the first cone scan, inside this module's
 `maximum_filter1d`, so `import parahom` does not load it for runs that
@@ -96,13 +97,13 @@ def maximum_filter1d(a, **kwargs):
 
 def _cone_sup(v: np.ndarray, rho: Sequence[float], h_tang: Sequence[float],
               dt: float) -> np.ndarray:
-    """Cone suprema of |u| over the layers of a (depth, *tang, nt+1) view v
-    of u, time last, layer l's cone having the radius rho[l] (not
-    decreasing with l).
+    """Cone suprema of |u| over the layers of a (depth, nt+1, *tang) view v
+    of u, time first, layer l's cone having the radius rho[l] (not
+    decreasing with l); the result is a C-ordered (nt+1, *tang) array.
 
-    Layer l's box section has the radius reach(l): the largest offset
-    o <= n_i - 1 with o * h_i < rho[l] on each tangential axis, and the
-    largest s <= nt with s * dt <= rho[l]^2 in time.  With D_r the box
+    Layer l's box section has the radius reach(l): the largest s <= nt with
+    s * dt <= rho[l]^2 in time, and the largest offset o <= n_i - 1 with
+    o * h_i < rho[l] on each tangential axis.  With D_r the box
     dilation of radii r, G starts as |u| on the deepest layer,
     G <- max(|u_l|, D_{reach(l+1) - reach(l)}(G)) on each layer up to the
     face, and the result is D_{reach(0)}(G).  Each nonzero radius on an
@@ -111,12 +112,12 @@ def _cone_sup(v: np.ndarray, rho: Sequence[float], h_tang: Sequence[float],
     at a time.  A rho that underflows to 0 admits no cell: its layers,
     the shallowest, are skipped.
     """
-    *n_tang, nt1 = v.shape[1:]
+    nt1, *n_tang = v.shape[1:]
     reach = np.stack(
-        [np.searchsorted(np.arange(n) * h, rho) - 1
-         for n, h in zip(n_tang, h_tang)]
-        + [np.searchsorted(np.arange(nt1) * dt, [r * r for r in rho],
-                           side="right") - 1], axis=1)     # (layer, axis)
+        [np.searchsorted(np.arange(nt1) * dt, [r * r for r in rho],
+                         side="right") - 1]
+        + [np.searchsorted(np.arange(n) * h, rho) - 1
+           for n, h in zip(n_tang, h_tang)], axis=1)       # (layer, axis)
     layer, *bufs = [np.empty(v.shape[1:]) for _ in range(3)]
 
     def dilate(g, radii):
@@ -159,14 +160,14 @@ def _face_max(u: ScalarField, eta: float, m: float,
         raise ValueError(
             f"face {face.key}: no cell layer below the chart height "
             f"r0 = {face.r0}; the first layer sits at depth {lam[0]}")
-    v = np.moveaxis(u.values, (1 + axis, 0), (0, -1))   # (depth, *tang, time)
+    v = np.moveaxis(u.values, 1 + axis, 0)      # (depth, time, *tang)
     if side == 1:
         v = v[::-1]
-    vals = _cone_sup(v, [eta * x for x in lam[:nlayers].tolist()], h,
-                     grid.dt)
-    # C order: np.sum in the L^p norms adds in memory order
-    return BoundaryField(np.ascontiguousarray(np.moveaxis(vals, -1, 0)),
-                         face.weights, grid.dt)
+    # a C-ordered (nt+1, *tang) buffer: np.sum in the L^p norms adds in
+    # memory order
+    return BoundaryField(
+        _cone_sup(v, [eta * x for x in lam[:nlayers].tolist()], h, grid.dt),
+        face.weights, grid.dt)
 
 
 def nontangential_max(u: ScalarField, eta: float,

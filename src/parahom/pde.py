@@ -13,12 +13,13 @@ backward-Euler steps of a fixed size from a flat state, one sparse LU
 factorization per call.  A window is a box of cells, one slice per axis and
 one of time levels (`_run` turns a reader's threshold mask into its slice);
 a march stores only the box its caller reads.
-The factorization orders columns by minimum degree on the pattern of M^T + M
-(M the step matrix), which about halves the fill of SuperLU's default COLAMD
-order on these grid operators and keeps partial pivoting, so only roundoff
-moves.  The relative residual of the last solve of every march is checked
-against the 1e-10 contract, and a breach raises RuntimeError.  Boundary data enters as per-face-group callables,
-checked once for vanishing at the initial time.
+Every march solves with SuperLU's faster transposed solve on the factors
+of M^T (M the step matrix), ordered by minimum degree on the pattern of
+M^T + M, which about halves the fill of SuperLU's default COLAMD order on
+these grid operators and keeps partial pivoting, so only roundoff moves.
+The relative residual of the last solve of every march is checked against
+the 1e-10 contract, and a breach raises RuntimeError.  Boundary data enters
+as per-face-group callables, checked once for vanishing at the initial time.
 A probe's value at the final time comes from `adjoint_trace`, the
 transposed march of the same step matrix, the exact discrete adjoint: it
 records the discrete caloric kernel of the probe on one face group (one
@@ -541,14 +542,15 @@ def _check_vanishing(values, t0: float, where: str) -> None:
 
 
 def _factor(op: _Operator, dt: float):
-    """Mass diagonal volumes/dt, the step matrix M and its LU factors.
-
+    """Mass diagonal volumes/dt, the step matrix M = diag(mass) + S in CSR,
+    and the LU factors of M^T (the CSC view M.T, not a copy), so that
+    `lu.solve(b, trans="T")`, SuperLU's faster solve, solves M x = b.
     Columns are ordered by minimum degree on the pattern of M^T + M
     (SuperLU's MMD_AT_PLUS_A), with partial pivoting kept.
     """
     mass = op.volumes / dt
-    M = (sp.diags(mass) + op.S).tocsc()
-    return mass, M, spla.splu(M, permc_spec="MMD_AT_PLUS_A")
+    M = (sp.diags(mass) + op.S).tocsr()
+    return mass, M, spla.splu(M.T, permc_spec="MMD_AT_PLUS_A")
 
 
 def _check_residual(Mx: np.ndarray, b: np.ndarray) -> None:
@@ -640,7 +642,7 @@ def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
             rhs[g.cells] += g.weights * vals
             if key == (grid.d - 1, 0):
                 bottom[step] = vals.reshape(grid.shape[:-1])[cells[:-1]]
-        u = lu.solve(rhs)
+        u = lu.solve(rhs, trans="T")
         out[step] = u.reshape(grid.shape)[cells]
     _check_residual(M @ u, rhs)
     return ScalarField(box, out, bottom.reshape(grid.nt + 1, -1))
@@ -666,16 +668,17 @@ def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid, probe,
     (D the mass diagonal, B the boundary-face transmissibilities) read at
     t1 through the probe weights P of `_probe` is  P u_N = sum_k w_k^T B g_k,
     with w_N = M^-T P^T and w_{k-1} = M^-T D w_k.  Marching w backward takes
-    one transposed solve per step and needs no symmetry of the step matrix.
-    Returns K of shape (nt, faces) with K[k-1] = B w_k on the face group
-    key = (axis, side), faces in the order of the `lateral_faces` data
-    points: for data g on that face alone, P u_N = sum_k K[k-1] . g(t_k) up
-    to roundoff.  A probe outside the grid box raises ValueError; the
+    one transposed solve per step (`_factor` of the operator S^T factorizes
+    M itself) and needs no symmetry of the step matrix.  Returns K of shape
+    (nt, faces) with K[k-1] = B w_k on the face group key = (axis, side),
+    faces in the order of the `lateral_faces` data points: for data g on
+    that face alone, P u_N = sum_k K[k-1] . g(t_k) up to roundoff.  A probe outside the grid box raises ValueError; the
     residual of the last transposed solve is checked against the 1e-10
     contract.
     """
     box, weights = _probe(grid, probe)
     op = _assemble(_field_for(dom, A), grid)
+    op = op._replace(S=op.S.T.tocsr())
     g = op.groups[tuple(key)]
     z = np.zeros(grid.shape)
     z[box] = weights
@@ -687,18 +690,15 @@ def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid, probe,
         w = lu.solve(rhs, trans="T")
         out[step - 1] = g.weights * w[g.cells]
         z = mass * w
-    _check_residual(M.T @ w, rhs)
+    _check_residual(M @ w, rhs)
     return out
 
 
-def solve_impulse(A: CoefficientField, dom, pole_X,
-                  grid: SpaceTimeGrid) -> ScalarField:
-    """Propagate a unit point mass released at (pole_X, grid.t0).
-
-    The impulse is a discrete delta: 1/volume on the cell nearest the pole,
-    with zero lateral data.  pole_X passes `_probe`'s checks: grid.d
-    coordinates, inside the grid box, no NaN.
-    """
+def _impulse(grid: SpaceTimeGrid, pole_X) -> np.ndarray:
+    """The flat initial state of `solve_impulse`: 1/volume on the cell
+    nearest pole_X, 0 elsewhere.  pole_X passes `_probe`'s checks (grid.d
+    coordinates, inside the grid box, no NaN), and its cell must not touch
+    the grid's faces."""
     _probe(grid, pole_X)
     pole_X = np.atleast_1d(np.asarray(pole_X, dtype=float))
     idx = []
@@ -711,8 +711,16 @@ def solve_impulse(A: CoefficientField, dom, pole_X,
     idx = tuple(idx)
     u0 = np.zeros(grid.shape)
     u0[idx] = 1.0 / grid.cell_volumes()[idx]
+    return u0.reshape(-1)
+
+
+def solve_impulse(A: CoefficientField, dom, pole_X,
+                  grid: SpaceTimeGrid) -> ScalarField:
+    """Propagate a unit point mass released at (pole_X, grid.t0), with zero
+    lateral data, and store every cell.  The impulse is the discrete delta
+    of `_impulse`: 1/volume on the interior cell nearest the pole."""
     return _solve_field(A, dom, None, grid, (slice(None),) * grid.d,
-                        u0.reshape(-1))
+                        _impulse(grid, pole_X))
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ Green-measure equivalence.
 
 Conventions.  `greens_function(A, dom, pole, point)` returns G at one read
 point: one forward propagation of a discrete unit impulse from the pole
-time, on a grid whose horizon and core the read point fixes and whose
+time, stored on the cells the read touches and the lam cells below them,
+on a grid whose horizon and core the read point fixes and whose
 spacing the constants `_GREEN_CELLS` and `_GREEN_STEPS` set, read with the
 probe weights of `pde.adjoint_trace` (`pde._probe`, through
 `ScalarField.value_at`); a point at or before the pole time reads 0.  Each
@@ -40,8 +41,9 @@ import numpy as np
 from .coeffs import CoefficientField
 from .geometry import GraphDomain, ParabolicCube, ParabolicPoint, parabolic_norm
 from .pde import (BoundaryData, ScalarField, SpaceTimeGrid, _check_vanishing,
-                  _solve_field, _window, adjoint_trace, graded_axis,
-                  lateral_faces, nt_trace_ratio, solve_impulse)
+                  _impulse, _probe, _solve_field, _window, adjoint_trace,
+                  graded_axis, lateral_faces, nt_trace_ratio,
+                  solve_impulse)  # noqa: F401 -- a name tests patch
 
 __all__ = [
     "PotentialConfig",
@@ -420,9 +422,13 @@ def greens_function(A: CoefficientField, dom: GraphDomain,
 
     A point at or before the pole time reads 0 with no solve.  A later one
     is read (`ScalarField.value_at`) off one forward propagation of a
-    discrete unit impulse, on the graded grid of the pole whose core covers
-    X and whose horizon is 1.05 x the time since the pole.  X must have the
-    pole's shape (checked before any grid is built).
+    discrete unit impulse (`solve_impulse`'s march), on the graded grid of
+    the pole whose core covers X and whose horizon is 1.05 x the time since
+    the pole.  The march stores only the cells the read can touch: the
+    `_probe` box of X on the tangential axes and the lam cells from the
+    bottom through the box's top, which gives G bit for bit as the whole
+    field does.  X must have the pole's shape and lie in the closed half
+    space lam >= 0, with no NaN (checked before any grid is built).
     """
     if pole.X[-1] <= 0:
         raise ValueError("pole must lie strictly inside the half space")
@@ -430,11 +436,17 @@ def greens_function(A: CoefficientField, dom: GraphDomain,
         raise ValueError(f"read point X={point.X.tolist()} has "
                          f"{point.X.size} coordinates; the pole has "
                          f"{pole.X.size}")
+    if not (point.X[-1] >= 0.0 and np.all(np.isfinite(point.X))):
+        raise ValueError(f"read point X={point.X.tolist()} lies outside the "
+                         "half space lam >= 0")
     if point.t <= pole.t:
         return 0.0
     grid = _green_grid(pole, (point.t - pole.t) * 1.05, point.X)
     _require_pole_clearance(grid, pole, cells=2)
-    return solve_impulse(A, dom, pole.X, grid).value_at(point.X, point.t)
+    box, _ = _probe(grid, point.X)
+    cells = box[:-1] + (slice(0, box[-1].stop),)
+    return _solve_field(A, dom, None, grid, cells, _impulse(grid, pole.X)) \
+        .value_at(point.X, point.t)
 
 
 def green_symmetry_check(A: CoefficientField, dom: GraphDomain,

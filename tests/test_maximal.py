@@ -267,6 +267,21 @@ class TestCylinderCones:
         for bf in fields.values():
             assert bf.values.max() <= u.values.max() + 1e-14
 
+    def test_face_values_are_c_ordered_time_first(self):
+        # lp_boundary_norm sums in memory order, so every face's N(u) is a
+        # C-ordered (nt+1, *tangential) array, on every normal axis
+        dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.3),
+                                          (0.0, 0.9)), T=0.5)
+        g = SpaceTimeGrid.uniform((0.0, 0.0, 0.0), (1.0, 1.3, 0.9),
+                                  (6, 5, 4), 0.0, 0.5, 8)
+        u = ScalarField(g, np.random.default_rng(7).normal(
+            size=(g.nt + 1,) + g.shape))
+        fields = nontangential_max(u, 1.0, dom)
+        for (axis, side), bf in fields.items():
+            tang = tuple(n for k, n in enumerate(g.shape) if k != axis)
+            assert bf.values.shape == (g.nt + 1,) + tang
+            assert bf.values.flags.c_contiguous, (axis, side)
+
     def test_scan_copies_one_layer_at_a_time(self):
         # a face's cones reach 32 of the 64 layers, half of u; a scan that
         # copies one layer at a time holds a few (64, 65) layers, 0.16 of u

@@ -538,6 +538,53 @@ class TestFactor:
         default = spla.splu((sp.diags(mass) + op.S).tocsc())
         assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
 
+    def test_every_march_solves_on_the_transposed_path(self, monkeypatch):
+        # SuperLU's "T" solve is the faster one: the forward marches solve
+        # M x = b on the factors of M^T, the adjoint march M^T w = z on
+        # those of M
+        factor, calls = pde._factor, []
+
+        class Spy:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs, trans="N"):
+                calls.append(trans)
+                return self.lu.solve(rhs, trans=trans)
+
+        def spied(op, dt):
+            mass, M, lu = factor(op, dt)
+            return mass, M, Spy(lu)
+
+        monkeypatch.setattr(pde, "_factor", spied)
+        A = preset("trig", d=2)
+        grid = small_grid(nx=32, nlam=12, nt=8)
+        face, = lateral_faces(grid, WAVY)
+        solve_dirichlet(A, WAVY, bump_data(), grid)
+        solve_impulse(A, HALF, [0.1, 0.9], grid)
+        adjoint_trace(A, WAVY, grid, [0.1, 0.4], face.key)
+        assert calls == ["T"] * (3 * grid.nt)
+
+    def test_transposed_solve_on_a_nonsymmetric_step_matrix(self):
+        # the sweep's graph row: the shear pullback of |sin x| makes the
+        # step matrix nonsymmetric, and lu.solve(b, "T") still solves M x = b
+        from parahom.potential import PotentialConfig, _measure_grid
+        from parahom.geometry import ParabolicPoint
+
+        graph = GraphDomain(
+            m=0.5, box=((-48.0, 48.0),),
+            phi=lambda x: 0.5 * np.abs(np.sin(np.asarray(x)[..., 0])) - 0.25)
+        grid = _measure_grid(ParabolicPoint(np.array([0.0, 1.0]), 5.0),
+                             ParabolicCube(np.zeros(1), 0.0, 0.5),
+                             PotentialConfig())
+        op = pde._assemble(pde._field_for(graph, preset("constant", d=2)),
+                           grid)
+        _, M, lu = pde._factor(op, grid.dt)
+        assert (M != M.T).nnz > 0
+        b = np.random.default_rng(2).normal(size=grid.ncells)
+        x = lu.solve(b, trans="T")
+        assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
+
 
 def _coo_assemble(A, grid):
     """Flat-index COO assembly of the finite-volume operator, duplicates
@@ -766,7 +813,7 @@ class TestWindow:
             for face in lateral_faces(grid, dom):
                 g = op.groups[face.key]
                 rhs[g.cells] += g.weights * f(face.points, t)
-            whole.append(lu.solve(rhs))
+            whole.append(lu.solve(rhs, trans="T"))
         whole = np.reshape(whole, (grid.nt + 1,) + grid.shape)
 
         cells = (slice(2, 9), slice(0, 5))

@@ -289,6 +289,58 @@ class TestGreen:
             with pytest.raises(ValueError, match=f"has {len(X)} coordinates"):
                 green_symmetry_check(A_CONST, HALF, pole, point)
 
+    def test_read_point_below_the_boundary_refused_before_any_grid(
+            self, monkeypatch):
+        # ((0.8, -0.3), 1.5) used to run a whole march before value_at
+        # found it outside the grid
+        from types import SimpleNamespace
+
+        def no_grid(*args):
+            raise AssertionError("built a grid before the input was checked")
+
+        monkeypatch.setattr(potential, "_green_grid", no_grid)
+        monkeypatch.setattr(potential, "solve_impulse", no_grid)
+        pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
+        for point in (ParabolicPoint(np.array([0.8, -0.3]), 1.5),
+                      SimpleNamespace(X=np.array([np.nan, 0.8]), t=1.5),
+                      SimpleNamespace(X=np.array([0.8, np.nan]), t=1.5)):
+            with pytest.raises(ValueError, match="outside the half space"):
+                greens_function(A_CONST, HALF, pole, point)
+
+    def test_boxed_read_equals_the_whole_field(self):
+        # the march stores the probe's box and the lam cells below it; the
+        # read is the whole field's, bit for bit, on the bottom face, within
+        # half a cell of it, on a cell face and on a cell center
+        pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
+        t = 1.5
+        grid = _green_grid(pole, (t - pole.t) * 1.05, np.array([0.8, 0.8]))
+        fx, flam = grid.faces
+        cx, clam = grid.axis_centers(0), grid.axis_centers(1)
+        i = int(np.searchsorted(fx, 0.8))
+        for X in ([0.8, 0.8], [0.8, 0.0], [0.8, 0.25 * flam[1]],
+                  [fx[i], clam[3]], [cx[i], flam[5]], [cx[i], clam[4]],
+                  [-0.6, 2.1]):
+            X = np.array(X)
+            field = green_field(pole, (t - pole.t) * 1.05, X)
+            got = greens_function(A_CONST, HALF, pole, ParabolicPoint(X, t))
+            assert got == field.value_at(X, t), X.tolist()
+
+    def test_default_read_stores_the_probe_box(self):
+        # the whole 97 x 65 x 47 impulse field is 2.4 MB; the read touches
+        # 2 x 4 values, and its march peaked at 3.25 MB when it stored them
+        import tracemalloc
+
+        pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
+        point = ParabolicPoint(np.array([0.8, 0.8]), 1.5)
+        greens_function(A_CONST, HALF, pole, point)     # warm: imports
+        tracemalloc.start()
+        try:
+            greens_function(A_CONST, HALF, pole, point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75e6
+
     def test_halfspace_images_values(self, monkeypatch):
         monkeypatch.setattr(potential, "_GREEN_STEPS", 384.0)
         pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
