@@ -13,14 +13,27 @@ are written straight from them, with no element triplets to sort and sum.
 The Galerkin structure makes the discrete energy identity alpha . Abar
 alpha = <(grad w)^T A grad w> exact up to solver tolerance, keeps Abar
 symmetric for symmetric A, and reproduces 1-d laminates exactly whenever
-the material interfaces fall on element boundaries.  The linear systems are
-solved by this module's CG, `pcg`, on the mean-zero subspace to the fixed
-relative residual 1e-10, preconditioned by the circulant Q1 stiffness of
-one constant reference matrix A0 on the same grid, inverted by real FFTs
-(the discrete Galerkin form of FFT homogenization, Moulinec and Suquet
-1998).  Element by element the two stiffness energies stay within the
-eigenvalue bounds of A relative to A0 whatever the mesh size, so the CG
-iteration count does not grow with N.
+the material interfaces fall on element boundaries.
+
+Assembly and read-out are flat products over the (N^d, d^2) table of
+element matrices.  Each corner's loads are one BLAS product, a (d, d^2)
+matrix of the corner's E entries times that table's transpose, which
+gives them in the (d, N^d) layout CG takes; each stencil column sums its
+offset's (a, b) pairs, table times G[:, :, a, b], into one contiguous
+array that is written into the (N^d, 3^d) table once; and the element
+gradients are the (N^d, 2^d) stack of shifted node values times E^T.
+Every sum runs in corner order, so the results equal the per-corner
+formulas (kept as references in the tests) bit for bit.  Abar stays one
+einsum: rewrites that kept its bits were slower, and a BLAS dot moved it
+by 5e-14.
+
+The linear systems are solved by this module's CG, `pcg`, on the
+mean-zero subspace to the fixed relative residual 1e-10, preconditioned by
+the circulant Q1 stiffness of one constant reference matrix A0 on the same
+grid, inverted by real FFTs (the discrete Galerkin form of FFT
+homogenization, Moulinec and Suquet 1998).  Element by element the two
+stiffness energies stay within the eigenvalue bounds of A relative to A0
+whatever the mesh size, so the CG iteration count does not grow with N.
 
 The d corrector solves run concurrently, on min(d, usable cores) threads.
 Threads pay here because the CG time goes to numpy's FFTs and scipy's CSR
@@ -104,12 +117,16 @@ def _stencil(Avals: np.ndarray, N: int):
     grid = (N if len(Avals) > 1 else 1,) * d
     offsets = list(product((-1, 0, 1), repeat=d))
     flat = Avals.reshape(len(Avals), d * d)
-    s = np.zeros((len(flat), len(offsets)))
+    pairs = {off: [] for off in offsets}
     for (a, ca), (b, cb) in product(enumerate(corners), repeat=2):
-        kab = (flat @ G[:, :, a, b].ravel()).reshape(grid)
-        s[:, offsets.index(tuple(np.subtract(cb, ca)))] += \
-            _shift(kab, ca).reshape(-1)
-    s *= (1.0 / N) ** (d - 2)
+        pairs[tuple(np.subtract(cb, ca))].append((a, b, ca))
+    s = np.empty((len(flat), len(offsets)))
+    for m, off in enumerate(offsets):
+        col = np.zeros(len(flat))
+        for a, b, ca in pairs[off]:
+            kab = (flat @ G[:, :, a, b].ravel()).reshape(grid)
+            col += _shift(kab, ca).reshape(-1)
+        np.multiply(col, (1.0 / N) ** (d - 2), out=s[:, m])
     return offsets, s
 
 
@@ -138,10 +155,12 @@ def _assemble(A: CoefficientField, N: int):
 
     # load for direction alpha = e_j:
     # b_a = -int grad phi_a . (A^T e_j) = -h^{d-1} sum_k A_{jk} E[k,a]
+    flat_T = Avals.reshape(nn, d * d).T
     loads = np.zeros((d, nn))
     for a, ca in enumerate(corners):
-        be = (Avals @ E[:, a]).reshape(grid + (d,))
-        loads += _shift(be, ca).reshape(nn, d).T
+        W = np.kron(np.eye(d), E[:, a])         # W[j, j d + k] = E[k, a]
+        be = (W @ flat_T).reshape((d,) + grid)
+        loads += np.roll(be, ca, axis=tuple(range(1, d + 1))).reshape(d, nn)
     loads *= -(1.0 / N) ** (d - 1)
     floor = 2 ** d * np.finfo(float).eps * (1.0 / N) ** (d - 1) \
         * max(Avals.max(), -Avals.min()) * np.sqrt(nn)
@@ -153,9 +172,9 @@ def _element_avg_gradient(chi: np.ndarray, N: int) -> np.ndarray:
     """Element-averaged Q1 gradient of node values chi (N,)*d, as (N^d, d)."""
     d = chi.ndim
     corners, _, E = _q1_reference(d)
-    grad = sum(np.multiply.outer(_shift(chi, np.negative(c)), E[:, a])
-               for a, c in enumerate(corners))
-    return grad.reshape(-1, d) * N     # int over xi, scaled by 1/h
+    nodes = np.stack([_shift(chi, np.negative(c)).reshape(-1)
+                      for c in corners], axis=-1)
+    return (nodes @ E.T) * N           # int over xi, scaled by 1/h
 
 
 @dataclass(frozen=True)

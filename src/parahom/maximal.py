@@ -28,13 +28,13 @@ into reused C-ordered buffers laid out (time, *tangential) like the N(u)
 they become (a layer of a face normal to the first axis is then one
 contiguous block of u); the running max is dilated by each layer's growth
 of the box and joined with that layer.  A dilation along one axis is one
-maximum_filter1d call, whose cost does not grow with its radius (van Herk,
-Pattern Recogn. Lett. 13, 1992), so perfbench's `maximal.filter_calls`
-counts dilations: at most d per layer.
-
-scipy.ndimage is imported on the first cone scan, inside this module's
-`maximum_filter1d`, so `import parahom` does not load it for runs that
-never scan a cone (`parahom cell`, for one).
+call of this module's `maximum_filter1d`, so perfbench's
+`maximal.filter_calls` counts dilations: at most d per layer.  It takes
+radius r as r clamped passes of radius 1 on numpy views, so its cost grows
+with r; a layer grows the box by a cell or two per axis (radii 1-2 in the
+default homogenize run), where the passes beat a filter whose cost does
+not grow with r (van Herk, Pattern Recogn. Lett. 13, 1992) but carries a
+fixed overhead per call.  The module imports no scipy.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .geometry import GraphDomain
 from .pde import (BoundaryData, LateralFace, ScalarField, SpaceTimeGrid,
-                  lateral_faces)
+                  _joined_points, lateral_faces)
 
 __all__ = [
     "BoundaryField",
@@ -83,16 +83,34 @@ class BoundaryField:
         object.__setattr__(self, "weights", w)
 
 
-def maximum_filter1d(a, **kwargs):
-    """scipy.ndimage.maximum_filter1d, imported on its first call.
+def maximum_filter1d(a, size, axis, mode, output):
+    """Running max of a over the windows of size = 2r + 1 cells along axis,
+    clamped at the ends (mode "nearest", the only one), written to output,
+    which must not share memory with a.
 
-    It stays a module-level name that `_cone_sup` looks up in this module's
-    globals, so perfbench's wrapper of `maximal.maximum_filter1d` sees
-    every call, one per dilation.
+    Radius r is r passes of radius 1, each two np.maximum calls on views of
+    the pass's input shifted by one cell; windows of clamped grids compose,
+    and max is exact, so the result is the running max bit for bit.  r > 1
+    passes through one scratch array of output's shape.  It stays a
+    module-level name that `_cone_sup` looks up in this module's globals,
+    so perfbench's wrapper of `maximal.maximum_filter1d` sees every call,
+    one per dilation.
     """
-    from scipy.ndimage import maximum_filter1d as filter1d
-
-    return filter1d(a, **kwargs)
+    if mode != "nearest":
+        raise ValueError(f"only the clamped mode 'nearest', not {mode!r}")
+    r = size // 2
+    src = np.moveaxis(a, axis, 0)
+    out = np.moveaxis(output, axis, 0)
+    scratch = np.empty_like(out) if r > 1 else None
+    if not r:
+        np.copyto(out, src)
+    for k in range(r):
+        dst = out if (r - 1 - k) % 2 == 0 else scratch
+        np.maximum(src[1:], src[:-1], out=dst[1:])      # cells i - 1, i
+        dst[0] = src[0]
+        np.maximum(dst[:-1], src[1:], out=dst[:-1])     # and cell i + 1
+        src = dst
+    return output
 
 
 def _cone_sup(v: np.ndarray, rho: Sequence[float], h_tang: Sequence[float],
@@ -206,9 +224,13 @@ def lp_boundary_norm(fields: Dict[tuple, BoundaryField], p: float) -> float:
 def boundary_data_norm(f: BoundaryData, dom, grid: SpaceTimeGrid,
                        p: float) -> float:
     """||f||_p on the lateral faces of dom, with the faces, surface weights
-    and time levels that N(u) is measured on."""
+    and time levels that N(u) is measured on; f is evaluated once per time
+    level, on the points of every face."""
+    faces = lateral_faces(grid, dom)
+    points, spans = _joined_points(faces)
+    vals = np.array([f(points, t) for t in grid.times()])
     return lp_boundary_norm(
         {face.key: BoundaryField(
-            np.abs([f(face.points, t).reshape(face.weights.shape)
-                    for t in grid.times()]), face.weights, grid.dt)
-         for face in lateral_faces(grid, dom)}, p)
+            np.abs(vals[:, spans[face.key]])
+            .reshape((-1,) + face.weights.shape), face.weights, grid.dt)
+         for face in faces}, p)

@@ -18,8 +18,10 @@ of M^T (M the step matrix), ordered by minimum degree on the pattern of
 M^T + M, which about halves the fill of SuperLU's default COLAMD order on
 these grid operators and keeps partial pivoting, so only roundoff moves.
 The relative residual of the last solve of every march is checked against
-the 1e-10 contract, and a breach raises RuntimeError.  Boundary data enters
-as per-face-group callables, checked once for vanishing at the initial time.
+the 1e-10 contract, and a breach raises RuntimeError.  Boundary data is
+evaluated once per time level on the points of every lateral face and
+added to the face groups' cells in face order; its values at the initial
+time must vanish on each face.
 A probe's value at the final time comes from `adjoint_trace`, the
 transposed march of the same step matrix, the exact discrete adjoint: it
 records the discrete caloric kernel of the probe on one face group (one
@@ -290,7 +292,8 @@ class BoundaryData:
 
     evaluator(points, t) takes boundary-point coordinates -- tangential
     (x) coordinates for graph/half-space domains, full spatial coordinates
-    for cylinders -- and returns values.
+    for cylinders -- and returns one value per point.  It must be
+    pointwise: the solves hand it the points of several faces in one call.
     """
 
     evaluator: Callable
@@ -531,6 +534,16 @@ def lateral_faces(grid: SpaceTimeGrid, dom) -> list:
     return faces
 
 
+def _joined_points(faces: list) -> tuple:
+    """(points, spans): the data points of faces, in their order, as one
+    array for one call of pointwise data, and each face's slice of it by
+    key."""
+    ends = np.cumsum([len(face.points) for face in faces])
+    return (np.concatenate([face.points for face in faces]),
+            {face.key: slice(end - len(face.points), end)
+             for face, end in zip(faces, ends)})
+
+
 def _check_vanishing(values, t0: float, where: str) -> None:
     """Data values at the initial time t0 must vanish (compatibility);
     NaN values are refused like large ones."""
@@ -612,10 +625,12 @@ def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
     `solve_impulse` store every cell.
 
     Backward-Euler steps of size grid.dt; the step matrix is factorized
-    once, and the residual of the last solve is checked.  f is bound to the
-    data points of `lateral_faces(grid, dom)` and added face by face in that
-    order (a corner cell sums data from two faces).  The data applied on
-    the box's bottom cells is the field's `bottom_trace`.
+    once, and the residual of the last solve is checked.  f is evaluated
+    once per time level, on the data points of every face of
+    `lateral_faces(grid, dom)` in that order, and added face by face in
+    that order (a corner cell sums data from two faces); the values at t0
+    must vanish on each face.  The data applied on the box's bottom cells
+    is the field's `bottom_trace`.
     """
     runs = [range(n)[s] for n, s in zip(grid.shape, cells, strict=True)]
     if any(r.step != 1 for r in runs) or runs[-1].start:
@@ -625,10 +640,16 @@ def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
                               for faces, r in zip(grid.faces, runs)),
                         grid.t0, grid.t1, grid.nt)
     op = _assemble(_field_for(dom, A), grid)
-    data = {} if f is None else {face.key: partial(f, face.points)
-                                 for face in lateral_faces(grid, dom)}
-    for key, fn in data.items():
-        _check_vanishing(fn(grid.t0), grid.t0, f"face {key}")
+    faces = [] if f is None else lateral_faces(grid, dom)
+    if faces:
+        points, spans = _joined_points(faces)
+        data = partial(f, points)
+        groups = [op.groups[face.key] for face in faces]
+        face_cells = np.concatenate([g.cells for g in groups])
+        face_weights = np.concatenate([g.weights for g in groups])
+        vals = data(grid.t0)
+        for key, span in spans.items():
+            _check_vanishing(vals[span], grid.t0, f"face {key}")
     out = np.empty((grid.nt + 1,) + box.shape)
     out[0] = u0.reshape(grid.shape)[cells]
     bottom = np.zeros((grid.nt + 1,) + box.shape[:-1])
@@ -636,12 +657,12 @@ def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
     u = u0
     for step in range(1, grid.nt + 1):
         rhs = mass * u
-        for key, fn in data.items():
-            g = op.groups[key]
-            vals = np.asarray(fn(grid.t0 + step * grid.dt), dtype=float)
-            rhs[g.cells] += g.weights * vals
-            if key == (grid.d - 1, 0):
-                bottom[step] = vals.reshape(grid.shape[:-1])[cells[:-1]]
+        if faces:
+            vals = data(grid.t0 + step * grid.dt)
+            # unbuffered, in order: a corner cell adds its faces in turn
+            np.add.at(rhs, face_cells, face_weights * vals)
+            bottom[step] = vals[spans[(grid.d - 1, 0)]] \
+                .reshape(grid.shape[:-1])[cells[:-1]]
         u = lu.solve(rhs, trans="T")
         out[step] = u.reshape(grid.shape)[cells]
     _check_residual(M @ u, rhs)

@@ -42,8 +42,7 @@ from .coeffs import CoefficientField
 from .geometry import GraphDomain, ParabolicCube, ParabolicPoint, parabolic_norm
 from .pde import (BoundaryData, ScalarField, SpaceTimeGrid, _check_vanishing,
                   _impulse, _probe, _solve_field, _window, adjoint_trace,
-                  graded_axis, lateral_faces, nt_trace_ratio,
-                  solve_impulse)  # noqa: F401 -- a name tests patch
+                  graded_axis, lateral_faces, nt_trace_ratio)
 
 __all__ = [
     "PotentialConfig",
@@ -422,7 +421,7 @@ def greens_function(A: CoefficientField, dom: GraphDomain,
 
     A point at or before the pole time reads 0 with no solve.  A later one
     is read (`ScalarField.value_at`) off one forward propagation of a
-    discrete unit impulse (`solve_impulse`'s march), on the graded grid of
+    discrete unit impulse (`pde.solve_impulse`'s march), on the graded grid of
     the pole whose core covers X and whose horizon is 1.05 x the time since
     the pole.  The march stores only the cells the read can touch: the
     `_probe` box of X on the tangential axes and the lam cells from the

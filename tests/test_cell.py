@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 from parahom import cell
 from parahom.cell import (effective_matrix, voigt_reuss_bounds,
                           _element_avg_gradient, _element_coefficients,
-                          _assemble, _constant_mode, _correctors,
+                          _assemble, _constant_mode, _correctors, _prepared,
                           _q1_reference, _reference_inverse, _solve_one,
                           ConvergenceError, pcg)
 from parahom.coeffs import CoefficientField, preset, scale_field
@@ -295,6 +296,65 @@ def test_stencil_matches_coo_reference(d, N):
     for x in X.T:
         assert_close(_element_avg_gradient(x.reshape((N,) * d), N),
                      x[corner_nodes] @ E.T * N)
+
+
+def _corner_stencil(Avals, N):
+    """The stencil table as each (a, b) pair adds its shifted Ke[:, a, b]
+    into its offset's column of the table, then scaled by h^{d-2}: the
+    per-pair formula that `_stencil`'s column sums must equal bit for bit."""
+    d = Avals.shape[-1]
+    corners, G, _ = _q1_reference(d)
+    offsets = list(product((-1, 0, 1), repeat=d))
+    flat = Avals.reshape(N ** d, d * d)
+    s = np.zeros((N ** d, len(offsets)))
+    for (a, ca), (b, cb) in product(enumerate(corners), repeat=2):
+        kab = (flat @ G[:, :, a, b].ravel()).reshape((N,) * d)
+        s[:, offsets.index(tuple(np.subtract(cb, ca)))] += \
+            np.roll(kab, ca, axis=tuple(range(d))).reshape(-1)
+    s *= (1.0 / N) ** (d - 2)
+    return s
+
+
+def _corner_loads(Avals, N):
+    """The loads as each corner's batched A @ E[:, a] adds into a (d, N^d)
+    array through a transposed view, with `_assemble`'s roundoff floor."""
+    d = Avals.shape[-1]
+    corners, _, E = _q1_reference(d)
+    nn = N ** d
+    loads = np.zeros((d, nn))
+    for a, ca in enumerate(corners):
+        be = (Avals @ E[:, a]).reshape((N,) * d + (d,))
+        loads += np.roll(be, ca, axis=tuple(range(d))).reshape(nn, d).T
+    loads *= -(1.0 / N) ** (d - 1)
+    floor = 2 ** d * np.finfo(float).eps * (1.0 / N) ** (d - 1) \
+        * max(Avals.max(), -Avals.min()) * np.sqrt(nn)
+    loads[np.linalg.norm(loads, axis=1) < floor] = 0.0
+    return loads
+
+
+def _outer_gradient(chi, N):
+    """The element gradient as a sum of one (N,)*d x (d,) outer product
+    per corner."""
+    d = chi.ndim
+    corners, _, E = _q1_reference(d)
+    grad = sum(np.multiply.outer(
+        np.roll(chi, np.negative(c), axis=tuple(range(d))), E[:, a])
+        for a, c in enumerate(corners))
+    return grad.reshape(-1, d) * N
+
+
+@pytest.mark.parametrize("name,d,N", [("checker", 2, 64), ("trig", 3, 16)],
+                         ids=["checker-d2-N64", "trig-d3-N16"])
+def test_flat_products_equal_the_corner_formulas(name, d, N):
+    A = _prepared(preset(name, d=d), N)
+    S, loads, Avals = _assemble(A, N)
+    assert np.array_equal(S.data, _corner_stencil(Avals, N).reshape(-1))
+    assert np.array_equal(loads, _corner_loads(Avals, N))
+    chis = [np.random.default_rng(2).standard_normal((N,) * d)]
+    chis += [chi.reshape((N,) * d) for chi, _, _ in _correctors(A, N)[1]]
+    for chi in chis:
+        assert np.array_equal(_element_avg_gradient(chi, N),
+                              _outer_gradient(chi, N))
 
 
 def test_operator_is_the_stencil_and_memory_per_node():

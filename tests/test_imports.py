@@ -1,8 +1,8 @@
 """`import parahom` loads only the scipy that every run uses.
 
-scipy.ndimage loads on the first cone scan, and scipy.integrate (which
-pulls in scipy.optimize) and scipy.special on the first images-oracle call,
-so `parahom cell` and `parahom homogenize` never load them.  Point reads
+scipy.integrate (which pulls in scipy.optimize) and scipy.special load on
+the first images-oracle call, so `parahom cell` and `parahom homogenize`
+never load them, and no run loads scipy.ndimage.  Point reads
 of a field (`ScalarField.value_at`, `greens_function`) never load
 scipy.interpolate, which only tabulated graphs use.  The package imports
 no scipy subpackage beyond those README's import list names.
@@ -18,8 +18,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DEFERRED = ("scipy.ndimage", "scipy.integrate", "scipy.optimize",
             "scipy.special")
 # the subpackages README's import list names
-NAMED = {"scipy.sparse", "scipy.sparse.linalg", "scipy.ndimage",
-         "scipy.integrate", "scipy.special", "scipy.interpolate"}
+NAMED = {"scipy.sparse", "scipy.sparse.linalg", "scipy.integrate",
+         "scipy.special", "scipy.interpolate"}
 
 
 def _scipy_imports(path):

@@ -330,6 +330,30 @@ def test_one_filter_call_per_dilation(monkeypatch):
         assert sum(r for a, r in calls if a == axis) <= len(faces) * cap
 
 
+@pytest.mark.parametrize("shape", [(17, 9), (6, 5, 4)], ids=["2d", "3d"])
+def test_dilation_passes_equal_the_running_max(shape):
+    # r clamped passes of radius 1 are scipy's running max over 2r + 1
+    # cells with the ends repeated, bit for bit, also for r past the ends
+    from scipy.ndimage import maximum_filter1d as reference
+
+    from parahom import maximal
+
+    a = np.random.default_rng(8).normal(size=shape)
+    before = a.copy()
+    for axis in range(a.ndim):
+        for r in range(9):
+            out = np.empty_like(a)
+            assert maximal.maximum_filter1d(
+                a, size=2 * r + 1, axis=axis, mode="nearest",
+                output=out) is out
+            assert np.array_equal(out, reference(
+                a, size=2 * r + 1, axis=axis, mode="nearest"))
+    assert np.array_equal(a, before)
+    with pytest.raises(ValueError, match="nearest"):
+        maximal.maximum_filter1d(a, size=3, axis=0, mode="reflect",
+                                 output=out)
+
+
 def brute_max(u, face, cut, admits):
     """N(u) on one face by brute force over every vertex, layer, tangential
     offset and time: (x + dx, s) on the layer at depth lam = (l + 1/2) h

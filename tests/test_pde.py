@@ -399,6 +399,56 @@ class TestSolveDirichlet:
         assert u.values.max() <= 1.0 + 1e-12
         assert u.values[0].max() == 0.0
 
+    def test_faces_share_one_data_call_per_level(self):
+        # a different datum on each face of a 3-d box, picked by the face
+        # the point lies on: one evaluation per level on every face's
+        # points equals a march that evaluates and adds face by face
+        grid = SpaceTimeGrid.uniform((0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+                                     (5, 4, 3), 0.0, 0.5, 4)
+        dom = LipschitzCylinder(base_box=((0.0, 1.0),) * 3, T=0.5)
+        keys = [face.key for face in lateral_faces(grid, dom)]
+        calls = []
+
+        def on_face(X, key):
+            return X[:, key[0]] == float(key[1])
+
+        def ev(X, t, live=frozenset(keys), at_t0=None):
+            calls.append(len(X))
+            vals = np.zeros(len(X))
+            for n, key in enumerate(keys):
+                if key in live:
+                    vals[on_face(X, key)] = np.sin((n + 2.0) * t) \
+                        * np.exp((n + 1) * X[on_face(X, key)] @ [1, -0.5, 0.3])
+            if at_t0 is not None and t == grid.t0:
+                vals[on_face(X, at_t0)] = 1.0
+            return vals
+
+        A = preset("trig", d=3)
+        op = pde._assemble(A, grid)
+        mass, _, lu = pde._factor(op, grid.dt)
+        whole, bottom = [np.zeros(grid.ncells)], [np.zeros((5, 4))]
+        for t in grid.times()[1:]:
+            rhs = mass * whole[-1]
+            for face in lateral_faces(grid, dom):
+                g = op.groups[face.key]
+                vals = ev(face.points, t)
+                rhs[g.cells] += g.weights * vals
+                if face.key == (2, 0):
+                    bottom.append(vals.reshape(5, 4))
+            whole.append(lu.solve(rhs, trans="T"))
+        calls.clear()
+        u = solve_dirichlet(A, dom, BoundaryData(ev), grid)
+        assert calls == [sum(g.cells.size for g in op.groups.values())] \
+            * (grid.nt + 1)
+        assert u.values.tobytes() == np.stack(whole).tobytes()
+        assert u.bottom_trace.tobytes() == np.stack(bottom).tobytes()
+        for key in keys:
+            f = BoundaryData(
+                lambda X, t, k=key: ev(X, t, frozenset(), at_t0=k))
+            with pytest.raises(IncompatibleDataError,
+                               match=rf"on face \({key[0]}, {key[1]}\)$"):
+                solve_dirichlet(A, dom, f, grid)
+
     def test_batch_paths_agree(self):
         # one trace serves every datum on the face: f and -3 f both match
         # the forward field at t1

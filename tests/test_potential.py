@@ -276,10 +276,10 @@ class TestGreen:
             np.array([0.3, 0.2]), -0.4)) == 0.0
 
     def test_read_point_shape_checked_before_any_solve(self, monkeypatch):
-        def no_solve(*args):
-            raise AssertionError("solved before the input was checked")
+        def no_grid(*args):
+            raise AssertionError("built a grid before the input was checked")
 
-        monkeypatch.setattr(potential, "solve_impulse", no_solve)
+        monkeypatch.setattr(potential, "_green_grid", no_grid)
         pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
         for X in ([0.8, 0.8, 7.0], [0.8]):
             point = ParabolicPoint(np.array(X), 1.5)
@@ -299,7 +299,6 @@ class TestGreen:
             raise AssertionError("built a grid before the input was checked")
 
         monkeypatch.setattr(potential, "_green_grid", no_grid)
-        monkeypatch.setattr(potential, "solve_impulse", no_grid)
         pole = ParabolicPoint(np.array([0.0, 1.5]), 0.0)
         for point in (ParabolicPoint(np.array([0.8, -0.3]), 1.5),
                       SimpleNamespace(X=np.array([np.nan, 0.8]), t=1.5),
