@@ -149,31 +149,29 @@ def data_from_json(spec, d: int = 2) -> BoundaryData:
     if kind == "bump":
         center = np.asarray(spec.get("center", [0.5] + [0.0] * (d - 1)), dtype=float)
         width = _positive(spec, "width", 0.25)
-        ramp = _positive(spec, "ramp", 0.1)
 
-        def ev(pts, t):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        def profile(pts):
             k = min(pts.shape[1], center.size)
             r2 = np.sum((pts[:, :k] - center[:k]) ** 2, axis=1)
-            gt = 1.0 - np.exp(-(max(t, 0.0) / ramp) ** 2)
-            return gt * np.exp(-r2 / width ** 2)
-
-        return BoundaryData(ev)
-    if kind == "expr":
+            return np.exp(-r2 / width ** 2)
+    elif kind == "expr":
         from .coeffs import compile_expression
 
         fn = compile_expression(spec["expr"], d)
-        ramp = _positive(spec, "ramp", 0.1)
 
-        def ev2(pts, t):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        def profile(pts):
             pad = np.zeros((pts.shape[0], d))
             pad[:, :pts.shape[1]] = pts
-            gt = 1.0 - np.exp(-(max(t, 0.0) / ramp) ** 2)
-            return gt * fn(pad)
+            return fn(pad)
+    else:
+        raise ValueError(f"unknown data kind {kind!r}")
+    ramp = _positive(spec, "ramp", 0.1)
 
-        return BoundaryData(ev2)
-    raise ValueError(f"unknown data kind {kind!r}")
+    def ev(pts, t):
+        gt = 1.0 - np.exp(-(max(t, 0.0) / ramp) ** 2)
+        return gt * profile(np.atleast_2d(np.asarray(pts, dtype=float)))
+
+    return BoundaryData(ev)
 
 
 def default_compact_subcylinder(dom: LipschitzCylinder):
@@ -389,11 +387,9 @@ def q_decay_constant(A: CoefficientField, R_cells: int) -> dict:
 
     h = 1.0 / 8
     R = R_cells * h
-    nx = int(round(4 * R / h))
-    nlam = int(round(4 * R / h))
+    n = int(round(4 * R / h))
     grid = _capped(SpaceTimeGrid.uniform((-2 * R, 0.0), (2 * R, 4 * R),
-                                         (nx, nlam), -2 * R * R, 8 * R * R,
-                                         160))
+                                         (n, n), -2 * R * R, 8 * R * R, 160))
     dom = GraphDomain(m=0.0, box=((-2 * R, 2 * R),))
     u = solve_impulse(A, dom, np.asarray([0.0, 3 * R]), grid)
     qu = q_difference(u, 1.0)
@@ -437,7 +433,7 @@ def local_solvability_at_scale(A: CoefficientField, r: float) -> float:
     h = min(r / 8.0, A.period_scale / 4.0)
     dt = r * r / 12.0
     lo = (-6.0 * r,)
-    hi = (max(8.0 * r, 5.5 * r + 2.5 * r),)
+    hi = (8.0 * r,)
     height = 6.0 * r
     t_lo = -17.0 * r * r - 2.0 * dt
     t_hi = 16.5 * r * r

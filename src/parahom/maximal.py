@@ -83,10 +83,10 @@ class BoundaryField:
         object.__setattr__(self, "weights", w)
 
 
-def maximum_filter1d(a, size, axis, mode, output):
-    """Running max of a over the windows of size = 2r + 1 cells along axis,
-    clamped at the ends (mode "nearest", the only one), written to output,
-    which must not share memory with a.
+def maximum_filter1d(a, r, axis, output):
+    """Running max of a over the windows of 2r + 1 cells along axis, the
+    ends clamped (each end cell repeated), written to output, which must
+    not share memory with a.
 
     Radius r is r passes of radius 1, each two np.maximum calls on views of
     the pass's input shifted by one cell; windows of clamped grids compose,
@@ -96,9 +96,6 @@ def maximum_filter1d(a, size, axis, mode, output):
     so perfbench's wrapper of `maximal.maximum_filter1d` sees every call,
     one per dilation.
     """
-    if mode != "nearest":
-        raise ValueError(f"only the clamped mode 'nearest', not {mode!r}")
-    r = size // 2
     src = np.moveaxis(a, axis, 0)
     out = np.moveaxis(output, axis, 0)
     scratch = np.empty_like(out) if r > 1 else None
@@ -142,8 +139,7 @@ def _cone_sup(v: np.ndarray, rho: Sequence[float], h_tang: Sequence[float],
         for axis, r in enumerate(radii):
             if r:
                 g = maximum_filter1d(
-                    g, size=2 * r + 1, axis=axis, mode="nearest",
-                    output=bufs[1] if g is bufs[0] else bufs[0])
+                    g, r, axis, bufs[1] if g is bufs[0] else bufs[0])
         return g
 
     first = int(np.count_nonzero(reach.min(axis=1) < 0))

@@ -8,11 +8,13 @@ box: the geometry moves into the coefficients.  Lateral Dirichlet values
 enter through boundary-face fluxes; artificial truncation faces of
 half-space runs carry homogeneous data.
 
-Every field solve runs through one forward stepper, `_solve_field`:
-backward-Euler steps of a fixed size from a flat state, one sparse LU
-factorization per call.  A window is a box of cells, one slice per axis and
-one of time levels (`_run` turns a reader's threshold mask into its slice);
-a march stores only the box its caller reads.
+Every march runs through one stepper, `_solve_field`: backward-Euler
+steps of a fixed size from a flat state on the operator it is given, one
+sparse LU factorization, one solve per step and one residual check per
+call.  `_assemble` builds the operator, flattening graph domains itself.
+A window is a box of cells, one slice per axis and one of time levels
+(`_run` turns a reader's threshold mask into its slice); a march stores
+only the box its caller reads.
 Every march solves with SuperLU's faster transposed solve on the factors
 of M^T (M the step matrix), ordered by minimum degree on the pattern of
 M^T + M, which about halves the fill of SuperLU's default COLAMD order on
@@ -22,11 +24,12 @@ the 1e-10 contract, and a breach raises RuntimeError.  Boundary data is
 evaluated once per time level on the points of every lateral face and
 added to the face groups' cells in face order; its values at the initial
 time must vanish on each face.
-A probe's value at the final time comes from `adjoint_trace`, the
-transposed march of the same step matrix, the exact discrete adjoint: it
-records the discrete caloric kernel of the probe on one face group (one
-solve per step, and no symmetry of the operator), so the final probe value
-of any data on that face is a sum of the kernel against the data.
+A probe's value at the final time comes from `adjoint_trace`, the exact
+discrete adjoint: the same stepper marching the transposed operator S^T
+from the probe weights over the mass, which needs no symmetry of the
+operator.  It records the discrete caloric kernel of the probe on a graph
+domain's one face (one solve per step), so the final probe value of any
+data on that face is a sum of the kernel against the data.
 `_probe` is the one point-read rule: the box of 2^d cells around the point
 and the outer product of one multilinear `_hat` per axis on it, the weights
 P of that read; `ScalarField.value_at` applies them on the two time levels
@@ -398,11 +401,13 @@ class _Operator(NamedTuple):
     volumes: np.ndarray
 
 
-def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
-    """Finite-volume operator of Afield on grid, with its face groups.
+def _assemble(A: CoefficientField, dom, grid: SpaceTimeGrid) -> _Operator:
+    """Finite-volume operator of A on grid, with its face groups.
 
-    S is the divergence of the interior face fluxes plus the boundary
-    diagonal,
+    The field discretized, Afield, is the shear pullback
+    `flatten_pullback(dom, A)` on a graph domain and A itself on any other,
+    so every caller passes A and dom as given.  S is the divergence of the
+    interior face fluxes plus the boundary diagonal,
 
         S = sum_k D_k^T (T_k D_k + sum_{j != k} diag(a_kj area) avg_k C_j) + B,
 
@@ -423,6 +428,7 @@ def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
     checked by `coeffs._require_elliptic` against Afield.lam; a breach
     raises ValueError naming the cells or the face.
     """
+    Afield = flatten_pullback(dom, A) if isinstance(dom, GraphDomain) else A
     d, shape = grid.d, grid.shape
     pts = grid.centers()
     Avals = Afield(pts)                       # (ncells, d, d)
@@ -487,12 +493,6 @@ def _assemble(Afield: CoefficientField, grid: SpaceTimeGrid) -> _Operator:
     R.data *= np.repeat(np.concatenate(weights), np.diff(R.indptr))  # w R
     S = (sp.vstack(lefts, format="csr").T @ R).tocsr()
     return _Operator(S, groups, volumes.reshape(-1))
-
-
-def _field_for(dom, A: CoefficientField) -> CoefficientField:
-    if isinstance(dom, GraphDomain):
-        return flatten_pullback(dom, A)
-    return A
 
 
 class LateralFace(NamedTuple):
@@ -566,14 +566,6 @@ def _factor(op: _Operator, dt: float):
     return mass, M, spla.splu(M.T, permc_spec="MMD_AT_PLUS_A")
 
 
-def _check_residual(Mx: np.ndarray, b: np.ndarray) -> None:
-    """Raise RuntimeError when ||Mx - b|| exceeds 1e-10 ||b||."""
-    res, scale = np.linalg.norm(Mx - b), np.linalg.norm(b)
-    if not res <= _RESIDUAL_TOL * scale:
-        raise RuntimeError(f"step solve residual {res:.3e} exceeds "
-                           f"{_RESIDUAL_TOL:g} x the rhs norm {scale:.3e}")
-
-
 def _hat(centers: np.ndarray, x: float):
     """(i, w): the multilinear weights w = (1 - frac, frac) of x on the
     sorted points centers[i] and centers[i + 1] around it (cell centers of
@@ -611,10 +603,13 @@ def _probe(grid: SpaceTimeGrid, X) -> tuple:
 # public solves
 
 
-def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
-                 cells: tuple, u0: np.ndarray) -> ScalarField:
-    """March on grid from the flat state u0 and store the box `cells` at
-    every level; f = None is zero data, and no face is bound to it.
+def _solve_field(op: _Operator, dom, f: Optional[BoundaryData],
+                 grid: SpaceTimeGrid, cells: tuple,
+                 u0: np.ndarray) -> ScalarField:
+    """March the operator op on grid from the flat state u0 and store the
+    box `cells` at every level; f = None is zero data, and no face is bound
+    to it.  This is the package's one backward-Euler loop: the forward
+    solves pass `_assemble`'s operator, `adjoint_trace` its transpose.
 
     cells holds one slice of grid's cells per axis (step 1, the last one
     starting at the bottom lam layer; anything else raises ValueError).
@@ -624,13 +619,15 @@ def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
     values there and pays memory for the box alone.  `solve_dirichlet` and
     `solve_impulse` store every cell.
 
-    Backward-Euler steps of size grid.dt; the step matrix is factorized
-    once, and the residual of the last solve is checked.  f is evaluated
-    once per time level, on the data points of every face of
-    `lateral_faces(grid, dom)` in that order, and added face by face in
-    that order (a corner cell sums data from two faces); the values at t0
-    must vanish on each face.  The data applied on the box's bottom cells
-    is the field's `bottom_trace`.
+    Steps of size grid.dt solve M u_k = D u_{k-1} + B g_k, D the mass
+    diagonal volumes/dt, M = D + op.S and B the face groups'
+    transmissibilities; M is factorized once, and the relative residual of
+    the last solve is checked against the 1e-10 contract (RuntimeError on a
+    breach).  f is evaluated once per time level, on the data points of
+    every face of `lateral_faces(grid, dom)` in that order, and added face
+    by face in that order (a corner cell sums data from two faces); the
+    values at t0 must vanish on each face.  The data applied on the box's
+    bottom cells is the field's `bottom_trace`.
     """
     runs = [range(n)[s] for n, s in zip(grid.shape, cells, strict=True)]
     if any(r.step != 1 for r in runs) or runs[-1].start:
@@ -639,7 +636,6 @@ def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
     box = SpaceTimeGrid(tuple(faces[r.start:r.stop + 1]
                               for faces, r in zip(grid.faces, runs)),
                         grid.t0, grid.t1, grid.nt)
-    op = _assemble(_field_for(dom, A), grid)
     faces = [] if f is None else lateral_faces(grid, dom)
     if faces:
         points, spans = _joined_points(faces)
@@ -665,7 +661,10 @@ def _solve_field(A, dom, f: Optional[BoundaryData], grid: SpaceTimeGrid,
                 .reshape(grid.shape[:-1])[cells[:-1]]
         u = lu.solve(rhs, trans="T")
         out[step] = u.reshape(grid.shape)[cells]
-    _check_residual(M @ u, rhs)
+    res, scale = np.linalg.norm(M @ u - rhs), np.linalg.norm(rhs)
+    if not res <= _RESIDUAL_TOL * scale:
+        raise RuntimeError(f"step solve residual {res:.3e} exceeds "
+                           f"{_RESIDUAL_TOL:g} x the rhs norm {scale:.3e}")
     return ScalarField(box, out, bottom.reshape(grid.nt + 1, -1))
 
 
@@ -677,42 +676,40 @@ def solve_dirichlet(A: CoefficientField, dom, f: BoundaryData,
     lives on {lam > 0}.  Cylinders use the grid box as the base and carry f
     on every lateral face.  Data must vanish at t0.
     """
-    return _solve_field(A, dom, f, grid, (slice(None),) * grid.d,
-                        np.zeros(grid.ncells))
+    return _solve_field(_assemble(A, dom, grid), dom, f, grid,
+                        (slice(None),) * grid.d, np.zeros(grid.ncells))
 
 
-def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid, probe,
-                  key) -> np.ndarray:
-    """Discrete caloric kernel of one probe point on one face group.
+def adjoint_trace(A: CoefficientField, dom, grid: SpaceTimeGrid,
+                  probe) -> np.ndarray:
+    """Discrete caloric kernel of one probe point on a graph domain's one
+    face, the flattened bottom lam = 0.
 
     From zero initial data the forward march M u_k = D u_{k-1} + B g_k
     (D the mass diagonal, B the boundary-face transmissibilities) read at
     t1 through the probe weights P of `_probe` is  P u_N = sum_k w_k^T B g_k,
-    with w_N = M^-T P^T and w_{k-1} = M^-T D w_k.  Marching w backward takes
-    one transposed solve per step (`_factor` of the operator S^T factorizes
-    M itself) and needs no symmetry of the step matrix.  Returns K of shape
-    (nt, faces) with K[k-1] = B w_k on the face group key = (axis, side),
-    faces in the order of the `lateral_faces` data points: for data g on
-    that face alone, P u_N = sum_k K[k-1] . g(t_k) up to roundoff.  A probe outside the grid box raises ValueError; the
-    residual of the last transposed solve is checked against the 1e-10
-    contract.
+    with w_N = M^-T P^T and w_{k-1} = M^-T D w_k.  That is the forward
+    march of the transposed operator S^T (step matrix M^T) from
+    u0 = D^-1 P^T, w_k its level N + 1 - k: `_solve_field` runs it, storing
+    the bottom lam layer alone, and needs no symmetry of the step matrix.
+    Returns K of shape (nt, faces) with K[k-1] = B w_k, faces in the order
+    of the `lateral_faces` data points: for data g on the face,
+    P u_N = sum_k K[k-1] . g(t_k) up to roundoff.  A domain that is not a
+    graph or a probe outside the grid box raises ValueError before any
+    assembly.
     """
+    if not isinstance(dom, GraphDomain):
+        raise ValueError(f"adjoint_trace needs a graph domain, whose one "
+                         f"face carries the kernel; got {type(dom).__name__}")
     box, weights = _probe(grid, probe)
-    op = _assemble(_field_for(dom, A), grid)
-    op = op._replace(S=op.S.T.tocsr())
-    g = op.groups[tuple(key)]
+    op = _assemble(A, dom, grid)
     z = np.zeros(grid.shape)
     z[box] = weights
-    z = z.reshape(-1)
-    out = np.empty((grid.nt, g.cells.size))
-    mass, M, lu = _factor(op, grid.dt)
-    for step in range(grid.nt, 0, -1):
-        rhs = z
-        w = lu.solve(rhs, trans="T")
-        out[step - 1] = g.weights * w[g.cells]
-        z = mass * w
-    _check_residual(M @ w, rhs)
-    return out
+    w = _solve_field(op._replace(S=op.S.T.tocsr()), dom, None, grid,
+                     (slice(None),) * (grid.d - 1) + (slice(0, 1),),
+                     z.reshape(-1) / (op.volumes / grid.dt))
+    return op.groups[(grid.d - 1, 0)].weights \
+        * w.values[:0:-1].reshape(grid.nt, -1)
 
 
 def _impulse(grid: SpaceTimeGrid, pole_X) -> np.ndarray:
@@ -740,8 +737,9 @@ def solve_impulse(A: CoefficientField, dom, pole_X,
     """Propagate a unit point mass released at (pole_X, grid.t0), with zero
     lateral data, and store every cell.  The impulse is the discrete delta
     of `_impulse`: 1/volume on the interior cell nearest the pole."""
-    return _solve_field(A, dom, None, grid, (slice(None),) * grid.d,
-                        _impulse(grid, pole_X))
+    u0 = _impulse(grid, pole_X)
+    return _solve_field(_assemble(A, dom, grid), dom, None, grid,
+                        (slice(None),) * grid.d, u0)
 
 
 # ----------------------------------------------------------------------

@@ -40,9 +40,9 @@ import numpy as np
 
 from .coeffs import CoefficientField
 from .geometry import GraphDomain, ParabolicCube, ParabolicPoint, parabolic_norm
-from .pde import (BoundaryData, ScalarField, SpaceTimeGrid, _check_vanishing,
-                  _impulse, _probe, _solve_field, _window, adjoint_trace,
-                  graded_axis, lateral_faces, nt_trace_ratio)
+from .pde import (BoundaryData, ScalarField, SpaceTimeGrid, _assemble,
+                  _check_vanishing, _impulse, _probe, _solve_field, _window,
+                  adjoint_trace, graded_axis, lateral_faces, nt_trace_ratio)
 
 __all__ = [
     "PotentialConfig",
@@ -255,7 +255,7 @@ def _pole_kernel(A, dom, pole: ParabolicPoint, cube: ParabolicCube,
     grid = _measure_grid(pole, cube, cfg)
     _require_pole_clearance(grid, pole)
     face, = lateral_faces(grid, dom)
-    K = adjoint_trace(A, dom, grid, pole.X, face.key)
+    K = adjoint_trace(A, dom, grid, pole.X)
     return _PoleKernel(K, face.points, grid.times(), _fine_spacing(grid),
                        grid.dt)
 
@@ -307,8 +307,8 @@ def caloric_measure_field(A: CoefficientField, dom: GraphDomain,
     def indicator(pts, t):
         px, pt = _cube_profiles(cube, pts, t, w_x, w_t)
         return px * pt
-    return _solve_field(A, dom, BoundaryData(indicator), grid, cells,
-                        np.zeros(grid.ncells))
+    return _solve_field(_assemble(A, dom, grid), dom, BoundaryData(indicator),
+                        grid, cells, np.zeros(grid.ncells))
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +444,8 @@ def greens_function(A: CoefficientField, dom: GraphDomain,
     _require_pole_clearance(grid, pole, cells=2)
     box, _ = _probe(grid, point.X)
     cells = box[:-1] + (slice(0, box[-1].stop),)
-    return _solve_field(A, dom, None, grid, cells, _impulse(grid, pole.X)) \
+    u0 = _impulse(grid, pole.X)
+    return _solve_field(_assemble(A, dom, grid), dom, None, grid, cells, u0) \
         .value_at(point.X, point.t)
 
 

@@ -254,11 +254,11 @@ class TestSweep:
         march = potential.adjoint_trace
         keys = []
 
-        def traced(A, dom, grid, probe, key):
+        def traced(A, dom, grid, probe):
             keys.append((A.label, id(dom), grid.t0, grid.t1, grid.nt,
                          *(f.tobytes() for f in grid.faces),
                          np.asarray(probe, dtype=float).tobytes()))
-            return march(A, dom, grid, probe, key)
+            return march(A, dom, grid, probe)
 
         monkeypatch.setattr(potential, "adjoint_trace", traced)
         rep = solvability_sweep(ExperimentConfig(r_list=(0.5,)),

@@ -18,6 +18,11 @@ from parahom.pde import (BoundaryData, IncompatibleDataError, ScalarField,
 HALF = GraphDomain(m=0.0, box=((-4.0, 4.0),))
 WAVY = GraphDomain(m=0.5, box=((-4.0, 4.0),),
                    phi=lambda x: 0.5 * np.sin(np.asarray(x)[..., 0]))
+# the sweep's half space and graph row
+SWEEP_HALF = GraphDomain(m=0.0, box=((-64.0, 64.0),))
+SWEEP_GRAPH = GraphDomain(
+    m=0.5, box=((-48.0, 48.0),),
+    phi=lambda x: 0.5 * np.abs(np.sin(np.asarray(x)[..., 0])) - 0.25)
 
 
 def ramp(t, tau=0.15):
@@ -424,7 +429,7 @@ class TestSolveDirichlet:
             return vals
 
         A = preset("trig", d=3)
-        op = pde._assemble(A, grid)
+        op = pde._assemble(A, dom, grid)
         mass, _, lu = pde._factor(op, grid.dt)
         whole, bottom = [np.zeros(grid.ncells)], [np.zeros((5, 4))]
         for t in grid.times()[1:]:
@@ -461,7 +466,7 @@ class TestSolveDirichlet:
         u = solve_dirichlet(A, dom, f, grid)
         scale = np.abs(u.values).max()
         for probe in PROBES:
-            K = adjoint_trace(A, dom, grid, probe, face.key)
+            K = adjoint_trace(A, dom, grid, probe)
             assert K.shape == (grid.nt, face.points.shape[0])
             final = np.einsum("kf,kfc->c", K,
                               np.stack([g, -3.0 * g], axis=-1))
@@ -488,7 +493,7 @@ class TestSolveDirichlet:
             return BoundaryData(ev)
 
         face, = lateral_faces(grid, dom)
-        Ks = [adjoint_trace(A, dom, grid, probe, face.key) for probe in PROBES]
+        Ks = [adjoint_trace(A, dom, grid, probe) for probe in PROBES]
         for f in (column(0.0, 1.0), column(1.2, -2.0)):
             # P u_N = sum_k K[k-1] . g(t_k)
             final = np.array([sum(K[k - 1] @ f(face.points, t)
@@ -505,11 +510,9 @@ class TestSolveDirichlet:
     def test_probe_outside_the_grid_refused(self, probe):
         # the edge cell's kernel is not the kernel of a point past the face
         grid = small_grid(nx=16, nlam=8, nt=4)
-        face, = lateral_faces(grid, HALF)
         match = "outside the grid" if len(probe) == 2 else "3 coordinates"
         with pytest.raises(ValueError, match=match):
-            adjoint_trace(preset("constant", d=2), HALF, grid, probe,
-                          face.key)
+            adjoint_trace(preset("constant", d=2), HALF, grid, probe)
 
     def test_residual_contract_checked(self, monkeypatch):
         # LU factors of the step matrix for 2 dt: every solve misses the
@@ -525,9 +528,8 @@ class TestSolveDirichlet:
         grid = small_grid(nx=32, nlam=12, nt=8)
         with pytest.raises(RuntimeError, match="residual"):
             solve_dirichlet(A, HALF, bump_data(), grid)
-        face, = lateral_faces(grid, HALF)
         with pytest.raises(RuntimeError, match="residual"):
-            adjoint_trace(A, HALF, grid, [0.1, 0.4], face.key)
+            adjoint_trace(A, HALF, grid, [0.1, 0.4])
 
     def test_zero_data_passes_residual_check(self):
         zero = BoundaryData(lambda pts, t: np.zeros(len(pts)))
@@ -557,10 +559,9 @@ class TestSolveDirichlet:
         # the lo face x1 = -2.4 holds 0.48
         grid = SpaceTimeGrid.uniform((-2.4, 0.0), (2.4, 2.0), (8, 8),
                                      0.0, 1.0, 8)
-        face, = lateral_faces(grid, dom)
         with pytest.raises(ValueError, match=r"face \(0, 0\) eigenvalues "
                            r"span \[0.48, 0.48\]"):
-            adjoint_trace(A, dom, grid, [0.1, 0.4], face.key)
+            adjoint_trace(A, dom, grid, [0.1, 0.4])
 
     def test_flattened_graph_solve(self):
         dom = GraphDomain(m=0.5, box=((-4.0, 4.0),),
@@ -583,7 +584,9 @@ class TestFactor:
         # laminate at eps = 1/16, dt = 1/192
         grid = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (128, 128),
                                      0.0, 1.0, 192)
-        op = pde._assemble(scale_field(preset("laminate", d=2), 1 / 16), grid)
+        dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=1.0)
+        op = pde._assemble(scale_field(preset("laminate", d=2), 1 / 16), dom,
+                           grid)
         mass, *_, lu = pde._factor(op, grid.dt)
         default = spla.splu((sp.diags(mass) + op.S).tocsc())
         assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
@@ -609,10 +612,9 @@ class TestFactor:
         monkeypatch.setattr(pde, "_factor", spied)
         A = preset("trig", d=2)
         grid = small_grid(nx=32, nlam=12, nt=8)
-        face, = lateral_faces(grid, WAVY)
         solve_dirichlet(A, WAVY, bump_data(), grid)
         solve_impulse(A, HALF, [0.1, 0.9], grid)
-        adjoint_trace(A, WAVY, grid, [0.1, 0.4], face.key)
+        adjoint_trace(A, WAVY, grid, [0.1, 0.4])
         assert calls == ["T"] * (3 * grid.nt)
 
     def test_transposed_solve_on_a_nonsymmetric_step_matrix(self):
@@ -621,19 +623,110 @@ class TestFactor:
         from parahom.potential import PotentialConfig, _measure_grid
         from parahom.geometry import ParabolicPoint
 
-        graph = GraphDomain(
-            m=0.5, box=((-48.0, 48.0),),
-            phi=lambda x: 0.5 * np.abs(np.sin(np.asarray(x)[..., 0])) - 0.25)
         grid = _measure_grid(ParabolicPoint(np.array([0.0, 1.0]), 5.0),
                              ParabolicCube(np.zeros(1), 0.0, 0.5),
                              PotentialConfig())
-        op = pde._assemble(pde._field_for(graph, preset("constant", d=2)),
-                           grid)
+        op = pde._assemble(preset("constant", d=2), SWEEP_GRAPH, grid)
         _, M, lu = pde._factor(op, grid.dt)
         assert (M != M.T).nnz > 0
         b = np.random.default_rng(2).normal(size=grid.ncells)
         x = lu.solve(b, trans="T")
         assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def _adjoint_reference(A, dom, grid, probe):
+    """The backward loop `adjoint_trace` ran before it became a march of
+    `_solve_field`, kept as its reference (its residual check left out):
+    w_N = M^-T P^T and w_{k-1} = M^-T D w_k on the factors of the
+    transposed operator, K[k-1] = B w_k on the graph's one face."""
+    box, weights = pde._probe(grid, probe)
+    op = pde._assemble(A, dom, grid)
+    op = op._replace(S=op.S.T.tocsr())
+    g = op.groups[(grid.d - 1, 0)]
+    z = np.zeros(grid.shape)
+    z[box] = weights
+    z = z.reshape(-1)
+    out = np.empty((grid.nt, g.cells.size))
+    mass, _, lu = pde._factor(op, grid.dt)
+    for step in range(grid.nt, 0, -1):
+        w = lu.solve(z, trans="T")
+        out[step - 1] = g.weights * w[g.cells]
+        z = mass * w
+    return out
+
+
+COEFFS = ("constant", "laminate", "trig")
+
+
+class TestAdjointMarch:
+    """`adjoint_trace` is the forward march of S^T in `_solve_field`."""
+
+    @pytest.mark.parametrize("dom", [HALF, WAVY], ids=["half", "wavy"])
+    @pytest.mark.parametrize("name", COEFFS)
+    def test_probes_match_the_backward_loop(self, name, dom):
+        A = preset(name, d=2)
+        grid = small_grid(nx=32, nlam=12, nt=24)
+        for probe in PROBES:
+            assert np.array_equal(adjoint_trace(A, dom, grid, probe),
+                                  _adjoint_reference(A, dom, grid, probe))
+
+    @pytest.mark.parametrize("dom", [SWEEP_HALF, SWEEP_GRAPH],
+                             ids=["half", "graph"])
+    @pytest.mark.parametrize("name", COEFFS)
+    def test_sweep_pole_matches_the_backward_loop(self, name, dom):
+        from parahom.geometry import ParabolicPoint
+        from parahom.potential import PotentialConfig, _measure_grid
+
+        pole = ParabolicPoint(np.array([0.0, 1.0]), 5.0)
+        grid = _measure_grid(pole, ParabolicCube(np.zeros(1), 0.0, 0.5),
+                             PotentialConfig())
+        A = preset(name, d=2)
+        assert np.array_equal(adjoint_trace(A, dom, grid, pole.X),
+                              _adjoint_reference(A, dom, grid, pole.X))
+
+    @pytest.mark.parametrize("dom", [HALF, WAVY], ids=["half", "wavy"])
+    @pytest.mark.parametrize("name", COEFFS)
+    def test_off_center_probes_match_to_roundoff(self, name, dom):
+        # the march starts from u0 = P^T / mass, whose first step
+        # multiplies by mass again: (z / m) * m rounds to z in all but the
+        # last bit for some pairs on graded cells, and that one-ulp change
+        # of the first right-hand side carries through the linear march as
+        # a few eps of the kernel, not as a different kernel
+        grid = SpaceTimeGrid(
+            (graded_axis([(-1.0, 1.0, 0.125)], -4.0, 4.0, 1.0),
+             graded_axis([(0.0, 0.5, 0.0625), (0.9, 1.3, 0.0625)],
+                         0.0, 2.0, 0.5)), 0.0, 1.0, 24)
+        A = preset(name, d=2)
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            probe = [rng.uniform(-3.5, 3.5), rng.uniform(0.05, 1.9)]
+            K = adjoint_trace(A, dom, grid, probe)
+            ref = _adjoint_reference(A, dom, grid, probe)
+            assert np.abs(K - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_cylinder_refused_before_assembly(self, monkeypatch):
+        # the kernel lives on a graph's one face; a cylinder has 2d faces
+        def no_assembly(*args):
+            raise AssertionError("assembled for a cylinder")
+
+        monkeypatch.setattr(pde, "_assemble", no_assembly)
+        grid = SpaceTimeGrid.uniform((0.0, 0.0), (1.0, 1.0), (8, 8),
+                                     0.0, 0.5, 4)
+        dom = LipschitzCylinder(base_box=((0.0, 1.0), (0.0, 1.0)), T=0.5)
+        with pytest.raises(ValueError, match="graph domain"):
+            adjoint_trace(preset("constant", d=2), dom, grid, [0.5, 0.5])
+
+    def test_one_solve_and_one_factorization_in_the_module(self):
+        # every march of the package is `_solve_field`'s loop
+        import ast
+        import inspect
+
+        calls = [node.func for node in ast.walk(ast.parse(
+            inspect.getsource(pde))) if isinstance(node, ast.Call)]
+        assert sum(isinstance(f, ast.Attribute) and f.attr == "solve"
+                   for f in calls) == 1
+        assert sum(isinstance(f, ast.Name) and f.id == "_factor"
+                   for f in calls) == 1
 
 
 def _coo_assemble(A, grid):
@@ -699,11 +792,13 @@ def _coo_assemble(A, grid):
     return S, groups
 
 
-def assert_matches_coo_reference(A, grid):
+def assert_matches_coo_reference(A, grid, graph=None):
     """The same stored pattern (so the MMD column order and the LU fill
-    hold), entries within 1e-14 max|S|, and bitwise-equal face groups."""
-    op = pde._assemble(A, grid)
-    S_ref, groups_ref = _coo_assemble(A, grid)
+    hold), entries within 1e-14 max|S|, and bitwise-equal face groups; on
+    a graph domain the reference assembles the field's shear pullback."""
+    op = pde._assemble(A, graph, grid)
+    S_ref, groups_ref = _coo_assemble(
+        A if graph is None else flatten_pullback(graph, A), grid)
     assert np.array_equal(op.S.indptr, S_ref.indptr)
     assert np.array_equal(op.S.indices, S_ref.indices)
     assert np.abs(op.S.data - S_ref.data).max() \
@@ -752,8 +847,7 @@ class TestAssembly:
             grid = SpaceTimeGrid(
                 (graded_axis([(-1.0, 1.0, 0.125)], -4.0, 4.0, 2.0),
                  graded_axis([(0.0, 0.5, 0.0625)], 0.0, 2.0, 1.0)), 0.0, 1.0, 8)
-        assert_matches_coo_reference(
-            flatten_pullback(WAVY, preset("trig", d=2)), grid)
+        assert_matches_coo_reference(preset("trig", d=2), grid, WAVY)
 
     def test_full_matrix_in_three_dimensions(self):
         # the middle axis has 3 cells: C_1 has one row
@@ -855,7 +949,7 @@ class TestWindow:
         f = BoundaryData(
             lambda X, t: np.sin(7.0 * t) * np.exp(X[:, 0] - 0.3 * X[:, 1]))
         A = preset("trig", d=2)
-        op = pde._assemble(A, grid)
+        op = pde._assemble(A, dom, grid)
         mass, _, lu = pde._factor(op, grid.dt)
         whole = [np.zeros(grid.ncells)]
         for t in grid.times()[1:]:
@@ -867,7 +961,7 @@ class TestWindow:
         whole = np.reshape(whole, (grid.nt + 1,) + grid.shape)
 
         cells = (slice(2, 9), slice(0, 5))
-        u = pde._solve_field(A, dom, f, grid, cells, np.zeros(grid.ncells))
+        u = pde._solve_field(op, dom, f, grid, cells, np.zeros(grid.ncells))
         assert u.values.tobytes() == whole[(slice(None),) + cells].tobytes()
         assert solve_dirichlet(A, dom, f, grid).values.tobytes() \
             == whole.tobytes()
@@ -938,8 +1032,8 @@ class TestScalarField:
     def test_recorded_window_must_be_a_sub_grid(self, cells, match):
         grid = small_grid(nx=8, nlam=4, nt=4)
         with pytest.raises(ValueError, match=match):
-            pde._solve_field(preset("constant", d=2), HALF, None, grid,
-                             cells, np.zeros(grid.ncells))
+            pde._solve_field(pde._assemble(preset("constant", d=2), HALF, grid),
+                             HALF, None, grid, cells, np.zeros(grid.ncells))
 
 
 class TestQDifference:
